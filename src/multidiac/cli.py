@@ -30,7 +30,7 @@ from . import data as datamod
 from . import metrics as metricsmod
 from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
                      InvariantViolation, MalformedInputError, ManifestError,
-                     NumericError)
+                     NumericError, ShapeError)
 from .inference import EnsembleConfig, diacritize
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ManifestError, MalformedInputError, ConfigError, FormatError,
-            IngestError, FingerprintError,
+            IngestError, FingerprintError, ShapeError,
             metricsmod.AlignmentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -49,9 +49,14 @@ def load_manifest(path, check_audio: bool = True) -> list[ManifestRecord]:
             except json.JSONDecodeError as e:
                 raise ManifestError(f"{path}:{lineno}: malformed record: {e}") \
                     from None
+            if not isinstance(obj, dict):
+                raise ManifestError(f"{path}:{lineno}: record is not an object")
             for key in ("id", "audio", "text"):
                 if key not in obj:
                     raise ManifestError(f"{path}:{lineno}: missing field {key!r}")
+                if not isinstance(obj[key], str):
+                    raise ManifestError(f"{path}:{lineno}: field {key!r} must be "
+                                        f"a string, got {type(obj[key]).__name__}")
             if obj["id"] in seen:
                 raise ManifestError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
             seen.add(obj["id"])

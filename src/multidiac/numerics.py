@@ -3,8 +3,9 @@
 Everything the model needs runs through the `Tensor` class: matmul, add,
 GELU, embedding lookup, softmax, layer norm, dropout, attention and time
 pooling, each with an analytic backward. Storage is row-major float32 by
-default (float64 available for verification work); reductions accumulate
-in float64 before casting back.
+default (float64 available for verification work). Elementwise work runs
+in the storage dtype. Three reductions keep float64 accumulators and cast
+back: `sum`/`mean`, the softmax row sums and the layer-norm moments.
 
 Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
 counter-based Philox generator. The (seed, stream) pair fully determines
@@ -264,32 +265,62 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU; deterministic, used by both encoders."""
+    """tanh-approximation GELU; deterministic, used by both encoders.
+
+    The cube is d*d*d: float32 `d ** 3` goes through numpy's slow generic
+    pow loop. The rest runs in place on scratch buffers of the storage
+    dtype, and d*d is kept for the backward.
+    """
     d = x.data
-    inner = _GELU_C * (d + 0.044715 * d ** 3)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * d * (1.0 + t), _parents=(x,))
+    d2 = d * d
+    t = d2 * d
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # without a backward nothing reads t again, so it becomes the output
+    y = np.add(t, 1.0, out=None if x.requires_grad else t)
+    y *= d
+    y *= 0.5
+    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
-        sech2 = 1.0 - t * t
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * d ** 2)
-        x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * d * sech2 * dinner))
+        # dy/dx = 0.5 * (1 + t + d * (1 - t^2) * c * (1 + 3 * 0.044715 * d^2))
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        s *= d
+        k = d2 * (3 * 0.044715)
+        k += 1.0
+        k *= _GELU_C
+        s *= k
+        s += t
+        s += 1.0
+        s *= 0.5
+        s *= g
+        x._accumulate(s)
     out._backward = bwd if out.requires_grad else None
     return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`; rejects non-finite input."""
+    """Numerically stable softmax along `axis`; rejects non-finite input.
+
+    Shift and exp run in place in the storage dtype; only the row sums
+    accumulate in float64.
+    """
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data.astype(np.float64) - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = (e / np.sum(e, axis=axis, keepdims=True)).astype(x.dtype)
+    p = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    total = np.sum(p, axis=axis, keepdims=True, dtype=np.float64)
+    p *= (1.0 / total).astype(p.dtype)
     out = Tensor(p, _parents=(x,))
 
     def bwd(g):
         dot = np.sum(g * p, axis=axis, keepdims=True)
-        x._accumulate(p * (g - dot))
+        r = g - dot
+        r *= p
+        x._accumulate(r)
     out._backward = bwd if out.requires_grad else None
     return out
 
@@ -303,11 +334,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
-    x64 = x.data.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
+    # one float64 copy, centred in place; mean(c*c) is numpy's var without
+    # its second pass for the mean, and gives the same bits
+    c = x.data.astype(np.float64)
+    c -= c.mean(axis=-1, keepdims=True)
+    var = np.mean(c * c, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((x64 - mu) * inv).astype(x.dtype)
+    c *= inv
+    xhat = c.astype(x.dtype, copy=False)
     out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta))
 
     def bwd(g):
@@ -357,8 +391,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def split(t):
         return t.reshape(s, heads, dh).transpose(1, 0, 2)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
+    # scaling q costs one (seq, dim) pass; scaling the scores would cost a
+    # (heads, seq, seq) one
+    qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
+    scores = qh @ kh.transpose(0, 2, 1)
     attn = softmax(scores, axis=-1)
     out = attn @ vh
     return out.transpose(1, 0, 2).reshape(s, d)

@@ -318,22 +318,33 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     pos = 12
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", body[pos:pos + 4]); pos += 4
-        name = body[pos:pos + name_len].decode("utf-8"); pos += name_len
-        (rank,) = struct.unpack("<I", body[pos:pos + 4]); pos += 4
-        extents = struct.unpack(f"<{rank}Q", body[pos:pos + 8 * rank]); pos += 8 * rank
-        if name == "__meta":
-            size = extents[0]
-            for line in body[pos:pos + size].decode("utf-8").splitlines():
-                k, _, v = line.partition("=")
-                meta[k] = v
-            pos += size
-        else:
-            size = 4 * int(np.prod(extents)) if rank else 4
-            tensors[name] = np.frombuffer(
-                body[pos:pos + size], dtype="<f4").reshape(extents).copy()
-            pos += size
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(body) - pos:
+            raise FormatError(f"{path}: {what} runs past the end of the body")
+        chunk = body[pos:pos + n]
+        pos += n
+        return chunk
+
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "entry header"))
+            name = take(name_len, "entry name").decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4, "entry rank"))
+            extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
+            if name == "__meta":
+                if rank != 1:
+                    raise FormatError(f"{path}: __meta entry has rank {rank}")
+                text = take(extents[0], "__meta payload").decode("utf-8")
+                for line in text.splitlines():
+                    k, _, v = line.partition("=")
+                    meta[k] = v
+            else:
+                payload = take(4 * math.prod(extents), f"tensor {name!r}")
+                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: entry is not valid UTF-8 ({e.reason})") from None
     if pos != len(body):
         raise FormatError(f"{path}: trailing bytes after last entry")
     return tensors, meta

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from multidiac.errors import ConfigError
 from multidiac.inference import EnsembleConfig
 from multidiac.model import desk_config
 from multidiac.textproc import insert_diacritics, strip_diacritics
-from multidiac.training import desk_recipe
+from multidiac.training import _fnv1a64, desk_recipe
 
 BA, TA = "ب", "ت"
 
@@ -165,6 +166,77 @@ def test_data_error_corrupt_checkpoint(trained, tmp_path, capsys):
                "--manifest", str(corpus / "dev.jsonl"),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
+
+
+def _entry(name: bytes, extents, payload: bytes) -> bytes:
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(extents))
+            + b"".join(struct.pack("<Q", e) for e in extents) + payload)
+
+
+def _checkpoint_blob(*entries: bytes, count=None) -> bytes:
+    """A CWDK file with a correct FNV-1a trailer around an arbitrary body."""
+    body = (b"CWDK" + struct.pack("<I", 1)
+            + struct.pack("<I", len(entries) if count is None else count)
+            + b"".join(entries))
+    return body + struct.pack("<Q", _fnv1a64(body))
+
+
+@pytest.mark.parametrize("blob", [
+    # name length 1000 followed by one byte
+    _checkpoint_blob(struct.pack("<I", 1000) + b"x"),
+    # entry header cut short
+    _checkpoint_blob(b"\x01\x00"),
+    # more entries declared than present
+    _checkpoint_blob(_entry(b"w", (2,), b"\0" * 8), count=2),
+    # rank far beyond the body
+    _checkpoint_blob(struct.pack("<I", 1) + b"w" + struct.pack("<I", 2 ** 31)),
+    # extents whose product overflows int64
+    _checkpoint_blob(_entry(b"w", (2 ** 40, 2 ** 40), b"\0" * 8)),
+    # payload shorter than the extents declare
+    _checkpoint_blob(_entry(b"w", (3, 4), b"\0" * 8)),
+    # name and metadata that are not UTF-8
+    _checkpoint_blob(_entry(b"\xff\xfe", (1,), b"\0" * 4)),
+    _checkpoint_blob(_entry(b"__meta", (2,), b"\xc3\x28")),
+    # metadata entry without extents
+    _checkpoint_blob(_entry(b"__meta", (), b"")),
+], ids=["name-past-end", "short-header", "missing-entry", "huge-rank",
+        "extent-overflow", "short-payload", "bad-utf8-name", "bad-utf8-meta",
+        "rank0-meta"])
+def test_data_error_malformed_checkpoint_body(trained, tmp_path, capsys, blob):
+    corpus, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    rc = main(["infer", "--checkpoints", str(bad),
+               "--manifest", str(corpus / "dev.jsonl"),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "a", "audio": "", "text": 123},
+    {"id": 7, "audio": "", "text": BA},
+    {"id": "a", "audio": None, "text": BA},
+    5,
+])
+def test_data_error_manifest_field_types(tmp_path, capsys, record):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["eval", "--pred", str(path), "--gold", str(path)]) == EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
+def test_data_error_overlength_text(trained, tmp_path, capsys):
+    corpus, run = trained
+    ckpt = sorted(run.glob("epoch*.ckpt"))[0]
+    limit = desk_config().max_text_len
+    manifest = tmp_path / "long.jsonl"
+    write_manifest(manifest, [ManifestRecord("long", "", BA * (limit + 1))])
+    rc = main(["infer", "--checkpoints", str(ckpt), "--manifest", str(manifest),
+               "--out", str(tmp_path / "o"), "--passes", "1"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "exceeds maximum" in err and "Traceback" not in err
 
 
 # -- run-config document -------------------------------------------------

@@ -1,6 +1,8 @@
 """Autodiff engine: forward values against independent numpy oracles,
 gradients against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,11 +148,23 @@ def test_grad_gelu():
     _check(lambda x: nm.gelu(x).sum(), (8,))
 
 
+def _gelu_formula(x):
+    return 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
+
+
 def test_gelu_matches_tanh_formula():
     x = np.linspace(-4, 4, 41)
     got = nm.gelu(t64(x)).data
-    want = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got, _gelu_formula(x), atol=1e-12)
+
+
+def test_gelu_float32_matches_float64_formula():
+    x = np.concatenate([np.linspace(-4, 4, 41),
+                        np.random.default_rng(18).normal(0, 2, size=4000)])
+    x = x.astype(np.float32)
+    got = nm.gelu(nm.tensor(x)).data
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - _gelu_formula(x.astype(np.float64)))) <= 1e-6
 
 
 def test_grad_softmax():
@@ -234,11 +248,9 @@ def test_conv1d_matches_direct_loop():
         assert np.allclose(got, want, atol=1e-10)
 
 
-def test_attention_matches_direct_computation():
-    gen = np.random.default_rng(15)
-    s, d, heads = 4, 6, 2
-    q, k, v = (gen.normal(0, 1, size=(s, d)) for _ in range(3))
-    got = nm.scaled_dot_attention(t64(q), t64(k), t64(v), heads).data
+def _attention_oracle(q, k, v, heads):
+    """Per-head loop over the scaled dot-product formula, scale on the scores."""
+    s, d = q.shape
     dh = d // heads
     want = np.zeros((s, d))
     for h in range(heads):
@@ -247,7 +259,27 @@ def test_attention_matches_direct_computation():
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         want[:, h * dh:(h + 1) * dh] = attn @ vs
-    assert np.allclose(got, want, atol=1e-10)
+    return want
+
+
+def test_attention_matches_direct_computation():
+    gen = np.random.default_rng(15)
+    s, d, heads = 4, 6, 2
+    q, k, v = (gen.normal(0, 1, size=(s, d)) for _ in range(3))
+    got = nm.scaled_dot_attention(t64(q), t64(k), t64(v), heads).data
+    assert np.allclose(got, _attention_oracle(q, k, v, heads), atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("s,d,heads", [(4, 6, 2), (40, 64, 4)])
+def test_attention_folded_scale_matches_scaled_scores(dtype, rtol, s, d, heads):
+    gen = np.random.default_rng(15)
+    q, k, v = (gen.normal(0, 1, size=(s, d)).astype(dtype) for _ in range(3))
+    got = nm.scaled_dot_attention(*(nm.tensor(a, dtype=dtype) for a in (q, k, v)),
+                                  heads).data
+    assert got.dtype == dtype
+    want = _attention_oracle(*(a.astype(np.float64) for a in (q, k, v)), heads)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 def test_mean_pool_time_oracle():
@@ -267,6 +299,23 @@ def test_layer_norm_normalizes():
     assert np.allclose(y.var(axis=-1), 1, atol=1e-3)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(20, 64), (1500, 512), (2, 3, 16)])
+def test_layer_norm_bitwise_matches_upcast_mean_var(dtype, shape):
+    gen = np.random.default_rng(19)
+    x = gen.normal(3, 5, size=shape).astype(dtype)
+    g = gen.normal(1, 0.1, size=shape[-1]).astype(dtype)
+    b = gen.normal(0, 0.1, size=shape[-1]).astype(dtype)
+    got = nm.layer_norm(*(nm.tensor(a, dtype=dtype) for a in (x, g, b))).data
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    xhat = ((x64 - mu) * (1.0 / np.sqrt(var + 1e-5))).astype(dtype)
+    want = g * xhat + b
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+
+
 def test_layer_norm_validation():
     x = t64(np.zeros((2, 4)))
     g = t64(np.ones(3))
@@ -284,6 +333,40 @@ def test_softmax_stable_and_validated():
     assert np.isfinite(big).all() and abs(big.sum() - 1) < 1e-12
     with pytest.raises(NumericError):
         nm.softmax(t64([np.inf, 0.0]))
+
+
+def test_softmax_float32_matches_float64_reference():
+    gen = np.random.default_rng(20)
+    x = (gen.normal(0, 4, size=(8, 60, 60)) + gen.normal(0, 50, size=(8, 60, 1)))
+    x = x.astype(np.float32)
+    for axis in (-1, 0):
+        got = nm.softmax(nm.tensor(x), axis=axis).data
+        assert got.dtype == np.float32
+        x64 = x.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        assert np.max(np.abs(got - want)) <= 1e-6
+        assert np.max(np.abs(got.sum(axis=axis, dtype=np.float64) - 1.0)) <= 1e-6
+
+
+def _peak_alloc_ratio(f, x: np.ndarray) -> float:
+    """Peak bytes numpy allocates during f(Tensor(x)), over x's own bytes."""
+    inp = nm.tensor(x)
+    tracemalloc.start()
+    try:
+        f(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / x.nbytes
+
+
+def test_softmax_and_gelu_peak_allocation():
+    gen = np.random.default_rng(21)
+    scores = gen.normal(0, 3, size=(8, 300, 300)).astype(np.float32)
+    assert _peak_alloc_ratio(nm.softmax, scores) <= 2.0
+    hidden = gen.normal(0, 1, size=(1500, 2048)).astype(np.float32)
+    assert _peak_alloc_ratio(nm.gelu, hidden) <= 3.0
 
 
 # -- dropout -------------------------------------------------------------
