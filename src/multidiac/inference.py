@@ -4,8 +4,8 @@ Each checkpoint runs a configurable number of stochastic forward passes
 with text-encoder dropout kept active (layer norm has no stochastic state
 and is unaffected); softmax probabilities are averaged over every
 (model, pass) pair before the per-position argmax. Sub-streams are keyed
-by (model index, pass index), so pass-level parallelism cannot change the
-result.
+by (model index, pass index), so how the passes of a checkpoint are
+stacked into forwards cannot change the result.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics as nm
 from .audiofe import Waveform, log_mel
-from .errors import ShapeError
-from .model import DiacritizerModel
+from .errors import ConfigError, ShapeError
+from .model import DiacritizerModel, ModelConfig
 from .numerics import RngStream
 from .textproc import ARABIC_LETTERS, insert_diacritics
 
@@ -31,19 +31,40 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.passes_per_model < 1:
-            raise ValueError("passes_per_model must be >= 1")
+            raise ConfigError(f"passes_per_model must be >= 1, got "
+                              f"{self.passes_per_model}")
+
+
+# Byte budget for one stacked forward's largest per-pass arrays (see
+# pass_bytes). At desk scale every pass fits; a full-width text model on 662
+# tokens fits two.
+SCORE_BUDGET_BYTES = 64 << 20
+
+
+def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
+    """Bytes one pass of a stack adds at its peak: the larger of the
+    (heads, seq, seq) attention scores and the (seq, mlp_ratio * dim) MLP
+    hidden layer, plus the float64 (seq, dim) dropout draws."""
+    itemsize = np.dtype(dtype).itemsize
+    widest = max(config.text_heads * seq * seq,
+                 config.mlp_ratio * config.text_dim * seq)
+    return widest * itemsize + seq * config.text_dim * 8
 
 
 def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
                prefix, passes: int, p: float, rng: RngStream) -> np.ndarray:
-    """(passes, letter positions handled upstream: full positions, 15)
-    softmax probabilities, one stochastic pass per rng.child(pass)."""
+    """(passes, full positions, 15) softmax probabilities; pass i uses the
+    stream rng.child(i). Passes run as stacked forwards of as many passes
+    as fit SCORE_BUDGET_BYTES, which leaves every pass's output unchanged."""
+    per_pass = pass_bytes(model.config, len(tokens), model.dtype)
+    chunk = max(1, SCORE_BUDGET_BYTES // per_pass)
     out = []
-    for i in range(passes):
+    for start in range(0, passes, chunk):
+        streams = [rng.child(i) for i in range(start, min(passes, start + chunk))]
         logits = model.forward(tokens, prefix, training=p > 0.0,
-                               rng=rng.child(i), dropout_p=p)
+                               rng=streams, dropout_p=p, grad=False)
         out.append(nm.softmax(logits, axis=-1).data)
-    return np.stack(out)
+    return np.concatenate(out)
 
 
 def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +124,7 @@ def predict_greedy(model: DiacritizerModel, raw: str,
         mel = log_mel(waveform, mels=model.config.mels,
                       frame_budget=model.config.mel_frames)
         prefix = model.speech_prefix(mel)
-    logits = model.forward(tokens, prefix)
+    logits = model.forward(tokens, prefix, grad=False)
     letter_rows = np.asarray(
         [i for i, c in enumerate(raw) if c in ARABIC_LETTERS],
         dtype=np.int64) + model.config.prefix_len

@@ -18,8 +18,14 @@ import numpy as np
 from . import numerics as nm
 from .audiofe import MelSpectrogram
 from .errors import ConfigError, ShapeError
-from .numerics import RngStream, Tensor
+from .numerics import RngStream, Streams, Tensor
 from .textproc import NUM_CLASSES, Vocabulary, encode_tokens
+
+
+# ModelConfig fields that size the model: each must be a positive integer
+_COUNT_FIELDS = ("text_layers", "text_dim", "text_heads", "speech_blocks",
+                 "speech_dim", "speech_heads", "speech_frames", "prefix_len",
+                 "pool_factor", "mels", "mlp_ratio", "vocab_size")
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,11 @@ class ModelConfig:
     max_text_len: int = 512
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.speech_frames != self.prefix_len * self.pool_factor:
             raise ConfigError(
                 f"speech_frames {self.speech_frames} != prefix_len "
@@ -56,6 +67,13 @@ class ModelConfig:
     def mel_frames(self) -> int:
         # stride-2 conv stem halves time
         return 2 * self.speech_frames
+
+
+def _child(rng: Streams, index: int) -> Streams:
+    """rng.child(index), taken per pass for a sequence of streams."""
+    if isinstance(rng, RngStream):
+        return rng.child(index)
+    return [r.child(index) for r in rng]
 
 
 def full_scale_config(vocab_size: int = 100) -> ModelConfig:
@@ -197,21 +215,20 @@ class DiacritizerModel:
 
     # -- forward passes -------------------------------------------------
 
-    def _block(self, x: Tensor, prefix: str, heads: int, training: bool,
-               rng: RngStream, layer: int, dropout_p: float) -> Tensor:
-        p = self.params
+    def _block(self, p: dict[str, Tensor], x: Tensor, prefix: str, heads: int,
+               training: bool, rng: Streams, layer: int, dropout_p: float) -> Tensor:
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q = h @ p[f"{prefix}.attn.wq"] + p[f"{prefix}.attn.bq"]
         k = h @ p[f"{prefix}.attn.wk"] + p[f"{prefix}.attn.bk"]
         v = h @ p[f"{prefix}.attn.wv"] + p[f"{prefix}.attn.bv"]
         a = nm.scaled_dot_attention(q, k, v, heads)
         a = a @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
-        a = nm.dropout(a, dropout_p, training, rng.child(2 * layer))
+        a = nm.dropout(a, dropout_p, training, _child(rng, 2 * layer))
         x = x + a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = nm.gelu(h @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"])
         h = h @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-        h = nm.dropout(h, dropout_p, training, rng.child(2 * layer + 1))
+        h = nm.dropout(h, dropout_p, training, _child(rng, 2 * layer + 1))
         return x + h
 
     def speech_encode(self, m: MelSpectrogram, training: bool = False,
@@ -231,7 +248,7 @@ class DiacritizerModel:
                               stride=2, padding=1))
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
-            x = self._block(x, f"speech.block{i}", cfg.speech_heads,
+            x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,
                             training, rng.child(100 + i), i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
@@ -245,12 +262,23 @@ class DiacritizerModel:
         return self.pool_project(self.speech_encode(m, training, rng))
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
-                training: bool = False, rng: RngStream | None = None,
-                dropout_p: float | None = None) -> Tensor:
+                training: bool = False, rng: Streams | None = None,
+                dropout_p: float | None = None, *, grad: bool = True) -> Tensor:
         """Token ids (prefix slots first) + optional speech prefix -> logits.
+
+        One stream gives one pass, (seq, 15). A sequence of P streams gives
+        a stack of P dropout passes over the same input, (P, seq, 15): the
+        embeddings, the prefix and everything before the first dropout are
+        computed once and shared, and pass i draws the masks that a
+        one-stream call with stream i draws.
 
         dropout_p overrides the config rate (used for MC-Dropout inference,
         where dropout stays active while layer norm is unaffected).
+
+        grad=False builds no autodiff graph, for inference, where no
+        backward follows: each intermediate is freed once used rather than
+        held by the graph until the logits are, which for a stack of passes
+        would keep every pass's activations alive at once.
         """
         cfg = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -266,7 +294,10 @@ class DiacritizerModel:
             raise ShapeError(f"speech prefix shape {prefix.shape} != "
                              f"({cfg.prefix_len}, {cfg.text_dim})")
         p = self.params
-        rng = rng or RngStream(0)
+        if not grad:
+            p = {n: t.detach() for n, t in p.items()}
+            prefix = None if prefix is None else prefix.detach()
+        rng = RngStream(0) if rng is None else rng
         rate = cfg.dropout_p if dropout_p is None else dropout_p
         x = nm.embedding(p["text.char_emb"], tokens) + \
             nm.embedding(p["text.pos_emb"], np.arange(seq))
@@ -274,10 +305,14 @@ class DiacritizerModel:
             pad = nm.zeros((seq - cfg.prefix_len, cfg.text_dim), dtype=self.dtype)
             x = x + nm.concat([prefix, pad], axis=0)
         for i in range(cfg.text_layers):
-            x = self._block(x, f"text.block{i}", cfg.text_heads,
-                            training, rng.child(200 + i), i, rate)
+            x = self._block(p, x, f"text.block{i}", cfg.text_heads,
+                            training, _child(rng, 200 + i), i, rate)
         x = nm.layer_norm(x, p["text.ln_f.g"], p["text.ln_f.b"])
-        return x @ p["text.head.w"] + p["text.head.b"]
+        logits = x @ p["text.head.w"] + p["text.head.b"]
+        if not isinstance(rng, RngStream) and logits.data.ndim == 2:
+            # no dropout ran, so the shared pass is every pass
+            logits = nm.broadcast_passes(logits, len(rng))
+        return logits
 
     def encode_text(self, raw: str) -> np.ndarray:
         return np.asarray(encode_tokens(raw, self.vocab, self.config.prefix_len),

@@ -17,6 +17,7 @@ its inputs plus the stream.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,10 @@ class Tensor:
         out = Tensor(self.data + other.data, _parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g)
-            other._accumulate(g)
+            if self.requires_grad:
+                self._accumulate(g)
+            if other.requires_grad:
+                other._accumulate(g)
         out._backward = bwd if out.requires_grad else None
         return out
 
@@ -144,8 +147,10 @@ class Tensor:
         out = Tensor(self.data * other.data, _parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            if self.requires_grad:
+                self._accumulate(g * other.data)
+            if other.requires_grad:
+                other._accumulate(g * self.data)
         out._backward = bwd if out.requires_grad else None
         return out
 
@@ -169,8 +174,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, _parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
+            if self.requires_grad:
+                self._accumulate(g @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
         out._backward = bwd if out.requires_grad else None
         return out
 
@@ -273,12 +280,13 @@ def gelu(x: Tensor) -> Tensor:
     """
     d = x.data
     d2 = d * d
-    t = d2 * d
+    # without a backward nothing reads d2 or t again, so the cube is built
+    # in d2 and t becomes the output
+    t = np.multiply(d2, d, out=None if x.requires_grad else d2)
     t *= 0.044715
     t += d
     t *= _GELU_C
     np.tanh(t, out=t)
-    # without a backward nothing reads t again, so it becomes the output
     y = np.add(t, 1.0, out=None if x.requires_grad else t)
     y *= d
     y *= 0.5
@@ -345,25 +353,55 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta))
 
     def bwd(g):
-        gg = g * gamma.data
-        m1 = np.mean(gg, axis=-1, keepdims=True)
-        m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
-        x._accumulate(((gg - m1 - xhat * m2) * inv).astype(x.dtype))
+        if x.requires_grad:
+            gg = g * gamma.data
+            m1 = np.mean(gg, axis=-1, keepdims=True)
+            m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
+            x._accumulate(((gg - m1 - xhat * m2) * inv).astype(x.dtype))
         axes = tuple(range(g.ndim - 1))
-        gamma._accumulate(np.sum(g * xhat, axis=axes))
-        beta._accumulate(np.sum(g, axis=axes))
+        if gamma.requires_grad:
+            gamma._accumulate(np.sum(g * xhat, axis=axes))
+        if beta.requires_grad:
+            beta._accumulate(np.sum(g, axis=axes))
     out._backward = bwd if out.requires_grad else None
     return out
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: RngStream) -> Tensor:
-    """Inverted dropout: zero with prob p, survivors scaled 1/(1-p); eval = identity."""
+# one stream, or one per pass of a stack
+Streams = RngStream | Sequence[RngStream]
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: Streams) -> Tensor:
+    """Inverted dropout: zero with prob p, survivors scaled 1/(1-p); eval = identity.
+
+    With a sequence of P streams, one per pass of a stack, x is either a
+    (seq, dim) input that all passes share or a (P, seq, dim) stack, and
+    the result is (P, seq, dim). Pass i's mask is drawn from stream i with
+    the (seq, dim) shape, so it is the mask a lone call with that stream
+    draws.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    mask = (rng.generator().random(x.data.shape) >= p) / (1.0 - p)
+    if isinstance(rng, RngStream):
+        draws = rng.generator().random(x.data.shape)
+    else:
+        if x.data.ndim > 2 and x.data.shape[0] != len(rng):
+            raise ShapeError(f"{len(rng)} streams for a stack of {x.data.shape[0]}")
+        draws = np.empty((len(rng),) + x.data.shape[-2:])
+        for stream, out in zip(rng, draws):
+            stream.generator().random(out=out)
+    mask = (draws >= p) / (1.0 - p)
     return x * Tensor(mask.astype(x.dtype))
+
+
+def broadcast_passes(x: Tensor, passes: int) -> Tensor:
+    """(seq, dim) -> (passes, seq, dim) read-only view: one result that
+    every pass of a stack shares. The backward sums over the passes."""
+    out = Tensor(np.broadcast_to(x.data, (passes,) + x.data.shape), _parents=(x,))
+    out._backward = (lambda g: x._accumulate(g)) if out.requires_grad else None
+    return out
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -380,24 +418,28 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Bidirectional multi-head attention over (seq, dim) inputs."""
-    s, d = q.data.shape
+    """Bidirectional multi-head attention over (..., seq, dim) inputs; each
+    leading index (a dropout pass) attends within its own sequence."""
+    *lead, s, d = q.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     if k.data.shape != q.data.shape or v.data.shape != q.data.shape:
-        raise ShapeError("q, k, v must share (seq, dim) shape")
+        raise ShapeError("q, k, v must share (..., seq, dim) shape")
     dh = d // heads
+    n = len(lead)
+    # (..., seq, heads, dh) <-> (..., heads, seq, dh)
+    swap = (*range(n), n + 1, n, n + 2)
 
     def split(t):
-        return t.reshape(s, heads, dh).transpose(1, 0, 2)
+        return t.reshape(*lead, s, heads, dh).transpose(*swap)
 
     # scaling q costs one (seq, dim) pass; scaling the scores would cost a
     # (heads, seq, seq) one
     qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
-    scores = qh @ kh.transpose(0, 2, 1)
+    scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
     attn = softmax(scores, axis=-1)
     out = attn @ vh
-    return out.transpose(1, 0, 2).reshape(s, d)
+    return out.transpose(*swap).reshape(*lead, s, d)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -411,7 +453,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
             extent = t.data.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + extent)
-            t._accumulate(g[tuple(sl)])
+            if t.requires_grad:
+                t._accumulate(g[tuple(sl)])
             offset += extent
     out._backward = bwd if out.requires_grad else None
     return out
@@ -440,9 +483,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
     out = Tensor(cols @ wmat + b.data, _parents=(x, w, b))
 
     def bwd(g):
-        gw = cols.T @ g  # (k*c_in, c_out)
-        w._accumulate(gw.reshape(k, c_in, c_out).transpose(2, 1, 0))
-        b._accumulate(g.sum(axis=0))
+        if w.requires_grad:
+            gw = cols.T @ g  # (k*c_in, c_out)
+            w._accumulate(gw.reshape(k, c_in, c_out).transpose(2, 1, 0))
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if not x.requires_grad:
+            return
         gcols = (g @ wmat.T).reshape(t_out, k, c_in)
         gxp = np.zeros_like(xp)
         np.add.at(gxp, idx, gcols)

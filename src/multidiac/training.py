@@ -133,8 +133,9 @@ class PreparedSample:
 
 def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
                     cfg: TrainConfig, rng: RngStream) -> Tensor:
-    """Two dropout-perturbed passes per sample; mean focal loss plus the
-    alpha-weighted symmetric KL consistency penalty, averaged over samples."""
+    """Two dropout-perturbed passes per sample, run as one stacked forward;
+    mean focal loss plus the alpha-weighted symmetric KL consistency
+    penalty, averaged over samples."""
     losses = []
     for si, s in enumerate(samples):
         srng = rng.child(si)
@@ -142,10 +143,13 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
         if prefix is not None:
             prefix = speech_embedding_dropout(
                 prefix, cfg.speech_emb_dropout, True, srng.child(0))
-        logits1 = model.forward(s.tokens, prefix, training=True, rng=srng.child(1))
-        logits2 = model.forward(s.tokens, prefix, training=True, rng=srng.child(2))
-        rows1 = nm.embedding(logits1, s.letter_rows)
-        rows2 = nm.embedding(logits2, s.letter_rows)
+        logits = model.forward(s.tokens, prefix, training=True,
+                               rng=[srng.child(1), srng.child(2)])
+        # pass k's positions are rows k*seq.. of the flattened stack
+        seq = len(s.tokens)
+        flat = logits.reshape(2 * seq, NUM_CLASSES)
+        rows1 = nm.embedding(flat, s.letter_rows)
+        rows2 = nm.embedding(flat, s.letter_rows + seq)
         l1 = focal_loss_ls(rows1, s.targets, cfg.focal_gamma, cfg.label_smoothing)
         l2 = focal_loss_ls(rows2, s.targets, cfg.focal_gamma, cfg.label_smoothing)
         obj = (l1 + l2) * 0.5
@@ -350,6 +354,17 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return tensors, meta
 
 
+def _stored_config(path, meta: dict[str, str], key: str, cls):
+    """Rebuild a config from checkpoint metadata; FormatError when the entry
+    is missing, does not parse, names an unknown field or is rejected."""
+    if key not in meta:
+        raise FormatError(f"{path}: metadata has no {key} entry")
+    try:
+        return deserialize_config(cls, meta[key])
+    except (SyntaxError, ValueError, TypeError) as e:
+        raise FormatError(f"{path}: unreadable {key} metadata: {e}") from None
+
+
 def load_checkpoint(path, model_cfg: ModelConfig | None = None,
                     train_cfg: TrainConfig | None = None,
                     vocab: Vocabulary | None = None) -> DiacritizerModel:
@@ -360,9 +375,9 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
     """
     tensors, meta = read_checkpoint(path)
     if model_cfg is None:
-        model_cfg = deserialize_config(ModelConfig, meta["model_cfg"])
+        model_cfg = _stored_config(path, meta, "model_cfg", ModelConfig)
     if train_cfg is None:
-        train_cfg = deserialize_config(TrainConfig, meta["train_cfg"])
+        train_cfg = _stored_config(path, meta, "train_cfg", TrainConfig)
     expected = config_fingerprint(model_cfg, train_cfg)
     stored = meta.get("fingerprint", "")
     if stored != expected:

@@ -12,9 +12,11 @@ from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
 from multidiac.data import ManifestRecord, write_manifest
 from multidiac.errors import ConfigError
 from multidiac.inference import EnsembleConfig
-from multidiac.model import desk_config
-from multidiac.textproc import insert_diacritics, strip_diacritics
-from multidiac.training import _fnv1a64, desk_recipe
+from multidiac.model import DiacritizerModel, desk_config
+from multidiac.numerics import RngStream
+from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
+from multidiac.training import (_fnv1a64, config_fingerprint, desk_recipe,
+                                save_checkpoint, serialize_config)
 
 BA, TA = "ب", "ت"
 
@@ -237,6 +239,75 @@ def test_data_error_overlength_text(trained, tmp_path, capsys):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "exceeds maximum" in err and "Traceback" not in err
+
+
+def _text_manifest(path):
+    write_manifest(path, [ManifestRecord("a", "", insert_diacritics(BA + TA, [1, 2]))])
+    return path
+
+
+def _desk_checkpoint(path, **meta):
+    """A checkpoint with a valid trailer whose metadata entries are the
+    desk defaults, overridden by `meta` (None drops an entry)."""
+    model = DiacritizerModel(desk_config(), Vocabulary(BA + TA), RngStream(0))
+    entries = {"fingerprint": config_fingerprint(model.config, desk_recipe()),
+               "model_cfg": serialize_config(model.config),
+               "train_cfg": serialize_config(desk_recipe())}
+    entries.update(meta)
+    save_checkpoint(path, model, {k: v for k, v in entries.items() if v is not None})
+    return path
+
+
+@pytest.mark.parametrize("meta, expected, mention", [
+    ({}, 0, None),
+    ({"model_cfg": None}, EXIT_DATA, "model_cfg"),
+    ({"train_cfg": None}, EXIT_DATA, "train_cfg"),
+    ({"model_cfg": "text_dim=(("}, EXIT_DATA, "model_cfg"),
+    ({"train_cfg": "seed=forty-two"}, EXIT_DATA, "train_cfg"),
+    ({"model_cfg": serialize_config(desk_config()) + ";bogus=1"}, EXIT_DATA, "bogus"),
+    ({"model_cfg": serialize_config(desk_config()) + ";text_heads=0"}, EXIT_DATA, "head"),
+    ({"model_cfg": serialize_config(desk_config()) + ";text_dim=-64"}, EXIT_DATA, "text_dim"),
+    ({"model_cfg": serialize_config(desk_config()) + ";text_layers=-1"}, EXIT_DATA,
+     "text_layers"),
+    ({"model_cfg": serialize_config(desk_config()) + ";text_heads=0.5"}, EXIT_DATA,
+     "text_heads"),
+], ids=["valid", "no-model-cfg", "no-train-cfg", "unparsable", "not-a-literal",
+        "unknown-field", "zero-heads", "negative-dim", "negative-layers",
+        "fractional-heads"])
+def test_infer_checkpoint_config_metadata(tmp_path, capsys, meta, expected, mention):
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt", **meta)
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == expected, err
+    assert "Traceback" not in err
+    if mention:
+        assert "error:" in err and mention in err
+
+
+def test_infer_zero_passes_is_a_data_error(tmp_path, capsys):
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--passes", "0"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "passes_per_model" in err and "Traceback" not in err
+
+
+def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    write_run_config(cfg, desk_config(), desk_recipe(),
+                     EnsembleConfig(passes_per_model=1), {})
+    text = cfg.read_text()
+    assert "passes_per_model = 1\n" in text
+    cfg.write_text(text.replace("passes_per_model = 1\n", "passes_per_model = 0\n"))
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "passes_per_model" in err and "Traceback" not in err
 
 
 # -- run-config document -------------------------------------------------

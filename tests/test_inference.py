@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from multidiac import inference
+from multidiac import numerics as nm
 from multidiac.audiofe import SAMPLE_RATE, Waveform
-from multidiac.errors import ShapeError
+from multidiac.errors import ConfigError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy)
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
@@ -15,14 +17,14 @@ from multidiac.textproc import (ARABIC_LETTERS, Vocabulary,
 VOCAB = Vocabulary("بتث")
 
 
-def model_with(dropout=0.1, seed=0):
+def model_with(dropout=0.1, seed=0, dtype=np.float32):
     cfg = desk_config(vocab_size=10)
     cfg = ModelConfig(**{**cfg.__dict__, "dropout_p": dropout})
-    return DiacritizerModel(cfg, VOCAB, RngStream(seed))
+    return DiacritizerModel(cfg, VOCAB, RngStream(seed), dtype=dtype)
 
 
 def test_ensemble_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EnsembleConfig(passes_per_model=0)
 
 
@@ -66,6 +68,57 @@ def test_mc_forward_more_passes_extends_prefix_of_sequence():
     short = mc_forward(model, tokens, None, passes=2, p=0.1, rng=RngStream(4))
     long = mc_forward(model, tokens, None, passes=4, p=0.1, rng=RngStream(4))
     assert np.array_equal(short, long[:2])
+
+
+def speech_prefix(model, seed=0):
+    gen = np.random.default_rng(seed)
+    shape = (model.config.prefix_len, model.config.text_dim)
+    return nm.tensor(gen.normal(0.0, 1.0, size=shape), dtype=model.dtype)
+
+
+def test_mc_forward_chunking_leaves_every_pass_unchanged(monkeypatch):
+    model = model_with()
+    tokens = model.encode_text("بتث بت")
+    prefix = speech_prefix(model)
+    seq = len(tokens)
+    per_pass = inference.pass_bytes(model.config, seq, model.dtype)
+    stacks = []
+    forward = model.forward
+
+    def counting_forward(*args, **kwargs):
+        stacks.append(len(kwargs["rng"]))
+        logits = forward(*args, **kwargs)
+        # no graph holds a chunk's activations
+        assert not logits.requires_grad
+        return logits
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    runs = {}
+    for per_chunk in (1, 3, 7):
+        monkeypatch.setattr(inference, "SCORE_BUDGET_BYTES", per_chunk * per_pass)
+        stacks.clear()
+        runs[per_chunk] = mc_forward(model, tokens, prefix, passes=7, p=0.1,
+                                     rng=RngStream(4))
+        assert stacks == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[per_chunk]
+    assert runs[1].shape == (7, seq, 15)
+    assert np.array_equal(runs[1], runs[3])
+    assert np.array_equal(runs[1], runs[7])
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_mc_forward_matches_per_pass_reference(dtype, rtol):
+    model = model_with(dtype=dtype)
+    tokens = model.encode_text("بتث بت")
+    prefix = speech_prefix(model)
+    rng = RngStream(11)
+    got = mc_forward(model, tokens, prefix, passes=5, p=0.1, rng=rng)
+    # one one-stream forward per pass, as the ensemble ran before stacking
+    ref = np.stack([
+        nm.softmax(model.forward(tokens, prefix, training=True,
+                                 rng=rng.child(i), dropout_p=0.1), axis=-1).data
+        for i in range(5)])
+    assert got.dtype == ref.dtype == dtype
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
 
 
 def test_mc_forward_p_zero_collapses_to_deterministic():

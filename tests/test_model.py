@@ -37,6 +37,10 @@ def test_config_validates_pooling_arithmetic():
         ModelConfig(text_dim=100, text_heads=3)
     with pytest.raises(ConfigError):
         ModelConfig(num_classes=14)
+    for bad in ({"text_heads": 0}, {"speech_heads": 0}, {"text_dim": -64},
+                {"text_layers": -1}, {"text_heads": 0.5}, {"mlp_ratio": True}):
+        with pytest.raises(ConfigError):
+            ModelConfig(**bad)
 
 
 def test_mel_frames_is_twice_speech_frames():
@@ -200,6 +204,19 @@ def test_training_forward_keyed_by_rng():
     c = model.forward(tokens, None, training=True, rng=RngStream(2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_forward_without_grad_builds_no_graph():
+    model = small_model()
+    tokens = model.encode_text("بت")
+    prefix = nm.tensor(np.ones((model.config.prefix_len, model.config.text_dim)),
+                       requires_grad=True)
+    streams = [RngStream(1), RngStream(2)]
+    with_graph = model.forward(tokens, prefix, training=True, rng=streams)
+    without = model.forward(tokens, prefix, training=True, rng=streams, grad=False)
+    assert with_graph.requires_grad
+    assert not without.requires_grad and not without._parents
+    assert np.array_equal(with_graph.data, without.data)
 
 
 def test_init_deterministic_in_seed():

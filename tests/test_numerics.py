@@ -113,6 +113,14 @@ def test_grad_batched_matmul():
     _check(lambda x: (x @ b).sum(), (2, 4, 5))
 
 
+def test_grad_stack_times_matrix():
+    # the weight gradient of a (passes, seq, d) stack times a (d, e) matrix
+    # sums the per-pass products over the broadcast pass axis
+    stack = t64(np.random.default_rng(2).normal(0, 1, size=(3, 4, 5)),
+                requires_grad=False)
+    _check(lambda w: ((stack @ w) ** 2.0).sum(), (5, 2))
+
+
 def test_grad_broadcast_add():
     b = t64(np.random.default_rng(3).normal(0, 1, size=(5,)))
     _check(lambda x: ((x + b) ** 2.0).sum(), (4, 5))
@@ -202,12 +210,20 @@ def test_grad_concat():
     _check(lambda x: (nm.concat([x, b], axis=0) ** 2.0).sum(), (4, 3))
 
 
-def test_grad_attention():
+def _check_attention(lead):
     gen = np.random.default_rng(11)
-    k = t64(gen.normal(0, 1, size=(5, 8)), requires_grad=False)
-    v = t64(gen.normal(0, 1, size=(5, 8)), requires_grad=False)
+    k = t64(gen.normal(0, 1, size=lead + (5, 8)), requires_grad=False)
+    v = t64(gen.normal(0, 1, size=lead + (5, 8)), requires_grad=False)
     _check(lambda q: (nm.scaled_dot_attention(q, k, v, heads=2) ** 2.0).sum(),
-           (5, 8), tol=1e-5)
+           lead + (5, 8), tol=1e-5)
+
+
+def test_grad_attention():
+    _check_attention(())
+
+
+def test_grad_attention_pass_stack():
+    _check_attention((3,))
 
 
 def test_grad_mean_pool_time():
@@ -280,6 +296,19 @@ def test_attention_folded_scale_matches_scaled_scores(dtype, rtol, s, d, heads):
     assert got.dtype == dtype
     want = _attention_oracle(*(a.astype(np.float64) for a in (q, k, v)), heads)
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_stack_equals_each_pass(dtype):
+    gen = np.random.default_rng(16)
+    q, k, v = (gen.normal(0, 1, size=(4, 12, 16)).astype(dtype) for _ in range(3))
+    got = nm.scaled_dot_attention(*(nm.tensor(a, dtype=dtype) for a in (q, k, v)),
+                                  heads=4).data
+    for i in range(4):
+        one = nm.scaled_dot_attention(nm.tensor(q[i], dtype=dtype),
+                                      nm.tensor(k[i], dtype=dtype),
+                                      nm.tensor(v[i], dtype=dtype), heads=4).data
+        assert np.array_equal(got[i], one)
 
 
 def test_mean_pool_time_oracle():
@@ -386,6 +415,32 @@ def test_dropout_mask_and_scaling():
     assert np.allclose(y[kept], 1.0 / 0.7)
     y2 = nm.dropout(x, 0.3, training=True, rng=RngStream(5)).data
     assert np.array_equal(y, y2)
+
+
+def test_dropout_stack_draws_each_pass_from_its_stream():
+    gen = np.random.default_rng(6)
+    shared = nm.tensor(gen.normal(0, 1, size=(5, 8)))
+    stack = nm.tensor(gen.normal(0, 1, size=(3, 5, 8)))
+    streams = [RngStream(5).child(i) for i in range(3)]
+    from_shared = nm.dropout(shared, 0.3, True, streams).data
+    from_stack = nm.dropout(stack, 0.3, True, streams).data
+    assert from_shared.shape == from_stack.shape == (3, 5, 8)
+    for i, stream in enumerate(streams):
+        assert np.array_equal(from_shared[i], nm.dropout(shared, 0.3, True, stream).data)
+        one = nm.tensor(stack.data[i])
+        assert np.array_equal(from_stack[i], nm.dropout(one, 0.3, True, stream).data)
+    with pytest.raises(ShapeError):
+        nm.dropout(stack, 0.3, True, streams[:2])
+    # a shared input's gradient sums the passes' masks
+    _check(lambda x: (nm.dropout(x, 0.3, True, streams) ** 2.0).sum(), (5, 8))
+
+
+def test_broadcast_passes_view_and_grad():
+    x = t64(np.arange(6.0).reshape(2, 3))
+    y = nm.broadcast_passes(x, 4)
+    assert y.shape == (4, 2, 3) and np.shares_memory(y.data, x.data)
+    w = t64(np.random.default_rng(7).normal(0, 1, size=(4, 2, 3)), requires_grad=False)
+    _check(lambda x: (nm.broadcast_passes(x, 4) * w).sum(), (2, 3))
 
 
 def test_dropout_rejects_bad_p():

@@ -2,17 +2,20 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multidiac import numerics as nm
 from multidiac import training as tr
+from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import (ConfigError, FingerprintError, FormatError,
                               NumericError)
-from multidiac.model import DiacritizerModel, ModelConfig, desk_config
+from multidiac.model import (DiacritizerModel, ModelConfig, desk_config,
+                             speech_embedding_dropout)
 from multidiac.numerics import RngStream
-from multidiac.textproc import NUM_CLASSES, Vocabulary
+from multidiac.textproc import NUM_CLASSES, Vocabulary, label_from_diacritized
 from multidiac.training import (
     CorpusSample, OptimizerState, TrainConfig, adamw_step, apply_freeze_policy,
     config_fingerprint, deserialize_config, desk_recipe, fit, focal_loss_ls,
@@ -157,6 +160,114 @@ def test_rdrop_deterministic_in_rng():
     a = rdrop_objective([s], model, cfg, RngStream(3)).item()
     b = rdrop_objective([s], model, cfg, RngStream(3)).item()
     assert a == b
+
+
+def desk_audio_batch(n, dtype=np.float32):
+    """A desk model, a recipe with speech-embedding dropout on, and n
+    prepared samples with speech prefixes."""
+    spec = desk_synth_spec(sample_count=n)
+    corpus = []
+    for i in range(n):
+        gold, wav = synthesize_sample(spec, RngStream(3).child(i))
+        lab = label_from_diacritized(gold)
+        corpus.append(CorpusSample(f"s{i}", lab.raw, lab.letter_positions,
+                                   np.asarray(lab.labels), wav))
+    vocab = Vocabulary.from_texts([s.raw for s in corpus])
+    model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab,
+                             RngStream(42), dtype=dtype)
+    cfg = replace(desk_recipe(), speech_emb_dropout=0.5)
+    samples = [prepare_sample(model, s, cfg, RngStream(0).child(i))
+               for i, s in enumerate(corpus)]
+    return model, cfg, samples
+
+
+def rdrop_per_pass(samples, model, cfg, rng):
+    """The R-Drop objective as two one-stream forwards per sample."""
+    losses = []
+    for si, s in enumerate(samples):
+        srng = rng.child(si)
+        prefix = s.prefix
+        if prefix is not None:
+            prefix = speech_embedding_dropout(
+                prefix, cfg.speech_emb_dropout, True, srng.child(0))
+        rows = [nm.embedding(model.forward(s.tokens, prefix, training=True,
+                                           rng=srng.child(k)), s.letter_rows)
+                for k in (1, 2)]
+        obj = (focal_loss_ls(rows[0], s.targets, cfg.focal_gamma, cfg.label_smoothing)
+               + focal_loss_ls(rows[1], s.targets, cfg.focal_gamma,
+                               cfg.label_smoothing)) * 0.5
+        if cfg.rdrop_alpha != 0.0:
+            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows[0], axis=-1),
+                                                 nm.softmax(rows[1], axis=-1))
+        losses.append(obj)
+    total = losses[0]
+    for l in losses[1:]:
+        total = total + l
+    return total * (1.0 / len(losses))
+
+
+def test_rdrop_stacked_matches_two_forwards_float64():
+    def run(objective):
+        # fresh samples each run: their prefix graphs keep the .grad of a
+        # backward they took part in
+        model, cfg, samples = desk_audio_batch(3, dtype=np.float64)
+        loss = objective(samples, model, cfg, RngStream(5))
+        loss.backward()
+        return loss.item(), {n: p.grad for n, p in model.params.items()
+                             if p.grad is not None}
+
+    value, grads = run(rdrop_objective)
+    ref_value, ref_grads = run(rdrop_per_pass)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert grads.keys() == ref_grads.keys() and "proj.w" in grads
+    top = max(np.abs(ref).max() for ref in ref_grads.values())
+    for name, ref in ref_grads.items():
+        # relative to the gradient's largest entry, as the stacked backward
+        # sums the two passes in another order; the key biases' gradient is
+        # zero in exact arithmetic (softmax ignores a shift along the keys),
+        # so theirs is rounding noise, measured against the largest gradient
+        scale = top if name.endswith(".attn.bk") else np.abs(ref).max()
+        err = np.abs(grads[name] - ref).max()
+        assert err <= 1e-12 * scale, name
+
+
+def test_backward_skips_operands_without_grad(monkeypatch):
+    made = []
+    init = nm.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
+
+    def forward():
+        made.clear()
+        model, cfg, samples = desk_audio_batch(4)
+        return model, rdrop_objective(samples, model, cfg, RngStream(1))
+
+    model, loss = forward()
+    trainable = model.trainable_names()
+    loss.backward()
+    guarded = {n: model.params[n].grad for n in trainable}
+    constants = [t for t in made if not t.requires_grad]
+    # frozen speech weights, pooled frames, the prefix zero pad, dropout
+    # masks, scalar constants
+    assert len(constants) > 100
+    assert all(t.grad is None for t in constants)
+
+    # the unguarded result: the same graph, but every operand that needs no
+    # gradient is flagged as needing one before the backward, so each branch
+    # forms its product and accumulates it as before the guards
+    model, loss = forward()
+    constants = [t for t in made if not t.requires_grad]
+    for t in constants:
+        t.requires_grad = True
+    loss.backward()
+    # per sample: two pass masks per dropout, the pad, the pooled frames
+    assert sum(t.grad is not None for t in constants) > 50
+    for name in trainable:
+        assert guarded[name].tobytes() == model.params[name].grad.tobytes(), name
 
 
 # -- AdamW ---------------------------------------------------------------
