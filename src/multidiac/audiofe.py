@@ -96,20 +96,20 @@ def save_wav(path, w: Waveform):
         f.write(b"data" + struct.pack("<I", len(data)) + data)
 
 
+def _band_edges(mels: int, rate: int) -> np.ndarray:
+    """mels + 2 band edges in Hz, evenly spaced on the HTK mel scale
+    m = 2595 log10(1 + f/700) from 0 Hz to Nyquist."""
+    top = 2595.0 * np.log10(1.0 + rate / 2 / 700.0)
+    return 700.0 * (10.0 ** (np.linspace(0.0, top, mels + 2) / 2595.0) - 1.0)
+
+
 @functools.lru_cache(maxsize=8)
 def mel_filterbank(mels: int, n_fft: int = N_FFT, rate: int = SAMPLE_RATE) -> np.ndarray:
     """Triangular HTK-mel filterbank, (mels, n_fft//2 + 1). Cached; treat
     the returned array as read-only."""
-    def hz_to_mel(f):
-        return 2595.0 * np.log10(1.0 + f / 700.0)
-
-    def mel_to_hz(m):
-        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-
     n_bins = n_fft // 2 + 1
     freqs = np.linspace(0, rate / 2, n_bins)
-    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2), mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
+    hz_pts = _band_edges(mels, rate)
     fb = np.zeros((mels, n_bins))
     for m in range(mels):
         lo, mid, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
@@ -121,11 +121,7 @@ def mel_filterbank(mels: int, n_fft: int = N_FFT, rate: int = SAMPLE_RATE) -> np
 
 def filterbank_centers(mels: int, rate: int = SAMPLE_RATE) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
-    def hz_to_mel(f):
-        return 2595.0 * math.log10(1.0 + f / 700.0)
-
-    mel_pts = np.linspace(0.0, hz_to_mel(rate / 2), mels + 2)
-    return 700.0 * (10.0 ** (mel_pts[1:-1] / 2595.0) - 1.0)
+    return _band_edges(mels, rate)[1:-1]
 
 
 def log_mel(w: Waveform, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:

@@ -16,13 +16,12 @@ Exit codes: 0 success, 1 usage, 2 data/validation, 3 numeric/invariant.
 from __future__ import annotations
 
 import argparse
-import ast
 import configparser
 import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,12 +30,14 @@ from . import metrics as metricsmod
 from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
                      InvariantViolation, MalformedInputError, ManifestError,
                      NumericError, ShapeError)
-from .inference import EnsembleConfig, diacritize
+from .audiofe import load_wav
+from .inference import EnsembleConfig, diacritize, predict_greedy
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
-from .textproc import Vocabulary, diacritization_ratio, strip_diacritics
-from .training import (TRAIN_PRESETS, TrainConfig, config_fingerprint, fit,
-                       load_checkpoint, serialize_config)
+from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
+                       strip_diacritics)
+from .training import (TRAIN_PRESETS, TrainConfig, decode_config, encode_config,
+                       fit, load_checkpoint, serialize_config)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -60,49 +61,37 @@ class _Parser(argparse.ArgumentParser):
 # -- resolved-config document --------------------------------------------
 
 
+RUN_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
+                "ensemble": EnsembleConfig}
+
+
 def write_run_config(path, model_cfg: ModelConfig, train_cfg: TrainConfig | None,
                      ensemble_cfg: EnsembleConfig | None, paths: dict):
-    doc = configparser.ConfigParser()
-    doc["model"] = {f.name: repr(getattr(model_cfg, f.name))
-                    for f in fields(model_cfg)}
-    if train_cfg is not None:
-        doc["train"] = {f.name: repr(getattr(train_cfg, f.name))
-                        for f in fields(train_cfg)}
-    if ensemble_cfg is not None:
-        doc["ensemble"] = {f.name: repr(getattr(ensemble_cfg, f.name))
-                           for f in fields(ensemble_cfg)}
+    doc = configparser.ConfigParser(interpolation=None)
+    for section, cfg in zip(RUN_SECTIONS, (model_cfg, train_cfg, ensemble_cfg)):
+        if cfg is not None:
+            doc[section] = encode_config(cfg)
     doc["paths"] = {k: str(v) for k, v in paths.items()}
     with open(path, "w", encoding="utf-8") as f:
         doc.write(f)
 
 
 def read_run_config(path) -> dict:
-    """Parse an echoed config document; unknown sections/keys are rejected."""
-    doc = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as f:
-        doc.read_file(f)
-    known = {
-        "model": {f.name for f in fields(ModelConfig)},
-        "train": {f.name for f in fields(TrainConfig)},
-        "ensemble": {f.name for f in fields(EnsembleConfig)},
-        "paths": None,
-    }
+    """Parse an echoed config document; anything malformed is a ConfigError."""
+    doc = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc.read_file(f)
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: not a run config: {e}") from None
     out: dict = {}
     for section in doc.sections():
-        if section not in known:
+        if section == "paths":
+            out[section] = dict(doc.items(section))
+        elif section in RUN_SECTIONS:
+            out[section] = decode_config(RUN_SECTIONS[section], doc.items(section))
+        else:
             raise ConfigError(f"unknown config section [{section}]")
-        items = {}
-        for key, value in doc.items(section):
-            if known[section] is not None and key not in known[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            items[key] = value if known[section] is None else ast.literal_eval(value)
-        out[section] = items
-    if "model" in out:
-        out["model"] = ModelConfig(**out["model"])
-    if "train" in out:
-        out["train"] = TrainConfig(**out["train"])
-    if "ensemble" in out:
-        out["ensemble"] = EnsembleConfig(**out["ensemble"])
     return out
 
 
@@ -112,11 +101,10 @@ def read_run_config(path) -> dict:
 def cmd_synth(args) -> int:
     if args.n <= 0:
         raise UsageError("--n must be positive")
-    spec_kwargs = dict(sample_count=args.n, noise_floor=args.noise_floor)
     if args.desk_shape:
-        spec = replace(datamod.desk_synth_spec(args.n, args.noise_floor))
+        spec = datamod.desk_synth_spec(args.n, args.noise_floor)
     else:
-        spec = datamod.SynthSpec(**spec_kwargs)
+        spec = datamod.SynthSpec(sample_count=args.n, noise_floor=args.noise_floor)
     os.makedirs(args.out, exist_ok=True)
     train, dev = datamod.synthesize_corpus(spec, RngStream(args.seed), args.out)
     records = train + dev
@@ -124,7 +112,6 @@ def cmd_synth(args) -> int:
     ratios = []
     base = os.path.abspath(args.out)
     for r in records:
-        from .audiofe import load_wav
         durations.append(load_wav(os.path.join(base, r.audio)).duration)
         ratios.append(diacritization_ratio(r.text))
     print(f"samples={len(records)} (train={len(train)} dev={len(dev)})")
@@ -136,13 +123,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.config:
-        resolved = read_run_config(args.config)
-        model_cfg = resolved.get("model") or MODEL_PRESETS[args.model_preset]()
-        train_cfg = resolved.get("train") or TRAIN_PRESETS[args.preset]()
-    else:
-        model_cfg = MODEL_PRESETS[args.model_preset]()
-        train_cfg = TRAIN_PRESETS[args.preset]()
+    resolved = read_run_config(args.config) if args.config else {}
+    model_cfg = resolved.get("model") or MODEL_PRESETS[args.model_preset]()
+    train_cfg = resolved.get("train") or TRAIN_PRESETS[args.preset]()
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
 
@@ -163,8 +146,6 @@ def cmd_train(args) -> int:
         gold = {r.id: r.text for r in dev_records}
 
         def dev_scorer(m, _corpus=dev_corpus, _gold=gold):
-            from .inference import predict_greedy
-            from .textproc import insert_diacritics
             preds = {}
             for s in _corpus:
                 classes = predict_greedy(m, s.raw, s.waveform)
@@ -210,7 +191,6 @@ def cmd_infer(args) -> int:
     base = os.path.dirname(os.path.abspath(args.manifest))
     t0 = time.time()
     out_path = os.path.join(args.out, "predictions.jsonl")
-    from .audiofe import load_wav
     with open(out_path, "w", encoding="utf-8") as f:
         for r in records:
             raw = strip_diacritics(r.text)

@@ -40,7 +40,11 @@ def load_manifest(path, check_audio: bool = True) -> list[ManifestRecord]:
     seen = set()
     base = os.path.dirname(os.path.abspath(path))
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ManifestError(f"{path}: not UTF-8 text ({e.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

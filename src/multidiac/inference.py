@@ -87,13 +87,13 @@ def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return classes, chosen
 
 
-def diacritize(raw: str, waveform: Waveform | None,
-               models: list[DiacritizerModel], cfg: EnsembleConfig) -> tuple[str, list[float]]:
-    """Ensemble-predict diacritics for one sample and re-insert them.
+# greedy decoding: the ensemble of one model with one pass at p=0
+GREEDY = EnsembleConfig(passes_per_model=1, inference_dropout_p=0.0)
 
-    Audio is optional; absent audio means a zero speech prefix (text-only
-    path). Returns (diacritized text, per-letter confidence).
-    """
+
+def _ensemble(raw: str, waveform: Waveform | None,
+              models: list[DiacritizerModel], cfg: EnsembleConfig):
+    """ensemble_average over every (model, pass) pair at raw's letter rows."""
     ref = models[0]
     tokens = ref.encode_text(raw)
     letter_rows = np.asarray(
@@ -110,7 +110,17 @@ def diacritize(raw: str, waveform: Waveform | None,
         probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
                            cfg.inference_dropout_p, run.child(mi))
         all_probs.append(probs[:, letter_rows, :])
-    classes, confidence = ensemble_average(all_probs)
+    return ensemble_average(all_probs)
+
+
+def diacritize(raw: str, waveform: Waveform | None,
+               models: list[DiacritizerModel], cfg: EnsembleConfig) -> tuple[str, list[float]]:
+    """Ensemble-predict diacritics for one sample and re-insert them.
+
+    Audio is optional; absent audio means a zero speech prefix (text-only
+    path). Returns (diacritized text, per-letter confidence).
+    """
+    classes, confidence = _ensemble(raw, waveform, models, cfg)
     text = insert_diacritics(raw, [int(c) for c in classes])
     return text, [float(c) for c in confidence]
 
@@ -118,14 +128,5 @@ def diacritize(raw: str, waveform: Waveform | None,
 def predict_greedy(model: DiacritizerModel, raw: str,
                    waveform: Waveform | None) -> list[int]:
     """Deterministic single-pass argmax prediction (no MC dropout)."""
-    tokens = model.encode_text(raw)
-    prefix = None
-    if waveform is not None:
-        mel = log_mel(waveform, mels=model.config.mels,
-                      frame_budget=model.config.mel_frames)
-        prefix = model.speech_prefix(mel)
-    logits = model.forward(tokens, prefix, grad=False)
-    letter_rows = np.asarray(
-        [i for i, c in enumerate(raw) if c in ARABIC_LETTERS],
-        dtype=np.int64) + model.config.prefix_len
-    return [int(c) for c in logits.data[letter_rows].argmax(axis=-1)]
+    classes, _ = _ensemble(raw, waveform, [model], GREEDY)
+    return [int(c) for c in classes]

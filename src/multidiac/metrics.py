@@ -90,78 +90,6 @@ def score_pair(pred: str, gold: str, flags: MetricFlags = PRIMARY_FLAGS) -> Tall
     return t
 
 
-def brute_force_reference(pred: str, gold: str,
-                          flags: MetricFlags = PRIMARY_FLAGS) -> Tallies:
-    """Deliberately naive re-implementation used as a test oracle: walks
-    both strings character by character, no shared helpers beyond the mark
-    tables."""
-    from .textproc import ARABIC_LETTERS, DIACRITICS, class_of_marks
-
-    def parse(text):
-        letters = []  # (raw_offset_of_letter, class_id)
-        raw = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c in ARABIC_LETTERS:
-                marks = ""
-                j = i + 1
-                while j < len(text) and text[j] in DIACRITICS:
-                    marks += text[j]
-                    j += 1
-                letters.append((len(raw), class_of_marks(marks)))
-                raw.append(c)
-                i = j
-            else:
-                raw.append(c)
-                i += 1
-        return "".join(raw), letters
-
-    raw_p, letters_p = parse(pred)
-    raw_g, letters_g = parse(gold)
-    if raw_p != raw_g:
-        first = next((i for i, (a, b) in enumerate(zip(raw_p, raw_g)) if a != b),
-                     min(len(raw_p), len(raw_g)))
-        raise AlignmentError(f"base text mismatch at offset {first}")
-
-    # word spans over raw, whitespace-delimited with >=1 Arabic letter
-    spans = []
-    start = None
-    for i, c in enumerate(raw_g + " "):
-        if c.isspace():
-            if start is not None:
-                span = (start, i)
-                if any(raw_g[k] in ARABIC_LETTERS for k in range(*span)):
-                    spans.append(span)
-                start = None
-        elif start is None:
-            start = i
-
-    t = Tallies(sentences=1, words=len(spans))
-    any_word_err = 0
-    for span in spans:
-        word_has_err = False
-        letters_in_span = [(off, gc) for off, gc in letters_g
-                           if span[0] <= off < span[1]]
-        last_off = letters_in_span[-1][0] if letters_in_span else None
-        for (off, gc), (_, pc) in zip(letters_g, letters_p):
-            if not (span[0] <= off < span[1]):
-                continue
-            if not flags.include_case_endings and off == last_off:
-                continue
-            if not flags.include_no_diacritic and gc == 0:
-                continue
-            t.positions += 1
-            if pc != gc:
-                t.position_errors += 1
-                word_has_err = True
-        if word_has_err:
-            any_word_err += 1
-    t.word_errors = any_word_err
-    t.sentence_errors = 1 if any_word_err else 0
-    return t
-
-
 def report_from_tallies(t: Tallies) -> ScoreReport:
     return ScoreReport(
         der=t.position_errors / t.positions if t.positions else 0.0,

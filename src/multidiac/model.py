@@ -231,16 +231,14 @@ class DiacritizerModel:
         h = nm.dropout(h, dropout_p, training, _child(rng, 2 * layer + 1))
         return x + h
 
-    def speech_encode(self, m: MelSpectrogram, training: bool = False,
-                      rng: RngStream | None = None) -> Tensor:
-        """(mels, 2*speech_frames) log-mel -> (speech_frames, speech_dim)."""
+    def speech_encode(self, m: MelSpectrogram) -> Tensor:
+        """(mels, 2*speech_frames) log-mel -> (speech_frames, speech_dim), eval mode."""
         cfg = self.config
         if m.frames != cfg.mel_frames:
             raise ShapeError(f"expected {cfg.mel_frames} mel frames, got {m.frames}")
         if m.mels != cfg.mels:
             raise ShapeError(f"expected {cfg.mels} mel bins, got {m.mels}")
         p = self.params
-        rng = rng or RngStream(0)
         x = nm.tensor(m.values.T, dtype=self.dtype)  # (time, mels)
         x = nm.gelu(nm.conv1d(x, p["speech.conv1.w"], p["speech.conv1.b"],
                               stride=1, padding=1))
@@ -249,7 +247,7 @@ class DiacritizerModel:
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
             x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,
-                            training, rng.child(100 + i), i, cfg.dropout_p)
+                            False, RngStream(0), i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
     def pool_project(self, frames: Tensor) -> Tensor:
@@ -257,9 +255,8 @@ class DiacritizerModel:
         pooled = nm.mean_pool_time(frames, self.config.pool_factor)
         return pooled @ self.params["proj.w"] + self.params["proj.b"]
 
-    def speech_prefix(self, m: MelSpectrogram, training: bool = False,
-                      rng: RngStream | None = None) -> Tensor:
-        return self.pool_project(self.speech_encode(m, training, rng))
+    def speech_prefix(self, m: MelSpectrogram) -> Tensor:
+        return self.pool_project(self.speech_encode(m))
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
                 training: bool = False, rng: Streams | None = None,

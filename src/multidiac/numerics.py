@@ -114,6 +114,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # spent: only leaves keep a gradient, so a later backward
+                # through a shared interior node cannot add this one again
+                node.grad = None
 
     # -- arithmetic -----------------------------------------------------
 
@@ -496,43 +499,3 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
         x._accumulate(gxp[padding:padding + t_in] if padding else gxp)
     out._backward = bwd if out.requires_grad else None
     return out
-
-
-def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
-               rng: RngStream | None = None) -> float:
-    """Max relative error between reverse-mode grad of f and central differences.
-
-    f must be a deterministic scalar-valued function of x. When max_coords is
-    given, a deterministic random subset of coordinates is probed. Denominator
-    is max(|analytic|, |numeric|, 1e-8).
-    """
-    if not (1e-4 <= h <= 1e-2):
-        raise ConfigError(f"grad_check step h={h} outside [1e-4, 1e-2]")
-    x.zero_grad()
-    y = f(x)
-    if not np.isfinite(y.data).all():
-        raise NumericError("grad_check: f(x) is non-finite")
-    y.backward()
-    analytic = np.array(x.grad, dtype=np.float64)
-
-    flat = x.data.reshape(-1)
-    n = flat.size
-    if max_coords is not None and max_coords < n:
-        gen = (rng or RngStream(0)).generator()
-        coords = gen.choice(n, size=max_coords, replace=False)
-    else:
-        coords = np.arange(n)
-
-    worst = 0.0
-    for i in coords:
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(f(x).data)
-        flat[i] = orig - h
-        f_minus = float(f(x).data)
-        flat[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = analytic.reshape(-1)[i]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

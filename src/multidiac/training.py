@@ -9,6 +9,7 @@ between the two softmax outputs to the mean of the two focal losses.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import os
@@ -229,9 +230,6 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 def apply_freeze_policy(model: DiacritizerModel, epoch: int, cfg: TrainConfig):
     """Primary: speech encoder always frozen. Alt: top whisper_unfrozen
     blocks become trainable starting the epoch after unfreeze_at_epoch."""
-    if cfg.whisper_unfrozen > model.config.speech_blocks:
-        raise ConfigError(f"cannot unfreeze {cfg.whisper_unfrozen} of "
-                          f"{model.config.speech_blocks} speech blocks")
     unfrozen = 0
     if cfg.whisper_unfrozen > 0 and (cfg.unfreeze_at_epoch is None or
                                      epoch > cfg.unfreeze_at_epoch):
@@ -254,26 +252,42 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+def encode_config(cfg) -> dict[str, str]:
+    """Field name -> repr of its value, in field order."""
+    return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def decode_config(cls, items):
+    """Rebuild a config from (field name, repr) pairs, later pairs winning;
+    ConfigError for an unknown field, a non-literal or a rejected value."""
+    known = {f.name for f in fields(cls)}
+    kwargs = {}
+    for name, text in items:
+        if name not in known:
+            raise ConfigError(f"unknown {cls.__name__} field {name!r}")
+        try:
+            kwargs[name] = ast.literal_eval(text)
+        except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+            raise ConfigError(f"{cls.__name__} field {name!r} is not a Python "
+                              f"literal") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {cls.__name__}: {e}") from None
+
+
 def serialize_config(cfg) -> str:
     """field=repr pairs joined with ';' (no field value contains ';')."""
-    return ";".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))
+    return ";".join(f"{k}={v}" for k, v in encode_config(cfg).items())
 
 
 def deserialize_config(cls, text: str):
-    import ast
-    kwargs = {}
-    for pair in text.split(";"):
-        name, _, value = pair.partition("=")
-        kwargs[name] = ast.literal_eval(value)
-    return cls(**kwargs)
+    return decode_config(cls, (pair.partition("=")[::2] for pair in text.split(";")))
 
 
 def config_fingerprint(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
-    parts = []
-    for cfg in (model_cfg, train_cfg):
-        for f in fields(cfg):
-            parts.append(f"{f.name}={getattr(cfg, f.name)!r}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
+    text = f"{serialize_config(model_cfg)};{serialize_config(train_cfg)}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def save_checkpoint(path, model: DiacritizerModel, meta: dict):
@@ -361,7 +375,7 @@ def _stored_config(path, meta: dict[str, str], key: str, cls):
         raise FormatError(f"{path}: metadata has no {key} entry")
     try:
         return deserialize_config(cls, meta[key])
-    except (SyntaxError, ValueError, TypeError) as e:
+    except ConfigError as e:
         raise FormatError(f"{path}: unreadable {key} metadata: {e}") from None
 
 

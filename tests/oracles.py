@@ -1,0 +1,123 @@
+"""Reference implementations that tests compare the package against.
+
+Neither is used by the package itself: `grad_check` measures reverse-mode
+gradients against central finite differences, and `brute_force_reference`
+re-scores a (prediction, gold) pair without the scorer's helpers.
+"""
+
+import numpy as np
+
+from multidiac.errors import ConfigError, NumericError
+from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
+from multidiac.numerics import RngStream, Tensor
+from multidiac.textproc import ARABIC_LETTERS, DIACRITICS, class_of_marks
+
+
+def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
+               rng: RngStream | None = None) -> float:
+    """Max relative error between reverse-mode grad of f and central differences.
+
+    f must be a deterministic scalar-valued function of x. When max_coords is
+    given, a deterministic random subset of coordinates is probed. Denominator
+    is max(|analytic|, |numeric|, 1e-8).
+    """
+    if not (1e-4 <= h <= 1e-2):
+        raise ConfigError(f"grad_check step h={h} outside [1e-4, 1e-2]")
+    x.zero_grad()
+    y = f(x)
+    if not np.isfinite(y.data).all():
+        raise NumericError("grad_check: f(x) is non-finite")
+    y.backward()
+    analytic = np.array(x.grad, dtype=np.float64)
+
+    flat = x.data.reshape(-1)
+    n = flat.size
+    if max_coords is not None and max_coords < n:
+        gen = (rng or RngStream(0)).generator()
+        coords = gen.choice(n, size=max_coords, replace=False)
+    else:
+        coords = np.arange(n)
+
+    worst = 0.0
+    for i in coords:
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = float(f(x).data)
+        flat[i] = orig - h
+        f_minus = float(f(x).data)
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = analytic.reshape(-1)[i]
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, err)
+    return worst
+
+
+def brute_force_reference(pred: str, gold: str,
+                          flags: MetricFlags = PRIMARY_FLAGS) -> Tallies:
+    """Deliberately naive re-implementation used as a test oracle: walks
+    both strings character by character, no shared helpers beyond the mark
+    tables."""
+    def parse(text):
+        letters = []  # (raw_offset_of_letter, class_id)
+        raw = []
+        i = 0
+        while i < len(text):
+            c = text[i]
+            if c in ARABIC_LETTERS:
+                marks = ""
+                j = i + 1
+                while j < len(text) and text[j] in DIACRITICS:
+                    marks += text[j]
+                    j += 1
+                letters.append((len(raw), class_of_marks(marks)))
+                raw.append(c)
+                i = j
+            else:
+                raw.append(c)
+                i += 1
+        return "".join(raw), letters
+
+    raw_p, letters_p = parse(pred)
+    raw_g, letters_g = parse(gold)
+    if raw_p != raw_g:
+        first = next((i for i, (a, b) in enumerate(zip(raw_p, raw_g)) if a != b),
+                     min(len(raw_p), len(raw_g)))
+        raise AlignmentError(f"base text mismatch at offset {first}")
+
+    # word spans over raw, whitespace-delimited with >=1 Arabic letter
+    spans = []
+    start = None
+    for i, c in enumerate(raw_g + " "):
+        if c.isspace():
+            if start is not None:
+                span = (start, i)
+                if any(raw_g[k] in ARABIC_LETTERS for k in range(*span)):
+                    spans.append(span)
+                start = None
+        elif start is None:
+            start = i
+
+    t = Tallies(sentences=1, words=len(spans))
+    any_word_err = 0
+    for span in spans:
+        word_has_err = False
+        letters_in_span = [(off, gc) for off, gc in letters_g
+                           if span[0] <= off < span[1]]
+        last_off = letters_in_span[-1][0] if letters_in_span else None
+        for (off, gc), (_, pc) in zip(letters_g, letters_p):
+            if not (span[0] <= off < span[1]):
+                continue
+            if not flags.include_case_endings and off == last_off:
+                continue
+            if not flags.include_no_diacritic and gc == 0:
+                continue
+            t.positions += 1
+            if pc != gc:
+                t.position_errors += 1
+                word_has_err = True
+        if word_has_err:
+            any_word_err += 1
+    t.word_errors = any_word_err
+    t.sentence_errors = 1 if any_word_err else 0
+    return t

@@ -23,8 +23,8 @@ from multidiac.data import (ManifestRecord, corpus_from_manifest,
                             desk_synth_spec, filter_corpus, synthesize_corpus)
 from multidiac.errors import FormatError
 from multidiac.inference import EnsembleConfig, diacritize, predict_greedy
-from multidiac.metrics import (MetricFlags, Tallies, brute_force_reference,
-                               report_from_tallies, score_pair)
+from multidiac.metrics import (MetricFlags, Tallies, report_from_tallies,
+                               score_pair)
 from multidiac.model import (DiacritizerModel, count_parameters, desk_config,
                              full_scale_config)
 from multidiac.numerics import RngStream
@@ -35,6 +35,7 @@ from multidiac.training import (CorpusSample, TrainConfig, desk_recipe, fit,
                                 focal_loss_ls, lr_at, prepare_sample,
                                 rdrop_objective, read_checkpoint,
                                 save_checkpoint, sym_kl, table1_primary)
+from oracles import brute_force_reference
 
 
 _CAPSYS = None

@@ -147,6 +147,10 @@ def test_data_error_missing_or_malformed_manifest(tmp_path, capsys):
     rc = main(["train", "--manifest", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
     assert "error:" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe\n")
+    assert main(["eval", "--pred", str(bad), "--gold", str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
 
 
 def test_data_error_alignment_mismatch(tmp_path, capsys):
@@ -310,6 +314,27 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     assert "passes_per_model" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    b"[model]\ntext_dim = ((\n",
+    b"[model]\ntext_dim = abc\n",
+    b"[train]\nlearning_rate = 'x'\n",
+    b"text_dim = 64\n",
+    b"[model]\ntext_dim = 64\n[model]\ntext_dim = 64\n",
+    b"[model]\ntext_dim = \xff\xfe\n",
+    b"[model]\ntext_dim = " + b"-" * 5000 + b"1\n",
+    b"[model]\ntext_dim = " + b"-" * 20000 + b"1\n",
+], ids=["unparsable", "not-a-literal", "rejected-type", "no-section",
+        "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack"])
+def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(text)
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "error:" in err and "Traceback" not in err
+
+
 # -- run-config document -------------------------------------------------
 
 
@@ -322,6 +347,12 @@ def test_run_config_round_trip(tmp_path):
     assert back["train"] == desk_recipe(seed=5)
     assert back["ensemble"].passes_per_model == 7
     assert back["paths"]["out"] == "x"
+
+
+def test_run_config_keeps_percent_in_paths(tmp_path):
+    p = tmp_path / "c.ini"
+    write_run_config(p, desk_config(), None, None, {"out": "run%1"})
+    assert read_run_config(p)["paths"]["out"] == "run%1"
 
 
 def test_run_config_rejects_unknown_section(tmp_path):

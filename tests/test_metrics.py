@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from multidiac.errors import ManifestError
 from multidiac.metrics import (
-    PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies,
-    brute_force_reference, evaluate_corpus, report_from_tallies, score_pair,
+    PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies, evaluate_corpus,
+    report_from_tallies, score_pair,
 )
 from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES,
                                 insert_diacritics)
+from oracles import brute_force_reference
 
 BA, TA, MEEM = "ب", "ت", "م"
 ALL_FLAGS = [MetricFlags(a, b) for a in (True, False) for b in (True, False)]

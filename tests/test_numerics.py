@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
-from multidiac.numerics import RngStream, Tensor, _splitmix64, grad_check
+from multidiac.numerics import RngStream, Tensor, _splitmix64
+from oracles import grad_check
 
 
 def t64(data, requires_grad=True):
@@ -87,6 +88,15 @@ def test_detach_blocks_grad():
     x = t64([1.0, 2.0])
     y = (x.detach() * 3.0).sum()
     assert not y.requires_grad
+
+
+def test_second_backward_through_shared_node_adds_only_its_own_gradient():
+    w = t64([1.0])
+    shared = w * 3.0
+    (shared * 1.0).sum().backward()
+    assert w.grad[0] == 3.0 and shared.grad is None
+    (shared * 1.0).sum().backward()
+    assert w.grad[0] == 6.0
 
 
 # -- gradient checks vs central differences ------------------------------

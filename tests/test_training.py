@@ -13,7 +13,7 @@ from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import (ConfigError, FingerprintError, FormatError,
                               NumericError)
 from multidiac.model import (DiacritizerModel, ModelConfig, desk_config,
-                             speech_embedding_dropout)
+                             full_scale_config, speech_embedding_dropout)
 from multidiac.numerics import RngStream
 from multidiac.textproc import NUM_CLASSES, Vocabulary, label_from_diacritized
 from multidiac.training import (
@@ -22,6 +22,7 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
+from oracles import grad_check
 
 VOCAB = Vocabulary("بتث")
 
@@ -85,7 +86,7 @@ def test_focal_loss_gradient():
     gen = np.random.default_rng(3)
     x = t64(gen.normal(0, 1, size=(4, NUM_CLASSES)))
     targets = gen.integers(0, NUM_CLASSES, size=4)
-    err = nm.grad_check(
+    err = grad_check(
         lambda t: focal_loss_ls(t, targets, 0.34, 0.018), x, h=1e-4)
     assert err < 1e-5
 
@@ -118,7 +119,7 @@ def test_sym_kl_gradient():
     gen = np.random.default_rng(5)
     a = gen.dirichlet(np.ones(6) * 20, size=3)  # bounded away from 0
     b = gen.dirichlet(np.ones(6) * 20, size=3)
-    err = nm.grad_check(lambda t: sym_kl(t, t64(b)), t64(a), h=1e-4)
+    err = grad_check(lambda t: sym_kl(t, t64(b)), t64(a), h=1e-4)
     # components near zero inflate the relative measure; 1e-3 is the
     # fidelity bar used throughout
     assert err < 1e-3
@@ -208,8 +209,8 @@ def rdrop_per_pass(samples, model, cfg, rng):
 
 def test_rdrop_stacked_matches_two_forwards_float64():
     def run(objective):
-        # fresh samples each run: their prefix graphs keep the .grad of a
-        # backward they took part in
+        # a fresh model each run, so each objective's parameter gradients
+        # accumulate from zero
         model, cfg, samples = desk_audio_batch(3, dtype=np.float64)
         loss = objective(samples, model, cfg, RngStream(5))
         loss.backward()
@@ -396,6 +397,19 @@ def test_fingerprint_sensitive_to_any_field():
     assert config_fingerprint(m, table1_primary(seed=43)) != base
     assert config_fingerprint(desk_config(vocab_size=41), t) != base
     assert config_fingerprint(m, t) == base
+
+
+def test_config_encoding_is_pinned():
+    # checkpoints store these strings and fingerprints: a change to either
+    # would make every checkpoint written before it fail to verify
+    assert serialize_config(desk_config()) == (
+        "text_layers=2;text_dim=64;text_heads=2;speech_blocks=2;speech_dim=64;"
+        "speech_heads=2;speech_frames=100;prefix_len=10;pool_factor=10;"
+        "num_classes=15;dropout_p=0.1;mels=80;mlp_ratio=4;vocab_size=40;"
+        "max_text_len=512")
+    assert config_fingerprint(desk_config(), desk_recipe()) == "db7b127080020d9b"
+    assert config_fingerprint(full_scale_config(), table1_primary()) == \
+        "6a07f6a98b911174"
 
 
 # -- checkpoint format ---------------------------------------------------
