@@ -43,10 +43,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MODEL_PRESETS = {
-    "desk": desk_config,
-    "full": full_scale_config,
-}
+MODEL_PRESETS = {"desk": desk_config, "full": full_scale_config}
 
 
 class UsageError(Exception):
@@ -108,12 +105,9 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     train, dev = datamod.synthesize_corpus(spec, RngStream(args.seed), args.out)
     records = train + dev
-    durations = []
-    ratios = []
     base = os.path.abspath(args.out)
-    for r in records:
-        durations.append(load_wav(os.path.join(base, r.audio)).duration)
-        ratios.append(diacritization_ratio(r.text))
+    durations = [load_wav(os.path.join(base, r.audio)).duration for r in records]
+    ratios = [diacritization_ratio(r.text) for r in records]
     print(f"samples={len(records)} (train={len(train)} dev={len(dev)})")
     print(f"mean_duration_s={np.mean(durations):.2f}")
     print(f"ratio_min={min(ratios):.3f} ratio_mean={np.mean(ratios):.3f} "
@@ -203,9 +197,8 @@ def cmd_infer(args) -> int:
             f.write(json.dumps({"id": r.id, "audio": r.audio, "text": text,
                                 "confidence": confidence},
                                ensure_ascii=False) + "\n")
-    total_passes = len(models) * ens.passes_per_model
     print(f"models={len(models)} passes_per_model={ens.passes_per_model} "
-          f"total_passes={total_passes}")
+          f"total_passes={len(models) * ens.passes_per_model}")
     print(f"samples={len(records)} wall_time_s={time.time() - t0:.2f}")
     print(f"predictions={out_path}")
     return 0
@@ -215,10 +208,8 @@ def cmd_eval(args) -> int:
     flags = metricsmod.MetricFlags(
         include_case_endings=args.case_endings == "include",
         include_no_diacritic=args.no_diacritic == "include")
-    pred = {r.id: r.text for r in datamod.load_manifest(args.pred,
-                                                        check_audio=False)}
-    gold = {r.id: r.text for r in datamod.load_manifest(args.gold,
-                                                        check_audio=False)}
+    pred, gold = ({r.id: r.text for r in datamod.load_manifest(p, check_audio=False)}
+                  for p in (args.pred, args.gold))
     report = metricsmod.evaluate_corpus(pred, gold, flags)
     sys.stdout.write(report.as_lines())
     return 0

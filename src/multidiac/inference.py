@@ -83,8 +83,7 @@ def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
         count += a.shape[0]
     mean = total / count
     classes = mean.argmax(axis=-1)
-    chosen = mean[np.arange(len(classes)), classes]
-    return classes, chosen
+    return classes, mean[np.arange(len(classes)), classes]
 
 
 # greedy decoding: the ensemble of one model with one pass at p=0

@@ -28,6 +28,15 @@ _COUNT_FIELDS = ("text_layers", "text_dim", "text_heads", "speech_blocks",
                  "pool_factor", "mels", "mlp_ratio", "vocab_size")
 
 
+def require_counts(cfg, names):
+    """ConfigError unless each named field of cfg is a positive integer."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     text_layers: int = 6
@@ -47,11 +56,7 @@ class ModelConfig:
     max_text_len: int = 512
 
     def __post_init__(self):
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        require_counts(self, _COUNT_FIELDS)
         if self.speech_frames != self.prefix_len * self.pool_factor:
             raise ConfigError(
                 f"speech_frames {self.speech_frames} != prefix_len "

@@ -21,7 +21,8 @@ import numpy as np
 from . import numerics as nm
 from .audiofe import Waveform, inject_noise, log_mel, spec_augment
 from .errors import ConfigError, FingerprintError, FormatError, NumericError
-from .model import DiacritizerModel, ModelConfig, speech_embedding_dropout
+from .model import (DiacritizerModel, ModelConfig, require_counts,
+                    speech_embedding_dropout)
 from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary
 
@@ -46,6 +47,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        require_counts(self, ("batch_size", "epochs"))
         if not 0 < self.learning_rate:
             raise ConfigError("learning_rate must be positive")
         if self.warmup_epochs >= self.epochs:
@@ -230,6 +232,10 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 def apply_freeze_policy(model: DiacritizerModel, epoch: int, cfg: TrainConfig):
     """Primary: speech encoder always frozen. Alt: top whisper_unfrozen
     blocks become trainable starting the epoch after unfreeze_at_epoch."""
+    # checked at every epoch, so an impossible count fails before training
+    if cfg.whisper_unfrozen > model.config.speech_blocks:
+        raise ConfigError(f"cannot unfreeze {cfg.whisper_unfrozen} of "
+                          f"{model.config.speech_blocks} speech blocks")
     unfrozen = 0
     if cfg.whisper_unfrozen > 0 and (cfg.unfreeze_at_epoch is None or
                                      epoch > cfg.unfreeze_at_epoch):

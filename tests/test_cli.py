@@ -323,8 +323,12 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     b"[model]\ntext_dim = \xff\xfe\n",
     b"[model]\ntext_dim = " + b"-" * 5000 + b"1\n",
     b"[model]\ntext_dim = " + b"-" * 20000 + b"1\n",
+    b"[train]\nbatch_size = 0\n",
+    b"[train]\nbatch_size = 'x'\n",
+    b"[train]\nepochs = 25.5\n",
 ], ids=["unparsable", "not-a-literal", "rejected-type", "no-section",
-        "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack"])
+        "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack",
+        "zero-batch", "text-batch", "fractional-epochs"])
 def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)
@@ -333,6 +337,17 @@ def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert "error:" in err and "Traceback" not in err
+
+
+def test_train_unfreezing_more_blocks_than_exist_fails_before_training(tmp_path, capsys):
+    # alt-checkpoint4 unfreezes 4 speech blocks after epoch 15; desk has 2
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(out), "--preset", "alt-checkpoint4"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "speech blocks" in err and "Traceback" not in err
+    assert not list(out.glob("*.ckpt"))
 
 
 # -- run-config document -------------------------------------------------

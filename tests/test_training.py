@@ -380,6 +380,13 @@ def test_freeze_policy_rejects_too_many_blocks():
         apply_freeze_policy(model, 1, TrainConfig(whisper_unfrozen=99))
 
 
+def test_freeze_policy_rejects_too_many_blocks_before_unfreeze_epoch():
+    model = tiny_model()
+    with pytest.raises(ConfigError):
+        apply_freeze_policy(model, 1, TrainConfig(whisper_unfrozen=99,
+                                                  unfreeze_at_epoch=15))
+
+
 # -- config serialization ------------------------------------------------
 
 
