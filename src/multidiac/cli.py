@@ -37,7 +37,7 @@ from .numerics import RngStream
 from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
                        strip_diacritics)
 from .training import (TRAIN_PRESETS, TrainConfig, decode_config, encode_config,
-                       fit, load_checkpoint, serialize_config)
+                       fit, load_checkpoint)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -169,11 +169,14 @@ def cmd_infer(args) -> int:
     if not paths:
         raise UsageError("--checkpoints must list at least one file")
     models = [load_checkpoint(p) for p in paths]
-    ref_cfg = serialize_config(models[0].config)
+    # the text is encoded once, with the first model's vocabulary, for all
+    ref = models[0]
     for p, m in zip(paths[1:], models[1:]):
-        if serialize_config(m.config) != ref_cfg:
-            raise FingerprintError(f"checkpoint {p} has a different model "
-                                   f"config than {paths[0]}")
+        for what, a, b in (("model config", m.config, ref.config),
+                           ("vocabulary", m.vocab, ref.vocab)):
+            if a != b:
+                raise FingerprintError(f"checkpoint {p} has a different {what} "
+                                       f"than {paths[0]}")
     ens = EnsembleConfig(checkpoints=tuple(paths),
                          passes_per_model=args.passes,
                          inference_dropout_p=args.dropout, seed=args.seed)

@@ -99,13 +99,16 @@ def _ensemble(raw: str, waveform: Waveform | None,
         [i for i, c in enumerate(raw) if c in ARABIC_LETTERS],
         dtype=np.int64) + ref.config.prefix_len
     run = RngStream(cfg.seed)
+    mel_of_shape = {}  # one log-mel per (mels, mel_frames), shared by models
     all_probs = []
     for mi, model in enumerate(models):
         prefix = None
         if waveform is not None:
-            mel = log_mel(waveform, mels=model.config.mels,
-                          frame_budget=model.config.mel_frames)
-            prefix = model.speech_prefix(mel)
+            shape = (model.config.mels, model.config.mel_frames)
+            if shape not in mel_of_shape:
+                mel_of_shape[shape] = log_mel(waveform, mels=shape[0],
+                                              frame_budget=shape[1])
+            prefix = model.speech_prefix(mel_of_shape[shape])
         probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
                            cfg.inference_dropout_p, run.child(mi))
         all_probs.append(probs[:, letter_rows, :])

@@ -28,13 +28,15 @@ _COUNT_FIELDS = ("text_layers", "text_dim", "text_heads", "speech_blocks",
                  "pool_factor", "mels", "mlp_ratio", "vocab_size")
 
 
-def require_counts(cfg, names):
-    """ConfigError unless each named field of cfg is a positive integer."""
+def require_counts(cfg, names, minimum: int | None = 1):
+    """ConfigError unless each named field of cfg is an integer of at least
+    `minimum` (any integer when minimum is None)."""
     for name in names:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+                or (minimum is not None and value < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,39 +156,55 @@ def count_parameters(cfg: ModelConfig) -> tuple[int, int]:
     return total, trainable
 
 
+def _initial_value(name: str, shape: tuple, gen: np.random.Generator) -> np.ndarray:
+    """Float64 initial value of one parameter; normals draw from gen."""
+    if name.endswith((".g",)):
+        return np.ones(shape)
+    if name.endswith((".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
+        return np.zeros(shape)
+    if name == "text.pos_emb":
+        # structured positional basis; learned from here
+        return sinusoidal_table(shape[0], shape[1]).astype(np.float64)
+    if name.endswith("_emb"):
+        return gen.normal(0.0, 0.1, size=shape)
+    # fan-in scaled so activations stay unit scale; conv fan-in includes the
+    # kernel width
+    if name.endswith("conv1.w") or name.endswith("conv2.w"):
+        fan_in = shape[1] * shape[2]
+    else:
+        fan_in = shape[0]
+    return gen.normal(0.0, fan_in ** -0.5, size=shape)
+
+
 class DiacritizerModel:
     """Parameter store plus forward passes for both encoders."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary,
-                 init_rng: RngStream | None = None, dtype=np.float32):
+                 init_rng: RngStream | None = None, dtype=np.float32,
+                 weights: dict[str, np.ndarray] | None = None):
+        """Random init from init_rng, or, when `weights` is given, the
+        parameters taken from it (ShapeError for a missing name or a wrong
+        shape; names the model does not have are ignored) with no draw."""
         if len(vocab) > config.vocab_size:
             raise ConfigError(f"vocab has {len(vocab)} entries but config "
                               f"allows {config.vocab_size}")
         self.config = config
         self.vocab = vocab
         self.dtype = dtype
+        if weights is None:
+            gen = (init_rng or RngStream(0)).generator()
         self.params: dict[str, Tensor] = {}
-        gen = (init_rng or RngStream(0)).generator()
         for name, shape in _param_shapes(config).items():
-            if name.endswith((".g",)):
-                data = np.ones(shape)
-            elif name.endswith((".b", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
-                data = np.zeros(shape)
-            elif name == "text.pos_emb":
-                # structured positional basis; learned from here
-                data = sinusoidal_table(shape[0], shape[1]).astype(np.float64)
-            elif name.endswith("_emb"):
-                data = gen.normal(0.0, 0.1, size=shape)
+            if weights is None:
+                data = _initial_value(name, shape, gen)
+            elif name not in weights:
+                raise ShapeError(f"missing tensor {name!r}")
+            elif weights[name].shape != shape:
+                raise ShapeError(f"tensor {name!r} has shape "
+                                 f"{weights[name].shape}, expected {shape}")
             else:
-                # fan-in scaled so activations stay unit scale; conv fan-in
-                # includes the kernel width
-                if name.endswith("conv1.w") or name.endswith("conv2.w"):
-                    fan_in = shape[1] * shape[2]
-                else:
-                    fan_in = shape[0]
-                data = gen.normal(0.0, fan_in ** -0.5, size=shape)
-            self.params[name] = nm.tensor(data.astype(np.float64), dtype=dtype,
-                                          requires_grad=True)
+                data = weights[name]
+            self.params[name] = nm.tensor(data, dtype=dtype, requires_grad=True)
         self._sin_table = nm.tensor(
             sinusoidal_table(config.speech_frames, config.speech_dim), dtype=dtype)
         self.freeze_speech_blocks(trainable_top=0)

@@ -48,6 +48,16 @@ class TrainConfig:
 
     def __post_init__(self):
         require_counts(self, ("batch_size", "epochs"))
+        require_counts(self, ("warmup_epochs", "specaug_freq", "specaug_time"),
+                       minimum=0)
+        require_counts(self, ("seed",), minimum=None)
+        snr = self.snr_range
+        if not (isinstance(snr, (tuple, list)) and len(snr) == 2 and all(
+                isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and math.isfinite(v) for v in snr)
+                and snr[0] <= snr[1]):
+            raise ConfigError(f"snr_range must be a pair of finite numbers "
+                              f"lo <= hi, got {snr!r}")
         if not 0 < self.learning_rate:
             raise ConfigError("learning_rate must be positive")
         if self.warmup_epochs >= self.epochs:
@@ -245,8 +255,10 @@ def apply_freeze_policy(model: DiacritizerModel, epoch: int, cfg: TrainConfig):
 
 # -- checkpoint format ---------------------------------------------------
 
+# v1 ends in an FNV-1a 64-bit trailer (still read); v2, written since, in
+# the SHA-256 digest of the body. The body layout is the same in both.
 _MAGIC = b"CWDK"
-_VERSION = 1
+_VERSION = 2
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -256,6 +268,13 @@ def _fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & ((1 << 64) - 1)
     return h
+
+
+# version -> (trailer length, trailer of a body)
+_TRAILERS = {
+    1: (8, lambda body: struct.pack("<Q", _fnv1a64(body))),
+    2: (32, lambda body: hashlib.sha256(body).digest()),
+}
 
 
 def encode_config(cfg) -> dict[str, str]:
@@ -296,54 +315,70 @@ def config_fingerprint(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _entry_header(name: str, extents) -> bytes:
+    nb = name.encode("utf-8")
+    return struct.pack(f"<I{len(nb)}sI{len(extents)}Q", len(nb), nb,
+                       len(extents), *extents)
+
+
 def save_checkpoint(path, model: DiacritizerModel, meta: dict):
-    """Write named parameter tensors plus a __meta entry, FNV-1a trailer."""
+    """Write named parameter tensors plus a __meta entry, SHA-256 trailer.
+
+    Each tensor's bytes go to the file and the hash straight from its
+    array. The file is written beside `path` under a temporary name, synced
+    to disk and renamed over it, so a failed write or a crash leaves any
+    earlier file at `path` as it was."""
     meta = dict(meta)
     meta.setdefault("vocab", model.vocab.serialize())
     meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
 
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<I", len(model.params) + 1)
+    def chunks():
+        yield _MAGIC + struct.pack("<II", _VERSION, len(model.params) + 1)
+        for name in sorted(model.params):
+            arr = np.ascontiguousarray(model.params[name].data, dtype="<f4")
+            yield _entry_header(name, arr.shape)
+            yield memoryview(arr).cast("B")
+        yield _entry_header("__meta", (len(meta_blob),))
+        yield meta_blob
 
-    def entry(name: str, rank: int, extents, payload: bytes):
-        nb = name.encode("utf-8")
-        out.extend(struct.pack("<I", len(nb)))
-        out.extend(nb)
-        out.extend(struct.pack("<I", rank))
-        for e in extents:
-            out.extend(struct.pack("<Q", e))
-        out.extend(payload)
-
-    for name in sorted(model.params):
-        arr = model.params[name].data.astype("<f4")
-        entry(name, arr.ndim, arr.shape, arr.tobytes())
-    entry("__meta", 1, (len(meta_blob),), meta_blob)
-    out += struct.pack("<Q", _fnv1a64(bytes(out)))
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    digest = hashlib.sha256()
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks():
+                digest.update(chunk)
+                f.write(chunk)
+            f.write(digest.digest())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Parse and integrity-check a checkpoint file."""
+    """Parse and integrity-check a v1 or v2 checkpoint file."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 20 or blob[:4] != _MAGIC:
+    if len(blob) < 12 or blob[:4] != _MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
-    body, trailer = blob[:-8], blob[-8:]
-    (stored,) = struct.unpack("<Q", trailer)
-    if _fnv1a64(body) != stored:
-        raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
-    (version,) = struct.unpack("<I", body[4:8])
-    if version != _VERSION:
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version not in _TRAILERS:
         raise FormatError(f"{path}: unsupported format version {version}")
-    (count,) = struct.unpack("<I", body[8:12])
+    size, seal = _TRAILERS[version]
+    if len(blob) < 12 + size:
+        raise FormatError(f"{path}: not a checkpoint file")
+    body = memoryview(blob)[:-size]
+    if seal(body) != blob[-size:]:
+        raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
+    (count,) = struct.unpack_from("<I", body, 8)
     pos = 12
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if n > len(body) - pos:
             raise FormatError(f"{path}: {what} runs past the end of the body")
@@ -354,19 +389,25 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     try:
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4, "entry header"))
-            name = take(name_len, "entry name").decode("utf-8")
+            name = str(take(name_len, "entry name"), "utf-8")
             (rank,) = struct.unpack("<I", take(4, "entry rank"))
             extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
             if name == "__meta":
                 if rank != 1:
                     raise FormatError(f"{path}: __meta entry has rank {rank}")
-                text = take(extents[0], "__meta payload").decode("utf-8")
+                text = str(take(extents[0], "__meta payload"), "utf-8")
                 for line in text.splitlines():
                     k, _, v = line.partition("=")
                     meta[k] = v
             else:
                 payload = take(4 * math.prod(extents), f"tensor {name!r}")
-                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
+                try:
+                    tensors[name] = np.frombuffer(payload, dtype="<f4") \
+                        .reshape(extents).copy()
+                except ValueError:
+                    # zero-size extents numpy cannot shape, e.g. (0, 2**63)
+                    raise FormatError(f"{path}: tensor {name!r} extents "
+                                      f"{extents} are out of range") from None
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: entry is not valid UTF-8 ({e.reason})") from None
     if pos != len(body):
@@ -405,15 +446,11 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
             f"checkpoint fingerprint {stored} does not match supplied "
             f"config fingerprint {expected}")
     vocab = vocab or Vocabulary.deserialize(meta.get("vocab", ""))
-    model = DiacritizerModel(model_cfg, vocab, RngStream(0))
-    for name, p in model.params.items():
-        if name not in tensors:
-            raise FormatError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != p.data.shape:
-            raise FormatError(f"{path}: tensor {name!r} has shape "
-                              f"{tensors[name].shape}, expected {p.data.shape}")
-        p.data = tensors[name].astype(p.data.dtype)
-    return model
+    try:
+        return DiacritizerModel(model_cfg, vocab, weights=tensors)
+    except (ConfigError, nm.ShapeError) as e:
+        # a vocabulary too large for the config, a tensor missing or misshapen
+        raise FormatError(f"{path}: {e}") from None
 
 
 # -- the training loop ---------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI: synth -> train -> infer -> eval, config echo, exit codes."""
 
+import hashlib
 import json
 import os
 import struct
@@ -179,44 +180,66 @@ def _entry(name: bytes, extents, payload: bytes) -> bytes:
             + b"".join(struct.pack("<Q", e) for e in extents) + payload)
 
 
-def _checkpoint_blob(*entries: bytes, count=None) -> bytes:
-    """A CWDK file with a correct FNV-1a trailer around an arbitrary body."""
-    body = (b"CWDK" + struct.pack("<I", 1)
+def _checkpoint_blob(*entries: bytes, count=None, version=1) -> bytes:
+    """A CWDK file of the given version with a correct trailer (v1 FNV-1a,
+    v2 SHA-256) around an arbitrary body."""
+    body = (b"CWDK" + struct.pack("<I", version)
             + struct.pack("<I", len(entries) if count is None else count)
             + b"".join(entries))
-    return body + struct.pack("<Q", _fnv1a64(body))
+    if version == 1:
+        return body + struct.pack("<Q", _fnv1a64(body))
+    return body + hashlib.sha256(body).digest()
 
 
-@pytest.mark.parametrize("blob", [
+# (entries, declared count) of bodies that pass the trailer check but are
+# not well formed
+MALFORMED_BODIES = {
     # name length 1000 followed by one byte
-    _checkpoint_blob(struct.pack("<I", 1000) + b"x"),
+    "name-past-end": ([struct.pack("<I", 1000) + b"x"], None),
     # entry header cut short
-    _checkpoint_blob(b"\x01\x00"),
+    "short-header": ([b"\x01\x00"], None),
     # more entries declared than present
-    _checkpoint_blob(_entry(b"w", (2,), b"\0" * 8), count=2),
+    "missing-entry": ([_entry(b"w", (2,), b"\0" * 8)], 2),
     # rank far beyond the body
-    _checkpoint_blob(struct.pack("<I", 1) + b"w" + struct.pack("<I", 2 ** 31)),
+    "huge-rank": ([struct.pack("<I", 1) + b"w" + struct.pack("<I", 2 ** 31)], None),
     # extents whose product overflows int64
-    _checkpoint_blob(_entry(b"w", (2 ** 40, 2 ** 40), b"\0" * 8)),
+    "extent-overflow": ([_entry(b"w", (2 ** 40, 2 ** 40), b"\0" * 8)], None),
     # payload shorter than the extents declare
-    _checkpoint_blob(_entry(b"w", (3, 4), b"\0" * 8)),
+    "short-payload": ([_entry(b"w", (3, 4), b"\0" * 8)], None),
     # name and metadata that are not UTF-8
-    _checkpoint_blob(_entry(b"\xff\xfe", (1,), b"\0" * 4)),
-    _checkpoint_blob(_entry(b"__meta", (2,), b"\xc3\x28")),
+    "bad-utf8-name": ([_entry(b"\xff\xfe", (1,), b"\0" * 4)], None),
+    "bad-utf8-meta": ([_entry(b"__meta", (2,), b"\xc3\x28")], None),
     # metadata entry without extents
-    _checkpoint_blob(_entry(b"__meta", (), b"")),
-], ids=["name-past-end", "short-header", "missing-entry", "huge-rank",
-        "extent-overflow", "short-payload", "bad-utf8-name", "bad-utf8-meta",
-        "rank0-meta"])
-def test_data_error_malformed_checkpoint_body(trained, tmp_path, capsys, blob):
-    corpus, _ = trained
+    "rank0-meta": ([_entry(b"__meta", (), b"")], None),
+    # zero-size tensors that numpy cannot shape
+    "zero-size-huge-extent": ([_entry(b"w", (2 ** 63, 0), b"")], None),
+    "zero-size-rank-70": ([_entry(b"w", (0,) * 70, b"")], None),
+}
+
+
+def _infer_rejects(corpus, tmp_path, capsys, blob):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob)
     rc = main(["infer", "--checkpoints", str(bad),
                "--manifest", str(corpus / "dev.jsonl"),
                "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob", [
+    _checkpoint_blob(*entries, count=count)
+    for entries, count in MALFORMED_BODIES.values()], ids=list(MALFORMED_BODIES))
+def test_data_error_malformed_checkpoint_body(trained, tmp_path, capsys, blob):
+    _infer_rejects(trained[0], tmp_path, capsys, blob)
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_BODIES))
+def test_data_error_malformed_v2_checkpoint_body(trained, tmp_path, capsys, name):
+    entries, count = MALFORMED_BODIES[name]
+    _infer_rejects(trained[0], tmp_path, capsys,
+                   _checkpoint_blob(*entries, count=count, version=2))
 
 
 @pytest.mark.parametrize("record", [
@@ -250,10 +273,11 @@ def _text_manifest(path):
     return path
 
 
-def _desk_checkpoint(path, **meta):
-    """A checkpoint with a valid trailer whose metadata entries are the
-    desk defaults, overridden by `meta` (None drops an entry)."""
-    model = DiacritizerModel(desk_config(), Vocabulary(BA + TA), RngStream(0))
+def _desk_checkpoint(path, chars=BA + TA, **meta):
+    """A checkpoint of a desk model over the vocabulary `chars`, with a
+    valid trailer and the desk default metadata entries, overridden by
+    `meta` (None drops an entry)."""
+    model = DiacritizerModel(desk_config(), Vocabulary(chars), RngStream(0))
     entries = {"fingerprint": config_fingerprint(model.config, desk_recipe()),
                "model_cfg": serialize_config(model.config),
                "train_cfg": serialize_config(desk_recipe())}
@@ -288,6 +312,45 @@ def test_infer_checkpoint_config_metadata(tmp_path, capsys, meta, expected, ment
     assert "Traceback" not in err
     if mention:
         assert "error:" in err and mention in err
+
+
+def test_infer_rejects_checkpoints_with_different_vocabularies(tmp_path, capsys):
+    a = _desk_checkpoint(tmp_path / "a.ckpt")
+    b = _desk_checkpoint(tmp_path / "b.ckpt", chars="ثجحخ")
+    rc = main(["infer", "--checkpoints", f"{a},{b}",
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "vocabulary" in err and str(b) in err and "Traceback" not in err
+
+
+def _as_v1(blob: bytes) -> bytes:
+    """The same body as a v1 file: version 1 and an FNV-1a trailer."""
+    body = blob[:4] + struct.pack("<I", 1) + blob[8:-32]
+    return body + struct.pack("<Q", _fnv1a64(body))
+
+
+def test_infer_reads_v1_checkpoint_and_rejects_a_flipped_byte(tmp_path, capsys):
+    v2 = _desk_checkpoint(tmp_path / "m.ckpt")
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(_as_v1(v2.read_bytes()))
+    manifest = _text_manifest(tmp_path / "in.jsonl")
+    outs = []
+    for ckpt in (v2, v1):
+        out = tmp_path / ckpt.stem
+        assert main(["infer", "--checkpoints", str(ckpt), "--manifest",
+                     str(manifest), "--out", str(out), "--passes", "2"]) == 0
+        outs.append((out / "predictions.jsonl").read_bytes())
+    assert outs[0] == outs[1]
+    blob = bytearray(v1.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    v1.write_bytes(bytes(blob))
+    rc = main(["infer", "--checkpoints", str(v1), "--manifest", str(manifest),
+               "--out", str(tmp_path / "bad"), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "checksum" in err and "Traceback" not in err
 
 
 def test_infer_zero_passes_is_a_data_error(tmp_path, capsys):
@@ -326,9 +389,17 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     b"[train]\nbatch_size = 0\n",
     b"[train]\nbatch_size = 'x'\n",
     b"[train]\nepochs = 25.5\n",
+    b"[train]\nsnr_range = 5\n",
+    b"[train]\nspecaug_freq = -3\n",
+    b"[train]\nseed = 1.5\n",
+    b"[train]\nwarmup_epochs = 1.5\n",
+    b"[train]\nsnr_range = (30.0, 10.0)\n",
+    b"[train]\nsnr_range = (10.0, 1e999)\n",
 ], ids=["unparsable", "not-a-literal", "rejected-type", "no-section",
         "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack",
-        "zero-batch", "text-batch", "fractional-epochs"])
+        "zero-batch", "text-batch", "fractional-epochs", "scalar-snr-range",
+        "negative-specaug-freq", "fractional-seed", "fractional-warmup",
+        "reversed-snr-range", "infinite-snr-range"])
 def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)

@@ -11,7 +11,7 @@ from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy)
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
-from multidiac.textproc import (ARABIC_LETTERS, Vocabulary,
+from multidiac.textproc import (ARABIC_LETTERS, Vocabulary, insert_diacritics,
                                 label_from_diacritized, strip_diacritics)
 
 VOCAB = Vocabulary("بتث")
@@ -178,3 +178,41 @@ def test_predict_greedy_matches_argmax_forward():
     rows = [model.config.prefix_len + i
             for i, c in enumerate(raw) if c in ARABIC_LETTERS]
     assert preds == [int(logits[r].argmax()) for r in rows]
+
+
+def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
+    calls = []
+
+    def counting_log_mel(w, mels, frame_budget):
+        calls.append((mels, frame_budget))
+        return real_log_mel(w, mels=mels, frame_budget=frame_budget)
+
+    real_log_mel = inference.log_mel
+    models = [model_with(seed=s) for s in range(4)]
+    cfg = EnsembleConfig(passes_per_model=2, seed=4)
+    wav = Waveform(np.random.default_rng(1).normal(0, 0.1, SAMPLE_RATE)
+                   .astype(np.float32))
+    # reference: each model's probabilities from its own log-mel
+    run = RngStream(cfg.seed)
+    tokens = models[0].encode_text("بت")
+    rows = np.arange(2) + models[0].config.prefix_len
+    per_model = []
+    for mi, m in enumerate(models):
+        mel = real_log_mel(wav, mels=m.config.mels, frame_budget=m.config.mel_frames)
+        probs = mc_forward(m, tokens, m.speech_prefix(mel), cfg.passes_per_model,
+                           cfg.inference_dropout_p, run.child(mi))
+        per_model.append(probs[:, rows, :])
+    classes, conf = ensemble_average(per_model)
+
+    monkeypatch.setattr(inference, "log_mel", counting_log_mel)
+    text, confidence = diacritize("بت", wav, models, cfg)
+    assert calls == [(80, 200)]
+    assert text == insert_diacritics("بت", [int(c) for c in classes])
+    assert confidence == [float(c) for c in conf]
+
+    # models with another mel shape get their own
+    other = ModelConfig(**{**desk_config(vocab_size=10).__dict__, "mels": 40})
+    calls.clear()
+    diacritize("بت", wav, models[:2] + [DiacritizerModel(other, VOCAB, RngStream(5))],
+               cfg)
+    assert calls == [(80, 200), (40, 200)]

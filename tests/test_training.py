@@ -1,11 +1,16 @@
 """Losses, optimizer, schedule, freeze policy, checkpoint format, fit loop."""
 
+import errno
+import hashlib
 import math
+import os
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidiac import numerics as nm
 from multidiac import training as tr
@@ -343,6 +348,28 @@ def test_lr_schedule_shape():
         lr_at(total + 1, total, cfg)
 
 
+MISTYPED_TRAIN_FIELDS = [
+    ("warmup_epochs", -1), ("warmup_epochs", 1.5), ("warmup_epochs", True),
+    ("specaug_freq", -3), ("specaug_time", 2.0), ("seed", 1.5), ("seed", "7"),
+    ("snr_range", 5), ("snr_range", (10.0,)), ("snr_range", (30.0, 10.0)),
+    ("snr_range", (10.0, math.inf)), ("snr_range", (math.nan, 10.0)),
+    ("snr_range", ("10", 30.0)), ("snr_range", (False, 30.0)),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_TRAIN_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v in MISTYPED_TRAIN_FIELDS])
+def test_train_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_integer_edges():
+    cfg = TrainConfig(warmup_epochs=0, specaug_freq=0, specaug_time=0, seed=-1,
+                      snr_range=(5, 5))
+    assert cfg.snr_range == (5, 5)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.0)
@@ -442,16 +469,13 @@ def test_checkpoint_layout_oracle(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == b"CWDK"
     version, count = struct.unpack("<II", blob[4:12])
-    assert version == 1
+    assert version == 2
     assert count == len(model.params) + 1  # + __meta
     # first entry is the lexicographically smallest parameter name
     (nl,) = struct.unpack("<I", blob[12:16])
     assert blob[16:16 + nl].decode() == sorted(model.params)[0]
-    # trailer checks out with an independent fnv implementation
-    h = 0xCBF29CE484222325
-    for byte in blob[:-8]:
-        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
-    assert struct.unpack("<Q", blob[-8:])[0] == h
+    # trailer: the SHA-256 digest of everything before it
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
 
 
 def test_checkpoint_rejects_corrupt_trailer(tmp_path):
@@ -498,6 +522,142 @@ def test_load_checkpoint_reconstructs_model(tmp_path):
     for n in model.params:
         assert np.array_equal(back.params[n].data,
                               model.params[n].data.astype("<f4"))
+
+
+def _fnv1a64(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def _seal(body: bytes, version: int) -> bytes:
+    """body + the trailer of its format version (v1 FNV-1a, v2 SHA-256)."""
+    if version == 1:
+        return body + struct.pack("<Q", _fnv1a64(body))
+    return body + hashlib.sha256(body).digest()
+
+
+def _loadable_meta(model, tcfg=None):
+    tcfg = tcfg or desk_recipe()
+    return {"fingerprint": config_fingerprint(model.config, tcfg),
+            "model_cfg": serialize_config(model.config),
+            "train_cfg": serialize_config(tcfg)}
+
+
+def test_v1_checkpoint_still_loads_bitwise(tmp_path):
+    # a v1 file written entry by entry here, not by save_checkpoint
+    model = tiny_model(seed=13)
+    meta = {**_loadable_meta(model), "vocab": VOCAB.serialize()}
+    body = b"CWDK" + struct.pack("<II", 1, len(model.params) + 1)
+    entries = [(n, p.data.shape, p.data.astype("<f4").tobytes())
+               for n, p in sorted(model.params.items())]
+    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode()
+    entries.append(("__meta", (len(meta_blob),), meta_blob))
+    for name, extents, payload in entries:
+        body += struct.pack("<I", len(name.encode())) + name.encode()
+        body += struct.pack("<I", len(extents))
+        body += b"".join(struct.pack("<Q", e) for e in extents) + payload
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(_seal(body, 1))
+    back = load_checkpoint(path)
+    assert back.config == model.config and back.vocab == VOCAB
+    for n, p in model.params.items():
+        assert back.params[n].data.dtype == np.float32
+        assert back.params[n].data.tobytes() == p.data.astype("<f4").tobytes()
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="checksum"):
+        read_checkpoint(path)
+
+
+class _FailingFile:
+    """A file whose writes fail, as on a full disk, after the first few."""
+
+    def __init__(self, f, ok_writes):
+        self.f, self.ok_writes = f, ok_writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def write(self, chunk):
+        if self.ok_writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.ok_writes -= 1
+        return self.f.write(chunk)
+
+
+@pytest.mark.parametrize("ok_writes", [0, 3, 40])
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, ok_writes):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(seed=1), {"epoch": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(tr, "open", raising=False, value=lambda file, mode:
+                        _FailingFile(open(file, mode), ok_writes))
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, tiny_model(seed=2), {"epoch": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    # with no earlier file, a failed save leaves no file at all
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(tmp_path / "new.ckpt", tiny_model(seed=2), {})
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def _micro_body(tmp_path_factory) -> tuple[bytes, list[int]]:
+    """The body (no trailer) of a valid checkpoint of a few kilobytes, and
+    the offsets of its structural fields: the count, and every entry's
+    name length, rank and extents."""
+    cfg = ModelConfig(text_layers=1, text_dim=8, text_heads=1, speech_blocks=1,
+                      speech_dim=8, speech_heads=1, speech_frames=20,
+                      prefix_len=2, pool_factor=10, mels=8, mlp_ratio=1,
+                      vocab_size=8, max_text_len=4)
+    model = DiacritizerModel(cfg, Vocabulary("بت"), RngStream(0))
+    path = tmp_path_factory.mktemp("fuzz") / "micro.ckpt"
+    save_checkpoint(path, model, _loadable_meta(model))
+    body = path.read_bytes()[:-32]
+    offsets, pos = [8], 12
+    while pos < len(body):
+        (nl,) = struct.unpack_from("<I", body, pos)
+        (rank,) = struct.unpack_from("<I", body, pos + 4 + nl)
+        extents = struct.unpack_from(f"<{rank}Q", body, pos + 8 + nl)
+        offsets += [pos, pos + 4 + nl] + [pos + 8 + nl + 8 * i for i in range(rank)]
+        meta = body[pos + 4:pos + 4 + nl] == b"__meta"
+        pos += 8 + nl + 8 * rank + (extents[0] if meta else 4 * math.prod(extents))
+    return body, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(version=st.sampled_from([1, 2]), data=st.data())
+def test_mutated_checkpoint_loads_or_raises_typed_error(tmp_path_factory, version, data):
+    body, offsets = _micro_body(tmp_path_factory)
+    body = bytearray(body)
+    body[4:8] = struct.pack("<I", version)
+    # field starts, field bytes, or anywhere
+    where = st.one_of(st.sampled_from(offsets),
+                      st.sampled_from(offsets).map(lambda o: o + 1),
+                      st.sampled_from(offsets).map(lambda o: o + 3),
+                      st.integers(0, len(body) - 1))
+    for pos, value in data.draw(st.lists(st.tuples(where, st.integers(0, 255)),
+                                         max_size=4)):
+        body[pos] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(body))))
+    if cut is not None:
+        del body[cut:]
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(_seal(bytes(body), version))
+    try:
+        model = load_checkpoint(path)
+    except (FormatError, FingerprintError):
+        return
+    assert all(p.data.dtype == np.float32 for p in model.params.values())
 
 
 def test_load_checkpoint_fingerprint_mismatch(tmp_path):
