@@ -69,19 +69,25 @@ def load_wav(path) -> Waveform:
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise FormatError(f"{path}: missing fmt/data chunk")
+    if len(fmt) < 16:
+        raise FormatError(f"{path}: fmt chunk is {len(fmt)} bytes, need 16")
     audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if channels != 1:
         raise IngestError(f"{path}: expected mono, got {channels} channels")
     if rate != SAMPLE_RATE:
         raise IngestError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2")
-        samples = raw.astype(np.float32) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float32)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise IngestError(f"{path}: unsupported codec (format {audio_format}, "
                           f"{bits}-bit); need PCM16 or float32")
+    if len(data) % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {len(data)} bytes is not a "
+                          f"whole number of {bits}-bit samples")
+    if audio_format == 1:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float32)
+        if not np.all(np.isfinite(samples)):
+            raise IngestError(f"{path}: float32 samples include NaN or infinity")
     return Waveform(samples=samples)
 
 

@@ -116,7 +116,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     resolved = read_run_config(args.config) if args.config else {}
     model_cfg = resolved.get("model") or MODEL_PRESETS[args.model_preset]()
     train_cfg = resolved.get("train") or TRAIN_PRESETS[args.preset]()
@@ -146,6 +145,7 @@ def cmd_train(args) -> int:
                 preds[s.sample_id] = insert_diacritics(s.raw, classes)
             return metricsmod.evaluate_corpus(preds, _gold).wer
 
+    os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      model_cfg, train_cfg, None,
                      {"manifest": args.manifest, "out": args.out})
@@ -164,10 +164,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     paths = [p for p in args.checkpoints.split(",") if p]
     if not paths:
         raise UsageError("--checkpoints must list at least one file")
+    ens = EnsembleConfig(checkpoints=tuple(paths),
+                         passes_per_model=args.passes,
+                         inference_dropout_p=args.dropout, seed=args.seed)
     models = [load_checkpoint(p) for p in paths]
     # the text is encoded once, with the first model's vocabulary, for all
     ref = models[0]
@@ -177,10 +179,8 @@ def cmd_infer(args) -> int:
             if a != b:
                 raise FingerprintError(f"checkpoint {p} has a different {what} "
                                        f"than {paths[0]}")
-    ens = EnsembleConfig(checkpoints=tuple(paths),
-                         passes_per_model=args.passes,
-                         inference_dropout_p=args.dropout, seed=args.seed)
     records = datamod.load_manifest(args.manifest)
+    os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      models[0].config, None, ens,
                      {"manifest": args.manifest, "out": args.out})

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics as nm
 from .audiofe import Waveform, log_mel
-from .errors import ConfigError, ShapeError
-from .model import DiacritizerModel, ModelConfig
+from .errors import ShapeError
+from .model import DiacritizerModel, ModelConfig, require_counts, require_range
 from .numerics import RngStream
 from .textproc import ARABIC_LETTERS, insert_diacritics
 
@@ -30,9 +30,9 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.passes_per_model < 1:
-            raise ConfigError(f"passes_per_model must be >= 1, got "
-                              f"{self.passes_per_model}")
+        require_counts(self, ("passes_per_model",))
+        require_counts(self, ("seed",), minimum=None)
+        require_range(self, ("inference_dropout_p",), 0.0, 1.0, hi_open=True)
 
 
 # Byte budget for one stacked forward's largest per-pass arrays (see
@@ -61,8 +61,7 @@ def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
     out = []
     for start in range(0, passes, chunk):
         streams = [rng.child(i) for i in range(start, min(passes, start + chunk))]
-        logits = model.forward(tokens, prefix, training=p > 0.0,
-                               rng=streams, dropout_p=p, grad=False)
+        logits = model.forward(tokens, prefix, streams, p, grad=False)
         out.append(nm.softmax(logits, axis=-1).data)
     return np.concatenate(out)
 

@@ -11,6 +11,7 @@ can be frozen per block; frozen tensors never receive gradient.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,14 @@ import numpy as np
 from . import numerics as nm
 from .audiofe import MelSpectrogram
 from .errors import ConfigError, ShapeError
-from .numerics import RngStream, Streams, Tensor
+from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary, encode_tokens
 
 
 # ModelConfig fields that size the model: each must be a positive integer
 _COUNT_FIELDS = ("text_layers", "text_dim", "text_heads", "speech_blocks",
                  "speech_dim", "speech_heads", "speech_frames", "prefix_len",
-                 "pool_factor", "mels", "mlp_ratio", "vocab_size")
+                 "pool_factor", "mels", "mlp_ratio", "vocab_size", "max_text_len")
 
 
 def require_counts(cfg, names, minimum: int | None = 1):
@@ -37,6 +38,19 @@ def require_counts(cfg, names, minimum: int | None = 1):
                 or (minimum is not None and value < minimum):
             bound = "" if minimum is None else f" >= {minimum}"
             raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_range(cfg, names, lo: float, hi: float, hi_open: bool = False):
+    """ConfigError unless each named field of cfg is a finite number in
+    [lo, hi], or in [lo, hi) when hi_open."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or \
+                not isinstance(value, (int, float, np.integer, np.floating)) \
+                or not math.isfinite(value) or not lo <= value <= hi \
+                or (hi_open and value == hi):
+            raise ConfigError(f"{name} must be a finite number in [{lo}, {hi}"
+                              f"{')' if hi_open else ']'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,7 @@ class ModelConfig:
 
     def __post_init__(self):
         require_counts(self, _COUNT_FIELDS)
+        require_range(self, ("dropout_p",), 0.0, 1.0, hi_open=True)
         if self.speech_frames != self.prefix_len * self.pool_factor:
             raise ConfigError(
                 f"speech_frames {self.speech_frames} != prefix_len "
@@ -74,13 +89,6 @@ class ModelConfig:
     def mel_frames(self) -> int:
         # stride-2 conv stem halves time
         return 2 * self.speech_frames
-
-
-def _child(rng: Streams, index: int) -> Streams:
-    """rng.child(index), taken per pass for a sequence of streams."""
-    if isinstance(rng, RngStream):
-        return rng.child(index)
-    return [r.child(index) for r in rng]
 
 
 def full_scale_config(vocab_size: int = 100) -> ModelConfig:
@@ -239,19 +247,19 @@ class DiacritizerModel:
     # -- forward passes -------------------------------------------------
 
     def _block(self, p: dict[str, Tensor], x: Tensor, prefix: str, heads: int,
-               training: bool, rng: Streams, layer: int, dropout_p: float) -> Tensor:
+               streams: Sequence[RngStream], layer: int, dropout_p: float) -> Tensor:
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q = h @ p[f"{prefix}.attn.wq"] + p[f"{prefix}.attn.bq"]
         k = h @ p[f"{prefix}.attn.wk"] + p[f"{prefix}.attn.bk"]
         v = h @ p[f"{prefix}.attn.wv"] + p[f"{prefix}.attn.bv"]
         a = nm.scaled_dot_attention(q, k, v, heads)
         a = a @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
-        a = nm.dropout(a, dropout_p, training, _child(rng, 2 * layer))
+        a = nm.dropout(a, dropout_p, [s.child(2 * layer) for s in streams])
         x = x + a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = nm.gelu(h @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"])
         h = h @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-        h = nm.dropout(h, dropout_p, training, _child(rng, 2 * layer + 1))
+        h = nm.dropout(h, dropout_p, [s.child(2 * layer + 1) for s in streams])
         return x + h
 
     def speech_encode(self, m: MelSpectrogram) -> Tensor:
@@ -270,7 +278,7 @@ class DiacritizerModel:
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
             x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,
-                            False, RngStream(0), i, cfg.dropout_p)
+                            (), i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
     def pool_project(self, frames: Tensor) -> Tensor:
@@ -282,15 +290,16 @@ class DiacritizerModel:
         return self.pool_project(self.speech_encode(m))
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
-                training: bool = False, rng: Streams | None = None,
-                dropout_p: float | None = None, *, grad: bool = True) -> Tensor:
+                streams: Sequence[RngStream] = (), dropout_p: float | None = None,
+                *, grad: bool = True) -> Tensor:
         """Token ids (prefix slots first) + optional speech prefix -> logits.
 
-        One stream gives one pass, (seq, 15). A sequence of P streams gives
-        a stack of P dropout passes over the same input, (P, seq, 15): the
-        embeddings, the prefix and everything before the first dropout are
-        computed once and shared, and pass i draws the masks that a
-        one-stream call with stream i draws.
+        P streams give a stack of P dropout passes over the same input,
+        (P, seq, 15), one row per stream for any rate (at rate 0 every row
+        is the eval output). The embeddings, the prefix and everything
+        before the first dropout are computed once and shared, and row i is
+        what a stack of one with streams[i] gives. No streams is eval mode,
+        (seq, 15).
 
         dropout_p overrides the config rate (used for MC-Dropout inference,
         where dropout stays active while layer norm is unaffected).
@@ -317,7 +326,6 @@ class DiacritizerModel:
         if not grad:
             p = {n: t.detach() for n, t in p.items()}
             prefix = None if prefix is None else prefix.detach()
-        rng = RngStream(0) if rng is None else rng
         rate = cfg.dropout_p if dropout_p is None else dropout_p
         x = nm.embedding(p["text.char_emb"], tokens) + \
             nm.embedding(p["text.pos_emb"], np.arange(seq))
@@ -326,26 +334,21 @@ class DiacritizerModel:
             x = x + nm.concat([prefix, pad], axis=0)
         for i in range(cfg.text_layers):
             x = self._block(p, x, f"text.block{i}", cfg.text_heads,
-                            training, _child(rng, 200 + i), i, rate)
+                            [s.child(200 + i) for s in streams], i, rate)
         x = nm.layer_norm(x, p["text.ln_f.g"], p["text.ln_f.b"])
-        logits = x @ p["text.head.w"] + p["text.head.b"]
-        if not isinstance(rng, RngStream) and logits.data.ndim == 2:
-            # no dropout ran, so the shared pass is every pass
-            logits = nm.broadcast_passes(logits, len(rng))
-        return logits
+        return x @ p["text.head.w"] + p["text.head.b"]
 
     def encode_text(self, raw: str) -> np.ndarray:
         return np.asarray(encode_tokens(raw, self.vocab, self.config.prefix_len),
                           dtype=np.int64)
 
 
-def speech_embedding_dropout(prefix: Tensor, p: float, training: bool,
-                             rng: RngStream) -> Tensor:
+def speech_embedding_dropout(prefix: Tensor, p: float, rng: RngStream) -> Tensor:
     """Zero the entire prefix with probability p (one draw per sample); no
-    rescaling; identity in eval mode."""
+    rescaling. Training only: eval uses the prefix as it is."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"speech embedding dropout p={p} outside [0, 1]")
-    if not training or p == 0.0:
+    if p == 0.0:
         return prefix
     if rng.generator().random() < p:
         return prefix * 0.0

@@ -159,11 +159,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self * other ** -1.0
-        return self * (1.0 / other)
-
     def __pow__(self, exponent: float):
         out = Tensor(self.data ** exponent, _parents=(self,))
 
@@ -201,22 +196,9 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------
 
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, _parents=(self,))
-        out._backward = (lambda g: self._accumulate(g * y)) if out.requires_grad else None
-        return out
-
     def log(self):
         out = Tensor(np.log(self.data), _parents=(self,))
         out._backward = (lambda g: self._accumulate(g / self.data)) \
-            if out.requires_grad else None
-        return out
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = Tensor(y, _parents=(self,))
-        out._backward = (lambda g: self._accumulate(g * (1.0 - y * y))) \
             if out.requires_grad else None
         return out
 
@@ -370,41 +352,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return out
 
 
-# one stream, or one per pass of a stack
-Streams = RngStream | Sequence[RngStream]
+def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
+    """Inverted dropout over a stack of passes, one per stream: zero with
+    prob p, survivors scaled 1/(1-p).
 
-
-def dropout(x: Tensor, p: float, training: bool, rng: Streams) -> Tensor:
-    """Inverted dropout: zero with prob p, survivors scaled 1/(1-p); eval = identity.
-
-    With a sequence of P streams, one per pass of a stack, x is either a
-    (seq, dim) input that all passes share or a (P, seq, dim) stack, and
-    the result is (P, seq, dim). Pass i's mask is drawn from stream i with
-    the (seq, dim) shape, so it is the mask a lone call with that stream
-    draws.
+    x is a (seq, dim) input that every pass shares or a (P, seq, dim) stack
+    of P = len(streams) passes, and the result is (P, seq, dim). Pass i's
+    mask is drawn from streams[i] with the (seq, dim) shape; at p = 0 it is
+    all ones. No streams is eval mode: x itself.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if not streams:
         return x
-    if isinstance(rng, RngStream):
-        draws = rng.generator().random(x.data.shape)
+    if x.data.ndim > 2 and x.data.shape[0] != len(streams):
+        raise ShapeError(f"{len(streams)} streams for a stack of {x.data.shape[0]}")
+    shape = (len(streams),) + x.data.shape[-2:]
+    if p == 0.0:
+        # a read-only view: the ones need no storage
+        mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        if x.data.ndim > 2 and x.data.shape[0] != len(rng):
-            raise ShapeError(f"{len(rng)} streams for a stack of {x.data.shape[0]}")
-        draws = np.empty((len(rng),) + x.data.shape[-2:])
-        for stream, out in zip(rng, draws):
+        draws = np.empty(shape)
+        for stream, out in zip(streams, draws):
             stream.generator().random(out=out)
-    mask = (draws >= p) / (1.0 - p)
-    return x * Tensor(mask.astype(x.dtype))
-
-
-def broadcast_passes(x: Tensor, passes: int) -> Tensor:
-    """(seq, dim) -> (passes, seq, dim) read-only view: one result that
-    every pass of a stack shares. The backward sums over the passes."""
-    out = Tensor(np.broadcast_to(x.data, (passes,) + x.data.shape), _parents=(x,))
-    out._backward = (lambda g: x._accumulate(g)) if out.requires_grad else None
-    return out
+        mask = ((draws >= p) / (1.0 - p)).astype(x.dtype)
+    return x * Tensor(mask)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -22,7 +22,7 @@ from . import numerics as nm
 from .audiofe import Waveform, inject_noise, log_mel, spec_augment
 from .errors import ConfigError, FingerprintError, FormatError, NumericError
 from .model import (DiacritizerModel, ModelConfig, require_counts,
-                    speech_embedding_dropout)
+                    require_range, speech_embedding_dropout)
 from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary
 
@@ -48,8 +48,10 @@ class TrainConfig:
 
     def __post_init__(self):
         require_counts(self, ("batch_size", "epochs"))
-        require_counts(self, ("warmup_epochs", "specaug_freq", "specaug_time"),
-                       minimum=0)
+        require_counts(self, ("warmup_epochs", "specaug_freq", "specaug_time",
+                              "whisper_unfrozen"), minimum=0)
+        if self.unfreeze_at_epoch is not None:
+            require_counts(self, ("unfreeze_at_epoch",), minimum=0)
         require_counts(self, ("seed",), minimum=None)
         snr = self.snr_range
         if not (isinstance(snr, (tuple, list)) and len(snr) == 2 and all(
@@ -62,10 +64,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError("warmup_epochs must be < epochs")
-        for name in ("focal_gamma", "label_smoothing", "weight_decay",
-                     "speech_emb_dropout", "rdrop_alpha"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        require_range(self, ("min_lr_factor", "speech_emb_dropout"), 0.0, 1.0)
+        require_range(self, ("focal_gamma", "label_smoothing", "weight_decay",
+                             "rdrop_alpha"), 0.0, math.inf)
 
 
 def table1_primary(seed: int = 42) -> TrainConfig:
@@ -155,9 +156,8 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
         prefix = s.prefix
         if prefix is not None:
             prefix = speech_embedding_dropout(
-                prefix, cfg.speech_emb_dropout, True, srng.child(0))
-        logits = model.forward(s.tokens, prefix, training=True,
-                               rng=[srng.child(1), srng.child(2)])
+                prefix, cfg.speech_emb_dropout, srng.child(0))
+        logits = model.forward(s.tokens, prefix, [srng.child(1), srng.child(2)])
         # pass k's positions are rows k*seq.. of the flattened stack
         seq = len(s.tokens)
         flat = logits.reshape(2 * seq, NUM_CLASSES)
@@ -468,20 +468,16 @@ class CorpusSample:
 
 
 def prepare_sample(model: DiacritizerModel, sample: CorpusSample,
-                   cfg: TrainConfig, rng: RngStream,
-                   augment: bool = True, use_audio: bool = True) -> PreparedSample:
+                   cfg: TrainConfig, rng: RngStream) -> PreparedSample:
     """Augment audio, extract features, run the speech encoder, and bundle
-    token/target arrays for one example."""
+    token/target arrays for one example. A sample with no waveform gets no
+    prefix: the text-only path."""
     mcfg = model.config
     prefix = None
-    if use_audio and sample.waveform is not None:
-        w = sample.waveform
-        if augment:
-            w = inject_noise(w, cfg.snr_range, rng.child(0))
+    if sample.waveform is not None:
+        w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
         mel = log_mel(w, mels=mcfg.mels, frame_budget=mcfg.mel_frames)
-        if augment:
-            mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time,
-                               rng.child(1))
+        mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
         prefix = model.speech_prefix(mel)
     tokens = model.encode_text(sample.raw)
     letter_rows = np.asarray(sample.letter_positions, dtype=np.int64) + \
@@ -492,8 +488,7 @@ def prepare_sample(model: DiacritizerModel, sample: CorpusSample,
 
 
 def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
-        out_dir=None, dev_scorer=None, use_audio: bool = True,
-        log=None) -> dict:
+        out_dir=None, dev_scorer=None, log=None) -> dict:
     """Run the full recipe; returns a history dict with per-epoch loss/lr
     and, when out_dir is set, checkpoint paths plus the selected final one.
 
@@ -522,11 +517,8 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             brng = erng.child(1 + b)
-            samples = [
-                prepare_sample(model, corpus[i], cfg, brng.child(int(i)),
-                               augment=True, use_audio=use_audio)
-                for i in idx
-            ]
+            samples = [prepare_sample(model, corpus[i], cfg, brng.child(int(i)))
+                       for i in idx]
             loss = rdrop_objective(samples, model, cfg, brng.child(-1))
             model.zero_grad()
             loss.backward()

@@ -78,10 +78,10 @@ def corpora(tmp_path_factory):
     return big, small
 
 
-def _dev_der(model, dev, use_audio):
+def _dev_der(model, dev):
     t = Tallies()
     for s in dev:
-        pred = predict_greedy(model, s.raw, s.waveform if use_audio else None)
+        pred = predict_greedy(model, s.raw, s.waveform)
         t = t.merge(score_pair(
             insert_diacritics(s.raw, pred),
             insert_diacritics(s.raw, [int(c) for c in s.targets]),
@@ -106,12 +106,10 @@ def test_criterion_01_gradient_fidelity(corpora):
     corpus = corpus_from_manifest(big / "train.jsonl")[:1]
     model = _fresh_model(corpus, dtype=np.float64)
     cfg = desk_recipe()
-    sample = prepare_sample(model, corpus[0], cfg, RngStream(0),
-                            augment=False, use_audio=True)
+    sample = prepare_sample(model, corpus[0], cfg, RngStream(0))
 
     def objective():
-        s = prepare_sample(model, corpus[0], cfg, RngStream(0),
-                           augment=False, use_audio=True)
+        s = prepare_sample(model, corpus[0], cfg, RngStream(0))
         return rdrop_objective([s], model, cfg, RngStream(1)).item()
 
     model.zero_grad()
@@ -152,8 +150,7 @@ def test_criterion_02_rdrop_identities(corpora):
         Vocabulary.from_texts([corpus[0].raw]), RngStream(1),
         dtype=np.float64)
     cfg = replace(desk_recipe(), speech_emb_dropout=0.0)
-    s = prepare_sample(model0, corpus[0], cfg, RngStream(0),
-                       augment=False, use_audio=True)
+    s = prepare_sample(model0, corpus[0], cfg, RngStream(0))
     obj = rdrop_objective([s], model0, cfg, RngStream(2)).item()
     logits = model0.forward(s.tokens, s.prefix)
     rows = nm.embedding(logits, s.letter_rows)
@@ -167,15 +164,14 @@ def test_criterion_02_rdrop_identities(corpora):
     # float64 so the 1e-7 tolerance probes the identity, not f32 rounding
     model = _fresh_model(corpus, seed=3, dtype=np.float64)
     cfg0 = replace(desk_recipe(), rdrop_alpha=0.0)
-    s = prepare_sample(model, corpus[0], cfg0, RngStream(0),
-                       augment=False, use_audio=True)
+    s = prepare_sample(model, corpus[0], cfg0, RngStream(0))
     run = RngStream(9)
     obj = rdrop_objective([s], model, cfg0, run).item()
     srng = run.child(0)
     losses = []
     for pass_idx in (1, 2):
-        logits = model.forward(s.tokens, s.prefix, training=True,
-                               rng=srng.child(pass_idx))
+        logits = model.forward(s.tokens, s.prefix, [srng.child(pass_idx)]) \
+            .reshape(len(s.tokens), NUM_CLASSES)
         rows = nm.embedding(logits, s.letter_rows)
         losses.append(focal_loss_ls(rows, s.targets, cfg0.focal_gamma,
                                     cfg0.label_smoothing).item())
@@ -341,11 +337,12 @@ def test_criterion_10_audio_contribution(corpora):
     cfg = desk_recipe()
     t0 = time.time()
     multi = _fresh_model(train)
-    fit(train, multi, cfg, use_audio=True)
-    der_multi = _dev_der(multi, dev, use_audio=True)
+    fit(train, multi, cfg)
+    der_multi = _dev_der(multi, dev)
+    # the text-only arm: the same samples without their audio
     text = _fresh_model(train)
-    fit(train, text, cfg, use_audio=False)
-    der_text = _dev_der(text, dev, use_audio=False)
+    fit([replace(s, waveform=None) for s in train], text, cfg)
+    der_text = _dev_der(text, [replace(s, waveform=None) for s in dev])
     elapsed = time.time() - t0
     ok = (der_multi < 0.10 and der_text - der_multi >= 0.20
           and elapsed < 900)
@@ -362,8 +359,8 @@ def test_criterion_11_overfit_sanity(corpora):
     model = _fresh_model(corpus)
     cfg = replace(desk_recipe(), epochs=200, warmup_epochs=5)
     t0 = time.time()
-    fit(corpus, model, cfg, use_audio=True)
-    der = _dev_der(model, corpus, use_audio=True)
+    fit(corpus, model, cfg)
+    der = _dev_der(model, corpus)
     elapsed = time.time() - t0
     verdict(11, "overfit sanity", der < 0.05 and elapsed < 120,
             f"train DER {der:.4f}, {elapsed:.0f}s")

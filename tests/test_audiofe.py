@@ -83,6 +83,33 @@ def test_wav_rejects_truncated_data(tmp_path):
         load_wav(tmp_path / "cut.wav")
 
 
+def _wav_bytes(fmt: bytes, data: bytes) -> bytes:
+    pad = bytes(len(fmt) & 1)  # odd-sized chunks are padded to even
+    return (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt + pad) + 8 + len(data))
+            + b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + pad
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
+PCM16_FMT = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
+FLOAT32_FMT = struct.pack("<HHIIHH", 3, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
+
+
+@pytest.mark.parametrize("fmt, data, error", [
+    (PCM16_FMT[:8], bytes(200), FormatError),
+    (PCM16_FMT[:15], bytes(200), FormatError),
+    (PCM16_FMT, bytes(201), FormatError),
+    (FLOAT32_FMT, bytes(202), FormatError),
+    (FLOAT32_FMT, np.array([0.1, np.nan, 0.2], dtype="<f4").tobytes(), IngestError),
+    (FLOAT32_FMT, np.array([0.1, -np.inf], dtype="<f4").tobytes(), IngestError),
+], ids=["fmt-8-bytes", "fmt-15-bytes", "pcm16-odd-length", "float32-partial-sample",
+        "float32-nan", "float32-inf"])
+def test_wav_rejects_malformed_chunks(tmp_path, fmt, data, error):
+    p = tmp_path / "m.wav"
+    p.write_bytes(_wav_bytes(fmt, data))
+    with pytest.raises(error):
+        load_wav(p)
+
+
 # -- filterbank ----------------------------------------------------------
 
 

@@ -363,6 +363,39 @@ def test_infer_zero_passes_is_a_data_error(tmp_path, capsys):
     assert "passes_per_model" in err and "Traceback" not in err
 
 
+def test_infer_dropout_one_is_a_data_error_before_writing(tmp_path, capsys):
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(out), "--dropout", "1.0"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "inference_dropout_p" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _wav_with_short_fmt(path):
+    fmt = struct.pack("<HHI", 1, 1, 16000)  # 8 of the 16 bytes
+    data = np.zeros(160, dtype="<i2").tobytes()
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data))
+                     + b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                     + b"data" + struct.pack("<I", len(data)) + data)
+
+
+def test_infer_malformed_wav_is_a_data_error(tmp_path, capsys):
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    _wav_with_short_fmt(tmp_path / "a.wav")
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(manifest, [ManifestRecord(
+        "a", "a.wav", insert_diacritics(BA + TA, [1, 2]))])
+    rc = main(["infer", "--checkpoints", str(ckpt), "--manifest", str(manifest),
+               "--out", str(tmp_path / "o"), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "fmt chunk" in err and "Traceback" not in err
+
+
 def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     write_run_config(cfg, desk_config(), desk_recipe(),
@@ -395,11 +428,32 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     b"[train]\nwarmup_epochs = 1.5\n",
     b"[train]\nsnr_range = (30.0, 10.0)\n",
     b"[train]\nsnr_range = (10.0, 1e999)\n",
+    b"[train]\nwhisper_unfrozen = 1\nunfreeze_at_epoch = 'x'\n",
+    b"[train]\nunfreeze_at_epoch = -1\n",
+    b"[train]\nmin_lr_factor = 'x'\n",
+    b"[train]\nmin_lr_factor = 1.5\n",
+    b"[train]\nwhisper_unfrozen = 1.5\n",
+    b"[train]\nwhisper_unfrozen = -1\n",
+    b"[model]\ndropout_p = 'x'\n",
+    b"[model]\ndropout_p = 1.5\n",
+    b"[model]\ndropout_p = 1.0\n",
+    b"[model]\ndropout_p = 1e999\n",
+    b"[model]\nmax_text_len = 'x'\n",
+    b"[model]\nmax_text_len = -100\n",
+    b"[ensemble]\npasses_per_model = 1.5\n",
+    b"[ensemble]\ninference_dropout_p = 1.0\n",
+    b"[ensemble]\ninference_dropout_p = 'x'\n",
+    b"[ensemble]\nseed = 'x'\n",
 ], ids=["unparsable", "not-a-literal", "rejected-type", "no-section",
         "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack",
         "zero-batch", "text-batch", "fractional-epochs", "scalar-snr-range",
         "negative-specaug-freq", "fractional-seed", "fractional-warmup",
-        "reversed-snr-range", "infinite-snr-range"])
+        "reversed-snr-range", "infinite-snr-range", "text-unfreeze-epoch",
+        "negative-unfreeze-epoch", "text-min-lr-factor", "min-lr-factor-above-1",
+        "fractional-unfrozen", "negative-unfrozen", "text-dropout",
+        "dropout-above-1", "dropout-1", "infinite-dropout", "text-max-len",
+        "negative-max-len", "fractional-passes", "inference-dropout-1",
+        "text-inference-dropout", "text-ensemble-seed"])
 def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)
@@ -408,6 +462,7 @@ def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_unfreezing_more_blocks_than_exist_fails_before_training(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_mc_forward_chunking_leaves_every_pass_unchanged(monkeypatch):
     forward = model.forward
 
     def counting_forward(*args, **kwargs):
-        stacks.append(len(kwargs["rng"]))
+        stacks.append(len(args[2]))
         logits = forward(*args, **kwargs)
         # no graph holds a chunk's activations
         assert not logits.requires_grad
@@ -112,10 +112,10 @@ def test_mc_forward_matches_per_pass_reference(dtype, rtol):
     prefix = speech_prefix(model)
     rng = RngStream(11)
     got = mc_forward(model, tokens, prefix, passes=5, p=0.1, rng=rng)
-    # one one-stream forward per pass, as the ensemble ran before stacking
+    # one stack of one per pass, as the ensemble ran before stacking
     ref = np.stack([
-        nm.softmax(model.forward(tokens, prefix, training=True,
-                                 rng=rng.child(i), dropout_p=0.1), axis=-1).data
+        nm.softmax(model.forward(tokens, prefix, [rng.child(i)], dropout_p=0.1)
+                   .reshape(len(tokens), 15), axis=-1).data
         for i in range(5)])
     assert got.dtype == ref.dtype == dtype
     np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)

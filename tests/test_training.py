@@ -136,8 +136,7 @@ def test_sym_kl_gradient():
 def test_rdrop_without_dropout_is_plain_focal():
     model = tiny_model(dropout=0.0)
     cfg = tr.TrainConfig(rdrop_alpha=2.08, speech_emb_dropout=0.0)
-    sample = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0),
-                            augment=False, use_audio=False)
+    sample = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
     loss = rdrop_objective([sample], model, cfg, RngStream(1)).item()
     logits = model.forward(sample.tokens, None)
     rows = nm.embedding(logits, sample.letter_rows)
@@ -150,8 +149,7 @@ def test_rdrop_without_dropout_is_plain_focal():
 def test_rdrop_alpha_zero_drops_consistency_term():
     model = tiny_model(dropout=0.1)
     base = tr.TrainConfig(rdrop_alpha=0.0)
-    s = prepare_sample(model, text_corpus(1)[0], base, RngStream(0),
-                       augment=False, use_audio=False)
+    s = prepare_sample(model, text_corpus(1)[0], base, RngStream(0))
     l0 = rdrop_objective([s], model, base, RngStream(7)).item()
     l1 = rdrop_objective([s], model,
                          tr.TrainConfig(rdrop_alpha=2.0), RngStream(7)).item()
@@ -161,8 +159,7 @@ def test_rdrop_alpha_zero_drops_consistency_term():
 def test_rdrop_deterministic_in_rng():
     model = tiny_model()
     cfg = tr.TrainConfig()
-    s = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0),
-                       augment=False, use_audio=False)
+    s = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
     a = rdrop_objective([s], model, cfg, RngStream(3)).item()
     b = rdrop_objective([s], model, cfg, RngStream(3)).item()
     assert a == b
@@ -188,16 +185,17 @@ def desk_audio_batch(n, dtype=np.float32):
 
 
 def rdrop_per_pass(samples, model, cfg, rng):
-    """The R-Drop objective as two one-stream forwards per sample."""
+    """The R-Drop objective as two stacks of one per sample."""
     losses = []
     for si, s in enumerate(samples):
         srng = rng.child(si)
         prefix = s.prefix
         if prefix is not None:
             prefix = speech_embedding_dropout(
-                prefix, cfg.speech_emb_dropout, True, srng.child(0))
-        rows = [nm.embedding(model.forward(s.tokens, prefix, training=True,
-                                           rng=srng.child(k)), s.letter_rows)
+                prefix, cfg.speech_emb_dropout, srng.child(0))
+        seq = len(s.tokens)
+        rows = [nm.embedding(model.forward(s.tokens, prefix, [srng.child(k)])
+                             .reshape(seq, NUM_CLASSES), s.letter_rows)
                 for k in (1, 2)]
         obj = (focal_loss_ls(rows[0], s.targets, cfg.focal_gamma, cfg.label_smoothing)
                + focal_loss_ls(rows[1], s.targets, cfg.focal_gamma,
@@ -678,8 +676,7 @@ def test_load_checkpoint_fingerprint_mismatch(tmp_path):
 def test_prepare_sample_offsets_letter_rows():
     model = tiny_model()
     s = text_corpus(1)[0]
-    prep = prepare_sample(model, s, TrainConfig(), RngStream(0),
-                          augment=False, use_audio=False)
+    prep = prepare_sample(model, s, TrainConfig(), RngStream(0))
     assert prep.prefix is None
     assert np.array_equal(prep.letter_rows,
                           np.asarray(s.letter_positions) + model.config.prefix_len)
@@ -693,7 +690,7 @@ def test_fit_smoke_and_determinism(tmp_path):
 
     def run(out):
         model = tiny_model(seed=3)
-        return fit(corpus, model, cfg, out_dir=out, use_audio=False)
+        return fit(corpus, model, cfg, out_dir=out)
 
     h1 = run(tmp_path / "a")
     h2 = run(tmp_path / "b")
@@ -711,11 +708,11 @@ def test_fit_selects_best_dev_checkpoint(tmp_path):
                       batch_size=4)
     model = tiny_model()
     scores = iter([0.5, 0.1, 0.4])
-    h = fit(corpus, model, cfg, out_dir=tmp_path, use_audio=False,
+    h = fit(corpus, model, cfg, out_dir=tmp_path,
             dev_scorer=lambda m: next(scores))
     assert h["selected"] == h["checkpoints"][1]
 
 
 def test_fit_rejects_empty_corpus():
     with pytest.raises(ConfigError):
-        fit([], tiny_model(), TrainConfig(), use_audio=False)
+        fit([], tiny_model(), TrainConfig())
