@@ -36,8 +36,8 @@ from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
 from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
                        strip_diacritics)
-from .training import (TRAIN_PRESETS, TrainConfig, decode_config, encode_config,
-                       fit, load_checkpoint)
+from .training import (TRAIN_PRESETS, TrainConfig, check_run, decode_config,
+                       encode_config, fit, load_checkpoint)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -131,6 +131,7 @@ def cmd_train(args) -> int:
     if len(vocab) > model_cfg.vocab_size:
         model_cfg = replace(model_cfg, vocab_size=len(vocab))
     model = DiacritizerModel(model_cfg, vocab, RngStream(train_cfg.seed))
+    check_run(corpus, model, train_cfg)  # before anything is written
 
     dev_scorer = None
     if args.dev_manifest:

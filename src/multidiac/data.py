@@ -105,7 +105,6 @@ def corpus_from_manifest(path, records=None) -> list[CorpusSample]:
         wav = load_wav(os.path.join(base, r.audio)) if r.audio else None
         samples.append(CorpusSample(
             sample_id=r.id, raw=labeled.raw,
-            letter_positions=labeled.letter_positions,
             targets=np.asarray(labeled.labels, dtype=np.int64),
             waveform=wav))
     return samples

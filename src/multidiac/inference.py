@@ -19,7 +19,7 @@ from .audiofe import Waveform, log_mel
 from .errors import ShapeError
 from .model import DiacritizerModel, ModelConfig, require_counts, require_range
 from .numerics import RngStream
-from .textproc import ARABIC_LETTERS, insert_diacritics
+from .textproc import insert_diacritics
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,7 @@ def _ensemble(raw: str, waveform: Waveform | None,
     """ensemble_average over every (model, pass) pair at raw's letter rows."""
     ref = models[0]
     tokens = ref.encode_text(raw)
-    letter_rows = np.asarray(
-        [i for i, c in enumerate(raw) if c in ARABIC_LETTERS],
-        dtype=np.int64) + ref.config.prefix_len
+    letter_rows = ref.letter_rows(raw)
     run = RngStream(cfg.seed)
     mel_of_shape = {}  # one log-mel per (mels, mel_frames), shared by models
     all_probs = []

@@ -66,13 +66,7 @@ def score_pair(pred: str, gold: str, flags: MetricFlags = PRIMARY_FLAGS) -> Tall
         raise AlignmentError(f"base text mismatch at offset {first}")
 
     case_endings = gl.case_ending_positions()
-    # map letter index -> word index
-    word_of = {}
-    for wi, (start, end) in enumerate(gl.word_boundaries):
-        for li, pos in enumerate(gl.letter_positions):
-            if start <= pos < end:
-                word_of[li] = wi
-
+    word_of = gl.letter_words
     t = Tallies(sentences=1, words=len(gl.word_boundaries))
     word_err = [False] * len(gl.word_boundaries)
     for li, (pc, gc) in enumerate(zip(pl.labels, gl.labels)):
@@ -83,8 +77,7 @@ def score_pair(pred: str, gold: str, flags: MetricFlags = PRIMARY_FLAGS) -> Tall
         t.positions += 1
         if pc != gc:
             t.position_errors += 1
-            if li in word_of:
-                word_err[word_of[li]] = True
+            word_err[word_of[li]] = True
     t.word_errors = sum(word_err)
     t.sentence_errors = 1 if t.word_errors > 0 else 0
     return t

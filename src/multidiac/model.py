@@ -20,7 +20,7 @@ from . import numerics as nm
 from .audiofe import MelSpectrogram
 from .errors import ConfigError, ShapeError
 from .numerics import RngStream, Tensor
-from .textproc import NUM_CLASSES, Vocabulary, encode_tokens
+from .textproc import NUM_CLASSES, Vocabulary, letter_indices
 
 
 # ModelConfig fields that size the model: each must be a positive integer
@@ -339,8 +339,14 @@ class DiacritizerModel:
         return x @ p["text.head.w"] + p["text.head.b"]
 
     def encode_text(self, raw: str) -> np.ndarray:
-        return np.asarray(encode_tokens(raw, self.vocab, self.config.prefix_len),
-                          dtype=np.int64)
+        """prefix_len prefix ids followed by one id per character of raw."""
+        return np.asarray([Vocabulary.PREFIX] * self.config.prefix_len +
+                          [self.vocab.id_of(c) for c in raw], dtype=np.int64)
+
+    def letter_rows(self, raw: str) -> np.ndarray:
+        """Rows of forward's logits (prefix slots first) that belong to
+        raw's Arabic letters, in order."""
+        return np.asarray(letter_indices(raw), dtype=np.int64) + self.config.prefix_len
 
 
 def speech_embedding_dropout(prefix: Tensor, p: float, rng: RngStream) -> Tensor:

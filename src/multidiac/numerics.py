@@ -65,6 +65,8 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = tuple(p for p in _parents if p.requires_grad)
+        # every op hands its backward in here; this is the one place it is
+        # dropped when nothing upstream needs a gradient
         self._backward = _backward if self.requires_grad else None
 
     @property
@@ -122,22 +124,19 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accumulate(g)
             if other.requires_grad:
                 other._accumulate(g)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,))
-        out._backward = (lambda g: self._accumulate(-g)) if out.requires_grad else None
-        return out
+        return Tensor(-self.data, _parents=(self,),
+                      _backward=lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other, self.dtype))
@@ -147,80 +146,63 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accumulate(g * other.data)
             if other.requires_grad:
                 other._accumulate(g * self.data)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _backward=bwd)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data ** exponent, _parents=(self,))
-
         def bwd(g):
             self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data ** exponent, _parents=(self,), _backward=bwd)
 
     def __matmul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = Tensor(self.data @ other.data, _parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
                 self._accumulate(g @ np.swapaxes(other.data, -1, -2))
             if other.requires_grad:
                 other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), _backward=bwd)
 
     # -- shape ----------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), _parents=(self,))
-        out._backward = (lambda g: self._accumulate(g.reshape(self.data.shape))) \
-            if out.requires_grad else None
-        return out
+        return Tensor(self.data.reshape(*shape), _parents=(self,),
+                      _backward=lambda g: self._accumulate(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
-        out = Tensor(self.data.transpose(*axes), _parents=(self,))
         inv = np.argsort(axes)
-        out._backward = (lambda g: self._accumulate(g.transpose(*inv))) \
-            if out.requires_grad else None
-        return out
+        return Tensor(self.data.transpose(*axes), _parents=(self,),
+                      _backward=lambda g: self._accumulate(g.transpose(*inv)))
 
     # -- elementwise functions ------------------------------------------
 
     def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,))
-        out._backward = (lambda g: self._accumulate(g / self.data)) \
-            if out.requires_grad else None
-        return out
+        return Tensor(np.log(self.data), _parents=(self,),
+                      _backward=lambda g: self._accumulate(g / self.data))
 
     def clamp_min(self, floor: float):
         mask = self.data >= floor
-        out = Tensor(np.maximum(self.data, floor), _parents=(self,))
-        out._backward = (lambda g: self._accumulate(g * mask)) \
-            if out.requires_grad else None
-        return out
+        return Tensor(np.maximum(self.data, floor), _parents=(self,),
+                      _backward=lambda g: self._accumulate(g * mask))
 
     # -- reductions (float64 accumulation) ------------------------------
 
     def sum(self, axis=None, keepdims=False):
         y = np.sum(self.data, axis=axis, keepdims=keepdims, dtype=np.float64)
-        out = Tensor(y.astype(self.dtype), _parents=(self,))
 
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
-        out._backward = bwd if out.requires_grad else None
-        return out
+        return Tensor(y.astype(self.dtype), _parents=(self,), _backward=bwd)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -275,7 +257,6 @@ def gelu(x: Tensor) -> Tensor:
     y = np.add(t, 1.0, out=None if x.requires_grad else t)
     y *= d
     y *= 0.5
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         # dy/dx = 0.5 * (1 + t + d * (1 - t^2) * c * (1 + 3 * 0.044715 * d^2))
@@ -291,8 +272,7 @@ def gelu(x: Tensor) -> Tensor:
         s *= 0.5
         s *= g
         x._accumulate(s)
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x,), _backward=bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -307,23 +287,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(p, out=p)
     total = np.sum(p, axis=axis, keepdims=True, dtype=np.float64)
     p *= (1.0 / total).astype(p.dtype)
-    out = Tensor(p, _parents=(x,))
 
     def bwd(g):
         dot = np.sum(g * p, axis=axis, keepdims=True)
         r = g - dot
         r *= p
         x._accumulate(r)
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(p, _parents=(x,), _backward=bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis; identical in train and eval (no stochastic state)."""
     if x.data.shape[-1] == 0:
         raise ShapeError("layer_norm over a zero-length last axis")
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
@@ -332,10 +308,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     c = x.data.astype(np.float64)
     c -= c.mean(axis=-1, keepdims=True)
     var = np.mean(c * c, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     c *= inv
     xhat = c.astype(x.dtype, copy=False)
-    out = Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta))
 
     def bwd(g):
         if x.requires_grad:
@@ -348,8 +323,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gamma._accumulate(np.sum(g * xhat, axis=axes))
         if beta.requires_grad:
             beta._accumulate(np.sum(g, axis=axes))
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta),
+                  _backward=bwd)
 
 
 def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
@@ -382,14 +357,12 @@ def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup with scatter-add backward; also serves as index_select."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.data[ids], _parents=(table,))
 
     def bwd(g):
         acc = np.zeros_like(table.data)
         np.add.at(acc, ids, g)
         table._accumulate(acc)
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(table.data[ids], _parents=(table,), _backward=bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -419,8 +392,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     parts = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in parts], axis=axis),
-                 _parents=tuple(parts))
 
     def bwd(g):
         offset = 0
@@ -431,8 +402,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g[tuple(sl)])
             offset += extent
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in parts], axis=axis),
+                  _parents=tuple(parts), _backward=bwd)
 
 
 def mean_pool_time(x: Tensor, factor: int) -> Tensor:
@@ -455,7 +426,6 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
     idx = (np.arange(t_out)[:, None] * stride + np.arange(k)[None, :])
     cols = xp[idx].reshape(t_out, k * c_in)
     wmat = w.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out = Tensor(cols @ wmat + b.data, _parents=(x, w, b))
 
     def bwd(g):
         if w.requires_grad:
@@ -469,5 +439,4 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
         gxp = np.zeros_like(xp)
         np.add.at(gxp, idx, gcols)
         x._accumulate(gxp[padding:padding + t_in] if padding else gxp)
-    out._backward = bwd if out.requires_grad else None
-    return out
+    return Tensor(cols @ wmat + b.data, _parents=(x, w, b), _backward=bwd)

@@ -11,7 +11,8 @@ input since real corpora mix them.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from .errors import InvariantViolation, MalformedInputError
 
@@ -89,19 +90,19 @@ class LabeledText:
     raw: str
     letter_positions: list[int]
     labels: list[int]
-    word_boundaries: list[tuple[int, int]] = field(default_factory=list)
+    word_boundaries: list[tuple[int, int]]
+
+    @property
+    def letter_words(self) -> list[int]:
+        """Index (into word_boundaries) of each letter's word; every letter
+        lies in exactly one word span."""
+        starts = [start for start, _ in self.word_boundaries]
+        return [bisect_right(starts, pos) - 1 for pos in self.letter_positions]
 
     def case_ending_positions(self) -> set[int]:
         """Index (into letter_positions) of the last letter of each word."""
-        out = set()
-        for start, end in self.word_boundaries:
-            last = None
-            for i, pos in enumerate(self.letter_positions):
-                if start <= pos < end:
-                    last = i
-            if last is not None:
-                out.add(last)
-        return out
+        words = self.letter_words + [-1]
+        return {i for i in range(len(words) - 1) if words[i] != words[i + 1]}
 
 
 def normalize(text: str) -> str:
@@ -113,6 +114,11 @@ def normalize(text: str) -> str:
 def strip_diacritics(text: str) -> str:
     """Remove exactly the eight mark codepoints U+064B-U+0652."""
     return "".join(c for c in text if c not in DIACRITICS)
+
+
+def letter_indices(raw: str) -> list[int]:
+    """Offsets of the Arabic letters of raw: the characters that carry a class."""
+    return [i for i, c in enumerate(raw) if c in ARABIC_LETTERS]
 
 
 def word_spans(raw: str) -> list[tuple[int, int]]:
@@ -135,7 +141,6 @@ def word_spans(raw: str) -> list[tuple[int, int]]:
 def label_from_diacritized(text: str) -> LabeledText:
     """Parse diacritized text into raw characters + per-letter class labels."""
     raw_chars: list[str] = []
-    letter_positions: list[int] = []
     labels: list[int] = []
     current_marks: str | None = None  # collecting for the most recent letter
     current_offset: int | None = None
@@ -152,18 +157,14 @@ def label_from_diacritized(text: str) -> LabeledText:
             continue
         if current_marks is not None:
             labels.append(class_of_marks(current_marks, offset=current_offset))
-        if c in ARABIC_LETTERS:
-            letter_positions.append(len(raw_chars))
-            current_marks = ""
-        else:
-            current_marks = None
+        current_marks = "" if c in ARABIC_LETTERS else None
         current_offset = None
         raw_chars.append(c)
     if current_marks is not None:
         labels.append(class_of_marks(current_marks, offset=current_offset))
 
     raw = "".join(raw_chars)
-    return LabeledText(raw=raw, letter_positions=letter_positions,
+    return LabeledText(raw=raw, letter_positions=letter_indices(raw),
                        labels=labels, word_boundaries=word_spans(raw))
 
 
@@ -174,7 +175,7 @@ def insert_diacritics(raw: str, predictions: list[int]) -> str:
     on any failure: (1) stripping the output recovers raw; (2) diacritic
     count matches predictions; (3) all letter positions are consumed.
     """
-    letter_positions = [i for i, c in enumerate(raw) if c in ARABIC_LETTERS]
+    letter_positions = letter_indices(raw)
     if len(predictions) != len(letter_positions):
         raise InvariantViolation(
             2, f"diacritic count {len(predictions)} does not match "
@@ -240,6 +241,9 @@ class Vocabulary:
     def __post_init__(self):
         # stable order: sorted unique characters
         self.chars = "".join(sorted(set(self.chars)))
+        if "\n" in self.chars:
+            # checkpoint metadata is one key=value line per entry
+            raise MalformedInputError("a vocabulary cannot hold a newline")
         self._index = {c: i + self._RESERVED for i, c in enumerate(self.chars)}
 
     @classmethod
@@ -261,8 +265,3 @@ class Vocabulary:
     @classmethod
     def deserialize(cls, chars: str) -> "Vocabulary":
         return cls(chars)
-
-
-def encode_tokens(raw: str, vocab: Vocabulary, prefix_len: int) -> list[int]:
-    """prefix_len reserved prefix ids followed by one id per character."""
-    return [Vocabulary.PREFIX] * prefix_len + [vocab.id_of(c) for c in raw]

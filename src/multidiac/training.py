@@ -108,6 +108,9 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k).
     """
     targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != logits.shape[:-1]:
+        raise nm.ShapeError(f"{targets.shape} targets for logit rows "
+                            f"{logits.shape[:-1]}")
     bad = np.nonzero((targets < 0) | (targets >= NUM_CLASSES))[0]
     if bad.size:
         raise ConfigError(f"target class {targets[bad[0]]} out of range at "
@@ -242,10 +245,6 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 def apply_freeze_policy(model: DiacritizerModel, epoch: int, cfg: TrainConfig):
     """Primary: speech encoder always frozen. Alt: top whisper_unfrozen
     blocks become trainable starting the epoch after unfreeze_at_epoch."""
-    # checked at every epoch, so an impossible count fails before training
-    if cfg.whisper_unfrozen > model.config.speech_blocks:
-        raise ConfigError(f"cannot unfreeze {cfg.whisper_unfrozen} of "
-                          f"{model.config.speech_blocks} speech blocks")
     unfrozen = 0
     if cfg.whisper_unfrozen > 0 and (cfg.unfreeze_at_epoch is None or
                                      epoch > cfg.unfreeze_at_epoch):
@@ -396,7 +395,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 if rank != 1:
                     raise FormatError(f"{path}: __meta entry has rank {rank}")
                 text = str(take(extents[0], "__meta payload"), "utf-8")
-                for line in text.splitlines():
+                # lines end in "\n" only: a value may hold "\r" or U+2028
+                for line in filter(None, text.split("\n")):
                     k, _, v = line.partition("=")
                     meta[k] = v
             else:
@@ -462,8 +462,7 @@ class CorpusSample:
 
     sample_id: str
     raw: str
-    letter_positions: list[int]
-    targets: np.ndarray
+    targets: np.ndarray         # diacritic class per Arabic letter of raw
     waveform: Waveform | None
 
 
@@ -479,12 +478,32 @@ def prepare_sample(model: DiacritizerModel, sample: CorpusSample,
         mel = log_mel(w, mels=mcfg.mels, frame_budget=mcfg.mel_frames)
         mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
         prefix = model.speech_prefix(mel)
-    tokens = model.encode_text(sample.raw)
-    letter_rows = np.asarray(sample.letter_positions, dtype=np.int64) + \
-        mcfg.prefix_len
-    return PreparedSample(tokens=tokens, letter_rows=letter_rows,
+    return PreparedSample(tokens=model.encode_text(sample.raw),
+                          letter_rows=model.letter_rows(sample.raw),
                           targets=np.asarray(sample.targets, dtype=np.int64),
                           prefix=prefix)
+
+
+def check_run(corpus: list[CorpusSample], model: DiacritizerModel,
+              cfg: TrainConfig):
+    """ConfigError for a run that would fail once started: an empty corpus,
+    a text longer than max_text_len, a SpecAugment band wider than the mel
+    grid, or more speech blocks to unfreeze than the model has."""
+    mcfg = model.config
+    if not corpus:
+        raise ConfigError("empty training corpus")
+    for s in corpus:
+        if len(s.raw) > mcfg.max_text_len:
+            raise ConfigError(f"sample {s.sample_id!r}: text length {len(s.raw)} "
+                              f"exceeds maximum {mcfg.max_text_len}")
+    for name, value, limit, unit in (
+            ("specaug_freq", cfg.specaug_freq, mcfg.mels, "mel bins"),
+            ("specaug_time", cfg.specaug_time, mcfg.mel_frames, "mel frames")):
+        if value > limit:
+            raise ConfigError(f"{name} {value} exceeds the model's {limit} {unit}")
+    if cfg.whisper_unfrozen > mcfg.speech_blocks:
+        raise ConfigError(f"cannot unfreeze {cfg.whisper_unfrozen} of "
+                          f"{mcfg.speech_blocks} speech blocks")
 
 
 def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
@@ -496,8 +515,7 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
     must return a WER fraction; the checkpoint with the best dev WER is
     selected, otherwise the final epoch wins.
     """
-    if not corpus:
-        raise ConfigError("empty training corpus")
+    check_run(corpus, model, cfg)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     run_rng = RngStream(cfg.seed)

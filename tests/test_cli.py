@@ -410,7 +410,8 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     assert "passes_per_model" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", [
+# (run config, gold text of the manifest's one record; None for _text_manifest's)
+@pytest.mark.parametrize("text, gold", [(t, None) for t in [
     b"[model]\ntext_dim = ((\n",
     b"[model]\ntext_dim = abc\n",
     b"[train]\nlearning_rate = 'x'\n",
@@ -444,6 +445,14 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     b"[ensemble]\ninference_dropout_p = 1.0\n",
     b"[ensemble]\ninference_dropout_p = 'x'\n",
     b"[ensemble]\nseed = 'x'\n",
+    b"[model]\nmax_text_len = 1\n",
+    b"[train]\nspecaug_freq = 81\n",
+    b"[train]\nspecaug_time = 201\n",
+    b"[train]\nwhisper_unfrozen = 4\n",
+]] + [
+    (b"[train]\nepochs = 2\nwarmup_epochs = 1\n", BA + TA),
+    (b"[train]\nepochs = 2\nwarmup_epochs = 1\n",
+     insert_diacritics(BA + "\n" + TA, [1, 2])),
 ], ids=["unparsable", "not-a-literal", "rejected-type", "no-section",
         "duplicate-section", "not-utf8", "deep-recursion", "deep-parser-stack",
         "zero-batch", "text-batch", "fractional-epochs", "scalar-snr-range",
@@ -453,11 +462,18 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
         "fractional-unfrozen", "negative-unfrozen", "text-dropout",
         "dropout-above-1", "dropout-1", "infinite-dropout", "text-max-len",
         "negative-max-len", "fractional-passes", "inference-dropout-1",
-        "text-inference-dropout", "text-ensemble-seed"])
-def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text):
+        "text-inference-dropout", "text-ensemble-seed", "text-past-max-len",
+        "specaug-freq-past-mels", "specaug-time-past-frames",
+        "unfrozen-past-blocks", "every-record-filtered", "newline-in-text"])
+def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text, gold):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)
-    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+    manifest = tmp_path / "in.jsonl"
+    if gold is None:
+        _text_manifest(manifest)
+    else:
+        write_manifest(manifest, [ManifestRecord("a", "", gold)])
+    rc = main(["train", "--manifest", str(manifest),
                "--out", str(tmp_path / "o"), "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA

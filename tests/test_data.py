@@ -16,7 +16,7 @@ from multidiac.errors import ManifestError
 from multidiac.numerics import RngStream
 from multidiac.textproc import (NUM_CLASSES, diacritization_ratio,
                                 insert_diacritics, label_from_diacritized,
-                                strip_diacritics)
+                                letter_indices, strip_diacritics)
 
 BA, TA, FATHA = "ب", "ت", "َ"
 
@@ -163,7 +163,7 @@ def test_synthesize_corpus_layout(tmp_path):
     samples = corpus_from_manifest(tmp_path / "train.jsonl")
     assert len(samples) == 7
     s = samples[0]
-    assert s.waveform is not None and len(s.targets) == len(s.letter_positions)
+    assert s.waveform is not None and len(s.targets) == len(letter_indices(s.raw))
     assert strip_diacritics(train[0].text) == s.raw
 
 

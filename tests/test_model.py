@@ -3,6 +3,8 @@ fusion identity, forward determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidiac import numerics as nm
 from multidiac.audiofe import MelSpectrogram
@@ -12,7 +14,8 @@ from multidiac.model import (
     full_scale_config, sinusoidal_table, speech_embedding_dropout,
 )
 from multidiac.numerics import RngStream
-from multidiac.textproc import Vocabulary
+from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES, Vocabulary,
+                                insert_diacritics, label_from_diacritized)
 
 VOCAB = Vocabulary("بتثجح")
 
@@ -138,6 +141,36 @@ def test_nonzero_prefix_changes_letter_logits():
     b = model.forward(tokens, pref).data
     rows = slice(model.config.prefix_len, None)
     assert not np.allclose(a[rows], b[rows])
+
+
+def test_encode_text_prefix_then_chars():
+    model = DiacritizerModel(desk_config(vocab_size=10), Vocabulary("بت"),
+                             RngStream(0))
+    toks = model.encode_text("ب ت")
+    assert toks.dtype == np.int64
+    assert toks.tolist() == [Vocabulary.PREFIX] * model.config.prefix_len + [
+        model.vocab.id_of("ب"), Vocabulary.UNK, model.vocab.id_of("ت")]
+
+
+# letter_rows reads only the config, so one model serves every example
+MODEL_FOR_ROWS = small_model()
+
+
+@given(st.lists(st.one_of(st.sampled_from(sorted(ARABIC_LETTERS)),
+                          st.sampled_from([" ", ".", "x", "\t"])), max_size=20),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_letter_rows_are_label_positions_past_the_prefix(chars, data):
+    raw = "".join(chars)
+    n = sum(c in ARABIC_LETTERS for c in raw)
+    labels = data.draw(st.lists(st.integers(0, NUM_CLASSES - 1),
+                                min_size=n, max_size=n))
+    gold = insert_diacritics(raw, labels)
+    model = MODEL_FOR_ROWS
+    rows = model.letter_rows(raw)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [pos + model.config.prefix_len for pos in
+                             label_from_diacritized(gold).letter_positions]
 
 
 def test_forward_shapes_and_validation():

@@ -11,7 +11,7 @@ from multidiac.errors import InvariantViolation, MalformedInputError
 from multidiac.textproc import (
     ARABIC_LETTERS, CLASS_MARKS, DAMMA, FATHA, FATHATAN, KASRA, NUM_CLASSES,
     SHADDA, SUKUN, Vocabulary, class_of_marks, diacritization_ratio,
-    encode_tokens, insert_diacritics, label_from_diacritized, marks_of_class,
+    insert_diacritics, label_from_diacritized, marks_of_class,
     strip_diacritics, word_spans,
 )
 
@@ -134,6 +134,7 @@ def test_case_ending_positions():
     lab = label_from_diacritized(BA + TA + " " + MEEM + LAM + BA)
     # letter index 1 ends word one, letter index 4 ends word two
     assert lab.case_ending_positions() == {1, 4}
+    assert lab.letter_words == [0, 0, 1, 1, 1]
 
 
 def test_diacritization_ratio():
@@ -160,11 +161,10 @@ def test_vocabulary_serialize_round_trip():
     assert all(w.id_of(c) == v.id_of(c) for c in v.chars)
 
 
-def test_encode_tokens_prefix_then_chars():
-    v = Vocabulary(BA + TA)
-    toks = encode_tokens(BA + " " + TA, v, prefix_len=3)
-    assert toks[:3] == [Vocabulary.PREFIX] * 3
-    assert toks[3:] == [v.id_of(BA), Vocabulary.UNK, v.id_of(TA)]
+def test_vocabulary_with_a_newline_is_refused():
+    # checkpoint metadata holds the vocabulary on one "\n"-terminated line
+    with pytest.raises(MalformedInputError, match="newline"):
+        Vocabulary(BA + "\n" + TA)
 
 
 # -- properties ----------------------------------------------------------
@@ -188,6 +188,23 @@ def test_insert_then_label_round_trip(raw, data):
     lab = label_from_diacritized(text)
     assert lab.raw == raw
     assert lab.labels == labels
+
+
+@given(raw_texts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_letter_words_agree_with_word_boundaries(raw, data):
+    n = sum(c in ARABIC_LETTERS for c in raw)
+    labels = data.draw(st.lists(classes, min_size=n, max_size=n))
+    lab = label_from_diacritized(insert_diacritics(raw, labels))
+    spans = lab.word_boundaries
+    assert len(lab.letter_words) == len(lab.letter_positions)
+    for pos, w in zip(lab.letter_positions, lab.letter_words):
+        assert spans[w][0] <= pos < spans[w][1]
+    # every word span holds a letter; a case ending is a span's last letter
+    assert sorted(set(lab.letter_words)) == list(range(len(spans)))
+    assert lab.case_ending_positions() == {
+        max(i for i, pos in enumerate(lab.letter_positions) if start <= pos < end)
+        for start, end in spans}
 
 
 @given(raw_texts(), st.data())

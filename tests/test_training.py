@@ -48,7 +48,7 @@ def text_corpus(n=6):
     out = []
     for i in range(n):
         raw = "بت"
-        out.append(CorpusSample(f"s{i}", raw, [0, 1],
+        out.append(CorpusSample(f"s{i}", raw,
                                 gen.integers(0, NUM_CLASSES, size=2), None))
     return out
 
@@ -94,6 +94,14 @@ def test_focal_loss_gradient():
     err = grad_check(
         lambda t: focal_loss_ls(t, targets, 0.34, 0.018), x, h=1e-4)
     assert err < 1e-5
+
+
+def test_focal_loss_rejects_a_target_count_unlike_the_rows():
+    # one target would broadcast over all five rows; two cannot broadcast
+    logits = t64(np.zeros((5, NUM_CLASSES)))
+    for targets in ([3], [3, 4]):
+        with pytest.raises(nm.ShapeError, match="targets"):
+            focal_loss_ls(logits, targets, 0.34, 0.018)
 
 
 def test_focal_loss_rejects_bad_targets():
@@ -173,8 +181,7 @@ def desk_audio_batch(n, dtype=np.float32):
     for i in range(n):
         gold, wav = synthesize_sample(spec, RngStream(3).child(i))
         lab = label_from_diacritized(gold)
-        corpus.append(CorpusSample(f"s{i}", lab.raw, lab.letter_positions,
-                                   np.asarray(lab.labels), wav))
+        corpus.append(CorpusSample(f"s{i}", lab.raw, np.asarray(lab.labels), wav))
     vocab = Vocabulary.from_texts([s.raw for s in corpus])
     model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab,
                              RngStream(42), dtype=dtype)
@@ -405,11 +412,14 @@ def test_freeze_policy_rejects_too_many_blocks():
         apply_freeze_policy(model, 1, TrainConfig(whisper_unfrozen=99))
 
 
-def test_freeze_policy_rejects_too_many_blocks_before_unfreeze_epoch():
+def test_freeze_policy_rejects_too_many_blocks_before_unfreeze_epoch(tmp_path):
+    # fit checks the count before its first epoch, and writes nothing
     model = tiny_model()
-    with pytest.raises(ConfigError):
-        apply_freeze_policy(model, 1, TrainConfig(whisper_unfrozen=99,
-                                                  unfreeze_at_epoch=15))
+    with pytest.raises(ConfigError, match="speech blocks"):
+        fit(text_corpus(2), model, TrainConfig(whisper_unfrozen=99,
+                                               unfreeze_at_epoch=15),
+            out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 # -- config serialization ------------------------------------------------
@@ -458,6 +468,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert set(tensors) == set(model.params)
     for n, p in model.params.items():
         assert np.array_equal(tensors[n], p.data.astype("<f4"))
+
+
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_checkpoint_vocabulary_round_trips_line_breaking_characters(tmp_path, char):
+    # str.splitlines() breaks at each of these, but the metadata lines end in "\n"
+    model = DiacritizerModel(desk_config(vocab_size=10), Vocabulary("بت" + char),
+                             RngStream(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, _loadable_meta(model))
+    assert load_checkpoint(path).vocab == model.vocab
 
 
 def test_checkpoint_layout_oracle(tmp_path):
@@ -678,8 +699,7 @@ def test_prepare_sample_offsets_letter_rows():
     s = text_corpus(1)[0]
     prep = prepare_sample(model, s, TrainConfig(), RngStream(0))
     assert prep.prefix is None
-    assert np.array_equal(prep.letter_rows,
-                          np.asarray(s.letter_positions) + model.config.prefix_len)
+    assert np.array_equal(prep.letter_rows, model.letter_rows(s.raw))
     assert np.array_equal(prep.tokens, model.encode_text(s.raw))
 
 
