@@ -36,8 +36,8 @@ from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
 from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
                        strip_diacritics)
-from .training import (TRAIN_PRESETS, TrainConfig, check_run, decode_config,
-                       encode_config, fit, load_checkpoint)
+from .training import (TRAIN_PRESETS, TrainConfig, check_run, check_text_lengths,
+                       decode_config, encode_config, fit, load_checkpoint)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -137,6 +137,7 @@ def cmd_train(args) -> int:
     if args.dev_manifest:
         dev_records = datamod.load_manifest(args.dev_manifest)
         dev_corpus = datamod.corpus_from_manifest(args.dev_manifest, dev_records)
+        check_text_lengths(((s.sample_id, s.raw) for s in dev_corpus), model_cfg)
         gold = {r.id: r.text for r in dev_records}
 
         def dev_scorer(m, _corpus=dev_corpus, _gold=gold):
@@ -181,6 +182,8 @@ def cmd_infer(args) -> int:
                 raise FingerprintError(f"checkpoint {p} has a different {what} "
                                        f"than {paths[0]}")
     records = datamod.load_manifest(args.manifest)
+    raws = [strip_diacritics(r.text) for r in records]
+    check_text_lengths(zip((r.id for r in records), raws), ref.config)
     os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      models[0].config, None, ens,
@@ -190,8 +193,7 @@ def cmd_infer(args) -> int:
     t0 = time.time()
     out_path = os.path.join(args.out, "predictions.jsonl")
     with open(out_path, "w", encoding="utf-8") as f:
-        for r in records:
-            raw = strip_diacritics(r.text)
+        for r, raw in zip(records, raws):
             wav = load_wav(os.path.join(base, r.audio)) if r.audio else None
             try:
                 text, confidence = diacritize(raw, wav, models, ens)

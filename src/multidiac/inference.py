@@ -44,26 +44,31 @@ SCORE_BUDGET_BYTES = 64 << 20
 def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
     """Bytes one pass of a stack adds at its peak: the larger of the
     (heads, seq, seq) attention scores and the (seq, mlp_ratio * dim) MLP
-    hidden layer, plus the float64 (seq, dim) dropout draws."""
+    hidden layer, plus the (seq, dim) dropout mask of the storage dtype and
+    the boolean comparison it is built from."""
     itemsize = np.dtype(dtype).itemsize
     widest = max(config.text_heads * seq * seq,
                  config.mlp_ratio * config.text_dim * seq)
-    return widest * itemsize + seq * config.text_dim * 8
+    return widest * itemsize + seq * config.text_dim * (itemsize + 1)
 
 
 def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
                prefix, passes: int, p: float, rng: RngStream) -> np.ndarray:
-    """(passes, full positions, 15) softmax probabilities; pass i uses the
-    stream rng.child(i). Passes run as stacked forwards of as many passes
-    as fit SCORE_BUDGET_BYTES, which leaves every pass's output unchanged."""
+    """(passes, full positions, 15) softmax probabilities, read-only; pass
+    i uses the stream rng.child(i). Passes run as stacked forwards of as
+    many passes as fit SCORE_BUDGET_BYTES, which leaves every pass's output
+    unchanged. At p = 0 every pass is the eval output, so only pass 0 runs
+    and its row is repeated."""
     per_pass = pass_bytes(model.config, len(tokens), model.dtype)
     chunk = max(1, SCORE_BUDGET_BYTES // per_pass)
+    run = passes if p else 1
     out = []
-    for start in range(0, passes, chunk):
-        streams = [rng.child(i) for i in range(start, min(passes, start + chunk))]
+    for start in range(0, run, chunk):
+        streams = [rng.child(i) for i in range(start, min(run, start + chunk))]
         logits = model.forward(tokens, prefix, streams, p, grad=False)
         out.append(nm.softmax(logits, axis=-1).data)
-    return np.concatenate(out)
+    probs = np.concatenate(out)
+    return np.broadcast_to(probs, (passes,) + probs.shape[1:])
 
 
 def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

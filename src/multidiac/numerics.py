@@ -11,7 +11,9 @@ Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
 counter-based Philox generator. The (seed, stream) pair fully determines
 the draw sequence, and `child()` derives independent sub-streams via a
 splitmix64 hash, so any op that consumes randomness is a pure function of
-its inputs plus the stream.
+its inputs plus the stream. `dropout` builds one generator per call and
+re-keys it for each stream, which gives the same draws as
+`RngStream.generator()`.
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ class RngStream:
         mixed = _splitmix64((self.stream * 0x2545F4914F6CDD1D + index + 1) & _MASK64)
         return RngStream(self.seed, mixed)
 
+    @property
+    def key(self) -> tuple[int, int]:
+        """The Philox key of this stream's draws."""
+        return self.seed & _MASK64, self.stream & _MASK64
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
 class Tensor:
@@ -347,11 +353,40 @@ def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
         # a read-only view: the ones need no storage
         mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        draws = np.empty(shape)
-        for stream, out in zip(streams, draws):
-            stream.generator().random(out=out)
-        mask = ((draws >= p) / (1.0 - p)).astype(x.dtype)
+        mask = _dropout_masks(streams, p, shape, x.dtype)
+        if not x.requires_grad:
+            # no backward reads the mask, so the product goes into its
+            # storage (m * x and x * m are the same bits)
+            return Tensor(np.multiply(mask, x.data, out=mask))
     return x * Tensor(mask)
+
+
+def _dropout_masks(streams: Sequence[RngStream], p: float, shape: tuple,
+                   dtype) -> np.ndarray:
+    """(P, seq, dim) masks of the storage dtype, row i from streams[i]:
+    (draws >= p) * dtype(1/(1-p)), the same bits as the float64 divide
+    ((draws >= p) / (1 - p)).astype(dtype).
+
+    One Philox bit generator is re-keyed per stream (counter 0, buffer
+    empty), which gives the draws of stream.generator() without building a
+    generator, and its seed sequence, per pass. The draws go through one
+    reused float64 (seq, dim) buffer; only the comparison is kept per pass.
+    """
+    keys = np.array([s.key for s in streams], dtype=np.uint64)
+    philox = {"counter": np.zeros(4, dtype=np.uint64)}
+    state = {"bit_generator": "Philox", "state": philox,
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bits = np.random.Philox()
+    gen = np.random.Generator(bits)
+    draws = np.empty(shape[1:])
+    keep = np.empty(shape, dtype=bool)
+    for key, kept in zip(keys, keep):
+        philox["key"] = key
+        bits.state = state
+        gen.random(out=draws)
+        np.greater_equal(draws, p, out=kept)
+    return np.multiply(keep, np.dtype(dtype).type(1.0 / (1.0 - p)), dtype=dtype)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

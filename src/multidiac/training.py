@@ -484,6 +484,15 @@ def prepare_sample(model: DiacritizerModel, sample: CorpusSample,
                           prefix=prefix)
 
 
+def check_text_lengths(texts, config: ModelConfig):
+    """ConfigError for the first (sample id, undiacritized text) pair whose
+    text is longer than config.max_text_len."""
+    for sample_id, raw in texts:
+        if len(raw) > config.max_text_len:
+            raise ConfigError(f"sample {sample_id!r}: text length {len(raw)} "
+                              f"exceeds maximum {config.max_text_len}")
+
+
 def check_run(corpus: list[CorpusSample], model: DiacritizerModel,
               cfg: TrainConfig):
     """ConfigError for a run that would fail once started: an empty corpus,
@@ -492,10 +501,7 @@ def check_run(corpus: list[CorpusSample], model: DiacritizerModel,
     mcfg = model.config
     if not corpus:
         raise ConfigError("empty training corpus")
-    for s in corpus:
-        if len(s.raw) > mcfg.max_text_len:
-            raise ConfigError(f"sample {s.sample_id!r}: text length {len(s.raw)} "
-                              f"exceeds maximum {mcfg.max_text_len}")
+    check_text_lengths(((s.sample_id, s.raw) for s in corpus), mcfg)
     for name, value, limit, unit in (
             ("specaug_freq", cfg.specaug_freq, mcfg.mels, "mel bins"),
             ("specaug_time", cfg.specaug_time, mcfg.mel_frames, "mel frames")):

@@ -1,8 +1,10 @@
 """Reference implementations that tests compare the package against.
 
-Neither is used by the package itself: `grad_check` measures reverse-mode
-gradients against central finite differences, and `brute_force_reference`
-re-scores a (prediction, gold) pair without the scorer's helpers.
+None is used by the package itself: `grad_check` measures reverse-mode
+gradients against central finite differences, `dropout_masks_reference`
+draws dropout masks the plain way, one fresh generator per stream, and
+`brute_force_reference` re-scores a (prediction, gold) pair without the
+scorer's helpers.
 """
 
 import numpy as np
@@ -51,6 +53,18 @@ def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def dropout_masks_reference(streams, p: float, shape: tuple, dtype) -> np.ndarray:
+    """(len(streams), *shape) inverted-dropout masks: row i from a fresh
+    Generator(Philox([seed, stream])) of streams[i], as float64 draws
+    compared with p, divided by 1 - p in float64 and cast to dtype."""
+    mask64 = (1 << 64) - 1
+    draws = np.empty((len(streams),) + tuple(shape))
+    for s, out in zip(streams, draws):
+        key = np.array([s.seed & mask64, s.stream & mask64], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).random(out=out)
+    return ((draws >= p) / (1.0 - p)).astype(dtype)
 
 
 def brute_force_reference(pred: str, gold: str,

@@ -268,6 +268,36 @@ def test_data_error_overlength_text(trained, tmp_path, capsys):
     assert "exceeds maximum" in err and "Traceback" not in err
 
 
+def test_infer_overlength_text_fails_before_writing(tmp_path, capsys):
+    # the long record comes second: no prediction may be written before it
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    long = BA * (desk_config().max_text_len + 88)
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(manifest, [
+        ManifestRecord("short", "", insert_diacritics(BA + TA, [1, 2])),
+        ManifestRecord("long", "", insert_diacritics(long, [1] * len(long)))])
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt), "--manifest", str(manifest),
+               "--out", str(out), "--passes", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "'long'" in err and "exceeds maximum" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_overlength_dev_text_fails_before_writing(tmp_path, capsys):
+    long = BA * (desk_config().max_text_len + 88)
+    dev = tmp_path / "dev.jsonl"
+    write_manifest(dev, [ManifestRecord("long", "", insert_diacritics(long, [1] * len(long)))])
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--dev-manifest", str(dev), "--out", str(out), "--preset", "desk"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "'long'" in err and "exceeds maximum" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _text_manifest(path):
     write_manifest(path, [ManifestRecord("a", "", insert_diacritics(BA + TA, [1, 2]))])
     return path

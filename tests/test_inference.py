@@ -129,6 +129,30 @@ def test_mc_forward_p_zero_collapses_to_deterministic():
     assert np.array_equal(out[0], out[2])
 
 
+def test_diacritize_at_p_zero_runs_one_pass_and_keeps_the_result(monkeypatch):
+    model = model_with()
+    raw = "بتث بت"
+    forward = model.forward
+    stacks = []
+
+    def counting_forward(*args, **kwargs):
+        stacks.append(len(args[2]))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    cfg = EnsembleConfig(passes_per_model=50, inference_dropout_p=0.0, seed=2)
+    text, conf = diacritize(raw, None, [model], cfg)
+    assert stacks == [1]
+    # what the 50-pass stack it replaces gives: every row the eval output
+    streams = [RngStream(2).child(0).child(i) for i in range(50)]
+    logits = forward(model.encode_text(raw), None, streams, 0.0, grad=False)
+    probs = nm.softmax(logits, axis=-1).data[:, model.letter_rows(raw), :]
+    classes, expect_conf = ensemble_average([probs])
+    assert text == insert_diacritics(raw, [int(c) for c in classes])
+    assert conf == [float(c) for c in expect_conf]
+    assert text == insert_diacritics(raw, predict_greedy(model, raw, None))
+
+
 def test_diacritize_round_trips_raw_text():
     model = model_with()
     raw = "بت ث"

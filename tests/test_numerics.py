@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
 from multidiac.numerics import RngStream, Tensor, _splitmix64
-from oracles import grad_check
+from oracles import dropout_masks_reference, grad_check
 
 
 def t64(data, requires_grad=True):
@@ -442,6 +442,30 @@ def test_dropout_stack_draws_each_pass_from_its_stream():
     # a shared input's gradient sums the passes' masks, all ones at p = 0
     for p in (0.3, 0.0):
         _check(lambda x: (nm.dropout(x, p, streams) ** 2.0).sum(), (5, 8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.3])
+def test_dropout_draws_match_a_fresh_generator_per_stream(p, dtype):
+    gen = np.random.default_rng(8)
+    streams = [RngStream(3).child(i) for i in range(4)]
+    # a stream listed twice restarts its counter: its two rows are equal
+    streams += [streams[1], RngStream(-1, (1 << 64) + 5)]
+    mask = dropout_masks_reference(streams, p, (7, 24), dtype)
+    assert np.array_equal(mask[1], mask[4])
+    shared = gen.normal(0, 1, size=(7, 24)).astype(dtype)
+    stack = gen.normal(0, 1, size=(len(streams), 7, 24)).astype(dtype)
+    for data in (shared, stack):
+        expect = data * mask
+        for requires_grad in (False, True):
+            x = Tensor(data, requires_grad=requires_grad)
+            y = nm.dropout(x, p, streams)
+            assert y.dtype == dtype
+            assert y.data.tobytes() == expect.tobytes()
+        # the backward multiplies by the same mask
+        y.sum().backward()
+        grad = mask.sum(axis=0) if data is shared else mask
+        assert x.grad.tobytes() == grad.tobytes()
 
 
 def test_dropout_rejects_bad_p():
