@@ -184,17 +184,20 @@ def cmd_infer(args) -> int:
     records = datamod.load_manifest(args.manifest)
     raws = [strip_diacritics(r.text) for r in records]
     check_text_lengths(zip((r.id for r in records), raws), ref.config)
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    wav_paths = [os.path.join(base, r.audio) if r.audio else None for r in records]
+    for path in filter(None, wav_paths):
+        load_wav(path)  # checked before --out exists, and read again below
     os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      models[0].config, None, ens,
                      {"manifest": args.manifest, "out": args.out})
 
-    base = os.path.dirname(os.path.abspath(args.manifest))
     t0 = time.time()
     out_path = os.path.join(args.out, "predictions.jsonl")
     with open(out_path, "w", encoding="utf-8") as f:
-        for r, raw in zip(records, raws):
-            wav = load_wav(os.path.join(base, r.audio)) if r.audio else None
+        for r, raw, path in zip(records, raws, wav_paths):
+            wav = load_wav(path) if path else None
             try:
                 text, confidence = diacritize(raw, wav, models, ens)
             except InvariantViolation as e:

@@ -55,17 +55,17 @@ def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
 def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
                prefix, passes: int, p: float, rng: RngStream) -> np.ndarray:
     """(passes, full positions, 15) softmax probabilities, read-only; pass
-    i uses the stream rng.child(i). Passes run as stacked forwards of as
-    many passes as fit SCORE_BUDGET_BYTES, which leaves every pass's output
-    unchanged. At p = 0 every pass is the eval output, so only pass 0 runs
-    and its row is repeated."""
+    i uses the stream rng.child(i), keyed through rng.child_keys. Passes
+    run as stacked forwards of as many passes as fit SCORE_BUDGET_BYTES,
+    which leaves every pass's output unchanged. At p = 0 every pass is the
+    eval output, so only pass 0 runs and its row is repeated."""
     per_pass = pass_bytes(model.config, len(tokens), model.dtype)
     chunk = max(1, SCORE_BUDGET_BYTES // per_pass)
     run = passes if p else 1
     out = []
     for start in range(0, run, chunk):
-        streams = [rng.child(i) for i in range(start, min(run, start + chunk))]
-        logits = model.forward(tokens, prefix, streams, p, grad=False)
+        keys = rng.child_keys(range(start, min(run, start + chunk)))
+        logits = model.forward(tokens, prefix, keys, p, grad=False)
         out.append(nm.softmax(logits, axis=-1).data)
     probs = np.concatenate(out)
     return np.broadcast_to(probs, (passes,) + probs.shape[1:])

@@ -11,7 +11,6 @@ can be frozen per block; frozen tensors never receive gradient.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,19 +246,18 @@ class DiacritizerModel:
     # -- forward passes -------------------------------------------------
 
     def _block(self, p: dict[str, Tensor], x: Tensor, prefix: str, heads: int,
-               streams: Sequence[RngStream], layer: int, dropout_p: float) -> Tensor:
+               keys: np.ndarray, layer: int, dropout_p: float) -> Tensor:
+        def lin(h, name, bias):
+            return nm.linear(h, p[f"{prefix}.{name}"], p[f"{prefix}.{bias}"])
+
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-        q = h @ p[f"{prefix}.attn.wq"] + p[f"{prefix}.attn.bq"]
-        k = h @ p[f"{prefix}.attn.wk"] + p[f"{prefix}.attn.bk"]
-        v = h @ p[f"{prefix}.attn.wv"] + p[f"{prefix}.attn.bv"]
-        a = nm.scaled_dot_attention(q, k, v, heads)
-        a = a @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
-        a = nm.dropout(a, dropout_p, [s.child(2 * layer) for s in streams])
+        q, k, v = (lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv")
+        a = lin(nm.scaled_dot_attention(q, k, v, heads), "attn.wo", "attn.bo")
+        a = nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer))
         x = x + a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-        h = nm.gelu(h @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"])
-        h = h @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-        h = nm.dropout(h, dropout_p, [s.child(2 * layer + 1) for s in streams])
+        h = lin(nm.gelu(lin(h, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2")
+        h = nm.dropout(h, dropout_p, nm.child_keys(keys, 2 * layer + 1))
         return x + h
 
     def speech_encode(self, m: MelSpectrogram) -> Tensor:
@@ -278,28 +276,28 @@ class DiacritizerModel:
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
             x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,
-                            (), i, cfg.dropout_p)
+                            nm.NO_KEYS, i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
     def pool_project(self, frames: Tensor) -> Tensor:
         """Mean-pool time by pool_factor, then project to text_dim."""
         pooled = nm.mean_pool_time(frames, self.config.pool_factor)
-        return pooled @ self.params["proj.w"] + self.params["proj.b"]
+        return nm.linear(pooled, self.params["proj.w"], self.params["proj.b"])
 
     def speech_prefix(self, m: MelSpectrogram) -> Tensor:
         return self.pool_project(self.speech_encode(m))
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
-                streams: Sequence[RngStream] = (), dropout_p: float | None = None,
+                keys: np.ndarray = nm.NO_KEYS, dropout_p: float | None = None,
                 *, grad: bool = True) -> Tensor:
         """Token ids (prefix slots first) + optional speech prefix -> logits.
 
-        P streams give a stack of P dropout passes over the same input,
-        (P, seq, 15), one row per stream for any rate (at rate 0 every row
-        is the eval output). The embeddings, the prefix and everything
-        before the first dropout are computed once and shared, and row i is
-        what a stack of one with streams[i] gives. No streams is eval mode,
-        (seq, 15).
+        A (P, 2) uint64 array of Philox keys (see `RngStream.child_keys`)
+        gives a stack of P dropout passes over the same input, (P, seq, 15),
+        one row per key for any rate (at rate 0 every row is the eval
+        output). The embeddings, the prefix and everything before the first
+        dropout are computed once and shared, and row i is what a stack of
+        one with keys[i] gives. No keys is eval mode, (seq, 15).
 
         dropout_p overrides the config rate (used for MC-Dropout inference,
         where dropout stays active while layer norm is unaffected).
@@ -324,7 +322,7 @@ class DiacritizerModel:
                              f"({cfg.prefix_len}, {cfg.text_dim})")
         p = self.params
         if not grad:
-            p = {n: t.detach() for n, t in p.items()}
+            p = {n: t.detach() for n, t in p.items() if n.startswith("text.")}
             prefix = None if prefix is None else prefix.detach()
         rate = cfg.dropout_p if dropout_p is None else dropout_p
         x = nm.embedding(p["text.char_emb"], tokens) + \
@@ -334,9 +332,9 @@ class DiacritizerModel:
             x = x + nm.concat([prefix, pad], axis=0)
         for i in range(cfg.text_layers):
             x = self._block(p, x, f"text.block{i}", cfg.text_heads,
-                            [s.child(200 + i) for s in streams], i, rate)
+                            nm.child_keys(keys, 200 + i), i, rate)
         x = nm.layer_norm(x, p["text.ln_f.g"], p["text.ln_f.b"])
-        return x @ p["text.head.w"] + p["text.head.b"]
+        return nm.linear(x, p["text.head.w"], p["text.head.b"])
 
     def encode_text(self, raw: str) -> np.ndarray:
         """prefix_len prefix ids followed by one id per character of raw."""

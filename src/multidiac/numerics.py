@@ -5,21 +5,24 @@ GELU, embedding lookup, softmax, layer norm, dropout, attention and time
 pooling, each with an analytic backward. Storage is row-major float32 by
 default (float64 available for verification work). Elementwise work runs
 in the storage dtype. Three reductions keep float64 accumulators and cast
-back: `sum`/`mean`, the softmax row sums and the layer-norm moments.
+back: `sum`/`mean`, the softmax row sums and the layer-norm moments. A
+stack times a weight matrix runs as one GEMM over its folded rows (the same
+bits as per slice at the model's shapes; gradients keep numpy's per-slice
+products), and `linear` adds its bias into the product.
 
 Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
 counter-based Philox generator. The (seed, stream) pair fully determines
 the draw sequence, and `child()` derives independent sub-streams via a
 splitmix64 hash, so any op that consumes randomness is a pure function of
-its inputs plus the stream. `dropout` builds one generator per call and
-re-keys it for each stream, which gives the same draws as
-`RngStream.generator()`.
+its inputs plus the stream. A stack of passes carries its streams as a
+(P, 2) uint64 array of Philox keys, whose children `child_keys` derives at
+once, bit for bit. `dropout` builds one generator per call and re-keys it
+for each key, which gives the same draws as `RngStream.generator()`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +32,25 @@ from .errors import ConfigError, NumericError, ShapeError
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """splitmix64 of an int, or of a uint64 array (which wraps by itself)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def child_keys(keys: np.ndarray, index) -> np.ndarray:
+    """Row i is RngStream(*keys[i]).child(index).key, for (P, 2) uint64 keys
+    and an int index or any ints broadcast against the rows."""
+    step = np.array((np.asarray(index, dtype=object) + 1) & _MASK64, dtype=np.uint64)
+    streams = _splitmix64(keys[:, 1] * 0x2545F4914F6CDD1D + step)
+    out = np.empty((len(streams), 2), dtype=np.uint64)
+    out[:, 0], out[:, 1] = keys[:, 0], streams
+    return out
+
+
+NO_KEYS = np.empty((0, 2), dtype=np.uint64)  # no passes: eval mode
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,10 @@ class RngStream:
         """Derive an independent sub-stream; same (self, index) -> same child."""
         mixed = _splitmix64((self.stream * 0x2545F4914F6CDD1D + index + 1) & _MASK64)
         return RngStream(self.seed, mixed)
+
+    def child_keys(self, indices) -> np.ndarray:
+        """(len(indices), 2) Philox keys of child(i) for each i of indices."""
+        return child_keys(np.array([self.key], dtype=np.uint64), indices)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -69,8 +90,9 @@ class Tensor:
             arr = arr.astype(dtype)
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = tuple(p for p in _parents if p.requires_grad)
+        self.requires_grad = bool(requires_grad) or bool(_parents) and any(
+            p.requires_grad for p in _parents)
+        self._parents = tuple(p for p in _parents if p.requires_grad) if _parents else ()
         # every op hands its backward in here; this is the one place it is
         # dropped when nothing upstream needs a gradient
         self._backward = _backward if self.requires_grad else None
@@ -130,13 +152,8 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g)
-            if other.requires_grad:
-                other._accumulate(g)
-        return Tensor(self.data + other.data, _parents=(self, other), _backward=bwd)
+        return Tensor(self.data + other.data, _parents=(self, other),
+                      _backward=_sum_backward(self, other))
 
     __radd__ = __add__
 
@@ -169,13 +186,19 @@ class Tensor:
 
     def __matmul__(self, other):
         other = _as_tensor(other, self.dtype)
+        a, w = self.data, other.data
+        if a.ndim > 2 and w.ndim == 2:  # one GEMM over the stack's rows, not one per slice
+            lead = a.shape[:-1]
+            out = (a.reshape(math.prod(lead), a.shape[-1]) @ w).reshape(*lead, w.shape[-1])
+        else:
+            out = a @ w
 
         def bwd(g):
             if self.requires_grad:
-                self._accumulate(g @ np.swapaxes(other.data, -1, -2))
+                self._accumulate(g @ np.swapaxes(w, -1, -2))
             if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
-        return Tensor(self.data @ other.data, _parents=(self, other), _backward=bwd)
+                other._accumulate(np.swapaxes(a, -1, -2) @ g)
+        return Tensor(out, _parents=(self, other), _backward=bwd)
 
     # -- shape ----------------------------------------------------------
 
@@ -184,7 +207,7 @@ class Tensor:
                       _backward=lambda g: self._accumulate(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
-        inv = np.argsort(axes)
+        inv = sorted(range(len(axes)), key=axes.__getitem__)
         return Tensor(self.data.transpose(*axes), _parents=(self,),
                       _backward=lambda g: self._accumulate(g.transpose(*inv)))
 
@@ -219,6 +242,14 @@ def _as_tensor(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=dtype))
+
+
+def _sum_backward(*terms):
+    def bwd(g):
+        for t in terms:
+            if t.requires_grad:
+                t._accumulate(g)
+    return bwd
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -309,14 +340,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
-    # one float64 copy, centred in place; mean(c*c) is numpy's var without
-    # its second pass for the mean, and gives the same bits
+    # one float64 copy, centred in place; the moments are add.reduce / d,
+    # the bits of np.mean and np.var without their Python overhead
     c = x.data.astype(np.float64)
-    c -= c.mean(axis=-1, keepdims=True)
-    var = np.mean(c * c, axis=-1, keepdims=True)
+    c -= np.add.reduce(c, axis=-1, keepdims=True) / d
+    var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     c *= inv
     xhat = c.astype(x.dtype, copy=False)
+    # without a backward nothing reads xhat again, so the affine goes into it
+    y = np.multiply(xhat, gamma.data, out=None if any(
+        t.requires_grad for t in (x, gamma, beta)) else xhat)
+    y += beta.data
 
     def bwd(g):
         if x.requires_grad:
@@ -329,31 +364,37 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gamma._accumulate(np.sum(g * xhat, axis=axes))
         if beta.requires_grad:
             beta._accumulate(np.sum(g, axis=axes))
-    return Tensor(gamma.data * xhat + beta.data, _parents=(x, gamma, beta),
-                  _backward=bwd)
+    return Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
 
 
-def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
-    """Inverted dropout over a stack of passes, one per stream: zero with
-    prob p, survivors scaled 1/(1-p).
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, the same bits and gradients, with b added into x @ w."""
+    y = x @ w
+    y.data += b.data
+    return Tensor(y.data, _parents=(y, b), _backward=_sum_backward(y, b))
+
+
+def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
+    """Inverted dropout over a stack of passes, one per Philox key: zero
+    with prob p, survivors scaled 1/(1-p).
 
     x is a (seq, dim) input that every pass shares or a (P, seq, dim) stack
-    of P = len(streams) passes, and the result is (P, seq, dim). Pass i's
-    mask is drawn from streams[i] with the (seq, dim) shape; at p = 0 it is
-    all ones. No streams is eval mode: x itself.
+    of P = len(keys) passes, and the result is (P, seq, dim). Pass i's mask
+    is drawn from keys[i], a (seed, stream) row of the (P, 2) uint64 keys,
+    with the (seq, dim) shape; at p = 0 it is all ones. No keys is eval.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
-    if not streams:
+    if not len(keys):
         return x
-    if x.data.ndim > 2 and x.data.shape[0] != len(streams):
-        raise ShapeError(f"{len(streams)} streams for a stack of {x.data.shape[0]}")
-    shape = (len(streams),) + x.data.shape[-2:]
+    if x.data.ndim > 2 and x.data.shape[0] != len(keys):
+        raise ShapeError(f"{len(keys)} keys for a stack of {x.data.shape[0]}")
+    shape = (len(keys),) + x.data.shape[-2:]
     if p == 0.0:
         # a read-only view: the ones need no storage
         mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        mask = _dropout_masks(streams, p, shape, x.dtype)
+        mask = _dropout_masks(keys, p, shape, x.dtype)
         if not x.requires_grad:
             # no backward reads the mask, so the product goes into its
             # storage (m * x and x * m are the same bits)
@@ -361,18 +402,16 @@ def dropout(x: Tensor, p: float, streams: Sequence[RngStream]) -> Tensor:
     return x * Tensor(mask)
 
 
-def _dropout_masks(streams: Sequence[RngStream], p: float, shape: tuple,
-                   dtype) -> np.ndarray:
-    """(P, seq, dim) masks of the storage dtype, row i from streams[i]:
+def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarray:
+    """(P, seq, dim) masks of the storage dtype, row i from keys[i]:
     (draws >= p) * dtype(1/(1-p)), the same bits as the float64 divide
     ((draws >= p) / (1 - p)).astype(dtype).
 
-    One Philox bit generator is re-keyed per stream (counter 0, buffer
-    empty), which gives the draws of stream.generator() without building a
+    One Philox bit generator is re-keyed per key (counter 0, buffer empty),
+    which gives the draws of RngStream(*key).generator() without building a
     generator, and its seed sequence, per pass. The draws go through one
     reused float64 (seq, dim) buffer; only the comparison is kept per pass.
     """
-    keys = np.array([s.key for s in streams], dtype=np.uint64)
     philox = {"counter": np.zeros(4, dtype=np.uint64)}
     state = {"bit_generator": "Philox", "state": philox,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,

@@ -160,7 +160,7 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
         if prefix is not None:
             prefix = speech_embedding_dropout(
                 prefix, cfg.speech_emb_dropout, srng.child(0))
-        logits = model.forward(s.tokens, prefix, [srng.child(1), srng.child(2)])
+        logits = model.forward(s.tokens, prefix, srng.child_keys([1, 2]))
         # pass k's positions are rows k*seq.. of the flattened stack
         seq = len(s.tokens)
         flat = logits.reshape(2 * seq, NUM_CLASSES)

@@ -1,10 +1,10 @@
 """Reference implementations that tests compare the package against.
 
 None is used by the package itself: `grad_check` measures reverse-mode
-gradients against central finite differences, `dropout_masks_reference`
-draws dropout masks the plain way, one fresh generator per stream, and
-`brute_force_reference` re-scores a (prediction, gold) pair without the
-scorer's helpers.
+gradients against central finite differences, `keys_of` builds a key array
+from each stream's own `key`, `dropout_masks_reference` draws dropout masks
+the plain way, one fresh generator per stream, and `brute_force_reference`
+re-scores a (prediction, gold) pair without the scorer's helpers.
 """
 
 import numpy as np
@@ -53,6 +53,12 @@ def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def keys_of(streams) -> np.ndarray:
+    """(len(streams), 2) uint64 Philox keys, row i streams[i].key: the key
+    array `dropout` and `DiacritizerModel.forward` take."""
+    return np.array([s.key for s in streams], dtype=np.uint64).reshape(-1, 2)
 
 
 def dropout_masks_reference(streams, p: float, shape: tuple, dtype) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_criterion_02_rdrop_identities(corpora):
     srng = run.child(0)
     losses = []
     for pass_idx in (1, 2):
-        logits = model.forward(s.tokens, s.prefix, [srng.child(pass_idx)]) \
+        logits = model.forward(s.tokens, s.prefix, srng.child_keys([pass_idx])) \
             .reshape(len(s.tokens), NUM_CLASSES)
         rows = nm.embedding(logits, s.letter_rows)
         losses.append(focal_loss_ls(rows, s.targets, cfg0.focal_gamma,

@@ -110,6 +110,51 @@ def test_wav_rejects_malformed_chunks(tmp_path, fmt, data, error):
         load_wav(p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from([PCM16_FMT, FLOAT32_FMT]), data=st.data())
+def test_mutated_wav_loads_or_raises_typed_error(tmp_path_factory, fmt, data):
+    samples = np.linspace(-0.5, 0.5, 16)
+    payload = ((samples * 32767).astype("<i2") if fmt is PCM16_FMT
+               else samples.astype("<f4")).tobytes()
+    # a well-formed container whose chunk bodies may be cut short: the fmt
+    # chunk to 0-16 bytes, the data chunk to any byte length
+    fmt = fmt[:data.draw(st.one_of(st.just(16), st.integers(0, 16)))]
+    payload = payload[:data.draw(st.one_of(st.just(len(payload)),
+                                           st.integers(0, len(payload))))]
+    blob = bytearray(_wav_bytes(fmt, payload))
+    # (offset, width) of the header fields: the RIFF tag and size, WAVE, the
+    # fmt tag and size, the fmt fields present, the data tag and size
+    data_at = 20 + len(fmt) + (len(fmt) & 1)
+    fields = [(0, 4), (4, 4), (8, 4), (12, 4), (16, 4)] + \
+        [(20 + o, w) for o, w in ((0, 2), (2, 2), (4, 4), (8, 4), (12, 2), (14, 2))
+         if o + w <= len(fmt)] + [(data_at, 4), (data_at + 4, 4)]
+    # whole fields set to a size within the file or to any value, then
+    # single bytes at a field's start or inside it, or anywhere
+    for (pos, width), value in data.draw(st.lists(st.tuples(
+            st.sampled_from(fields),
+            st.one_of(st.integers(0, len(blob)), st.integers(0, 2 ** 32 - 1))),
+            max_size=2)):
+        blob[pos:pos + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
+    offsets = [pos for pos, _ in fields]
+    where = st.one_of(st.sampled_from(offsets),
+                      st.sampled_from(offsets).map(lambda o: o + 1),
+                      st.sampled_from(offsets).map(lambda o: o + 3),
+                      st.integers(0, len(blob) - 1))
+    for pos, value in data.draw(st.lists(st.tuples(where, st.integers(0, 255)),
+                                         max_size=3)):
+        blob[pos] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    if cut is not None:
+        del blob[cut:]
+    path = tmp_path_factory.getbasetemp() / "mutated.wav"
+    path.write_bytes(bytes(blob))
+    try:
+        w = load_wav(path)
+    except (FormatError, IngestError):
+        return
+    assert w.samples.dtype == np.float32 and np.all(np.isfinite(w.samples))
+
+
 # -- filterbank ----------------------------------------------------------
 
 

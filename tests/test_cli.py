@@ -426,6 +426,23 @@ def test_infer_malformed_wav_is_a_data_error(tmp_path, capsys):
     assert "fmt chunk" in err and "Traceback" not in err
 
 
+def test_infer_malformed_wav_fails_before_writing(tmp_path, capsys):
+    # the bad WAV belongs to the second record: no prediction may be written
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    _wav_with_short_fmt(tmp_path / "b.wav")
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(manifest, [
+        ManifestRecord("a", "", insert_diacritics(BA + TA, [1, 2])),
+        ManifestRecord("b", "b.wav", insert_diacritics(TA + BA, [2, 1]))])
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt), "--manifest", str(manifest),
+               "--out", str(out), "--passes", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "fmt chunk" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     write_run_config(cfg, desk_config(), desk_recipe(),

@@ -114,7 +114,7 @@ def test_mc_forward_matches_per_pass_reference(dtype, rtol):
     got = mc_forward(model, tokens, prefix, passes=5, p=0.1, rng=rng)
     # one stack of one per pass, as the ensemble ran before stacking
     ref = np.stack([
-        nm.softmax(model.forward(tokens, prefix, [rng.child(i)], dropout_p=0.1)
+        nm.softmax(model.forward(tokens, prefix, rng.child_keys([i]), dropout_p=0.1)
                    .reshape(len(tokens), 15), axis=-1).data
         for i in range(5)])
     assert got.dtype == ref.dtype == dtype
@@ -144,8 +144,8 @@ def test_diacritize_at_p_zero_runs_one_pass_and_keeps_the_result(monkeypatch):
     text, conf = diacritize(raw, None, [model], cfg)
     assert stacks == [1]
     # what the 50-pass stack it replaces gives: every row the eval output
-    streams = [RngStream(2).child(0).child(i) for i in range(50)]
-    logits = forward(model.encode_text(raw), None, streams, 0.0, grad=False)
+    keys = RngStream(2).child(0).child_keys(range(50))
+    logits = forward(model.encode_text(raw), None, keys, 0.0, grad=False)
     probs = nm.softmax(logits, axis=-1).data[:, model.letter_rows(raw), :]
     classes, expect_conf = ensemble_average([probs])
     assert text == insert_diacritics(raw, [int(c) for c in classes])

@@ -16,6 +16,7 @@ from multidiac.model import (
 from multidiac.numerics import RngStream
 from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES, Vocabulary,
                                 insert_diacritics, label_from_diacritized)
+from oracles import keys_of
 
 VOCAB = Vocabulary("بتثجح")
 
@@ -232,9 +233,9 @@ def test_eval_forward_deterministic():
 def test_training_forward_keyed_by_rng():
     model = small_model()
     tokens = model.encode_text("بت")
-    a = model.forward(tokens, None, [RngStream(1)]).data
-    b = model.forward(tokens, None, [RngStream(1)]).data
-    c = model.forward(tokens, None, [RngStream(2)]).data
+    a = model.forward(tokens, None, keys_of([RngStream(1)])).data
+    b = model.forward(tokens, None, keys_of([RngStream(1)])).data
+    c = model.forward(tokens, None, keys_of([RngStream(2)])).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -244,9 +245,9 @@ def test_forward_without_grad_builds_no_graph():
     tokens = model.encode_text("بت")
     prefix = nm.tensor(np.ones((model.config.prefix_len, model.config.text_dim)),
                        requires_grad=True)
-    streams = [RngStream(1), RngStream(2)]
-    with_graph = model.forward(tokens, prefix, streams)
-    without = model.forward(tokens, prefix, streams, grad=False)
+    keys = keys_of([RngStream(1), RngStream(2)])
+    with_graph = model.forward(tokens, prefix, keys)
+    without = model.forward(tokens, prefix, keys, grad=False)
     assert with_graph.requires_grad
     assert not without.requires_grad and not without._parents
     assert np.array_equal(with_graph.data, without.data)
@@ -254,28 +255,28 @@ def test_forward_without_grad_builds_no_graph():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_stream_rule(dtype):
-    """One row per stream for any p; row i is the stack of one with stream
-    i; no streams is eval, equal to a row of a p = 0 stack."""
+    """One row per key for any p; row i is the stack of one with key i; no
+    keys is eval, equal to a row of a p = 0 stack."""
     model = DiacritizerModel(desk_config(vocab_size=10), VOCAB, RngStream(0),
                              dtype=dtype)
     tokens = model.encode_text("بتث جح")
     seq = len(tokens)
     prefix = nm.tensor(np.random.default_rng(1).normal(
         0, 1, size=(model.config.prefix_len, model.config.text_dim)), dtype=dtype)
-    streams = [RngStream(3).child(i) for i in range(5)]
+    keys = RngStream(3).child_keys(range(5))
     for p in (0.0, 0.1):
-        stack = model.forward(tokens, prefix, streams, p)
+        stack = model.forward(tokens, prefix, keys, p)
         assert stack.shape == (5, seq, 15) and stack.dtype == dtype
         for grad in (True, False):
-            for i, stream in enumerate(streams):
-                one = model.forward(tokens, prefix, [stream], p, grad=grad)
+            for i in range(5):
+                one = model.forward(tokens, prefix, keys[i:i + 1], p, grad=grad)
                 assert np.array_equal(one.data, stack.data[i:i + 1])
     eval_logits = model.forward(tokens, prefix)
     assert eval_logits.shape == (seq, 15)
     assert np.array_equal(eval_logits.data,
-                          model.forward(tokens, prefix, streams, 0.0).data[2])
+                          model.forward(tokens, prefix, keys, 0.0).data[2])
     with pytest.raises(ShapeError):
-        nm.dropout(nm.tensor(np.ones((3, seq, 8))), 0.1, streams[:2])
+        nm.dropout(nm.tensor(np.ones((3, seq, 8))), 0.1, keys[:2])
 
 
 def test_init_deterministic_in_seed():

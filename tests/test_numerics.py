@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
 from multidiac.numerics import RngStream, Tensor, _splitmix64
-from oracles import dropout_masks_reference, grad_check
+from oracles import dropout_masks_reference, grad_check, keys_of
 
 
 def t64(data, requires_grad=True):
@@ -105,6 +105,46 @@ def _check(f, shape, seed=0, tol=1e-6):
     gen = np.random.default_rng(seed)
     x = t64(gen.normal(0, 1, size=shape))
     assert grad_check(f, x, h=1e-4) < tol
+
+
+@pytest.mark.parametrize("lead, k, n", [
+    ((50, 13), 64, 64), ((50, 13), 64, 256), ((50, 21), 256, 64), ((50, 21), 64, 15),
+    ((2, 11), 64, 64), ((4, 270), 512, 2048)])
+def test_stack_times_weight_is_one_gemm_with_per_slice_bits(lead, k, n):
+    """(..., seq, k) @ (k, n) runs as one GEMM over the folded rows; on the
+    model's shapes (desk stacks, a full-width MLP) that gives the bits of
+    numpy's per-slice products."""
+    gen = np.random.default_rng(23)
+    a = gen.normal(0, 1, size=lead + (k,)).astype(np.float32)
+    w = gen.normal(0, 1, size=(k, n)).astype(np.float32)
+    got = (Tensor(a) @ Tensor(w)).data
+    assert got.shape == lead + (n,)
+    assert got.tobytes() == np.stack([a[i] @ w for i in range(lead[0])]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_is_matmul_plus_bias(dtype):
+    gen = np.random.default_rng(24)
+    x0 = gen.normal(0, 1, size=(3, 7, 16)).astype(dtype)
+    w0 = gen.normal(0, 1, size=(16, 12)).astype(dtype)
+    b0 = gen.normal(0, 1, size=(12,)).astype(dtype)
+    g = gen.normal(0, 1, size=(3, 7, 12)).astype(dtype)
+    runs = []
+    for op in (nm.linear, lambda x, w, b: x @ w + b):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        y = op(x, w, b)
+        (y * Tensor(g)).sum().backward()
+        runs.append([y.data.tobytes(), x.grad.tobytes(), w.grad.tobytes(),
+                     b.grad.tobytes()])
+    assert runs[0] == runs[1]
+    w, b = t64(w0), t64(b0)
+    for arg in range(3):
+        def f(t):
+            xs = [t64(x0, requires_grad=False), w, b]
+            xs[arg] = t
+            return (nm.linear(*xs) ** 2.0).sum()
+        start = (x0, w0, b0)[arg]
+        assert grad_check(f, t64(start), h=1e-4) < 1e-6
 
 
 def test_grad_add_mul_pow():
@@ -343,14 +383,17 @@ def test_layer_norm_bitwise_matches_upcast_mean_var(dtype, shape):
     x = gen.normal(3, 5, size=shape).astype(dtype)
     g = gen.normal(1, 0.1, size=shape[-1]).astype(dtype)
     b = gen.normal(0, 0.1, size=shape[-1]).astype(dtype)
-    got = nm.layer_norm(*(nm.tensor(a, dtype=dtype) for a in (x, g, b))).data
     x64 = x.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
     xhat = ((x64 - mu) * (1.0 / np.sqrt(var + 1e-5))).astype(dtype)
     want = g * xhat + b
-    assert got.dtype == want.dtype == dtype
-    assert np.array_equal(got, want)
+    # without a gradient the affine runs in place, with one it does not
+    for requires_grad in (False, True):
+        got = nm.layer_norm(*(nm.tensor(a, dtype=dtype, requires_grad=requires_grad)
+                              for a in (x, g, b))).data
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 def test_layer_norm_validation():
@@ -409,19 +452,19 @@ def test_softmax_and_gelu_peak_allocation():
 
 def test_dropout_eval_is_identity_object():
     x = t64([[1.0, 2.0]])
-    assert nm.dropout(x, 0.5, []) is x
-    # p = 0 keeps the stack shape: one all-ones row per stream
-    y = nm.dropout(x, 0.0, [RngStream(0), RngStream(1)])
+    assert nm.dropout(x, 0.5, nm.NO_KEYS) is x
+    # p = 0 keeps the stack shape: one all-ones row per key
+    y = nm.dropout(x, 0.0, keys_of([RngStream(0), RngStream(1)]))
     assert y.shape == (2, 1, 2) and np.array_equal(y.data, np.stack([x.data] * 2))
 
 
 def test_dropout_mask_and_scaling():
     x = nm.tensor(np.ones((100, 100)), dtype=np.float64)
-    y = nm.dropout(x, 0.3, [RngStream(5)]).data
+    y = nm.dropout(x, 0.3, keys_of([RngStream(5)])).data
     kept = y != 0
     assert abs(kept.mean() - 0.7) < 0.02
     assert np.allclose(y[kept], 1.0 / 0.7)
-    y2 = nm.dropout(x, 0.3, [RngStream(5)]).data
+    y2 = nm.dropout(x, 0.3, keys_of([RngStream(5)])).data
     assert np.array_equal(y, y2)
 
 
@@ -429,19 +472,20 @@ def test_dropout_stack_draws_each_pass_from_its_stream():
     gen = np.random.default_rng(6)
     shared = nm.tensor(gen.normal(0, 1, size=(5, 8)))
     stack = nm.tensor(gen.normal(0, 1, size=(3, 5, 8)))
-    streams = [RngStream(5).child(i) for i in range(3)]
-    from_shared = nm.dropout(shared, 0.3, streams).data
-    from_stack = nm.dropout(stack, 0.3, streams).data
+    keys = RngStream(5).child_keys(range(3))
+    from_shared = nm.dropout(shared, 0.3, keys).data
+    from_stack = nm.dropout(stack, 0.3, keys).data
     assert from_shared.shape == from_stack.shape == (3, 5, 8)
-    for i, stream in enumerate(streams):
-        assert np.array_equal(from_shared[i], nm.dropout(shared, 0.3, [stream]).data[0])
+    for i in range(3):
+        one_key = keys[i:i + 1]
+        assert np.array_equal(from_shared[i], nm.dropout(shared, 0.3, one_key).data[0])
         one = nm.tensor(stack.data[i])
-        assert np.array_equal(from_stack[i], nm.dropout(one, 0.3, [stream]).data[0])
+        assert np.array_equal(from_stack[i], nm.dropout(one, 0.3, one_key).data[0])
     with pytest.raises(ShapeError):
-        nm.dropout(stack, 0.3, streams[:2])
+        nm.dropout(stack, 0.3, keys[:2])
     # a shared input's gradient sums the passes' masks, all ones at p = 0
     for p in (0.3, 0.0):
-        _check(lambda x: (nm.dropout(x, p, streams) ** 2.0).sum(), (5, 8))
+        _check(lambda x: (nm.dropout(x, p, keys) ** 2.0).sum(), (5, 8))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -459,7 +503,7 @@ def test_dropout_draws_match_a_fresh_generator_per_stream(p, dtype):
         expect = data * mask
         for requires_grad in (False, True):
             x = Tensor(data, requires_grad=requires_grad)
-            y = nm.dropout(x, p, streams)
+            y = nm.dropout(x, p, keys_of(streams))
             assert y.dtype == dtype
             assert y.data.tobytes() == expect.tobytes()
         # the backward multiplies by the same mask
@@ -471,9 +515,9 @@ def test_dropout_draws_match_a_fresh_generator_per_stream(p, dtype):
 def test_dropout_rejects_bad_p():
     x = t64([1.0])
     with pytest.raises(ConfigError):
-        nm.dropout(x, 1.0, [RngStream(0)])
+        nm.dropout(x, 1.0, keys_of([RngStream(0)]))
     with pytest.raises(ConfigError):
-        nm.dropout(x, -0.1, [RngStream(0)])
+        nm.dropout(x, -0.1, keys_of([RngStream(0)]))
 
 
 # -- grad_check interface ------------------------------------------------
@@ -524,6 +568,30 @@ def test_sum_grad_is_ones(rows, cols, seed):
     x = t64(np.random.default_rng(seed).normal(0, 1, size=(rows, cols)))
     x.sum().backward()
     assert np.array_equal(x.grad, np.ones((rows, cols)))
+
+
+BIG = 2 ** 64
+
+
+@given(seed=st.one_of(st.integers(0, 2 ** 16), st.integers(2 ** 63, BIG - 1),
+                      st.integers(-BIG, BIG * 4)),
+       stream=st.one_of(st.integers(0, 2 ** 16), st.integers(BIG - 2 ** 16, BIG - 1),
+                        st.integers(-BIG, BIG * 4)),
+       index=st.one_of(st.integers(-3, 300), st.integers(-BIG * 2, BIG * 2)),
+       more=st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_array_children_equal_stream_children(seed, stream, index, more):
+    """child_keys on (P, 2) keys, and RngStream.child_keys over a list of
+    indices, give bit for bit the keys of RngStream.child, for negative
+    indices, streams near 2**64 - 1 and seeds at or past 2**63 too."""
+    root = RngStream(seed, stream)
+    streams = [root] + [root.child(i) for i in more]
+    got = nm.child_keys(keys_of(streams), index)
+    assert got.dtype == np.uint64 and got.shape == (len(streams), 2)
+    assert got.tolist() == [list(s.child(index).key) for s in streams]
+    indices = [index] + more
+    assert root.child_keys(indices).tolist() == [list(root.child(i).key) for i in indices]
+    assert nm.child_keys(nm.NO_KEYS, index).shape == (0, 2)
 
 
 @given(st.integers(0, 2 ** 16), st.integers(0, 64), st.integers(0, 64))

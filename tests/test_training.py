@@ -201,7 +201,7 @@ def rdrop_per_pass(samples, model, cfg, rng):
             prefix = speech_embedding_dropout(
                 prefix, cfg.speech_emb_dropout, srng.child(0))
         seq = len(s.tokens)
-        rows = [nm.embedding(model.forward(s.tokens, prefix, [srng.child(k)])
+        rows = [nm.embedding(model.forward(s.tokens, prefix, srng.child_keys([k]))
                              .reshape(seq, NUM_CLASSES), s.letter_rows)
                 for k in (1, 2)]
         obj = (focal_loss_ls(rows[0], s.targets, cfg.focal_gamma, cfg.label_smoothing)
