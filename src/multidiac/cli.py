@@ -55,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def utf8_path(text: str) -> str:
+    """A path run_config.ini can echo: argparse reports the UnicodeEncodeError
+    of an undecodable byte (a lone surrogate) as a usage error."""
+    text.encode("utf-8")
+    return text
+
+
 # -- resolved-config document --------------------------------------------
 
 
@@ -242,9 +249,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one checkpoint series")
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=True, type=utf8_path)
     p.add_argument("--dev-manifest")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=utf8_path)
     p.add_argument("--config", help="echoed run_config.ini to reproduce")
     p.add_argument("--preset", choices=sorted(TRAIN_PRESETS),
                    default="table1-primary")
@@ -256,8 +263,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("infer", help="MC-Dropout ensemble inference")
     p.add_argument("--checkpoints", required=True,
                    help="comma-separated checkpoint files")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--manifest", required=True, type=utf8_path)
+    p.add_argument("--out", required=True, type=utf8_path)
     p.add_argument("--passes", type=int, default=50)
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)

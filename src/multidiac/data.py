@@ -50,7 +50,7 @@ def load_manifest(path, check_audio: bool = True) -> list[ManifestRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
                 raise ManifestError(f"{path}:{lineno}: malformed record: {e}") \
                     from None
             if not isinstance(obj, dict):
@@ -61,6 +61,11 @@ def load_manifest(path, check_audio: bool = True) -> list[ManifestRecord]:
                 if not isinstance(obj[key], str):
                     raise ManifestError(f"{path}:{lineno}: field {key!r} must be "
                                         f"a string, got {type(obj[key]).__name__}")
+                try:  # a lone surrogate escape such as "\ud800" has no UTF-8
+                    obj[key].encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise ManifestError(f"{path}:{lineno}: field {key!r} is not "
+                                        f"UTF-8 text ({e.reason})") from None
             if obj["id"] in seen:
                 raise ManifestError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
             seen.add(obj["id"])

@@ -233,8 +233,7 @@ class DiacritizerModel:
             else:
                 # stem and final norm follow the lowest block
                 p.requires_grad = trainable_top >= self.config.speech_blocks
-        for p in self.params.values():
-            p.grad = None
+        self.zero_grad()
 
     def trainable_names(self) -> list[str]:
         return [n for n, p in self.params.items() if p.requires_grad]

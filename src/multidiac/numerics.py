@@ -1,13 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Everything the model needs runs through the `Tensor` class: matmul, add,
-GELU, embedding lookup, softmax, layer norm, dropout, attention and time
-pooling, each with an analytic backward. Storage is row-major float32 by
-default (float64 available for verification work). Elementwise work runs
-in the storage dtype. Three reductions keep float64 accumulators and cast
-back: `sum`/`mean`, the softmax row sums and the layer-norm moments. A
-stack times a weight matrix runs as one GEMM over its folded rows (the same
-bits as per slice at the model's shapes; gradients keep numpy's per-slice
+Everything the model needs runs through the `Tensor` class (add, multiply,
+matmul, reshape, transpose, sum, mean) and the primitives GELU, embedding
+lookup, softmax, layer norm, dropout, attention and time pooling, each
+with an analytic backward; the training losses are single ops too, on
+`softmax_array`. Storage is row-major float32 by default (float64
+available for verification work). Elementwise work runs in the storage
+dtype. Three reductions keep float64 accumulators and cast back:
+`sum`/`mean`, the softmax row sums and the layer-norm moments. A stack
+times a weight matrix runs as one GEMM over its folded rows (the same bits
+as per slice at the model's shapes; gradients keep numpy's per-slice
 products), and `linear` adds its bias into the product.
 
 Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
@@ -157,16 +159,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor(-self.data, _parents=(self,),
-                      _backward=lambda g: self._accumulate(-g))
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return _as_tensor(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
 
@@ -178,11 +170,6 @@ class Tensor:
         return Tensor(self.data * other.data, _parents=(self, other), _backward=bwd)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: float):
-        def bwd(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-        return Tensor(self.data ** exponent, _parents=(self,), _backward=bwd)
 
     def __matmul__(self, other):
         other = _as_tensor(other, self.dtype)
@@ -210,17 +197,6 @@ class Tensor:
         inv = sorted(range(len(axes)), key=axes.__getitem__)
         return Tensor(self.data.transpose(*axes), _parents=(self,),
                       _backward=lambda g: self._accumulate(g.transpose(*inv)))
-
-    # -- elementwise functions ------------------------------------------
-
-    def log(self):
-        return Tensor(np.log(self.data), _parents=(self,),
-                      _backward=lambda g: self._accumulate(g / self.data))
-
-    def clamp_min(self, floor: float):
-        mask = self.data >= floor
-        return Tensor(np.maximum(self.data, floor), _parents=(self,),
-                      _backward=lambda g: self._accumulate(g * mask))
 
     # -- reductions (float64 accumulation) ------------------------------
 
@@ -312,18 +288,24 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(y, _parents=(x,), _backward=bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax_array(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along `axis`; rejects non-finite input.
 
     Shift and exp run in place in the storage dtype; only the row sums
     accumulate in float64.
     """
-    if not np.all(np.isfinite(x.data)):
+    if not np.all(np.isfinite(z)):
         raise NumericError("softmax input contains non-finite values")
-    p = x.data - np.max(x.data, axis=axis, keepdims=True)
+    p = z - np.max(z, axis=axis, keepdims=True)
     np.exp(p, out=p)
     total = np.sum(p, axis=axis, keepdims=True, dtype=np.float64)
     p *= (1.0 / total).astype(p.dtype)
+    return p
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """`softmax_array` of x as an autodiff op."""
+    p = softmax_array(x.data, axis)
 
     def bwd(g):
         dot = np.sum(g * p, axis=axis, keepdims=True)

@@ -62,19 +62,13 @@ _MARKS_TO_CLASS = {marks: cid for cid, marks in enumerate(CLASS_MARKS)}
 
 def class_of_marks(marks: str, offset: int | None = None) -> int:
     """Map a run of combining marks (any order) to its class id."""
-    shadda_count = marks.count(SHADDA)
-    rest = [m for m in marks if m != SHADDA]
-    if shadda_count > 1 or len(rest) > 1:
+    # shadda first: a second shadda or a second other mark is in no class
+    canonical = SHADDA * marks.count(SHADDA) + "".join(m for m in marks if m != SHADDA)
+    if canonical not in _MARKS_TO_CLASS:
         raise MalformedInputError(
             f"mark combination {[hex(ord(m)) for m in marks]} outside the "
             f"15-class inventory", offset=offset)
-    canonical = SHADDA * shadda_count + "".join(rest)
-    try:
-        return _MARKS_TO_CLASS[canonical]
-    except KeyError:
-        raise MalformedInputError(
-            f"mark combination {[hex(ord(m)) for m in marks]} outside the "
-            f"15-class inventory", offset=offset) from None
+    return _MARKS_TO_CLASS[canonical]
 
 
 def marks_of_class(class_id: int) -> str:

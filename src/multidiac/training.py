@@ -4,7 +4,8 @@ the per-epoch freeze policy, and bit-exact checkpoint I/O.
 
 The R-Drop objective runs each sample through the model twice with
 different dropout masks and adds alpha times the symmetric KL divergence
-between the two softmax outputs to the mean of the two focal losses.
+between the two softmax outputs to the mean of the two focal losses. Each
+loss is one autodiff op with an analytic backward.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     """Label-smoothed focal loss, mean over the given positions.
 
     Per position, with smoothed target q_k = (1-eps)*1[k=t] + eps/K and
-    p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k).
-    """
+    p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k), p and 1-p
+    clamped at 1e-12; no gradient flows where a clamp binds."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[:-1]:
         raise nm.ShapeError(f"{targets.shape} targets for logit rows "
@@ -118,24 +119,39 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     n = len(targets)
     q = np.full((n, NUM_CLASSES), epsilon / NUM_CLASSES, dtype=np.float64)
     q[np.arange(n), targets] += 1.0 - epsilon
-    p = nm.softmax(logits, axis=-1)
-    neg_logp = -(p.clamp_min(1e-12).log())
-    modulation = ((1.0 - p).clamp_min(1e-12)) ** gamma
-    per_pos = (nm.tensor(q, dtype=logits.dtype) * modulation * neg_logp).sum(axis=-1)
-    return per_pos.mean()
+    p = nm.softmax_array(logits.data)
+    u = 1.0 - p
+    pc, uc = np.maximum(p, 1e-12), np.maximum(u, 1e-12)
+    logp = np.log(pc)
+    w = q.astype(logits.dtype) * uc ** gamma
+    per_pos = np.sum(w * -logp, axis=-1, dtype=np.float64).astype(logits.dtype)
+
+    def bwd(g):
+        # d/dp of w * -log p, w = q (1-p)^gamma: gamma w log(p) / (1-p) - w / p
+        dp = (gamma * w / uc * logp * (u >= 1e-12) - w / pc * (p >= 1e-12)) * (g / n)
+        logits._accumulate((dp - np.sum(dp * p, axis=-1, keepdims=True)) * p)
+    return Tensor(np.sum(per_pos, dtype=np.float64).astype(logits.dtype) * (1.0 / n),
+                  _parents=(logits,), _backward=bwd)
 
 
 def sym_kl(p: Tensor, q: Tensor) -> Tensor:
     """Mean over positions of (KL(p||q) + KL(q||p)) / 2, probabilities
-    clamped at 1e-12."""
+    clamped at 1e-12; no gradient flows where a clamp binds."""
     if p.shape != q.shape:
         raise nm.ShapeError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    pc = p.clamp_min(1e-12)
-    qc = q.clamp_min(1e-12)
-    log_ratio = pc.log() - qc.log()
-    kl_pq = (pc * log_ratio).sum(axis=-1)
-    kl_qp = (qc * (-1.0 * log_ratio)).sum(axis=-1)
-    return ((kl_pq + kl_qp) * 0.5).mean()
+    pc, qc = np.maximum(p.data, 1e-12), np.maximum(q.data, 1e-12)
+    log_ratio = np.log(pc) - np.log(qc)
+    kl_pq = np.sum(pc * log_ratio, axis=-1, dtype=np.float64).astype(p.dtype)
+    kl_qp = np.sum(qc * -log_ratio, axis=-1, dtype=np.float64).astype(p.dtype)
+    n = kl_pq.size
+
+    def bwd(g):
+        # d/da of (a - b)(log a - log b) / 2 is (log(a/b) + 1 - b/a) / 2
+        for t, a, b, r in ((p, pc, qc, log_ratio), (q, qc, pc, -log_ratio)):
+            if t.requires_grad:
+                t._accumulate((r + 1.0 - b / a) * (t.data >= 1e-12) * (g * 0.5 / n))
+    total = np.sum((kl_pq + kl_qp) * 0.5, dtype=np.float64).astype(p.dtype)
+    return Tensor(total * (1.0 / n), _parents=(p, q), _backward=bwd)
 
 
 @dataclass
@@ -174,10 +190,7 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
             p2 = nm.softmax(rows2, axis=-1)
             obj = obj + cfg.rdrop_alpha * sym_kl(p1, p2)
         losses.append(obj)
-    total = losses[0]
-    for l in losses[1:]:
-        total = total + l
-    return total * (1.0 / len(losses))
+    return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
 
 # -- optimizer and schedule ----------------------------------------------

@@ -4,10 +4,14 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multidiac
 from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
                            read_run_config, write_run_config)
 from multidiac.data import ManifestRecord, write_manifest
@@ -441,6 +445,84 @@ def test_infer_malformed_wav_fails_before_writing(tmp_path, capsys):
     assert rc == EXIT_DATA
     assert "fmt chunk" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _command(command, tmp_path, manifest, out):
+    """train (desk preset) or infer (a desk checkpoint) argv."""
+    if command == "train":
+        return ["train", "--manifest", manifest, "--out", out, "--preset", "desk"]
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    return ["infer", "--checkpoints", str(ckpt), "--manifest", manifest,
+            "--out", out, "--passes", "1"]
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+def test_non_utf8_path_is_a_usage_error_before_writing(tmp_path, capsys, command, flag):
+    # an undecodable byte reaches argv as a lone surrogate, which the
+    # [paths] section of run_config.ini cannot hold
+    bad = str(tmp_path / os.fsdecode(b"bad\xffdir"))
+    paths = {"--manifest": str(_text_manifest(tmp_path / "in.jsonl")),
+             "--out": str(tmp_path / "o")}
+    paths[flag] = bad
+    rc = main(_command(command, tmp_path, paths["--manifest"], paths["--out"]))
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not os.path.exists(bad) and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_lone_surrogate_in_manifest_is_a_data_error_before_writing(
+        tmp_path, capsys, command):
+    manifest = tmp_path / "in.jsonl"
+    manifest.write_text(json.dumps({"id": "a", "audio": "", "text": BA + "\ud800"})
+                        + "\n")
+    out = tmp_path / "o"
+    rc = main(_command(command, tmp_path, str(manifest), str(out)))
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_deeply_nested_record_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "m.jsonl"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    assert main(["eval", "--pred", str(path), "--gold", str(path)]) == EXIT_DATA
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_desk_run_is_bitwise_equal_on_one_and_two_blas_threads(tmp_path):
+    """A 4-sample desk train and a 50-pass infer, each in a process of its
+    own per OPENBLAS_NUM_THREADS value, give the same checkpoint and the
+    same predictions: at desk width no GEMM's bits depend on the thread
+    count (the full-width speech attention's does; see README)."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--n", "4", "--seed", "0",
+                 "--desk-shape"]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multidiac.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+                       "PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+
+        def cli(*argv):
+            done = subprocess.run([sys.executable, "-m", "multidiac.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        trained = cli("train", "--preset", "desk", "--manifest",
+                      str(corpus / "train.jsonl"), "--out", str(out / "run"))
+        ckpt = trained.split("selected=")[1].strip()
+        cli("infer", "--checkpoints", ckpt, "--passes", "50", "--manifest",
+            str(corpus / "dev.jsonl"), "--out", str(out / "infer"))
+        outputs.append([hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                        for path in (ckpt, out / "infer" / "predictions.jsonl")])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):

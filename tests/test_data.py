@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidiac.audiofe import SAMPLE_RATE, load_wav
 from multidiac.data import (
@@ -65,6 +67,72 @@ def test_manifest_skips_blank_lines(tmp_path):
     p = tmp_path / "m.jsonl"
     p.write_text('\n{"id": "a", "audio": "", "text": "x"}\n\n')
     assert len(load_manifest(p)) == 1
+
+
+@pytest.mark.parametrize("key", ["id", "audio", "text"])
+def test_manifest_rejects_a_lone_surrogate_escape(tmp_path, key):
+    # json.dumps writes the lone surrogate as the escape \ud800; the record
+    # would load, and the run fail at its first UTF-8 write
+    rec = {"id": "a", "audio": "", "text": BA}
+    rec[key] = "x\ud800"
+    p = tmp_path / "m.jsonl"
+    p.write_text(json.dumps(rec) + "\n")
+    assert "\\ud800" in p.read_text()
+    with pytest.raises(ManifestError, match=f"'{key}' is not UTF-8"):
+        load_manifest(p, check_audio=False)
+
+
+def test_manifest_loads_an_escaped_surrogate_pair(tmp_path):
+    p = tmp_path / "m.jsonl"
+    p.write_text('{"id": "\\ud83d\\ude00", "audio": "", "text": "x"}\n')
+    assert load_manifest(p)[0].id == "\U0001F600"
+
+
+@pytest.mark.parametrize("line", ["[" * 100_000 + "]" * 100_000, "1" * 5000])
+def test_manifest_rejects_what_json_cannot_parse(tmp_path, line):
+    # nesting past the recursion limit, an integer past Python's digit limit
+    p = tmp_path / "m.jsonl"
+    p.write_text('{"id": "a", "audio": "", "text": "x"}\n' + line + "\n")
+    with pytest.raises(ManifestError, match=":2: malformed record"):
+        load_manifest(p)
+
+
+# pieces spliced into a valid manifest: escapes that are or are not UTF-16
+# pairs, JSON structure, nesting past the recursion limit, a long integer,
+# bytes that are not UTF-8
+MANIFEST_PIECES = [b"\\ud800", b"\\udfff", b"\\ude00\\ud83d", b"\\ud83d\\ude00",
+                   b"\\ud83d", b"\\u0628", b"\\", b'"', b"{", b"}", b"[", b"]",
+                   b",", b":", b"null", b"\n", b"[" * 5000, b"7" * 5000,
+                   b"\xff", b"\xc3", b"\xed\xa0\x80", "\u064e".encode()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_loads_or_raises_manifest_error(tmp_path_factory, data):
+    blob = bytearray("".join(
+        json.dumps({"id": f"r{i}", "audio": "", "text": BA + FATHA + TA},
+                   ensure_ascii=False) + "\n" for i in range(2)).encode())
+    # splice at a string's first byte, or anywhere; then overwrite bytes
+    starts = [i + 1 for i, b in enumerate(blob) if b == ord('"')]
+    where = st.one_of(st.sampled_from(starts), st.integers(0, len(blob)))
+    for pos, piece in data.draw(st.lists(st.tuples(
+            where, st.one_of(st.sampled_from(MANIFEST_PIECES),
+                             st.binary(min_size=1, max_size=3))),
+            min_size=1, max_size=3)):
+        blob[pos:pos] = piece
+    for pos, value in data.draw(st.lists(st.tuples(
+            st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=2)):
+        blob[pos] = value
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_bytes(bytes(blob))
+    try:
+        records = load_manifest(path)
+    except ManifestError:
+        return
+    for r in records:
+        for value in (r.id, r.audio, r.text):
+            assert isinstance(value, str)
+            value.encode("utf-8")
 
 
 # -- ratio filter --------------------------------------------------------

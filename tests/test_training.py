@@ -96,6 +96,43 @@ def test_focal_loss_gradient():
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.34, 1.0, 2.0])
+def test_focal_loss_gradient_on_saturated_rows(gamma):
+    # rows 0 and 1 have one logit 40 above the rest, so p rounds to 1 there
+    # and sits near 1e-17 elsewhere: row 0's target is below the p clamp,
+    # row 1's is at 1 - p = 0, below the 1 - p clamp
+    gen = np.random.default_rng(6)
+    logits = gen.normal(0, 1, size=(4, NUM_CLASSES))
+    logits[0, 3] += 40.0
+    logits[1, 7] += 40.0
+    targets = np.array([5, 7, 2, 11])
+    x = t64(logits)
+    err = grad_check(lambda t: focal_loss_ls(t, targets, gamma, 0.018), x, h=1e-4)
+    assert np.all(np.isfinite(x.grad)) and err < 1e-5
+    x32 = nm.tensor(logits, requires_grad=True)
+    focal_loss_ls(x32, targets, gamma, 0.018).backward()
+    assert np.all(np.isfinite(x32.grad))
+
+
+def test_losses_build_one_graph_node(monkeypatch):
+    made = []
+    init = nm.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    gen = np.random.default_rng(7)
+    logits = t64(gen.normal(0, 1, size=(5, NUM_CLASSES)))
+    p, q = (t64(gen.dirichlet(np.ones(NUM_CLASSES), size=5)) for _ in range(2))
+    monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
+    loss = focal_loss_ls(logits, gen.integers(0, NUM_CLASSES, size=5), 0.34, 0.018)
+    assert made == [loss] and loss._parents == (logits,)
+    made.clear()
+    kl = sym_kl(p, q)
+    assert made == [kl] and kl._parents == (p, q)
+
+
 def test_focal_loss_rejects_a_target_count_unlike_the_rows():
     # one target would broadcast over all five rows; two cannot broadcast
     logits = t64(np.zeros((5, NUM_CLASSES)))
@@ -136,6 +173,20 @@ def test_sym_kl_gradient():
     # components near zero inflate the relative measure; 1e-3 is the
     # fidelity bar used throughout
     assert err < 1e-3
+
+
+def test_sym_kl_passes_no_gradient_below_the_clamp():
+    gen = np.random.default_rng(8)
+    a = gen.dirichlet(np.ones(NUM_CLASSES), size=4)
+    b = gen.dirichlet(np.ones(NUM_CLASSES), size=4)
+    a[0, :3], b[1, 4:6] = 1e-15, 0.0  # below 1e-12
+    for dtype in (np.float64, np.float32):
+        p, q = (nm.tensor(v, dtype=dtype, requires_grad=True) for v in (a, b))
+        sym_kl(p, q).backward()
+        for t in (p, q):
+            low = t.data < 1e-12
+            assert low.sum() >= 2 and np.all(t.grad[low] == 0.0)
+            assert np.all(np.isfinite(t.grad)) and np.all(t.grad[~low] != 0.0)
 
 
 # -- R-Drop objective ----------------------------------------------------
@@ -275,8 +326,9 @@ def test_backward_skips_operands_without_grad(monkeypatch):
     for t in constants:
         t.requires_grad = True
     loss.backward()
-    # per sample: two pass masks per dropout, the pad, the pooled frames
-    assert sum(t.grad is not None for t in constants) > 50
+    # per sample: the mask of each of the desk model's 4 dropout calls (one
+    # tensor holds both passes), the pad and the pooled frames
+    assert sum(t.grad is not None for t in constants) >= 4 * (4 + 1 + 1)
     for name in trainable:
         assert guarded[name].tobytes() == model.params[name].grad.tobytes(), name
 
