@@ -18,8 +18,9 @@ the draw sequence, and `child()` derives independent sub-streams via a
 splitmix64 hash, so any op that consumes randomness is a pure function of
 its inputs plus the stream. A stack of passes carries its streams as a
 (P, 2) uint64 array of Philox keys, whose children `child_keys` derives at
-once, bit for bit. `dropout` builds one generator per call and re-keys it
-for each key, which gives the same draws as `RngStream.generator()`.
+once, bit for bit. `dropout` builds one Philox bit generator per call and
+re-keys it for each key, which gives the same words as
+`RngStream.generator()`; it compares them with p as integers.
 """
 
 from __future__ import annotations
@@ -390,35 +391,35 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarra
     ((draws >= p) / (1 - p)).astype(dtype).
 
     One Philox bit generator is re-keyed per key (counter 0, buffer empty),
-    which gives the draws of RngStream(*key).generator() without building a
-    generator, and its seed sequence, per pass. The draws go through one
-    reused float64 (seq, dim) buffer; only the comparison is kept per pass.
+    which gives the words of RngStream(*key).generator() without building a
+    generator, and its seed sequence, per pass. A float64 draw is
+    (u >> 11) * 2**-53 of a raw 64-bit word u, so draw >= p exactly when
+    u >= ceil(p * 2**53) << 11: the raw words are compared with that.
     """
     philox = {"counter": np.zeros(4, dtype=np.uint64)}
     state = {"bit_generator": "Philox", "state": philox,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     bits = np.random.Philox()
-    gen = np.random.Generator(bits)
-    draws = np.empty(shape[1:])
+    threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     keep = np.empty(shape, dtype=bool)
     for key, kept in zip(keys, keep):
         philox["key"] = key
         bits.state = state
-        gen.random(out=draws)
-        np.greater_equal(draws, p, out=kept)
+        np.greater_equal(bits.random_raw(shape[1:]), threshold, out=kept)
     return np.multiply(keep, np.dtype(dtype).type(1.0 / (1.0 - p)), dtype=dtype)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup with scatter-add backward; also serves as index_select."""
+    """Row lookup along the second-to-last axis with scatter-add backward;
+    also serves as index_select, e.g. of letter rows from each pass."""
     ids = np.asarray(ids, dtype=np.int64)
 
     def bwd(g):
         acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
+        np.add.at(np.moveaxis(acc, -2, 0), ids, np.moveaxis(g, -2, 0))
         table._accumulate(acc)
-    return Tensor(table.data[ids], _parents=(table,), _backward=bwd)
+    return Tensor(table.data[..., ids, :], _parents=(table,), _backward=bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

@@ -10,6 +10,7 @@ input since real corpora mix them.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -117,19 +118,9 @@ def letter_indices(raw: str) -> list[int]:
 
 def word_spans(raw: str) -> list[tuple[int, int]]:
     """Whitespace-delimited maximal runs containing at least one Arabic letter."""
-    spans = []
-    start = None
-    for i, c in enumerate(raw):
-        if c.isspace():
-            if start is not None:
-                spans.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        spans.append((start, len(raw)))
-    return [(s, e) for s, e in spans
-            if any(raw[i] in ARABIC_LETTERS for i in range(s, e))]
+    # \s is str.isspace() on every code point
+    return [m.span() for m in re.finditer(r"\S+", raw)
+            if any(c in ARABIC_LETTERS for c in m.group())]
 
 
 def label_from_diacritized(text: str) -> LabeledText:
@@ -201,24 +192,12 @@ def canonicalize(text: str) -> str:
 
 def diacritization_ratio(text: str) -> float:
     """(Arabic letters bearing >=1 mark) / (total Arabic letters); 0 if none."""
-    total = 0
-    marked = 0
-    prev_is_letter = False
-    counted_current = False
-    for c in text:
-        if c in ARABIC_LETTERS:
-            total += 1
-            prev_is_letter = True
-            counted_current = False
-        elif c in DIACRITICS and prev_is_letter:
-            if not counted_current:
-                marked += 1
-                counted_current = True
-        else:
-            prev_is_letter = False
+    total = sum(c in ARABIC_LETTERS for c in text)
     if total == 0:
         return 0.0
-    return marked / total
+    # a letter bears a mark when a mark follows it
+    return sum(a in ARABIC_LETTERS and b in DIACRITICS
+               for a, b in zip(text, text[1:])) / total
 
 
 @dataclass

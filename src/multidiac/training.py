@@ -5,7 +5,8 @@ the per-epoch freeze policy, and bit-exact checkpoint I/O.
 The R-Drop objective runs each sample through the model twice with
 different dropout masks and adds alpha times the symmetric KL divergence
 between the two softmax outputs to the mean of the two focal losses. Each
-loss is one autodiff op with an analytic backward.
+loss is one autodiff op with an analytic backward, on the (2, letters, 15)
+stack of the pair's letter rows.
 """
 
 from __future__ import annotations
@@ -103,20 +104,21 @@ TRAIN_PRESETS = {
 
 def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
                   epsilon: float) -> Tensor:
-    """Label-smoothed focal loss, mean over the given positions.
+    """Label-smoothed focal loss of (..., letters, 15) logits against shared
+    (letters,) targets: the mean over leading rows of each row's letter mean.
 
     Per position, with smoothed target q_k = (1-eps)*1[k=t] + eps/K and
     p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k), p and 1-p
     clamped at 1e-12; no gradient flows where a clamp binds."""
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != logits.shape[:-1]:
+    if targets.shape != logits.shape[-2:-1]:
         raise nm.ShapeError(f"{targets.shape} targets for logit rows "
                             f"{logits.shape[:-1]}")
     bad = np.nonzero((targets < 0) | (targets >= NUM_CLASSES))[0]
     if bad.size:
         raise ConfigError(f"target class {targets[bad[0]]} out of range at "
                           f"position {int(bad[0])}")
-    n = len(targets)
+    n, rows = len(targets), math.prod(logits.shape[:-2])
     q = np.full((n, NUM_CLASSES), epsilon / NUM_CLASSES, dtype=np.float64)
     q[np.arange(n), targets] += 1.0 - epsilon
     p = nm.softmax_array(logits.data)
@@ -125,33 +127,34 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     logp = np.log(pc)
     w = q.astype(logits.dtype) * uc ** gamma
     per_pos = np.sum(w * -logp, axis=-1, dtype=np.float64).astype(logits.dtype)
+    means = np.sum(per_pos, axis=-1, dtype=np.float64).astype(per_pos.dtype) * (1.0 / n)
 
     def bwd(g):
         # d/dp of w * -log p, w = q (1-p)^gamma: gamma w log(p) / (1-p) - w / p
-        dp = (gamma * w / uc * logp * (u >= 1e-12) - w / pc * (p >= 1e-12)) * (g / n)
+        dp = gamma * w / uc * logp * (u >= 1e-12) - w / pc * (p >= 1e-12)
+        dp *= g / (rows * n)
         logits._accumulate((dp - np.sum(dp * p, axis=-1, keepdims=True)) * p)
-    return Tensor(np.sum(per_pos, dtype=np.float64).astype(logits.dtype) * (1.0 / n),
-                  _parents=(logits,), _backward=bwd)
+    return Tensor(np.sum(means) * (1.0 / rows), _parents=(logits,), _backward=bwd)
 
 
-def sym_kl(p: Tensor, q: Tensor) -> Tensor:
-    """Mean over positions of (KL(p||q) + KL(q||p)) / 2, probabilities
-    clamped at 1e-12; no gradient flows where a clamp binds."""
-    if p.shape != q.shape:
-        raise nm.ShapeError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    pc, qc = np.maximum(p.data, 1e-12), np.maximum(q.data, 1e-12)
-    log_ratio = np.log(pc) - np.log(qc)
-    kl_pq = np.sum(pc * log_ratio, axis=-1, dtype=np.float64).astype(p.dtype)
-    kl_qp = np.sum(qc * -log_ratio, axis=-1, dtype=np.float64).astype(p.dtype)
-    n = kl_pq.size
+def sym_kl(pair: Tensor) -> Tensor:
+    """Mean over positions of (KL(p||q) + KL(q||p)) / 2 for the (2, ..., 15)
+    stack of p and q, probabilities clamped at 1e-12; no gradient flows
+    where a clamp binds."""
+    if pair.shape[:1] != (2,):
+        raise nm.ShapeError(f"expected a (2, ..., classes) pair, got {pair.shape}")
+    pc = np.maximum(pair.data, 1e-12)
+    # row 1 is row 0 negated, bit for bit
+    log_ratio = np.log(pc) - np.log(pc[::-1])
+    kl = np.sum(pc * log_ratio, axis=-1, dtype=np.float64).astype(pair.dtype)
+    n = kl[0].size
 
     def bwd(g):
         # d/da of (a - b)(log a - log b) / 2 is (log(a/b) + 1 - b/a) / 2
-        for t, a, b, r in ((p, pc, qc, log_ratio), (q, qc, pc, -log_ratio)):
-            if t.requires_grad:
-                t._accumulate((r + 1.0 - b / a) * (t.data >= 1e-12) * (g * 0.5 / n))
-    total = np.sum((kl_pq + kl_qp) * 0.5, dtype=np.float64).astype(p.dtype)
-    return Tensor(total * (1.0 / n), _parents=(p, q), _backward=bwd)
+        pair._accumulate((log_ratio + 1.0 - pc[::-1] / pc) * (pair.data >= 1e-12)
+                         * (g * 0.5 / n))
+    total = np.sum((kl[0] + kl[1]) * 0.5, dtype=np.float64).astype(pair.dtype)
+    return Tensor(total * (1.0 / n), _parents=(pair,), _backward=bwd)
 
 
 @dataclass
@@ -177,18 +180,10 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
             prefix = speech_embedding_dropout(
                 prefix, cfg.speech_emb_dropout, srng.child(0))
         logits = model.forward(s.tokens, prefix, srng.child_keys([1, 2]))
-        # pass k's positions are rows k*seq.. of the flattened stack
-        seq = len(s.tokens)
-        flat = logits.reshape(2 * seq, NUM_CLASSES)
-        rows1 = nm.embedding(flat, s.letter_rows)
-        rows2 = nm.embedding(flat, s.letter_rows + seq)
-        l1 = focal_loss_ls(rows1, s.targets, cfg.focal_gamma, cfg.label_smoothing)
-        l2 = focal_loss_ls(rows2, s.targets, cfg.focal_gamma, cfg.label_smoothing)
-        obj = (l1 + l2) * 0.5
+        rows = nm.embedding(logits, s.letter_rows)
+        obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma, cfg.label_smoothing)
         if cfg.rdrop_alpha != 0.0:
-            p1 = nm.softmax(rows1, axis=-1)
-            p2 = nm.softmax(rows2, axis=-1)
-            obj = obj + cfg.rdrop_alpha * sym_kl(p1, p2)
+            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows, axis=-1))
         losses.append(obj)
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 

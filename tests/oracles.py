@@ -3,7 +3,8 @@
 None is used by the package itself: `grad_check` measures reverse-mode
 gradients against central finite differences, `keys_of` builds a key array
 from each stream's own `key`, `dropout_masks_reference` draws dropout masks
-the plain way, one fresh generator per stream, and `brute_force_reference`
+the plain way, one fresh generator per stream, `word_spans_reference` finds
+word spans with a `str.isspace()` scan, and `brute_force_reference`
 re-scores a (prediction, gold) pair without the scorer's helpers.
 """
 
@@ -71,6 +72,24 @@ def dropout_masks_reference(streams, p: float, shape: tuple, dtype) -> np.ndarra
         key = np.array([s.seed & mask64, s.stream & mask64], dtype=np.uint64)
         np.random.Generator(np.random.Philox(key=key)).random(out=out)
     return ((draws >= p) / (1.0 - p)).astype(dtype)
+
+
+def word_spans_reference(raw: str) -> list[tuple[int, int]]:
+    """word_spans as a character scan: maximal runs of characters that are
+    not str.isspace(), kept when one holds an Arabic letter."""
+    spans = []
+    start = None
+    for i, c in enumerate(raw):
+        if c.isspace():
+            if start is not None:
+                spans.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        spans.append((start, len(raw)))
+    return [(s, e) for s, e in spans
+            if any(raw[i] in ARABIC_LETTERS for i in range(s, e))]
 
 
 def brute_force_reference(pred: str, gold: str,

@@ -1,6 +1,8 @@
 """End-to-end CLI: synth -> train -> infer -> eval, config echo, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidiac
 from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
@@ -17,7 +21,8 @@ from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
 from multidiac.data import ManifestRecord, write_manifest
 from multidiac.errors import ConfigError
 from multidiac.inference import EnsembleConfig
-from multidiac.model import DiacritizerModel, desk_config
+from multidiac.audiofe import Waveform, save_wav
+from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
 from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
 from multidiac.training import (_fnv1a64, config_fingerprint, desk_recipe,
@@ -491,6 +496,84 @@ def test_eval_deeply_nested_record_is_a_data_error(tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
     assert main(["eval", "--pred", str(path), "--gold", str(path)]) == EXIT_DATA
     assert "malformed record" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def micro_inputs(tmp_path_factory):
+    """The bytes of a valid micro-model checkpoint (v2), a 0.2 s WAV and a
+    manifest of one record with that WAV and one text-only record."""
+    root = tmp_path_factory.mktemp("micro")
+    cfg = ModelConfig(text_layers=1, text_dim=8, text_heads=1, speech_blocks=1,
+                      speech_dim=8, speech_heads=1, speech_frames=20,
+                      prefix_len=2, pool_factor=10, mels=8, mlp_ratio=1,
+                      vocab_size=8, max_text_len=4)
+    model = DiacritizerModel(cfg, Vocabulary(BA + TA), RngStream(0))
+    save_checkpoint(root / "m.ckpt", model, {
+        "fingerprint": config_fingerprint(cfg, desk_recipe()),
+        "model_cfg": serialize_config(cfg),
+        "train_cfg": serialize_config(desk_recipe())})
+    save_wav(root / "a.wav", Waveform(np.sin(np.arange(3200) / 7.0).astype(np.float32) * 0.3))
+    manifest = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (
+        {"id": "a", "audio": "a.wav", "text": insert_diacritics(BA + TA, [1, 2])},
+        {"id": "b", "audio": "", "text": insert_diacritics(TA + BA, [0, 8])}))
+    return ((root / "m.ckpt").read_bytes(), (root / "a.wav").read_bytes(),
+            manifest.encode())
+
+
+# pieces spliced into a manifest line: JSON structure, escapes, a non-UTF-8
+# byte, a mark, a long text
+MANIFEST_PIECES = [b'"', b"{", b"}", b",", b":", b"null", b"\\", b"\\ud800",
+                   b"\n", b"\xff", "\u064e".encode(), (BA * 8).encode(),
+                   b"../", b"a.wav"]
+
+
+def _mutate(blob: bytes, data, pieces=()) -> bytes:
+    """blob with up to 3 pieces spliced in, up to 4 bytes overwritten (half
+    the time within its first 64 bytes, where the headers are), and maybe
+    cut short."""
+    blob = bytearray(blob)
+    if pieces:
+        for pos, piece in data.draw(st.lists(st.tuples(
+                st.integers(0, len(blob)), st.sampled_from(pieces)), max_size=3)):
+            blob[pos:pos] = piece
+    where = st.one_of(st.integers(0, min(63, len(blob) - 1)),
+                      st.integers(0, len(blob) - 1))
+    for pos, value in data.draw(st.lists(st.tuples(where, st.integers(0, 255)),
+                                         max_size=4)):
+        blob[pos] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return bytes(blob[:cut])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_infer_exits_with_a_documented_code_on_mutated_inputs(
+        micro_inputs, tmp_path_factory, data):
+    ckpt, wav, manifest = micro_inputs
+    target = data.draw(st.sampled_from(["checkpoint", "sealed checkpoint",
+                                        "wav", "manifest"]))
+    if target == "checkpoint":
+        ckpt = _mutate(ckpt, data)
+    elif target == "sealed checkpoint":
+        # a mutated body under a trailer that matches it
+        body = _mutate(ckpt[:-32], data)
+        ckpt = body + hashlib.sha256(body).digest()
+    elif target == "wav":
+        wav = _mutate(wav, data)
+    else:
+        manifest = _mutate(manifest, data, MANIFEST_PIECES)
+    root = tmp_path_factory.mktemp("mutated")
+    for name, blob in (("m.ckpt", ckpt), ("a.wav", wav), ("in.jsonl", manifest)):
+        (root / name).write_bytes(blob)
+    out = root / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["infer", "--checkpoints", str(root / "m.ckpt"), "--manifest",
+                   str(root / "in.jsonl"), "--out", str(out), "--passes", "2"])
+    assert rc in (0, EXIT_DATA, EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == EXIT_DATA:
+        assert not out.exists(), err.getvalue()
 
 
 def test_desk_run_is_bitwise_equal_on_one_and_two_blas_threads(tmp_path):

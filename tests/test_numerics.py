@@ -242,6 +242,11 @@ def test_grad_embedding():
     nm.embedding(table, ids).sum().backward()
     assert np.allclose(table.grad[2], 2.0)
     assert np.allclose(table.grad[3], 0.0)
+    # a stack of tables is looked up along its rows, each table alike
+    stack = t64(np.random.default_rng(9).normal(0, 1, size=(2, 4, 3)))
+    assert np.array_equal(nm.embedding(stack, ids).data, stack.data[:, ids])
+    assert grad_check(lambda t: square_sum(nm.embedding(t, ids)),
+                      stack, h=1e-4) < 1e-6
 
 
 def test_grad_concat():
@@ -480,7 +485,9 @@ def test_dropout_stack_draws_each_pass_from_its_stream():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("p", [0.05, 0.1, 0.3])
+# the edges of the raw-word threshold: p = 0, the smallest nonzero threshold
+# (1e-17), a p a few ulps past 0.1, and p near 1
+@pytest.mark.parametrize("p", [0.0, 1e-17, 0.05, 0.1, 0.1 + 1e-16, 0.3, 0.5, 0.999])
 def test_dropout_draws_match_a_fresh_generator_per_stream(p, dtype):
     gen = np.random.default_rng(8)
     streams = [RngStream(3).child(i) for i in range(4)]

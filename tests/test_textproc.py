@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import word_spans_reference
+
 from multidiac import textproc as tp
 from multidiac.errors import InvariantViolation, MalformedInputError
 from multidiac.textproc import (
@@ -170,10 +172,15 @@ def test_vocabulary_with_a_newline_is_refused():
 # -- properties ----------------------------------------------------------
 
 
+# characters str.isspace() counts as whitespace beyond ASCII: a file
+# separator, NEL, NBSP, the line separator and the ideographic space
+ODD_SPACES = ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
 @st.composite
-def raw_texts(draw):
+def raw_texts(draw, others=(" ", ".", "x", "1")):
     parts = draw(st.lists(
-        st.one_of(letters, st.sampled_from([" ", ".", "x", "1"])),
+        st.one_of(letters, st.sampled_from(list(others))),
         min_size=1, max_size=20))
     return "".join(parts)
 
@@ -207,14 +214,28 @@ def test_letter_words_agree_with_word_boundaries(raw, data):
         for start, end in spans}
 
 
-@given(raw_texts(), st.data())
+@given(raw_texts(others=[" ", ".", "x", "1"] + ODD_SPACES), st.data())
 @settings(max_examples=100, deadline=None)
 def test_ratio_counts_marked_letters(raw, data):
     n = sum(c in ARABIC_LETTERS for c in raw)
     labels = data.draw(st.lists(classes, min_size=n, max_size=n))
-    text = insert_diacritics(raw, labels)
+    # stray marks, at the start and after non-letters, mark no letter
+    strays = iter(data.draw(st.lists(
+        st.sampled_from(["", FATHA, SHADDA + KASRA, SUKUN]),
+        min_size=len(raw) - n + 1, max_size=len(raw) - n + 1)))
+    text = next(strays) + "".join(
+        c if c in ARABIC_LETTERS or c in tp.DIACRITICS else c + next(strays)
+        for c in insert_diacritics(raw, labels))
     want = 0.0 if n == 0 else sum(1 for c in labels if c != 0) / n
     assert diacritization_ratio(text) == pytest.approx(want)
+
+
+@given(st.text(st.sampled_from(
+    sorted(ARABIC_LETTERS)[:4] + [FATHA, " ", "\t", "\n", "x"] + ODD_SPACES),
+    max_size=30) | st.text(max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_word_spans_match_an_isspace_scan(raw):
+    assert word_spans(raw) == word_spans_reference(raw)
 
 
 @given(st.text(max_size=40))

@@ -124,13 +124,13 @@ def test_losses_build_one_graph_node(monkeypatch):
 
     gen = np.random.default_rng(7)
     logits = t64(gen.normal(0, 1, size=(5, NUM_CLASSES)))
-    p, q = (t64(gen.dirichlet(np.ones(NUM_CLASSES), size=5)) for _ in range(2))
+    pair = t64(gen.dirichlet(np.ones(NUM_CLASSES), size=(2, 5)))
     monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
     loss = focal_loss_ls(logits, gen.integers(0, NUM_CLASSES, size=5), 0.34, 0.018)
     assert made == [loss] and loss._parents == (logits,)
     made.clear()
-    kl = sym_kl(p, q)
-    assert made == [kl] and kl._parents == (p, q)
+    kl = sym_kl(pair)
+    assert made == [kl] and kl._parents == (pair,)
 
 
 def test_focal_loss_rejects_a_target_count_unlike_the_rows():
@@ -139,6 +139,53 @@ def test_focal_loss_rejects_a_target_count_unlike_the_rows():
     for targets in ([3], [3, 4]):
         with pytest.raises(nm.ShapeError, match="targets"):
             focal_loss_ls(logits, targets, 0.34, 0.018)
+
+
+def sym_kl_two_operand(p, q):
+    """(KL(p||q) + KL(q||p)) / 2 of two (positions, classes) arrays and its
+    gradients for p and q, written per operand."""
+    pc, qc = np.maximum(p, 1e-12), np.maximum(q, 1e-12)
+    r = np.log(pc) - np.log(qc)
+    kl_pq = np.sum(pc * r, axis=-1, dtype=np.float64).astype(p.dtype)
+    kl_qp = np.sum(qc * -r, axis=-1, dtype=np.float64).astype(p.dtype)
+    n = kl_pq.size
+    total = np.sum((kl_pq + kl_qp) * 0.5, dtype=np.float64).astype(p.dtype)
+    scale = p.dtype.type(1.0) * 0.5 / n
+    return (total * (1.0 / n),
+            (r + 1.0 - qc / pc) * (p >= 1e-12) * scale,
+            (-r + 1.0 - pc / qc) * (q >= 1e-12) * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_on_a_pass_pair_are_the_per_pass_formulas(dtype):
+    gen = np.random.default_rng(9)
+    logits = gen.normal(0, 2, size=(2, 7, NUM_CLASSES)).astype(dtype)
+    targets = gen.integers(0, NUM_CLASSES, size=7)
+    # a saturated position in each pass, so the clamps bind
+    logits[0, 1, targets[1]] += 40.0
+    logits[1, 2, (targets[2] + 1) % NUM_CLASSES] += 40.0
+    pair = nm.tensor(logits, dtype=dtype, requires_grad=True)
+    loss = focal_loss_ls(pair, targets, 0.34, 0.018)
+    loss.backward()
+    rows = [nm.tensor(logits[k], dtype=dtype, requires_grad=True) for k in (0, 1)]
+    ref = (focal_loss_ls(rows[0], targets, 0.34, 0.018)
+           + focal_loss_ls(rows[1], targets, 0.34, 0.018)) * 0.5
+    ref.backward()
+    assert loss.dtype == dtype and loss.data.tobytes() == ref.data.tobytes()
+    assert pair.grad.tobytes() == np.stack([r.grad for r in rows]).tobytes()
+
+    probs = nm.tensor(nm.softmax_array(logits), dtype=dtype, requires_grad=True)
+    kl = sym_kl(probs)
+    kl.backward()
+    value, grad_p, grad_q = sym_kl_two_operand(*probs.data)
+    assert kl.dtype == dtype and kl.data.tobytes() == value.tobytes()
+    assert probs.grad.tobytes() == np.stack([grad_p, grad_q]).tobytes()
+
+
+def test_sym_kl_rejects_anything_but_a_pair():
+    for shape in ((5, NUM_CLASSES), (3, 5, NUM_CLASSES)):
+        with pytest.raises(nm.ShapeError, match="pair"):
+            sym_kl(t64(np.full(shape, 1.0 / NUM_CLASSES)))
 
 
 def test_focal_loss_rejects_bad_targets():
@@ -156,20 +203,20 @@ def test_sym_kl_oracle_and_identity():
     gen = np.random.default_rng(4)
     a = gen.dirichlet(np.ones(NUM_CLASSES), size=6)
     b = gen.dirichlet(np.ones(NUM_CLASSES), size=6)
-    got = sym_kl(t64(a), t64(b)).item()
+    got = sym_kl(t64([a, b])).item()
     kl = lambda p, q: (p * np.log(p / q)).sum(axis=-1)
     want = ((kl(a, b) + kl(b, a)) / 2).mean()
     assert got == pytest.approx(want, rel=1e-6)
-    assert sym_kl(t64(a), t64(a)).item() == pytest.approx(0.0, abs=1e-9)
-    assert sym_kl(t64(a), t64(b)).item() == pytest.approx(
-        sym_kl(t64(b), t64(a)).item(), abs=1e-9)
+    assert sym_kl(t64([a, a])).item() == pytest.approx(0.0, abs=1e-9)
+    assert sym_kl(t64([a, b])).item() == pytest.approx(
+        sym_kl(t64([b, a])).item(), abs=1e-9)
 
 
 def test_sym_kl_gradient():
     gen = np.random.default_rng(5)
     a = gen.dirichlet(np.ones(6) * 20, size=3)  # bounded away from 0
     b = gen.dirichlet(np.ones(6) * 20, size=3)
-    err = grad_check(lambda t: sym_kl(t, t64(b)), t64(a), h=1e-4)
+    err = grad_check(sym_kl, t64([a, b]), h=1e-4)
     # components near zero inflate the relative measure; 1e-3 is the
     # fidelity bar used throughout
     assert err < 1e-3
@@ -181,12 +228,12 @@ def test_sym_kl_passes_no_gradient_below_the_clamp():
     b = gen.dirichlet(np.ones(NUM_CLASSES), size=4)
     a[0, :3], b[1, 4:6] = 1e-15, 0.0  # below 1e-12
     for dtype in (np.float64, np.float32):
-        p, q = (nm.tensor(v, dtype=dtype, requires_grad=True) for v in (a, b))
-        sym_kl(p, q).backward()
-        for t in (p, q):
-            low = t.data < 1e-12
-            assert low.sum() >= 2 and np.all(t.grad[low] == 0.0)
-            assert np.all(np.isfinite(t.grad)) and np.all(t.grad[~low] != 0.0)
+        pair = nm.tensor([a, b], dtype=dtype, requires_grad=True)
+        sym_kl(pair).backward()
+        for data, grad in zip(pair.data, pair.grad):
+            low = data < 1e-12
+            assert low.sum() >= 2 and np.all(grad[low] == 0.0)
+            assert np.all(np.isfinite(grad)) and np.all(grad[~low] != 0.0)
 
 
 # -- R-Drop objective ----------------------------------------------------
@@ -224,6 +271,33 @@ def test_rdrop_deterministic_in_rng():
     assert a == b
 
 
+def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
+    # letter gather, focal, softmax, KL, alpha scale, add: everything one
+    # sample's objective builds on the forward's (2, seq, 15) pair
+    model = tiny_model()
+    cfg = tr.TrainConfig()
+    s = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
+    outputs = []
+    forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    loss = rdrop_objective([s], model, cfg, RngStream(1))
+    # the mean over one sample scales that sample's objective
+    (obj,) = loss._parents
+    (logits,) = outputs
+    nodes, stack = set(), [obj]
+    while stack:
+        t = stack.pop()
+        if t is not logits and id(t) not in nodes:
+            nodes.add(id(t))
+            stack.extend(t._parents)
+    assert logits.shape == (2, len(s.tokens), NUM_CLASSES) and len(nodes) == 6
+
+
 def desk_audio_batch(n, dtype=np.float32):
     """A desk model, a recipe with speech-embedding dropout on, and n
     prepared samples with speech prefixes."""
@@ -259,8 +333,8 @@ def rdrop_per_pass(samples, model, cfg, rng):
                + focal_loss_ls(rows[1], s.targets, cfg.focal_gamma,
                                cfg.label_smoothing)) * 0.5
         if cfg.rdrop_alpha != 0.0:
-            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows[0], axis=-1),
-                                                 nm.softmax(rows[1], axis=-1))
+            pair = nm.concat([r.reshape(1, *r.shape) for r in rows])
+            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(pair, axis=-1))
         losses.append(obj)
     total = losses[0]
     for l in losses[1:]:
