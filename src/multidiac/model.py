@@ -291,12 +291,14 @@ class DiacritizerModel:
                 *, grad: bool = True) -> Tensor:
         """Token ids (prefix slots first) + optional speech prefix -> logits.
 
-        A (P, 2) uint64 array of Philox keys (see `RngStream.child_keys`)
-        gives a stack of P dropout passes over the same input, (P, seq, 15),
-        one row per key for any rate (at rate 0 every row is the eval
-        output). The embeddings, the prefix and everything before the first
-        dropout are computed once and shared, and row i is what a stack of
-        one with keys[i] gives. No keys is eval mode, (seq, 15).
+        tokens are one sample's (seq,) ids with a (prefix_len, text_dim)
+        prefix, or B samples' (B, seq) ids with a (B, prefix_len, text_dim)
+        prefix. (B*P, 2) uint64 Philox keys (see `RngStream.child_keys`) give
+        P dropout passes per sample, rows b*P ... b*P+P-1 of (B*P, seq, 15)
+        for sample b, one per key at any rate (at rate 0 each is the eval
+        output). Sample b's embeddings, prefix and all before the first
+        dropout run once for its passes, and its rows are bitwise a call on
+        b alone with its keys. No keys is eval mode: (seq, 15) or (B, seq, 15).
 
         dropout_p overrides the config rate (used for MC-Dropout inference,
         where dropout stays active while layer norm is unaffected).
@@ -308,32 +310,36 @@ class DiacritizerModel:
         """
         cfg = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
-        seq = len(tokens)
+        if tokens.ndim not in (1, 2) or 0 in tokens.shape[:-1]:
+            raise ShapeError(f"tokens of shape {tokens.shape} are not (seq,) or (B, seq)")
+        rows = tokens.reshape(-1, tokens.shape[-1])
+        n, seq = rows.shape
         if seq < cfg.prefix_len or \
-                not np.all(tokens[:cfg.prefix_len] == Vocabulary.PREFIX):
-            raise ShapeError(f"token sequence must begin with {cfg.prefix_len} "
-                             f"prefix ids")
+                not np.all(rows[:, :cfg.prefix_len] == Vocabulary.PREFIX):
+            raise ShapeError(f"token rows must begin with {cfg.prefix_len} prefix ids")
         if seq > cfg.prefix_len + cfg.max_text_len:
             raise ShapeError(f"text length {seq - cfg.prefix_len} exceeds "
                              f"maximum {cfg.max_text_len}")
-        if prefix is not None and prefix.shape != (cfg.prefix_len, cfg.text_dim):
-            raise ShapeError(f"speech prefix shape {prefix.shape} != "
-                             f"({cfg.prefix_len}, {cfg.text_dim})")
+        want = tokens.shape[:-1] + (cfg.prefix_len, cfg.text_dim)
+        if prefix is not None and prefix.shape != want:
+            raise ShapeError(f"speech prefix shape {prefix.shape} != {want}")
         p = self.params
         if not grad:
             p = {n: t.detach() for n, t in p.items() if n.startswith("text.")}
             prefix = None if prefix is None else prefix.detach()
         rate = cfg.dropout_p if dropout_p is None else dropout_p
-        x = nm.embedding(p["text.char_emb"], tokens) + \
+        x = nm.embedding(p["text.char_emb"], rows) + \
             nm.embedding(p["text.pos_emb"], np.arange(seq))
         if prefix is not None:
-            pad = nm.zeros((seq - cfg.prefix_len, cfg.text_dim), dtype=self.dtype)
-            x = x + nm.concat([prefix, pad], axis=0)
+            pad = nm.zeros(want[:-2] + (seq - cfg.prefix_len, cfg.text_dim), dtype=self.dtype)
+            x = x + nm.concat([prefix, pad], axis=-2)
+        x = x.reshape(n, 1, seq, cfg.text_dim)
         for i in range(cfg.text_layers):
             x = self._block(p, x, f"text.block{i}", cfg.text_heads,
                             nm.child_keys(keys, 200 + i), i, rate)
         x = nm.layer_norm(x, p["text.ln_f.g"], p["text.ln_f.b"])
-        return nm.linear(x, p["text.head.w"], p["text.head.b"])
+        x = nm.linear(x, p["text.head.w"], p["text.head.b"])
+        return x.reshape(*(keys.shape[:1] if len(keys) else tokens.shape[:-1]), seq, -1)
 
     def encode_text(self, raw: str) -> np.ndarray:
         """prefix_len prefix ids followed by one id per character of raw."""

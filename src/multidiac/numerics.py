@@ -362,22 +362,24 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
     with prob p, survivors scaled 1/(1-p).
 
     x is a (seq, dim) input that every pass shares or a (P, seq, dim) stack
-    of P = len(keys) passes, and the result is (P, seq, dim). Pass i's mask
-    is drawn from keys[i], a (seed, stream) row of the (P, 2) uint64 keys,
-    with the (seq, dim) shape; at p = 0 it is all ones. No keys is eval.
+    of P = len(keys) passes, for a (P, seq, dim) result; B samples' (B, 1 or
+    P/B, seq, dim) give (B, P/B, seq, dim). Pass i's mask is drawn from
+    keys[i], a (seed, stream) row of the (P, 2) uint64 keys, with the (seq,
+    dim) shape; at p = 0 it is all ones. No keys is eval.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
     if not len(keys):
         return x
-    if x.data.ndim > 2 and x.data.shape[0] != len(keys):
-        raise ShapeError(f"{len(keys)} keys for a stack of {x.data.shape[0]}")
-    shape = (len(keys),) + x.data.shape[-2:]
+    grid = x.data.shape[:-3] + (len(keys) // math.prod(x.data.shape[:-3]),)
+    if math.prod(grid) != len(keys) or x.data.shape[-3:-2] not in ((), (1,), grid[-1:]):
+        raise ShapeError(f"{len(keys)} keys for a stack of {x.data.shape[:-2]}")
+    shape = grid + x.data.shape[-2:]
     if p == 0.0:
         # a read-only view: the ones need no storage
         mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        mask = _dropout_masks(keys, p, shape, x.dtype)
+        mask = _dropout_masks(keys, p, (len(keys),) + shape[-2:], x.dtype).reshape(shape)
         if not x.requires_grad:
             # no backward reads the mask, so the product goes into its
             # storage (m * x and x * m are the same bits)
@@ -411,13 +413,15 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarra
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup along the second-to-last axis with scatter-add backward;
-    also serves as index_select, e.g. of letter rows from each pass."""
+    """Row lookup along the second-to-last axis with scatter-add backward:
+    a (..., rows, dim) table and ids of any shape give (..., *ids.shape,
+    dim). Also serves as index_select, e.g. of letter rows from each pass."""
     ids = np.asarray(ids, dtype=np.int64)
 
     def bwd(g):
         acc = np.zeros_like(table.data)
-        np.add.at(np.moveaxis(acc, -2, 0), ids, np.moveaxis(g, -2, 0))
+        np.add.at(np.moveaxis(acc, -2, 0), ids, np.moveaxis(
+            g, range(table.data.ndim - 2, g.ndim - 1), range(ids.ndim)))
         table._accumulate(acc)
     return Tensor(table.data[..., ids, :], _parents=(table,), _backward=bwd)
 

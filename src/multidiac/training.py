@@ -169,22 +169,32 @@ class PreparedSample:
 
 def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
                     cfg: TrainConfig, rng: RngStream) -> Tensor:
-    """Two dropout-perturbed passes per sample, run as one stacked forward;
-    mean focal loss plus the alpha-weighted symmetric KL consistency
-    penalty, averaged over samples."""
-    losses = []
+    """Two dropout-perturbed passes per sample; mean focal loss plus the
+    alpha-weighted symmetric KL consistency penalty, averaged over samples.
+    Same-length samples with (or without) audio run as one forward, where
+    sample si draws its passes from rng.child(si).child_keys([1, 2])."""
+    buckets: dict[tuple, list[int]] = {}
     for si, s in enumerate(samples):
-        srng = rng.child(si)
-        prefix = s.prefix
-        if prefix is not None:
-            prefix = speech_embedding_dropout(
-                prefix, cfg.speech_emb_dropout, srng.child(0))
-        logits = model.forward(s.tokens, prefix, srng.child_keys([1, 2]))
-        rows = nm.embedding(logits, s.letter_rows)
-        obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma, cfg.label_smoothing)
-        if cfg.rdrop_alpha != 0.0:
-            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows, axis=-1))
-        losses.append(obj)
+        buckets.setdefault((len(s.tokens), s.prefix is None), []).append(si)
+    losses = [None] * len(samples)
+    for members in buckets.values():
+        prefix = None
+        if samples[members[0]].prefix is not None:
+            prefix = nm.concat([speech_embedding_dropout(
+                samples[si].prefix, cfg.speech_emb_dropout, rng.child(si).child(0))
+                .reshape(1, model.config.prefix_len, -1) for si in members])
+        tokens = np.stack([samples[si].tokens for si in members])
+        keys = np.concatenate([rng.child(si).child_keys([1, 2]) for si in members])
+        logits = model.forward(tokens, prefix, keys)
+        # a sample's pair is gathered from the bucket's (2B * seq, 15) rows
+        flat, seq = logits.reshape(-1, NUM_CLASSES), tokens.shape[1]
+        for b, si in enumerate(members):
+            s = samples[si]
+            rows = nm.embedding(flat, s.letter_rows + [[2 * b * seq], [(2 * b + 1) * seq]])
+            obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma, cfg.label_smoothing)
+            if cfg.rdrop_alpha != 0.0:
+                obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows, axis=-1))
+            losses[si] = obj
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
 

@@ -189,6 +189,51 @@ def test_forward_shapes_and_validation():
             [tokens, np.full(cfg.max_text_len, 3)]), None)
 
 
+def test_stacked_forward_validation():
+    model = small_model()
+    cfg = model.config
+    tokens = np.stack([model.encode_text("بتث"), model.encode_text("ثتب")])
+    prefix = nm.zeros((2, cfg.prefix_len, cfg.text_dim))
+    keys = RngStream(1).child_keys(range(4))
+    assert model.forward(tokens, prefix, keys).shape == (4, cfg.prefix_len + 3, 15)
+    assert model.forward(tokens, prefix).shape == (2, cfg.prefix_len + 3, 15)
+    bad_row = tokens.copy()
+    bad_row[1, cfg.prefix_len - 1] = 3
+    for args in [
+            (bad_row, prefix, keys),  # row 1 lacks a prefix id
+            (tokens, nm.zeros((3, cfg.prefix_len, cfg.text_dim)), keys),
+            (tokens, nm.zeros((cfg.prefix_len, cfg.text_dim)), keys),
+            (tokens, prefix, keys[:3]),  # not a whole number of passes each
+            (tokens[None], None, keys),  # rank 3
+            (tokens[:0], None, keys[:0])]:  # no samples
+        with pytest.raises(ShapeError):
+            model.forward(*args)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_rows_are_one_sample_calls(dtype):
+    """Row b*P + k of a B-sample stack is, bit for bit, row k of sample b's
+    one-sample call with its own keys, prefix and tokens; so are the eval
+    rows and the rows without a graph."""
+    model = DiacritizerModel(desk_config(vocab_size=10), VOCAB, RngStream(4),
+                             dtype=dtype)
+    cfg = model.config
+    tokens = np.stack([model.encode_text(t) for t in ("بتث جح", "حجث تب", "ججج بب")])
+    prefix = nm.tensor(np.random.default_rng(5).normal(
+        0, 1, size=(3, cfg.prefix_len, cfg.text_dim)), dtype=dtype)
+    keys = np.concatenate([RngStream(6).child(b).child_keys([1, 2]) for b in range(3)])
+    for grad in (True, False):
+        stack = model.forward(tokens, prefix, keys, grad=grad)
+        evals = model.forward(tokens, prefix, grad=grad)
+        assert stack.shape == (6, tokens.shape[1], 15) and stack.dtype == dtype
+        for b in range(3):
+            one = nm.tensor(prefix.data[b], dtype=dtype)
+            assert stack.data[2 * b:2 * b + 2].tobytes() == model.forward(
+                tokens[b], one, keys[2 * b:2 * b + 2], grad=grad).data.tobytes()
+            assert evals.data[b].tobytes() == \
+                model.forward(tokens[b], one, grad=grad).data.tobytes()
+
+
 def test_speech_encode_validates_mel_shape():
     model = small_model()
     cfg = model.config

@@ -112,11 +112,13 @@ def _check(f, shape, seed=0, tol=1e-6):
 
 @pytest.mark.parametrize("lead, k, n", [
     ((50, 13), 64, 64), ((50, 13), 64, 256), ((50, 21), 256, 64), ((50, 21), 64, 15),
-    ((2, 11), 64, 64), ((4, 270), 512, 2048)])
+    ((2, 11), 64, 64), ((4, 270), 512, 2048), ((8, 21), 64, 64),
+    ((16, 21), 64, 64), ((16, 21), 64, 256), ((16, 21), 256, 64), ((16, 21), 64, 15)])
 def test_stack_times_weight_is_one_gemm_with_per_slice_bits(lead, k, n):
     """(..., seq, k) @ (k, n) runs as one GEMM over the folded rows; on the
-    model's shapes (desk stacks, a full-width MLP) that gives the bits of
-    numpy's per-slice products."""
+    model's shapes (desk stacks, a desk training bucket of 8 samples x 2
+    passes, a full-width MLP) that gives the bits of numpy's per-slice
+    products."""
     gen = np.random.default_rng(23)
     a = gen.normal(0, 1, size=lead + (k,)).astype(np.float32)
     w = gen.normal(0, 1, size=(k, n)).astype(np.float32)
@@ -247,6 +249,28 @@ def test_grad_embedding():
     assert np.array_equal(nm.embedding(stack, ids).data, stack.data[:, ids])
     assert grad_check(lambda t: square_sum(nm.embedding(t, ids)),
                       stack, h=1e-4) < 1e-6
+
+
+@pytest.mark.parametrize("ids_shape", [(3, 3), (2, 5)])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_grad_embedding_of_2d_ids(ids_shape, lead):
+    """(a, b) ids look up (..., a, b, dim) rows; the backward scatters each
+    row's gradient back to its id, for square and non-square ids alike."""
+    gen = np.random.default_rng(12)
+    ids = gen.integers(0, 6, size=ids_shape)
+    ids[0, :2] = 4  # a duplicate id accumulates
+    table = t64(gen.normal(0, 1, size=lead + (6, 4)))
+    out = nm.embedding(table, ids)
+    assert out.shape == lead + ids_shape + (4,)
+    assert np.array_equal(out.data, table.data[..., ids, :])
+    g = gen.normal(0, 1, size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = np.zeros(table.shape)
+    for i in np.ndindex(lead):
+        np.add.at(want[i], ids, g[i])
+    assert np.allclose(table.grad, want, rtol=0, atol=1e-12)
+    assert grad_check(lambda t: square_sum(nm.embedding(t, ids)),
+                      table, h=1e-4) < 1e-6
 
 
 def test_grad_concat():
@@ -482,6 +506,26 @@ def test_dropout_stack_draws_each_pass_from_its_stream():
     # a shared input's gradient sums the passes' masks, all ones at p = 0
     for p in (0.3, 0.0):
         _check(lambda x: square_sum(nm.dropout(x, p, keys)), (5, 8))
+
+
+def test_dropout_sample_grid_draws_pass_b_k_from_key_b_times_p_plus_k():
+    gen = np.random.default_rng(7)
+    samples = nm.tensor(gen.normal(0, 1, size=(3, 1, 5, 8)))
+    keys = RngStream(5).child_keys(range(6))
+    for p in (0.3, 0.0):
+        grid = nm.dropout(samples, p, keys)
+        assert grid.shape == (3, 2, 5, 8)
+        # sample b's passes are its own stack, drawn from keys 2b and 2b + 1
+        for b in range(3):
+            one = nm.dropout(nm.tensor(samples.data[b, 0]), p, keys[2 * b:2 * b + 2])
+            assert np.array_equal(grid.data[b], one.data)
+        # a (3, 2) grid of inputs takes the same masks, pass by pass
+        masks = nm.dropout(nm.tensor(np.ones((3, 2, 5, 8))), p, keys).data
+        assert np.array_equal(nm.dropout(grid, p, keys).data, grid.data * masks)
+    for bad in (keys[:5], keys[:3]):
+        with pytest.raises(ShapeError):
+            nm.dropout(nm.tensor(np.ones((3, 2, 5, 8))), 0.3, bad)
+    _check(lambda x: square_sum(nm.dropout(x, 0.3, keys)), (3, 1, 5, 8))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -273,10 +273,12 @@ def test_rdrop_deterministic_in_rng():
 
 def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
     # letter gather, focal, softmax, KL, alpha scale, add: everything one
-    # sample's objective builds on the forward's (2, seq, 15) pair
+    # sample's objective builds on its rows of the bucket's forward, past
+    # the one view of that forward's logits as (4 * seq, 15) rows that the
+    # bucket's two samples share
     model = tiny_model()
     cfg = tr.TrainConfig()
-    s = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
+    samples = [prepare_sample(model, c, cfg, RngStream(0)) for c in text_corpus(2)]
     outputs = []
     forward = model.forward
 
@@ -285,17 +287,24 @@ def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(model, "forward", recording_forward)
-    loss = rdrop_objective([s], model, cfg, RngStream(1))
-    # the mean over one sample scales that sample's objective
-    (obj,) = loss._parents
+    loss = rdrop_objective(samples, model, cfg, RngStream(1))
+    # the mean over two samples scales their sum
+    (total,) = loss._parents
     (logits,) = outputs
-    nodes, stack = set(), [obj]
-    while stack:
-        t = stack.pop()
-        if t is not logits and id(t) not in nodes:
-            nodes.add(id(t))
-            stack.extend(t._parents)
-    assert logits.shape == (2, len(s.tokens), NUM_CLASSES) and len(nodes) == 6
+
+    def nodes_below(obj):
+        nodes, stack = set(), [obj]
+        while stack:
+            t = stack.pop()
+            if t is not logits and id(t) not in nodes:
+                nodes.add(id(t))
+                stack.extend(t._parents)
+        return nodes
+
+    first, second = map(nodes_below, total._parents)
+    seq = len(samples[0].tokens)
+    assert logits.shape == (4, seq, NUM_CLASSES)
+    assert len(first - second) == len(second - first) == 6 and len(first & second) == 1
 
 
 def desk_audio_batch(n, dtype=np.float32):
@@ -342,29 +351,74 @@ def rdrop_per_pass(samples, model, cfg, rng):
     return total * (1.0 / len(losses))
 
 
-def test_rdrop_stacked_matches_two_forwards_float64():
-    def run(objective):
-        # a fresh model each run, so each objective's parameter gradients
-        # accumulate from zero
-        model, cfg, samples = desk_audio_batch(3, dtype=np.float64)
+def mixed_batch(dtype):
+    """desk_audio_batch(3) interleaved with text-only samples of two token
+    lengths: buckets of 3 audio samples, 2 full-length text-only ones and 1
+    shorter one."""
+    model, cfg, audio = desk_audio_batch(3, dtype=dtype)
+
+    def text_only(s, cut):
+        keep = s.letter_rows < len(s.tokens) - cut
+        return tr.PreparedSample(s.tokens[:len(s.tokens) - cut], s.letter_rows[keep],
+                                 s.targets[keep], None)
+
+    samples = [audio[0], text_only(audio[1], 0), audio[1], text_only(audio[2], 3),
+               text_only(audio[0], 0), audio[2]]
+    return model, cfg, samples
+
+
+def rdrop_runs(batch):
+    """The objective and the parameter gradients of rdrop_objective and of
+    rdrop_per_pass, each from a fresh batch(), so each objective's gradients
+    accumulate from zero."""
+    runs = []
+    for objective in (rdrop_objective, rdrop_per_pass):
+        model, cfg, samples = batch()
         loss = objective(samples, model, cfg, RngStream(5))
         loss.backward()
-        return loss.item(), {n: p.grad for n, p in model.params.items()
-                             if p.grad is not None}
+        runs.append((loss.item(), {n: p.grad for n, p in model.params.items()
+                                   if p.grad is not None}))
+    return runs
 
-    value, grads = run(rdrop_objective)
-    ref_value, ref_grads = run(rdrop_per_pass)
-    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+
+def assert_gradients_match(grads, ref_grads):
     assert grads.keys() == ref_grads.keys() and "proj.w" in grads
     top = max(np.abs(ref).max() for ref in ref_grads.values())
     for name, ref in ref_grads.items():
         # relative to the gradient's largest entry, as the stacked backward
-        # sums the two passes in another order; the key biases' gradient is
+        # sums the passes in another order; the key biases' gradient is
         # zero in exact arithmetic (softmax ignores a shift along the keys),
         # so theirs is rounding noise, measured against the largest gradient
         scale = top if name.endswith(".attn.bk") else np.abs(ref).max()
         err = np.abs(grads[name] - ref).max()
         assert err <= 1e-12 * scale, name
+
+
+def test_rdrop_stacked_matches_two_forwards_float64():
+    (value, grads), (ref_value, ref_grads) = rdrop_runs(
+        lambda: desk_audio_batch(3, dtype=np.float64))
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert_gradients_match(grads, ref_grads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rdrop_buckets_match_per_pass_forwards(dtype, monkeypatch):
+    """A batch of two token lengths, with and without audio, runs one forward
+    per bucket, and its objective is bitwise the per-pass one."""
+    forward_calls = []
+    forward = DiacritizerModel.forward
+
+    def counting_forward(self, tokens, *args, **kwargs):
+        forward_calls.append(np.shape(tokens))
+        return forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(DiacritizerModel, "forward", counting_forward)
+    (value, grads), (ref_value, ref_grads) = rdrop_runs(lambda: mixed_batch(dtype))
+    seq = forward_calls[0][1]
+    assert forward_calls[:3] == [(3, seq), (2, seq), (1, seq - 3)]
+    assert value == ref_value
+    if dtype == np.float64:
+        assert_gradients_match(grads, ref_grads)
 
 
 def test_backward_skips_operands_without_grad(monkeypatch):
@@ -400,9 +454,10 @@ def test_backward_skips_operands_without_grad(monkeypatch):
     for t in constants:
         t.requires_grad = True
     loss.backward()
-    # per sample: the mask of each of the desk model's 4 dropout calls (one
-    # tensor holds both passes), the pad and the pooled frames
-    assert sum(t.grad is not None for t in constants) >= 4 * (4 + 1 + 1)
+    # the 4 samples are one bucket: the mask of each of the desk model's 4
+    # dropout calls (one tensor holds every pass) and the pad; per sample,
+    # the pooled frames
+    assert sum(t.grad is not None for t in constants) >= 4 + 1 + 4
     for name in trainable:
         assert guarded[name].tobytes() == model.params[name].grad.tobytes(), name
 
