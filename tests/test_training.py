@@ -381,7 +381,10 @@ def rdrop_runs(batch):
     return runs
 
 
-def assert_gradients_match(grads, ref_grads):
+def test_rdrop_stacked_matches_two_forwards_float64():
+    (value, grads), (ref_value, ref_grads) = rdrop_runs(
+        lambda: mixed_batch(np.float64))
+    assert value == ref_value
     assert grads.keys() == ref_grads.keys() and "proj.w" in grads
     top = max(np.abs(ref).max() for ref in ref_grads.values())
     for name, ref in ref_grads.items():
@@ -394,17 +397,9 @@ def assert_gradients_match(grads, ref_grads):
         assert err <= 1e-12 * scale, name
 
 
-def test_rdrop_stacked_matches_two_forwards_float64():
-    (value, grads), (ref_value, ref_grads) = rdrop_runs(
-        lambda: desk_audio_batch(3, dtype=np.float64))
-    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-    assert_gradients_match(grads, ref_grads)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rdrop_buckets_match_per_pass_forwards(dtype, monkeypatch):
-    """A batch of two token lengths, with and without audio, runs one forward
-    per bucket, and its objective is bitwise the per-pass one."""
+def test_rdrop_buckets_match_per_pass_forwards(monkeypatch):
+    """A float32 batch of two token lengths, with and without audio, runs
+    one forward per bucket, and its objective is bitwise the per-pass one."""
     forward_calls = []
     forward = DiacritizerModel.forward
 
@@ -413,12 +408,10 @@ def test_rdrop_buckets_match_per_pass_forwards(dtype, monkeypatch):
         return forward(self, tokens, *args, **kwargs)
 
     monkeypatch.setattr(DiacritizerModel, "forward", counting_forward)
-    (value, grads), (ref_value, ref_grads) = rdrop_runs(lambda: mixed_batch(dtype))
+    (value, _), (ref_value, _) = rdrop_runs(lambda: mixed_batch(np.float32))
     seq = forward_calls[0][1]
     assert forward_calls[:3] == [(3, seq), (2, seq), (1, seq - 3)]
     assert value == ref_value
-    if dtype == np.float64:
-        assert_gradients_match(grads, ref_grads)
 
 
 def test_backward_skips_operands_without_grad(monkeypatch):
