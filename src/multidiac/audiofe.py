@@ -22,6 +22,7 @@ from .numerics import RngStream
 SAMPLE_RATE = 16000
 N_FFT = 400
 HOP = 160
+_WINDOW = np.hanning(N_FFT + 1)[:-1]  # periodic Hann
 
 
 @dataclass
@@ -136,14 +137,16 @@ def log_mel(w: Waveform, mels: int = 80, frame_budget: int | None = None) -> Mel
     frames = max(1, math.ceil(n / HOP))
     padded = np.zeros((frames - 1) * HOP + N_FFT, dtype=np.float64)
     padded[:n] = w.samples
-    idx = np.arange(frames)[:, None] * HOP + np.arange(N_FFT)[None, :]
-    window = np.hanning(N_FFT + 1)[:-1]
-    spec = np.fft.rfft(padded[idx] * window, axis=1)
-    power = np.abs(spec) ** 2  # (frames, bins)
-    mel_power = power @ mel_filterbank(mels).T  # (frames, mels)
-    log_spec = np.log10(np.maximum(mel_power, 1e-10))
-    log_spec = np.maximum(log_spec, log_spec.max() - 8.0)
-    values = ((log_spec + 4.0) / 4.0).T.astype(np.float32)  # (mels, frames)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP]
+    power = np.abs(np.fft.rfft(windows * _WINDOW, axis=1))  # (frames, bins)
+    np.square(power, out=power)
+    log_spec = power @ mel_filterbank(mels).T  # (frames, mels)
+    np.maximum(log_spec, 1e-10, out=log_spec)
+    np.log10(log_spec, out=log_spec)
+    np.maximum(log_spec, log_spec.max() - 8.0, out=log_spec)
+    log_spec += 4.0
+    log_spec /= 4.0
+    values = log_spec.T.astype(np.float32)  # (mels, frames)
 
     if frame_budget is not None:
         if frames > frame_budget:
@@ -157,11 +160,14 @@ def log_mel(w: Waveform, mels: int = 80, frame_budget: int | None = None) -> Mel
 
 def spec_augment(m: MelSpectrogram, freq_param: int, time_param: int,
                  rng: RngStream) -> MelSpectrogram:
-    """One frequency band and one time band masked to the spectrogram minimum."""
+    """One frequency band and one time band masked to the spectrogram minimum.
+    At widths (0, 0) nothing is masked: m itself is returned, with no draw."""
     if freq_param > m.mels:
         raise ConfigError(f"freq_param {freq_param} exceeds {m.mels} mel bins")
     if time_param > m.frames:
         raise ConfigError(f"time_param {time_param} exceeds {m.frames} frames")
+    if freq_param == time_param == 0:
+        return m
     gen = rng.generator()
     values = m.values.copy()
     fill = values.min()

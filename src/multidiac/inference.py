@@ -95,22 +95,28 @@ GREEDY = EnsembleConfig(passes_per_model=1, inference_dropout_p=0.0)
 
 
 def _ensemble(raw: str, waveform: Waveform | None,
-              models: list[DiacritizerModel], cfg: EnsembleConfig):
-    """ensemble_average over every (model, pass) pair at raw's letter rows."""
+              models: list[DiacritizerModel], cfg: EnsembleConfig,
+              cached: bool = False):
+    """ensemble_average over every (model, pass) pair at raw's letter rows;
+    cached takes each speech prefix through the model's cache."""
     ref = models[0]
     tokens = ref.encode_text(raw)
     letter_rows = ref.letter_rows(raw)
     run = RngStream(cfg.seed)
     mel_of_shape = {}  # one log-mel per (mels, mel_frames), shared by models
+
+    def mel_of(model):
+        shape = (model.config.mels, model.config.mel_frames)
+        if shape not in mel_of_shape:
+            mel_of_shape[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
+        return mel_of_shape[shape]
     all_probs = []
     for mi, model in enumerate(models):
         prefix = None
-        if waveform is not None:
-            shape = (model.config.mels, model.config.mel_frames)
-            if shape not in mel_of_shape:
-                mel_of_shape[shape] = log_mel(waveform, mels=shape[0],
-                                              frame_budget=shape[1])
-            prefix = model.speech_prefix(mel_of_shape[shape])
+        if waveform is not None and cached:
+            prefix = model.cached_speech_prefix(waveform, lambda: mel_of(model))
+        elif waveform is not None:
+            prefix = model.speech_prefix(mel_of(model))
         probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
                            cfg.inference_dropout_p, run.child(mi))
         all_probs.append(probs[:, letter_rows, :])
@@ -131,6 +137,7 @@ def diacritize(raw: str, waveform: Waveform | None,
 
 def predict_greedy(model: DiacritizerModel, raw: str,
                    waveform: Waveform | None) -> list[int]:
-    """Deterministic single-pass argmax prediction (no MC dropout)."""
-    classes, _ = _ensemble(raw, waveform, [model], GREEDY)
+    """Deterministic single-pass argmax prediction (no MC dropout), with
+    the speech prefix through the model's cache: dev scoring repeats."""
+    classes, _ = _ensemble(raw, waveform, [model], GREEDY, cached=True)
     return [int(c) for c in classes]

@@ -10,13 +10,14 @@ can be frozen per block; frozen tensors never receive gradient.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .audiofe import MelSpectrogram
+from .audiofe import MelSpectrogram, Waveform
 from .errors import ConfigError, ShapeError
 from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary, letter_indices
@@ -100,6 +101,12 @@ def desk_config(vocab_size: int = 40) -> ModelConfig:
                        speech_blocks=2, speech_dim=64, speech_heads=2,
                        speech_frames=100, prefix_len=10, pool_factor=10,
                        vocab_size=vocab_size)
+
+
+# Byte bound of a model's cache of mean-pooled speech frames. A full cache
+# takes no more entries: dev scoring scans its utterances in a cycle, where
+# evicting the oldest entry would drop each one just before its reuse.
+POOLED_CACHE_BYTES = 64 << 20
 
 
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:
@@ -215,6 +222,10 @@ class DiacritizerModel:
         self._sin_table = nm.tensor(
             sinusoidal_table(config.speech_frames, config.speech_dim), dtype=dtype)
         self.freeze_speech_blocks(trainable_top=0)
+        # (samples digest, mels, mel_frames) -> mean-pooled speech frames,
+        # computed under the speech parameters whose digest is _pooled_for
+        self._pooled: dict[tuple, Tensor] = {}
+        self._pooled_for = b""
 
     # -- freezing -------------------------------------------------------
 
@@ -285,6 +296,28 @@ class DiacritizerModel:
 
     def speech_prefix(self, m: MelSpectrogram) -> Tensor:
         return self.pool_project(self.speech_encode(m))
+
+    def cached_speech_prefix(self, waveform: Waveform, mel) -> Tensor:
+        """speech_prefix(mel()), where mel() is the waveform's log-mel, with
+        the mean-pooled frames taken from this model's cache: a hit runs
+        neither mel() nor the encoder, only the projection. Every entry is
+        dropped when a SHA-256 of the speech.* parameters changes."""
+        cfg = self.config
+        digest = hashlib.sha256()
+        for name, p in self.params.items():
+            if name.startswith("speech."):
+                digest.update(np.ascontiguousarray(p.data))
+        if digest.digest() != self._pooled_for:
+            self._pooled, self._pooled_for = {}, digest.digest()
+        samples = np.ascontiguousarray(waveform.samples)
+        key = (hashlib.sha256(samples).digest(), samples.dtype.str,
+               cfg.mels, cfg.mel_frames)
+        pooled = self._pooled.get(key)
+        if pooled is None:
+            pooled = nm.mean_pool_time(self.speech_encode(mel()), cfg.pool_factor).detach()
+            if len(self._pooled) < POOLED_CACHE_BYTES // pooled.data.nbytes:
+                self._pooled[key] = pooled
+        return nm.linear(pooled, self.params["proj.w"], self.params["proj.b"])
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
                 keys: np.ndarray = nm.NO_KEYS, dropout_p: float | None = None,

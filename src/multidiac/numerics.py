@@ -481,11 +481,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv1d channel mismatch: {c_in} vs {c_in_w}")
-    xp = np.pad(x.data, ((padding, padding), (0, 0)))
+    xp = np.zeros((t_in + 2 * padding, c_in), dtype=x.data.dtype)
+    xp[padding:padding + t_in] = x.data
     t_out = (t_in + 2 * padding - k) // stride + 1
-    # im2col: (t_out, k*c_in)
-    idx = (np.arange(t_out)[:, None] * stride + np.arange(k)[None, :])
-    cols = xp[idx].reshape(t_out, k * c_in)
+    # im2col: (t_out, k*c_in), row t the k padded rows from t*stride on
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (t_out, k * c_in), (stride * xp.strides[0], xp.strides[1])).copy()
     wmat = w.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
 
     def bwd(g):
@@ -498,6 +499,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
             return
         gcols = (g @ wmat.T).reshape(t_out, k, c_in)
         gxp = np.zeros_like(xp)
-        np.add.at(gxp, idx, gcols)
+        np.add.at(gxp, np.arange(t_out)[:, None] * stride + np.arange(k), gcols)
         x._accumulate(gxp[padding:padding + t_in] if padding else gxp)
-    return Tensor(cols @ wmat + b.data, _parents=(x, w, b), _backward=bwd)
+    out = cols @ wmat
+    out += b.data
+    return Tensor(out, _parents=(x, w, b), _backward=bwd)

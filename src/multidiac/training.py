@@ -103,13 +103,14 @@ TRAIN_PRESETS = {
 
 
 def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
-                  epsilon: float) -> Tensor:
+                  epsilon: float, probs: np.ndarray | None = None) -> Tensor:
     """Label-smoothed focal loss of (..., letters, 15) logits against shared
     (letters,) targets: the mean over leading rows of each row's letter mean.
 
     Per position, with smoothed target q_k = (1-eps)*1[k=t] + eps/K and
     p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k), p and 1-p
-    clamped at 1e-12; no gradient flows where a clamp binds."""
+    clamped at 1e-12; no gradient flows where a clamp binds. probs, when
+    given, is softmax(logits.data), computed elsewhere and only read."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[-2:-1]:
         raise nm.ShapeError(f"{targets.shape} targets for logit rows "
@@ -121,7 +122,7 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     n, rows = len(targets), math.prod(logits.shape[:-2])
     q = np.full((n, NUM_CLASSES), epsilon / NUM_CLASSES, dtype=np.float64)
     q[np.arange(n), targets] += 1.0 - epsilon
-    p = nm.softmax_array(logits.data)
+    p = nm.softmax_array(logits.data) if probs is None else probs
     u = 1.0 - p
     pc, uc = np.maximum(p, 1e-12), np.maximum(u, 1e-12)
     logp = np.log(pc)
@@ -191,9 +192,11 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
         for b, si in enumerate(members):
             s = samples[si]
             rows = nm.embedding(flat, s.letter_rows + [[2 * b * seq], [(2 * b + 1) * seq]])
-            obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma, cfg.label_smoothing)
+            pair = nm.softmax(rows, axis=-1)
+            obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma,
+                                cfg.label_smoothing, pair.data)
             if cfg.rdrop_alpha != 0.0:
-                obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(rows, axis=-1))
+                obj = obj + cfg.rdrop_alpha * sym_kl(pair)
             losses[si] = obj
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
@@ -229,21 +232,26 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
     for name, p in params.items():
         if not p.requires_grad or p.grad is None:
             continue
+        # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, new = p - lr*mhat /
+        # (sqrt(vhat) + eps), new -= (lr*wd)*new: m, v in place, new in g
         g = p.grad.astype(np.float64)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        new = p.data.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
-        new -= lr * weight_decay * new
-        p.data = new.astype(p.data.dtype)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        tmp = (1 - b1) * g
+        m *= b1
+        m += tmp
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
+        tmp += eps
+        np.multiply(np.divide(m, 1 - b1 ** t, out=g), lr, out=g)
+        g /= tmp
+        np.subtract(p.data, g, out=g)
+        g -= np.multiply(g, lr * weight_decay, out=tmp)
+        p.data = g.astype(p.data.dtype, copy=False)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

@@ -4,12 +4,17 @@ None is used by the package itself: `grad_check` measures reverse-mode
 gradients against central finite differences, `keys_of` builds a key array
 from each stream's own `key`, `dropout_masks_reference` draws dropout masks
 the plain way, one fresh generator per stream, `word_spans_reference` finds
-word spans with a `str.isspace()` scan, and `brute_force_reference`
-re-scores a (prediction, gold) pair without the scorer's helpers.
+word spans with a `str.isspace()` scan, `brute_force_reference`
+re-scores a (prediction, gold) pair without the scorer's helpers, and
+`log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
+allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
 """
+
+import math
 
 import numpy as np
 
+from multidiac.audiofe import HOP, N_FFT, MelSpectrogram, mel_filterbank
 from multidiac.errors import ConfigError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
 from multidiac.numerics import RngStream, Tensor
@@ -160,3 +165,63 @@ def brute_force_reference(pred: str, gold: str,
     t.word_errors = any_word_err
     t.sentence_errors = 1 if any_word_err else 0
     return t
+
+
+def log_mel_reference(w, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:
+    """log_mel with its frames gathered by a (frames, N_FFT) index array and
+    each step allocating its result."""
+    n = len(w.samples)
+    frames = max(1, math.ceil(n / HOP))
+    padded = np.zeros((frames - 1) * HOP + N_FFT, dtype=np.float64)
+    padded[:n] = w.samples
+    idx = np.arange(frames)[:, None] * HOP + np.arange(N_FFT)[None, :]
+    window = np.hanning(N_FFT + 1)[:-1]
+    spec = np.fft.rfft(padded[idx] * window, axis=1)
+    power = np.abs(spec) ** 2
+    mel_power = power @ mel_filterbank(mels).T
+    log_spec = np.log10(np.maximum(mel_power, 1e-10))
+    log_spec = np.maximum(log_spec, log_spec.max() - 8.0)
+    values = ((log_spec + 4.0) / 4.0).T.astype(np.float32)
+    if frame_budget is not None:
+        if frames > frame_budget:
+            values = values[:, :frame_budget]
+        elif frames < frame_budget:
+            fill = np.full((mels, frame_budget - frames), values.min(),
+                           dtype=np.float32)
+            values = np.concatenate([values, fill], axis=1)
+    return MelSpectrogram(values=values)
+
+
+def conv1d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+                     padding: int) -> np.ndarray:
+    """conv1d's forward with the im2col rows gathered by an index array from
+    an np.pad copy."""
+    t_in, c_in = x.shape
+    c_out, _, k = w.shape
+    xp = np.pad(x, ((padding, padding), (0, 0)))
+    t_out = (t_in + 2 * padding - k) // stride + 1
+    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
+    cols = xp[idx].reshape(t_out, k * c_in)
+    return cols @ w.transpose(2, 1, 0).reshape(k * c_in, c_out) + b
+
+
+def adamw_reference(params, state, lr: float, weight_decay: float):
+    """adamw_step with a fresh array for every intermediate and m and v
+    replaced rather than updated; state is {"m": {}, "v": {}, "step": 0}."""
+    state["step"] += 1
+    t = state["step"]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for name, p in params.items():
+        if not p.requires_grad or p.grad is None:
+            continue
+        g = p.grad.astype(np.float64)
+        m = state["m"].get(name, np.zeros_like(g))
+        v = state["v"].get(name, np.zeros_like(g))
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        state["m"][name], state["v"][name] = m, v
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        new = p.data.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
+        new -= lr * weight_decay * new
+        p.data = new.astype(p.data.dtype)

@@ -15,6 +15,7 @@ from multidiac.audiofe import (
 )
 from multidiac.errors import ConfigError, FormatError, IngestError
 from multidiac.numerics import RngStream
+from oracles import log_mel_reference
 
 
 def sine(freq, seconds=0.5, amp=0.3):
@@ -252,6 +253,16 @@ def test_spec_augment_deterministic_and_pure():
     assert np.array_equal(m.values, before)
 
 
+def test_spec_augment_at_zero_widths_is_the_identity(monkeypatch):
+    m = log_mel(sine(500, seconds=0.2), mels=40)
+    before = m.values.copy()
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: pytest.fail("spec_augment drew at widths (0, 0)"))
+    out = spec_augment(m, 0, 0, RngStream(9))
+    assert out is m and out.values is m.values
+    assert np.array_equal(out.values, before)
+
+
 def test_spec_augment_rejects_oversized_params():
     m = MelSpectrogram(np.zeros((8, 10), dtype=np.float32))
     with pytest.raises(ConfigError):
@@ -308,3 +319,29 @@ def test_log_mel_frame_count(n, seed):
     m = log_mel(w, mels=20)
     assert m.frames == max(1, math.ceil(n / HOP))
     assert np.isfinite(m.values).all()
+
+
+def assert_log_mel_is_the_gather_form(w, mels, frame_budget):
+    got = log_mel(w, mels=mels, frame_budget=frame_budget).values
+    want = log_mel_reference(w, mels=mels, frame_budget=frame_budget).values
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 3 * N_FFT), st.floats(1e-4, 1.0), st.integers(0, 2 ** 16),
+       st.sampled_from([None, 1, 3, 20]), st.sampled_from([20, 40, 80]))
+@settings(max_examples=60, deadline=None)
+def test_log_mel_is_bitwise_the_gather_form(n, scale, seed, frame_budget, mels):
+    gen = np.random.default_rng(seed)
+    w = Waveform((scale * gen.normal(0, 1, size=n)).astype(np.float32))
+    assert_log_mel_is_the_gather_form(w, mels, frame_budget)
+
+
+@pytest.mark.parametrize("frame_budget", [None, 100, 3000, 4000])
+@pytest.mark.parametrize("mels", [20, 40, 80])
+def test_log_mel_is_bitwise_the_gather_form_on_silence_and_30_s(frame_budget, mels):
+    # silence: every frame at the clamp; 30 s: 3000 frames, trimmed, exact
+    # and padded by the budgets above
+    assert_log_mel_is_the_gather_form(Waveform(np.zeros(SAMPLE_RATE // 4, np.float32)),
+                                      mels, frame_budget)
+    assert_log_mel_is_the_gather_form(sine(330, seconds=30.0), mels, frame_budget)

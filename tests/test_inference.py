@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multidiac import inference
+from multidiac import model as modelmod
 from multidiac import numerics as nm
 from multidiac.audiofe import SAMPLE_RATE, Waveform
 from multidiac.errors import ConfigError, ShapeError
@@ -11,6 +12,7 @@ from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy)
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
+from multidiac.training import OptimizerState, adamw_step
 from multidiac.textproc import (ARABIC_LETTERS, Vocabulary, insert_diacritics,
                                 label_from_diacritized, strip_diacritics)
 
@@ -240,3 +242,131 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     diacritize("بت", wav, models[:2] + [DiacritizerModel(other, VOCAB, RngStream(5))],
                cfg)
     assert calls == [(80, 200), (40, 200)]
+
+
+# -- the greedy dev-scoring cache ----------------------------------------
+
+
+def noise_wav(seed, seconds=1.0):
+    gen = np.random.default_rng(seed)
+    return Waveform(gen.normal(0, 0.1, int(seconds * SAMPLE_RATE)).astype(np.float32))
+
+
+def fresh_copy(model):
+    """A new model object with model's weights and an empty cache."""
+    weights = {n: p.data.copy() for n, p in model.params.items()}
+    return DiacritizerModel(model.config, model.vocab, weights=weights)
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Counts DiacritizerModel.speech_encode and inference.log_mel calls."""
+    calls = {"encode": 0, "log_mel": 0}
+    encode, log_mel = DiacritizerModel.speech_encode, inference.log_mel
+
+    def counting_encode(self, m):
+        calls["encode"] += 1
+        return encode(self, m)
+
+    def counting_log_mel(*args, **kwargs):
+        calls["log_mel"] += 1
+        return log_mel(*args, **kwargs)
+
+    monkeypatch.setattr(DiacritizerModel, "speech_encode", counting_encode)
+    monkeypatch.setattr(inference, "log_mel", counting_log_mel)
+    return calls
+
+
+RAWS = ["بت", "ثب تب", "تتب"]
+
+
+def test_predict_greedy_on_a_warm_cache_is_a_fresh_model(encode_calls):
+    model = model_with(seed=2)
+    wavs = [noise_wav(i) for i in range(3)]
+    first = [predict_greedy(model, raw, w) for raw, w in zip(RAWS, wavs)]
+    assert encode_calls == {"encode": 3, "log_mel": 3}
+    for _ in range(2):
+        warm = [predict_greedy(model, raw, w) for raw, w in zip(RAWS, wavs)]
+        assert warm == first
+    # hits skip the log-mel and the encoder
+    assert encode_calls == {"encode": 3, "log_mel": 3}
+    # the prefix of a hit is bitwise the uncached one
+    fresh = fresh_copy(model)
+    for w in wavs:
+        mel = inference.log_mel(w, mels=80, frame_budget=model.config.mel_frames)
+        want = fresh.speech_prefix(mel).data
+        got = model.cached_speech_prefix(w, lambda: pytest.fail("a miss")).data
+        assert got.tobytes() == want.tobytes()
+    assert [predict_greedy(fresh, raw, w) for raw, w in zip(RAWS, wavs)] == first
+    # a waveform of other samples is a miss, the same samples in a new
+    # object are a hit
+    encode_calls["encode"] = 0
+    predict_greedy(model, RAWS[0], noise_wav(7))
+    predict_greedy(model, RAWS[0], Waveform(wavs[0].samples.copy()))
+    assert encode_calls["encode"] == 1
+
+
+def test_a_speech_weight_edited_in_place_forces_a_re_encode(encode_calls):
+    model = model_with(seed=2)
+    w = noise_wav(1)
+    predict_greedy(model, RAWS[0], w)
+    predict_greedy(model, RAWS[0], w)
+    assert encode_calls["encode"] == 1
+    model.params["speech.block1.mlp.w2"].data[3, 5] += 0.5
+    predict_greedy(model, RAWS[0], w)
+    assert encode_calls["encode"] == 2
+    # the new entry is the edited model's prefix; the old one is gone
+    mel = inference.log_mel(w, mels=80, frame_budget=model.config.mel_frames)
+    want = fresh_copy(model).speech_prefix(mel).data
+    assert model.cached_speech_prefix(w, None).data.tobytes() == want.tobytes()
+    assert len(model._pooled) == 1
+
+
+def test_an_adamw_step_on_unfrozen_speech_blocks_forces_a_re_encode(encode_calls):
+    model = model_with(seed=2)
+    w = noise_wav(1)
+    model.freeze_speech_blocks(trainable_top=1)
+    predict_greedy(model, RAWS[0], w)
+    predict_greedy(model, RAWS[0], w)
+    assert encode_calls["encode"] == 1
+    state = OptimizerState()
+    for step in range(2):
+        for p in model.params.values():
+            p.grad = np.full(p.data.shape, 0.1, dtype=p.data.dtype)
+        adamw_step({n: p for n, p in model.params.items() if p.requires_grad},
+                   state, 1e-3, 0.0)
+        predict_greedy(model, RAWS[0], w)
+        assert encode_calls["encode"] == 2 + step
+    # a step on the text side alone keeps the entry
+    model.freeze_speech_blocks(trainable_top=0)
+    for p in model.params.values():
+        p.grad = np.full(p.data.shape, 0.1, dtype=p.data.dtype)
+    adamw_step(model.params, state, 1e-3, 0.0)
+    predict_greedy(model, RAWS[0], w)
+    assert encode_calls["encode"] == 3
+
+
+def test_a_full_cache_takes_no_more_entries(encode_calls, monkeypatch):
+    model = model_with(seed=2)
+    entry = model.config.prefix_len * model.config.speech_dim * 4
+    monkeypatch.setattr(modelmod, "POOLED_CACHE_BYTES", 2 * entry + entry // 2)
+    wavs = [noise_wav(i) for i in range(3)]
+    for _ in range(3):
+        for raw, w in zip(RAWS, wavs):
+            predict_greedy(model, raw, w)
+    # the first two are kept; the third is encoded on every pass
+    assert len(model._pooled) == 2
+    assert encode_calls["encode"] == 3 + 1 + 1
+
+
+def test_diacritize_never_touches_the_cache(encode_calls, monkeypatch):
+    model = model_with(seed=2)
+    w = noise_wav(1)
+    monkeypatch.setattr(DiacritizerModel, "cached_speech_prefix",
+                        lambda *a: pytest.fail("diacritize consulted the cache"))
+    monkeypatch.setattr(modelmod.hashlib, "sha256",
+                        lambda *a: pytest.fail("diacritize hashed"))
+    cfg = EnsembleConfig(passes_per_model=2, seed=4)
+    for _ in range(2):
+        diacritize("بت", w, [model], cfg)
+    assert encode_calls["encode"] == 2 and model._pooled == {}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
 from multidiac.numerics import RngStream, Tensor, _splitmix64
-from oracles import dropout_masks_reference, grad_check, keys_of
+from oracles import conv1d_reference, dropout_masks_reference, grad_check, keys_of
 
 
 def t64(data, requires_grad=True):
@@ -330,6 +330,26 @@ def test_conv1d_matches_direct_loop():
                 want[t, o] = b[o] + np.sum(
                     xp[t * stride:t * stride + 3] * w[o].T)
         assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("t_in, c_in, c_out, padding", [
+    (t, c_in, c_out, padding)
+    for t, c_in, c_out in [(1, 3, 4), (7, 3, 4), (200, 80, 64), (200, 64, 64)]
+    for padding in (0, 1, 2) if t + 2 * padding >= 3])
+def test_conv1d_is_bitwise_the_gather_form(dtype, stride, t_in, c_in, c_out, padding):
+    """The strided im2col gives the bits of the index-gather im2col, on the
+    desk stems' shapes as well as small ones (a 1-frame input needs padding
+    1 for an output frame)."""
+    gen = np.random.default_rng(t_in + 10 * stride + padding)
+    x = gen.normal(0, 1, size=(t_in, c_in)).astype(dtype)
+    w = gen.normal(0, 0.1, size=(c_out, c_in, 3)).astype(dtype)
+    b = gen.normal(0, 0.1, size=(c_out,)).astype(dtype)
+    got = nm.conv1d(nm.tensor(x, dtype=dtype), nm.tensor(w, dtype=dtype),
+                    nm.tensor(b, dtype=dtype), stride=stride, padding=padding).data
+    want = conv1d_reference(x, w, b, stride, padding)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _attention_oracle(q, k, v, heads):

@@ -27,7 +27,7 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import grad_check
+from oracles import adamw_reference, grad_check
 
 VOCAB = Vocabulary("بتث")
 
@@ -307,6 +307,38 @@ def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
     assert len(first - second) == len(second - first) == 6 and len(first & second) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rdrop_takes_one_softmax_per_sample(monkeypatch, dtype):
+    """The focal loss reads the probabilities of the softmax that feeds the
+    KL term; recomputing them, as focal_loss_ls does without probs, gives
+    the same objective and gradients bit for bit."""
+    model, cfg, samples = mixed_batch(dtype)
+    calls = []
+    real_softmax = nm.softmax_array
+
+    def counting(z, axis=-1):
+        if z.shape[-1] == NUM_CLASSES:  # not the attention softmaxes
+            calls.append(z.shape)
+        return real_softmax(z, axis)
+
+    def run(focal):
+        monkeypatch.setattr(tr, "focal_loss_ls", focal)
+        model.zero_grad()
+        loss = rdrop_objective(samples, model, cfg, RngStream(8))
+        loss.backward()
+        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()
+                                     if p.grad is not None}
+
+    monkeypatch.setattr(nm, "softmax_array", counting)
+    got = run(focal_loss_ls)
+    assert len(calls) == len(samples)
+    calls.clear()
+    recomputed = run(lambda logits, targets, gamma, eps, probs: focal_loss_ls(
+        logits, targets, gamma, eps, real_softmax(logits.data)))
+    assert len(calls) == len(samples)  # the reference's own calls go uncounted
+    assert got == recomputed
+
+
 def desk_audio_batch(n, dtype=np.float32):
     """A desk model, a recipe with speech-embedding dropout on, and n
     prepared samples with speech prefixes."""
@@ -473,6 +505,37 @@ def test_adamw_matches_hand_computed_step():
     want -= lr * wd * want
     assert np.allclose(p.data, want, atol=1e-12)
     assert state.step == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_in_place_is_bitwise_the_allocating_form(dtype):
+    gen = np.random.default_rng(5)
+
+    def params():
+        out = {n: nm.tensor(gen.normal(0, 1, size=(6, 4)), dtype=dtype,
+                            requires_grad=True) for n in ("a", "b", "frozen", "none")}
+        out["frozen"].requires_grad = False
+        return out
+
+    ours, ref = params(), params()
+    for name in ours:
+        ref[name].data = ours[name].data.copy()
+    frozen, none = ours["frozen"].data.copy(), ours["none"].data.copy()
+    state, ref_state = OptimizerState(), {"m": {}, "v": {}, "step": 0}
+    for step in range(5):
+        for name in ("a", "b", "frozen"):
+            ours[name].grad = gen.normal(0, 1, size=(6, 4)).astype(dtype)
+            ref[name].grad = ours[name].grad.copy()
+        adamw_step(ours, state, 0.01 * (step + 1), 0.1)
+        adamw_reference(ref, ref_state, 0.01 * (step + 1), 0.1)
+        for name in ("a", "b"):
+            assert ours[name].data.dtype == dtype
+            assert ours[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+            assert state.m[name].tobytes() == ref_state["m"][name].tobytes()
+            assert state.v[name].tobytes() == ref_state["v"][name].tobytes()
+    assert np.array_equal(ours["frozen"].data, frozen)
+    assert np.array_equal(ours["none"].data, none)
+    assert set(state.m) == {"a", "b"} and state.step == 5
 
 
 def test_adamw_skips_frozen_and_gradless():
@@ -905,6 +968,53 @@ def test_fit_selects_best_dev_checkpoint(tmp_path):
     h = fit(corpus, model, cfg, out_dir=tmp_path,
             dev_scorer=lambda m: next(scores))
     assert h["selected"] == h["checkpoints"][1]
+
+
+def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch):
+    """The dev-scoring cache changes no bit of a desk run: dev predictions,
+    dev WER and loss histories, and the selected checkpoint's bytes."""
+    from multidiac import inference, metrics
+    from multidiac.textproc import insert_diacritics
+
+    spec = desk_synth_spec(sample_count=24)
+    corpus = []
+    for i in range(24):
+        gold, wav = synthesize_sample(spec, RngStream(6).child(i))
+        lab = label_from_diacritized(gold)
+        corpus.append((gold, CorpusSample(f"s{i}", lab.raw, np.asarray(lab.labels), wav)))
+    vocab = Vocabulary.from_texts([s.raw for _, s in corpus])
+    train, dev = [s for _, s in corpus[:18]], corpus[18:]
+    cfg = replace(desk_recipe(seed=5), epochs=3, warmup_epochs=1)
+    encodes = []
+    encode = DiacritizerModel.speech_encode
+    monkeypatch.setattr(DiacritizerModel, "speech_encode",
+                        lambda self, m: encodes.append(1) or encode(self, m))
+
+    def run(out):
+        encodes.clear()
+        model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab,
+                                 RngStream(5))
+        preds = []
+
+        def scorer(m):
+            preds.append({s.sample_id: insert_diacritics(
+                s.raw, inference.predict_greedy(m, s.raw, s.waveform)) for _, s in dev})
+            return metrics.evaluate_corpus(preds[-1], {s.sample_id: g for g, s in dev}).wer
+
+        h = fit(train, model, cfg, out_dir=out, dev_scorer=scorer)
+        with open(h["selected"], "rb") as f:
+            return h, preds, f.read(), len(encodes)
+
+    cached = run(tmp_path / "cached")
+    monkeypatch.setattr(DiacritizerModel, "cached_speech_prefix",
+                        lambda self, waveform, mel: self.speech_prefix(mel()))
+    plain = run(tmp_path / "plain")
+    for key in ("loss", "dev_wer"):
+        assert cached[0][key] == plain[0][key]
+    assert os.path.basename(cached[0]["selected"]) == os.path.basename(plain[0]["selected"])
+    assert cached[1:3] == plain[1:3]
+    # each epoch trains on 18 prefixes; dev is encoded in epoch 1 only
+    assert (cached[3], plain[3]) == (3 * 18 + 6, 3 * 18 + 3 * 6)
 
 
 def test_fit_rejects_empty_corpus():
