@@ -126,11 +126,6 @@ def mel_filterbank(mels: int, n_fft: int = N_FFT, rate: int = SAMPLE_RATE) -> np
     return fb
 
 
-def filterbank_centers(mels: int, rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter."""
-    return _band_edges(mels, rate)[1:-1]
-
-
 def log_mel(w: Waveform, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:
     """Log-mel spectrogram, padded/trimmed along time to frame_budget frames."""
     n = len(w.samples)

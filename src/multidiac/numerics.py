@@ -4,7 +4,9 @@ Everything the model needs runs through the `Tensor` class (add, multiply,
 matmul, reshape, transpose, sum, mean) and the primitives GELU, embedding
 lookup, softmax, layer norm, dropout, attention and time pooling, each
 with an analytic backward; the training losses are single ops too, on
-`softmax_array`. Storage is row-major float32 by default (float64
+`softmax_array`. One softmax kernel normalises rows a cache-sized block at
+a time: into a new array, or in place over attention's scores, which
+nothing else reads. Storage is row-major float32 by default (float64
 available for verification work). Elementwise work runs in the storage
 dtype. Three reductions keep float64 accumulators and cast back:
 `sum`/`mean`, the softmax row sums and the layer-norm moments. A stack
@@ -289,24 +291,59 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(y, _parents=(x,), _backward=bwd)
 
 
+SOFTMAX_BLOCK_BYTES = 1 << 20  # bytes of rows per block, so each pass finds it in cache
+SHORT_ROW = 32  # rows this short take their max column by column
+
+
+def _softmax_rows(z: np.ndarray, p: np.ndarray):
+    """Softmax over the last axis of z into p, a C-contiguous array of z's
+    shape (z itself allowed); rejects non-finite input. Each block of rows
+    is checked, shifted by its row max, exped and scaled by the reciprocal
+    of its float64 row sums while it is in cache; a non-finite block raises
+    after the blocks before it are written. Short rows, at least 8 per
+    column, take the max as a running np.maximum over columns: cheaper
+    there than np.max's per-row set-up, and exact like it."""
+    n = z.shape[-1]
+    rows, out = z.reshape(-1, n), p.reshape(-1, n)
+    step = max(1, SOFTMAX_BLOCK_BYTES // (max(n, 1) * p.itemsize))
+    for i in range(0, len(out), step):
+        block, o = rows[i:i + step], out[i:i + step]
+        if not np.all(np.isfinite(block)):
+            raise NumericError("softmax input contains non-finite values")
+        if 0 < n <= SHORT_ROW and len(block) >= 8 * n:
+            top = block[:, 0].copy()
+            for j in range(1, n):
+                np.maximum(top, block[:, j], out=top)
+            top = top[:, None]
+        else:
+            top = np.max(block, axis=-1, keepdims=True)
+        np.subtract(block, top, out=o)
+        np.exp(o, out=o)
+        total = np.sum(o, axis=-1, keepdims=True, dtype=np.float64)
+        o *= (1.0 / total).astype(o.dtype)
+
+
 def softmax_array(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along `axis`; rejects non-finite input.
-
-    Shift and exp run in place in the storage dtype; only the row sums
-    accumulate in float64.
-    """
-    if not np.all(np.isfinite(z)):
-        raise NumericError("softmax input contains non-finite values")
-    p = z - np.max(z, axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    total = np.sum(p, axis=axis, keepdims=True, dtype=np.float64)
-    p *= (1.0 / total).astype(p.dtype)
-    return p
+    """Numerically stable softmax along `axis` into a new array; rejects
+    non-finite input. Shift and exp run in the storage dtype; only the row
+    sums accumulate in float64."""
+    z = np.swapaxes(z, axis, -1)
+    p = np.empty(z.shape, dtype=z.dtype)
+    _softmax_rows(z, p)
+    return np.swapaxes(p, axis, -1)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """`softmax_array` of x as an autodiff op."""
-    p = softmax_array(x.data, axis)
+def softmax(x: Tensor, axis: int = -1, *, overwrite: bool = False) -> Tensor:
+    """`softmax_array` of x as an autodiff op. With overwrite, the result is
+    written into x.data, which must be C-contiguous with `axis` last; the
+    backward reads only the result and the incoming gradient."""
+    if not overwrite:
+        p = softmax_array(x.data, axis)
+    elif not x.data.flags.c_contiguous or axis not in (-1, x.data.ndim - 1):
+        raise ShapeError("softmax overwrite needs a C-contiguous array and the last axis")
+    else:
+        p = x.data
+        _softmax_rows(p, p)
 
     def bwd(g):
         dot = np.sum(g * p, axis=axis, keepdims=True)
@@ -446,7 +483,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # (heads, seq, seq) one
     qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
     scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
-    attn = softmax(scores, axis=-1)
+    # the scores are a fresh product that only the softmax reads (the
+    # matmul's backward reads its operands), so it writes over them
+    attn = softmax(scores, axis=-1, overwrite=True)
     out = attn @ vh
     return out.transpose(*swap).reshape(*lead, s, d)
 

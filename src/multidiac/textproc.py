@@ -184,12 +184,6 @@ def insert_diacritics(raw: str, predictions: list[int]) -> str:
     return result
 
 
-def canonicalize(text: str) -> str:
-    """Re-emit diacritized text with marks in canonical shadda-first order."""
-    labeled = label_from_diacritized(text)
-    return insert_diacritics(labeled.raw, labeled.labels)
-
-
 def diacritization_ratio(text: str) -> float:
     """(Arabic letters bearing >=1 mark) / (total Arabic letters); 0 if none."""
     total = sum(c in ARABIC_LETTERS for c in text)

@@ -8,17 +8,24 @@ word spans with a `str.isspace()` scan, `brute_force_reference`
 re-scores a (prediction, gold) pair without the scorer's helpers, and
 `log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
 allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
+`softmax_reference` and `attention_reference` normalise the whole score
+array at once into a new array. `canonicalize` and `filterbank_centers`
+are test helpers over the package's text and mel code.
 """
 
 import math
 
 import numpy as np
 
-from multidiac.audiofe import HOP, N_FFT, MelSpectrogram, mel_filterbank
+from multidiac.audiofe import (
+    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, _band_edges, mel_filterbank,
+)
 from multidiac.errors import ConfigError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
 from multidiac.numerics import RngStream, Tensor
-from multidiac.textproc import ARABIC_LETTERS, DIACRITICS, class_of_marks
+from multidiac.textproc import (
+    ARABIC_LETTERS, DIACRITICS, class_of_marks, insert_diacritics, label_from_diacritized,
+)
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
@@ -225,3 +232,51 @@ def adamw_reference(params, state, lr: float, weight_decay: float):
         new = p.data.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
         new -= lr * weight_decay * new
         p.data = new.astype(p.data.dtype)
+
+
+def canonicalize(text: str) -> str:
+    """Re-emit diacritized text with marks in canonical shadda-first order."""
+    labeled = label_from_diacritized(text)
+    return insert_diacritics(labeled.raw, labeled.labels)
+
+
+def filterbank_centers(mels: int, rate: int = SAMPLE_RATE) -> np.ndarray:
+    """Center frequency (Hz) of each mel filter."""
+    return _band_edges(mels, rate)[1:-1]
+
+
+def softmax_reference(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along axis over the whole array: one finiteness pass, np.max,
+    the shift into a new array, exp, float64 row sums and the scale by
+    their reciprocal cast to the storage dtype."""
+    if not np.all(np.isfinite(z)):
+        raise NumericError("softmax input contains non-finite values")
+    p = z - np.max(z, axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    total = np.sum(p, axis=axis, keepdims=True, dtype=np.float64)
+    p *= (1.0 / total).astype(p.dtype)
+    return p
+
+
+def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """scaled_dot_attention with its scores kept and normalised by
+    softmax_reference into a second array; the same products and
+    backward."""
+    *lead, s, d = q.data.shape
+    dh = d // heads
+    n = len(lead)
+    swap = (*range(n), n + 1, n, n + 2)
+
+    def split(t):
+        return t.reshape(*lead, s, heads, dh).transpose(*swap)
+
+    qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
+    scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
+    p = softmax_reference(scores.data)
+
+    def bwd(g):
+        r = g - np.sum(g * p, axis=-1, keepdims=True)
+        r *= p
+        scores._accumulate(r)
+    attn = Tensor(p, _parents=(scores,), _backward=bwd)
+    return (attn @ vh).transpose(*swap).reshape(*lead, s, d)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from multidiac import audiofe as af
 from multidiac.audiofe import (
-    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, Waveform, filterbank_centers,
-    inject_noise, load_wav, log_mel, mel_filterbank, save_wav, spec_augment,
+    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, Waveform, inject_noise, load_wav,
+    log_mel, mel_filterbank, save_wav, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, IngestError
 from multidiac.numerics import RngStream
-from oracles import log_mel_reference
+from oracles import filterbank_centers, log_mel_reference
 
 
 def sine(freq, seconds=0.5, amp=0.3):

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
 from multidiac.numerics import RngStream, Tensor, _splitmix64
-from oracles import conv1d_reference, dropout_masks_reference, grad_check, keys_of
+from oracles import (
+    attention_reference, conv1d_reference, dropout_masks_reference, grad_check, keys_of,
+    softmax_reference,
+)
 
 
 def t64(data, requires_grad=True):
@@ -485,6 +488,122 @@ def test_softmax_and_gelu_peak_allocation():
     assert _peak_alloc_ratio(nm.softmax, scores) <= 2.0
     hidden = gen.normal(0, 1, size=(1500, 2048)).astype(np.float32)
     assert _peak_alloc_ratio(nm.gelu, hidden) <= 3.0
+
+
+def _rows_of_note(rows: int, n: int, dtype) -> np.ndarray:
+    """(rows, n) scores with ties at the max, rows of one value, and rows
+    mixing +0 and -0, spread over every block."""
+    z = np.random.default_rng(n).normal(0, 4, size=(rows, n)).astype(dtype)
+    z[::7] = 2.5
+    z[1::7, : (n + 1) // 2] = z[1::7].max(axis=-1, keepdims=True)
+    z[2::7] = 0.0
+    z[2::7, ::2] = -0.0
+    z[3::7, n // 2:] = -0.0
+    return z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 15, 31, 32, 33, 1500])
+def test_softmax_array_is_bitwise_the_whole_array_form(n, dtype):
+    block_rows = nm.SOFTMAX_BLOCK_BYTES // (n * np.dtype(dtype).itemsize)
+    z = _rows_of_note(5 * block_rows // 2 + 3, n, dtype)  # two full blocks and a part
+    before = z.copy()
+    got, want = nm.softmax_array(z), softmax_reference(z)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert z.tobytes() == before.tobytes()
+    # a few rows (np.max even for short ones) and a stack of 40
+    for part in (z[:3], z[:40 * (len(z) // 40)].reshape(40, -1, n)):
+        assert nm.softmax_array(part).tobytes() == softmax_reference(part).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_array_along_a_leading_axis(dtype):
+    z = _rows_of_note(600, 33, dtype).reshape(30, 20, 33)
+    before = z.copy()
+    got = nm.softmax_array(z, axis=0)
+    want = np.moveaxis(softmax_reference(np.ascontiguousarray(np.moveaxis(z, 0, -1))), -1, 0)
+    assert got.shape == z.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert np.allclose(got, softmax_reference(z, axis=0), rtol=1e-6, atol=0)
+    assert z.tobytes() == before.tobytes()
+
+
+def test_softmax_overwrite_writes_into_its_input():
+    z = _rows_of_note(300, 40, np.float32)
+    x = nm.tensor(z.copy())
+    y = nm.softmax(x, axis=-1, overwrite=True)
+    assert y.data is x.data and y.data.tobytes() == softmax_reference(z).tobytes()
+
+
+def test_softmax_overwrite_refuses_a_view_or_another_axis():
+    z = np.zeros((6, 8), dtype=np.float32)
+    for view in (z[:, ::2], z.T, z[::2]):
+        with pytest.raises(ShapeError):
+            nm.softmax(nm.tensor(view), axis=-1, overwrite=True)
+    with pytest.raises(ShapeError):
+        nm.softmax(nm.tensor(z), axis=0, overwrite=True)
+    assert not z.any()
+
+
+ATTENTION_SHAPES = {  # (..., seq, dim), heads
+    "desk_text_stack": ((50, 25, 64), 2),
+    "desk_speech": ((100, 64), 2),
+    "full_width": ((1500, 512), 8),
+}
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(ATTENTION_SHAPES))
+def test_attention_is_bitwise_the_whole_array_softmax_form(case, dtype, grad):
+    """The in-place blocked softmax leaves the QK^T and AV products as they
+    are, so output and gradients equal the reference's bit for bit on any
+    BLAS thread count."""
+    shape, heads = ATTENTION_SHAPES[case]
+    gen = np.random.default_rng(22)
+    arrays = [gen.normal(0, 1, size=shape).astype(dtype) for _ in range(4)]
+    results = []
+    for attend in (nm.scaled_dot_attention, attention_reference):
+        q, k, v = (nm.tensor(a, dtype=dtype, requires_grad=grad) for a in arrays[:3])
+        y = attend(q, k, v, heads)
+        if grad:
+            (y * nm.tensor(arrays[3], dtype=dtype)).sum().backward()
+        results.append([y.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v) if grad])
+    assert results[0] == results[1]
+
+
+def _multi_block_attention_inputs():
+    """float32 q, k, v whose (8, 300, 300) scores span three softmax blocks."""
+    gen = np.random.default_rng(23)
+    q, k, v = (gen.normal(0, 1, size=(300, 512)).astype(np.float32) for _ in range(3))
+    assert 8 * 300 * 300 * q.itemsize > 2 * nm.SOFTMAX_BLOCK_BYTES
+    return q, k, v
+
+
+@pytest.mark.parametrize("bad,operands", [
+    (np.nan, (0,)), (np.nan, (1,)), (np.inf, (0,)), (np.inf, (1,)),
+    (-np.inf, (0,)), (-np.inf, (1,)), (1e20, (0, 1)),
+], ids=["nan-q", "nan-k", "inf-q", "inf-k", "-inf-q", "-inf-k", "overflow-qk"])
+def test_attention_rejects_non_finite_scores_in_the_last_block(bad, operands):
+    """The last column belongs to the last head, so the bad entry of the
+    last row reaches only the last block's score rows; 1e20 in both q and k
+    is finite but its score overflows float32."""
+    inputs = list(_multi_block_attention_inputs())
+    for i in operands:
+        inputs[i][-1, -1] = bad
+    with pytest.raises(NumericError):
+        nm.scaled_dot_attention(*(nm.tensor(a) for a in inputs), heads=8)
+
+
+def test_attention_peak_allocation_is_one_score_array():
+    q, k, v = _multi_block_attention_inputs()
+    tensors = [nm.tensor(a) for a in (q, k, v)]
+    tracemalloc.start()
+    try:
+        nm.scaled_dot_attention(*tensors, heads=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (8 * 300 * 300 * 4) + 3 * q.nbytes
 
 
 # -- dropout -------------------------------------------------------------
