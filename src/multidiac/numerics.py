@@ -4,15 +4,18 @@ Everything the model needs runs through the `Tensor` class (add, multiply,
 matmul, reshape, transpose, sum, mean) and the primitives GELU, embedding
 lookup, softmax, layer norm, dropout, attention and time pooling, each
 with an analytic backward; the training losses are single ops too, on
-`softmax_array`. One softmax kernel normalises rows a cache-sized block at
-a time: into a new array, or in place over attention's scores, which
-nothing else reads. Storage is row-major float32 by default (float64
-available for verification work). Elementwise work runs in the storage
-dtype. Three reductions keep float64 accumulators and cast back:
-`sum`/`mean`, the softmax row sums and the layer-norm moments. A stack
-times a weight matrix runs as one GEMM over its folded rows (the same bits
-as per slice at the model's shapes; gradients keep numpy's per-slice
-products), and `linear` adds its bias into the product.
+`softmax_array`. Softmax, GELU and layer norm run a cache-sized block of
+rows at a time; the softmax goes into a new array, or in place over
+attention's scores, which nothing else reads. Attention without a graph
+takes its (pass, head) score slices a bounded group at a time through one
+reused buffer and writes AV straight into its output. Storage is
+row-major float32 by default (float64 available for verification work).
+Elementwise work runs in the storage dtype. Three reductions keep float64
+accumulators and cast back: `sum`/`mean`, the softmax row sums and the
+layer-norm moments. A stack times a weight matrix runs as one GEMM over its
+folded rows (the same bits as per slice at the model's shapes; gradients
+keep numpy's per-slice products), and `linear` adds its bias into the
+product.
 
 Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
 counter-based Philox generator. The (seed, stream) pair fully determines
@@ -122,7 +125,9 @@ class Tensor:
     def _accumulate(self, g: np.ndarray):
         g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            # kept as handed over: no gradient is written in place, and each
+            # later one replaces it with a new sum
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
@@ -258,21 +263,23 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU; deterministic, used by both encoders.
 
     The cube is d*d*d: float32 `d ** 3` goes through numpy's slow generic
-    pow loop. The rest runs in place on scratch buffers of the storage
-    dtype, and d*d is kept for the backward.
+    pow loop. Each step runs in place over one cache-sized block of rows at
+    a time. Without a backward every step writes into the output; with one,
+    d*d and the tanh keep arrays of their own for it.
     """
     d = x.data
-    d2 = d * d
-    # without a backward nothing reads d2 or t again, so the cube is built
-    # in d2 and t becomes the output
-    t = np.multiply(d2, d, out=None if x.requires_grad else d2)
-    t *= 0.044715
-    t += d
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = np.add(t, 1.0, out=None if x.requires_grad else t)
-    y *= d
-    y *= 0.5
+    y = np.empty(d.shape, d.dtype)
+    d2, t = (np.empty_like(y), np.empty_like(y)) if x.requires_grad else (y, y)
+    for db, qb, tb, yb in _row_blocks(d, d2, t, y):
+        np.multiply(db, db, out=qb)
+        np.multiply(qb, db, out=tb)
+        tb *= 0.044715
+        tb += db
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=yb)
+        yb *= db
+        yb *= 0.5
 
     def bwd(g):
         # dy/dx = 0.5 * (1 + t + d * (1 - t^2) * c * (1 + 3 * 0.044715 * d^2))
@@ -291,8 +298,20 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(y, _parents=(x,), _backward=bwd)
 
 
-SOFTMAX_BLOCK_BYTES = 1 << 20  # bytes of rows per block, so each pass finds it in cache
+ROW_BLOCK_BYTES = 1 << 20  # bytes of rows per block, so each pass finds it in cache
 SHORT_ROW = 32  # rows this short take their max column by column
+
+
+def _row_blocks(*arrays, itemsize: int | None = None):
+    """The same rows of arrays of one leading shape, as (rows, last axis)
+    views, ROW_BLOCK_BYTES of rows at a time; a row's bytes are the first
+    array's last axis times itemsize (by default its own). Arrays written
+    through them must be C-contiguous; a strided one is read from a copy."""
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    n = rows[0].shape[1]
+    step = max(1, ROW_BLOCK_BYTES // (max(n, 1) * (itemsize or arrays[0].itemsize)))
+    for i in range(0, len(rows[0]), step):
+        yield [r[i:i + step] for r in rows]
 
 
 def _softmax_rows(z: np.ndarray, p: np.ndarray):
@@ -304,10 +323,7 @@ def _softmax_rows(z: np.ndarray, p: np.ndarray):
     column, take the max as a running np.maximum over columns: cheaper
     there than np.max's per-row set-up, and exact like it."""
     n = z.shape[-1]
-    rows, out = z.reshape(-1, n), p.reshape(-1, n)
-    step = max(1, SOFTMAX_BLOCK_BYTES // (max(n, 1) * p.itemsize))
-    for i in range(0, len(out), step):
-        block, o = rows[i:i + step], out[i:i + step]
+    for block, o in _row_blocks(z, p):
         if not np.all(np.isfinite(block)):
             raise NumericError("softmax input contains non-finite values")
         if 0 < n <= SHORT_ROW and len(block) >= 8 * n:
@@ -360,18 +376,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},)")
-    # one float64 copy, centred in place; the moments are add.reduce / d,
-    # the bits of np.mean and np.var without their Python overhead
-    c = x.data.astype(np.float64)
-    c -= np.add.reduce(c, axis=-1, keepdims=True) / d
-    var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    c *= inv
-    xhat = c.astype(x.dtype, copy=False)
-    # without a backward nothing reads xhat again, so the affine goes into it
-    y = np.multiply(xhat, gamma.data, out=None if any(
-        t.requires_grad for t in (x, gamma, beta)) else xhat)
-    y += beta.data
+    # per block of rows: one float64 copy, centred in place; the moments
+    # are add.reduce / d, the bits of np.mean and np.var without their
+    # Python overhead. xhat and inv are whole arrays for the backward;
+    # without one, the affine goes into xhat
+    xhat = np.empty(x.data.shape, x.dtype)
+    inv = np.empty(x.data.shape[:-1] + (1,), np.float64)
+    y = xhat if not any(t.requires_grad for t in (x, gamma, beta)) else np.empty_like(xhat)
+    for xb, hb, ib, yb in _row_blocks(x.data, xhat, inv, y, itemsize=8):
+        c = xb.astype(np.float64)
+        c -= np.add.reduce(c, axis=-1, keepdims=True) / d
+        var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
+        np.divide(1.0, np.sqrt(var + 1e-5), out=ib)
+        c *= ib
+        hb[...] = c
+        np.multiply(hb, gamma.data, out=yb)
+        yb += beta.data
 
     def bwd(g):
         if x.requires_grad:
@@ -463,15 +483,31 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(table.data[..., ids, :], _parents=(table,), _backward=bwd)
 
 
+# score bytes of one group of (leading index, head) slices that attention
+# without a graph normalises in one reused buffer
+ATTENTION_GROUP_BYTES = 18 << 20
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Bidirectional multi-head attention over (..., seq, dim) inputs; each
-    leading index (a dropout pass) attends within its own sequence."""
+    leading index (a dropout pass) attends within its own sequence.
+
+    Without a graph, groups of (leading index, head) slices of at most
+    ATTENTION_GROUP_BYTES of scores (at least one slice) take turns in one
+    buffer: QK^T into it, the softmax in place, AV straight into the
+    (..., seq, heads, dh) output. numpy makes one GEMM call per slice
+    either way, so the bits are those of the batched products."""
     *lead, s, d = q.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
     if k.data.shape != q.data.shape or v.data.shape != q.data.shape:
         raise ShapeError("q, k, v must share (..., seq, dim) shape")
     dh = d // heads
+    # scaling q costs one (seq, dim) pass; scaling the scores would cost a
+    # (heads, seq, seq) one
+    q = q * (1.0 / math.sqrt(dh))
+    if not any(t.requires_grad for t in (q, k, v)):
+        return Tensor(_attention_groups(q.data, k.data, v.data, heads))
     n = len(lead)
     # (..., seq, heads, dh) <-> (..., heads, seq, dh)
     swap = (*range(n), n + 1, n, n + 2)
@@ -479,15 +515,35 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def split(t):
         return t.reshape(*lead, s, heads, dh).transpose(*swap)
 
-    # scaling q costs one (seq, dim) pass; scaling the scores would cost a
-    # (heads, seq, seq) one
-    qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
+    qh, kh, vh = split(q), split(k), split(v)
     scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
     # the scores are a fresh product that only the softmax reads (the
     # matmul's backward reads its operands), so it writes over them
     attn = softmax(scores, axis=-1, overwrite=True)
     out = attn @ vh
     return out.transpose(*swap).reshape(*lead, s, d)
+
+
+def _attention_groups(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
+    """scaled_dot_attention's no-graph product of a scaled q, group by group."""
+    s, d = q.shape[-2:]
+    out = np.empty(q.shape, q.dtype)
+    # (passes, heads, seq, dh) views; k as its (dh, seq) transposes
+    qh, kt, vh, oh = (a.reshape(-1, s, heads, d // heads).transpose(0, 2, 1, 3)
+                      for a in (q, k, v, out))
+    kt = kt.swapaxes(-1, -2)
+    per = max(1, ATTENTION_GROUP_BYTES // max(1, s * s * q.itemsize))
+    hstep, lstep = min(heads, per), max(1, per // heads)
+    buf = np.empty(min(lstep, len(qh)) * hstep * s * s, q.dtype)
+    for i in range(0, len(qh), lstep):
+        for h in range(0, heads, hstep):
+            grp = np.s_[i:i + lstep, h:h + hstep]
+            shape = qh[grp].shape[:2] + (s, s)
+            scores = buf[:math.prod(shape)].reshape(shape)
+            np.matmul(qh[grp], kt[grp], out=scores)
+            softmax(Tensor(scores), overwrite=True)
+            np.matmul(scores, vh[grp], out=oh[grp])
+    return out
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -9,7 +9,9 @@ re-scores a (prediction, gold) pair without the scorer's helpers, and
 `log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
 allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
 `softmax_reference` and `attention_reference` normalise the whole score
-array at once into a new array. `canonicalize` and `filterbank_centers`
+array at once into a new array; `gelu_reference` and `layer_norm_reference`
+are `gelu` and `layer_norm` over the whole array at once, each step a
+whole-array temporary. `canonicalize` and `filterbank_centers`
 are test helpers over the package's text and mel code.
 """
 
@@ -22,7 +24,7 @@ from multidiac.audiofe import (
 )
 from multidiac.errors import ConfigError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
-from multidiac.numerics import RngStream, Tensor
+from multidiac.numerics import _GELU_C, RngStream, Tensor
 from multidiac.textproc import (
     ARABIC_LETTERS, DIACRITICS, class_of_marks, insert_diacritics, label_from_diacritized,
 )
@@ -280,3 +282,61 @@ def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         scores._accumulate(r)
     attn = Tensor(p, _parents=(scores,), _backward=bwd)
     return (attn @ vh).transpose(*swap).reshape(*lead, s, d)
+
+
+def gelu_reference(x: Tensor) -> Tensor:
+    """gelu over the whole array: d*d kept, the cube, scale, shift, tanh
+    and the output each a whole-array step; the same backward."""
+    d = x.data
+    d2 = d * d
+    t = d2 * d
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= d
+    y *= 0.5
+
+    def bwd(g):
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        s *= d
+        k = d2 * (3 * 0.044715)
+        k += 1.0
+        k *= _GELU_C
+        s *= k
+        s += t
+        s += 1.0
+        s *= 0.5
+        s *= g
+        x._accumulate(s)
+    return Tensor(y, _parents=(x,), _backward=bwd)
+
+
+def layer_norm_reference(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """layer_norm over the whole array: one float64 copy centred in place,
+    moments as add.reduce / d, the affine into a new array; the same
+    backward."""
+    d = x.data.shape[-1]
+    c = x.data.astype(np.float64)
+    c -= np.add.reduce(c, axis=-1, keepdims=True) / d
+    var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    c *= inv
+    xhat = c.astype(x.dtype, copy=False)
+    y = xhat * gamma.data
+    y += beta.data
+
+    def bwd(g):
+        if x.requires_grad:
+            gg = g * gamma.data
+            m1 = np.mean(gg, axis=-1, keepdims=True)
+            m2 = np.mean(gg * xhat, axis=-1, keepdims=True)
+            x._accumulate(((gg - m1 - xhat * m2) * inv).astype(x.dtype))
+        axes = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            gamma._accumulate(np.sum(g * xhat, axis=axes))
+        if beta.requires_grad:
+            beta._accumulate(np.sum(g, axis=axes))
+    return Tensor(y, _parents=(x, gamma, beta), _backward=bwd)

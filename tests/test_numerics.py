@@ -1,6 +1,7 @@
 """Autodiff engine: forward values against independent numpy oracles,
 gradients against central finite differences."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from multidiac import numerics as nm
 from multidiac.errors import ConfigError, NumericError, ShapeError
 from multidiac.numerics import RngStream, Tensor, _splitmix64
 from oracles import (
-    attention_reference, conv1d_reference, dropout_masks_reference, grad_check, keys_of,
-    softmax_reference,
+    attention_reference, conv1d_reference, dropout_masks_reference, gelu_reference,
+    grad_check, keys_of, layer_norm_reference, softmax_reference,
 )
 
 
@@ -217,6 +218,32 @@ def test_gelu_float32_matches_float64_formula():
     got = nm.gelu(nm.tensor(x)).data
     assert got.dtype == np.float32
     assert np.max(np.abs(got - _gelu_formula(x.astype(np.float64)))) <= 1e-6
+
+
+def _rows_over_blocks(rows: str, n: int, itemsize: int) -> int:
+    """A row count over two and a half row blocks of n items of itemsize,
+    or one row."""
+    return 5 * (nm.ROW_BLOCK_BYTES // (n * itemsize)) // 2 + 3 if rows == "blocks" else 1
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["blocks", "one_row"])
+def test_gelu_is_bitwise_the_whole_array_form(rows, dtype, grad):
+    """The row-blocked kernel runs the whole-array form's steps row by row:
+    output and gradient are its bits."""
+    n = 2048
+    gen = np.random.default_rng(25)
+    shape = (_rows_over_blocks(rows, n, np.dtype(dtype).itemsize), n)
+    x, w = (gen.normal(0, 3, size=shape).astype(dtype) for _ in range(2))
+    results = []
+    for act in (nm.gelu, gelu_reference):
+        t = nm.tensor(x, dtype=dtype, requires_grad=grad)
+        y = act(t)
+        if grad:
+            (y * nm.tensor(w, dtype=dtype)).sum().backward()
+        results.append([y.data.tobytes()] + ([t.grad.tobytes()] if grad else []))
+    assert y.dtype == dtype and results[0] == results[1]
 
 
 def test_grad_softmax():
@@ -439,6 +466,28 @@ def test_layer_norm_bitwise_matches_upcast_mean_var(dtype, shape):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("grad", [False, True], ids=["nograd", "grad"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["blocks", "one_row"])
+def test_layer_norm_is_bitwise_the_whole_array_form(rows, dtype, grad):
+    """Moments, normalisation and affine per row block are the whole-array
+    form's bits, as are the input, gamma and beta gradients."""
+    n = 512
+    gen = np.random.default_rng(26)
+    shape = (_rows_over_blocks(rows, n, 8), n)  # the float64 copy sets the block
+    x, w = (gen.normal(3, 5, size=shape).astype(dtype) for _ in range(2))
+    x[1::9] = 1.5  # rows of one value: zero variance
+    gb = [gen.normal(m, 0.1, size=n).astype(dtype) for m in (1, 0)]
+    results = []
+    for norm in (nm.layer_norm, layer_norm_reference):
+        ts = [nm.tensor(a, dtype=dtype, requires_grad=grad) for a in (x, *gb)]
+        y = norm(*ts)
+        if grad:
+            (y * nm.tensor(w, dtype=dtype)).sum().backward()
+        results.append([y.data.tobytes()] + [t.grad.tobytes() for t in ts if grad])
+    assert y.dtype == dtype and results[0] == results[1]
+
+
 def test_layer_norm_validation():
     x = t64(np.zeros((2, 4)))
     g = t64(np.ones(3))
@@ -490,6 +539,24 @@ def test_softmax_and_gelu_peak_allocation():
     assert _peak_alloc_ratio(nm.gelu, hidden) <= 3.0
 
 
+def test_softmax_backward_keeps_its_gradient_without_a_copy():
+    """The input's first gradient is the backward's own array, not a copy
+    of it: the (8, 300, 300) backward holds one score-sized array at a time
+    (a copy made it two)."""
+    gen = np.random.default_rng(28)
+    x = nm.tensor(gen.normal(0, 3, size=(8, 300, 300)).astype(np.float32), requires_grad=True)
+    y = nm.softmax(x)
+    g = gen.normal(0, 1, size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.dtype == np.float32
+    assert peak <= 1.3 * x.data.nbytes
+
+
 def _rows_of_note(rows: int, n: int, dtype) -> np.ndarray:
     """(rows, n) scores with ties at the max, rows of one value, and rows
     mixing +0 and -0, spread over every block."""
@@ -505,7 +572,7 @@ def _rows_of_note(rows: int, n: int, dtype) -> np.ndarray:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 2, 15, 31, 32, 33, 1500])
 def test_softmax_array_is_bitwise_the_whole_array_form(n, dtype):
-    block_rows = nm.SOFTMAX_BLOCK_BYTES // (n * np.dtype(dtype).itemsize)
+    block_rows = nm.ROW_BLOCK_BYTES // (n * np.dtype(dtype).itemsize)
     z = _rows_of_note(5 * block_rows // 2 + 3, n, dtype)  # two full blocks and a part
     before = z.copy()
     got, want = nm.softmax_array(z), softmax_reference(z)
@@ -571,11 +638,35 @@ def test_attention_is_bitwise_the_whole_array_softmax_form(case, dtype, grad):
     assert results[0] == results[1]
 
 
+NO_GRAPH_SHAPES = {**ATTENTION_SHAPES, "full_scale_mc_stack": ((4, 400, 512), 16)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(NO_GRAPH_SHAPES))
+def test_attention_without_a_graph_is_bitwise_the_reference(case, dtype, monkeypatch):
+    """Groups of (leading index, head) slices in one reused buffer, AV
+    written into the output: the reference's bits at the default budget and
+    at budgets of one and seven score slices; seven leaves a partial last
+    group of heads, or of passes (50 passes of 2 heads in groups of 3)."""
+    shape, heads = NO_GRAPH_SHAPES[case]
+    gen = np.random.default_rng(27)
+    q, k, v = (nm.tensor(gen.normal(0, 1, size=shape).astype(dtype), dtype=dtype)
+               for _ in range(3))
+    want = attention_reference(q, k, v, heads).data.tobytes()
+    slice_bytes = shape[-2] ** 2 * np.dtype(dtype).itemsize
+    slices = math.prod(shape[:-2]) * heads
+    for budget in (nm.ATTENTION_GROUP_BYTES, slice_bytes, 7 * slice_bytes):
+        monkeypatch.setattr(nm, "ATTENTION_GROUP_BYTES", budget)
+        if case == "full_width":  # several groups run at every budget
+            assert slices * slice_bytes > budget
+        assert nm.scaled_dot_attention(q, k, v, heads).data.tobytes() == want
+
+
 def _multi_block_attention_inputs():
     """float32 q, k, v whose (8, 300, 300) scores span three softmax blocks."""
     gen = np.random.default_rng(23)
     q, k, v = (gen.normal(0, 1, size=(300, 512)).astype(np.float32) for _ in range(3))
-    assert 8 * 300 * 300 * q.itemsize > 2 * nm.SOFTMAX_BLOCK_BYTES
+    assert 8 * 300 * 300 * q.itemsize > 2 * nm.ROW_BLOCK_BYTES
     return q, k, v
 
 
@@ -592,6 +683,38 @@ def test_attention_rejects_non_finite_scores_in_the_last_block(bad, operands):
         inputs[i][-1, -1] = bad
     with pytest.raises(NumericError):
         nm.scaled_dot_attention(*(nm.tensor(a) for a in inputs), heads=8)
+
+
+@pytest.mark.parametrize("bad,operands", [
+    (np.nan, (0,)), (np.nan, (1,)), (np.inf, (0,)), (np.inf, (1,)),
+    (-np.inf, (0,)), (-np.inf, (1,)), (1e20, (0, 1)),
+], ids=["nan-q", "nan-k", "inf-q", "inf-k", "-inf-q", "-inf-k", "overflow-qk"])
+def test_attention_rejects_non_finite_scores_in_the_last_group(bad, operands, monkeypatch):
+    """With one head per group, the bad entry of the last head's column
+    reaches only the last of the eight groups."""
+    monkeypatch.setattr(nm, "ATTENTION_GROUP_BYTES", 300 * 300 * 4)
+    inputs = list(_multi_block_attention_inputs())
+    for i in operands:
+        inputs[i][-1, -1] = bad
+    with pytest.raises(NumericError):
+        nm.scaled_dot_attention(*(nm.tensor(a) for a in inputs), heads=8)
+
+
+def test_attention_without_a_graph_peaks_at_one_group(monkeypatch):
+    """With one head per group, a no-graph call holds one group's scores,
+    the scaled q and the output: at most one group plus q, k, v and the
+    output, less than the whole (8, 300, 300) score stack."""
+    group = 300 * 300 * 4
+    monkeypatch.setattr(nm, "ATTENTION_GROUP_BYTES", group)
+    q, k, v = _multi_block_attention_inputs()
+    tensors = [nm.tensor(a) for a in (q, k, v)]
+    tracemalloc.start()
+    try:
+        nm.scaled_dot_attention(*tensors, heads=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= group + 4 * q.nbytes < 8 * group
 
 
 def test_attention_peak_allocation_is_one_score_array():
