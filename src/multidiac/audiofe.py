@@ -37,15 +37,15 @@ class Waveform:
 
 @dataclass
 class MelSpectrogram:
-    values: np.ndarray  # (mels, frames) float32
+    values: np.ndarray  # (mels, frames) float32, or a (B, mels, frames) stack
 
     @property
     def mels(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def frames(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 def load_wav(path) -> Waveform:

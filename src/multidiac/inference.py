@@ -35,12 +35,6 @@ class EnsembleConfig:
         require_range(self, ("inference_dropout_p",), 0.0, 1.0, hi_open=True)
 
 
-# Byte budget for one stacked forward's largest per-pass arrays (see
-# pass_bytes). At desk scale every pass fits; a full-width text model on 662
-# tokens fits two.
-SCORE_BUDGET_BYTES = 64 << 20
-
-
 def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
     """Bytes one pass of a stack adds at its peak: the larger of the
     (heads, seq, seq) attention scores and the (seq, mlp_ratio * dim) MLP
@@ -56,11 +50,11 @@ def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
                prefix, passes: int, p: float, rng: RngStream) -> np.ndarray:
     """(passes, full positions, 15) softmax probabilities, read-only; pass
     i uses the stream rng.child(i), keyed through rng.child_keys. Passes
-    run as stacked forwards of as many passes as fit SCORE_BUDGET_BYTES,
+    run as stacked forwards of as many passes as fit nm.STACK_BUDGET_BYTES,
     which leaves every pass's output unchanged. At p = 0 every pass is the
     eval output, so only pass 0 runs and its row is repeated."""
     per_pass = pass_bytes(model.config, len(tokens), model.dtype)
-    chunk = max(1, SCORE_BUDGET_BYTES // per_pass)
+    chunk = max(1, nm.STACK_BUDGET_BYTES // per_pass)
     run = passes if p else 1
     out = []
     for start in range(0, run, chunk):

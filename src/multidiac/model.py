@@ -5,7 +5,9 @@ and a 15-way per-letter classification head.
 Projected speech vectors are added to the embeddings of `prefix_len`
 dedicated prefix positions that precede the text tokens; a zero prefix is
 therefore exactly the text-only model. The speech encoder's parameters
-can be frozen per block; frozen tensors never receive gradient.
+can be frozen per block; frozen tensors never receive gradient. The
+encoder takes one log-mel or a stack of them: a frozen encoder runs a
+training batch's utterances as stacks, each row bitwise its own call.
 """
 
 from __future__ import annotations
@@ -101,6 +103,17 @@ def desk_config(vocab_size: int = 40) -> ModelConfig:
                        speech_blocks=2, speech_dim=64, speech_heads=2,
                        speech_frames=100, prefix_len=10, pool_factor=10,
                        vocab_size=vocab_size)
+
+
+def utterance_bytes(config: ModelConfig, dtype) -> int:
+    """Bytes one utterance adds to a frozen encode's peak: four
+    (speech_frames, mlp_ratio * speech_dim) MLP hidden layers. Measured
+    under tracemalloc at full width in float32 (6 blocks), one encode peaks
+    at 44 MB and each further utterance of a stack adds 42-45 MB, about
+    3.6 hidden layers. So a full-width stack holds one utterance and a
+    desk batch stacks whole."""
+    return 4 * config.speech_frames * config.mlp_ratio * config.speech_dim \
+        * np.dtype(dtype).itemsize
 
 
 # Byte bound of a model's cache of mean-pooled speech frames. A full cache
@@ -271,14 +284,16 @@ class DiacritizerModel:
         return x + h
 
     def speech_encode(self, m: MelSpectrogram) -> Tensor:
-        """(mels, 2*speech_frames) log-mel -> (speech_frames, speech_dim), eval mode."""
+        """(mels, 2*speech_frames) log-mel -> (speech_frames, speech_dim), eval
+        mode; a (B, mels, 2*speech_frames) stack gives (B, speech_frames,
+        speech_dim), whose rows are bitwise those of B calls."""
         cfg = self.config
-        if m.frames != cfg.mel_frames:
-            raise ShapeError(f"expected {cfg.mel_frames} mel frames, got {m.frames}")
+        if m.values.ndim not in (2, 3) or m.frames != cfg.mel_frames:
+            raise ShapeError(f"expected {cfg.mel_frames} mel frames, got {m.values.shape}")
         if m.mels != cfg.mels:
             raise ShapeError(f"expected {cfg.mels} mel bins, got {m.mels}")
         p = self.params
-        x = nm.tensor(m.values.T, dtype=self.dtype)  # (time, mels)
+        x = nm.tensor(np.swapaxes(m.values, -1, -2), dtype=self.dtype)  # (..., time, mels)
         x = nm.gelu(nm.conv1d(x, p["speech.conv1.w"], p["speech.conv1.b"],
                               stride=1, padding=1))
         x = nm.gelu(nm.conv1d(x, p["speech.conv2.w"], p["speech.conv2.b"],
@@ -296,6 +311,21 @@ class DiacritizerModel:
 
     def speech_prefix(self, m: MelSpectrogram) -> Tensor:
         return self.pool_project(self.speech_encode(m))
+
+    def speech_prefixes(self, mels: list[MelSpectrogram]) -> list[Tensor]:
+        """speech_prefix of each log-mel, bit for bit. A frozen encoder runs
+        over stacks of as many utterances as fit nm.STACK_BUDGET_BYTES (see
+        utterance_bytes), one with a graph once per utterance; each
+        prefix is pooled and projected on its own rows. So every gradient
+        sums in the order of separate calls."""
+        if any(p.requires_grad for n, p in self.params.items() if n.startswith("speech.")):
+            return [self.speech_prefix(m) for m in mels]
+        per = max(1, nm.STACK_BUDGET_BYTES // utterance_bytes(self.config, self.dtype))
+        out = []
+        for i in range(0, len(mels), per):
+            stack = MelSpectrogram(np.stack([m.values for m in mels[i:i + per]]))
+            out += [self.pool_project(Tensor(f)) for f in self.speech_encode(stack).data]
+        return out
 
     def cached_speech_prefix(self, waveform: Waveform, mel) -> Tensor:
         """speech_prefix(mel()), where mel() is the waveform's log-mel, with

@@ -487,6 +487,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # without a graph normalises in one reused buffer
 ATTENTION_GROUP_BYTES = 18 << 20
 
+# bytes of the widest per-row arrays of one stacked forward, MC passes or
+# frozen-encoder utterances. Every desk stack fits; a full-width text model
+# on 662 tokens fits two passes, the full-width encoder one utterance.
+STACK_BUDGET_BYTES = 64 << 20
+
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Bidirectional multi-head attention over (..., seq, dim) inputs; each
@@ -571,20 +576,24 @@ def mean_pool_time(x: Tensor, factor: int) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
-    """1-D convolution over (time, c_in) with weights (c_out, c_in, k)."""
-    t_in, c_in = x.data.shape
+    """1-D convolution over (..., time, c_in) with weights (c_out, c_in, k);
+    the im2col rows of every leading index run as one GEMM."""
+    *lead, t_in, c_in = x.data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv1d channel mismatch: {c_in} vs {c_in_w}")
-    xp = np.zeros((t_in + 2 * padding, c_in), dtype=x.data.dtype)
-    xp[padding:padding + t_in] = x.data
+    xp = np.zeros((*lead, t_in + 2 * padding, c_in), dtype=x.data.dtype)
+    xp[..., padding:padding + t_in, :] = x.data
     t_out = (t_in + 2 * padding - k) // stride + 1
-    # im2col: (t_out, k*c_in), row t the k padded rows from t*stride on
+    # im2col: t_out rows of k*c_in per leading index, row t the k padded
+    # rows from t*stride on
     cols = np.lib.stride_tricks.as_strided(
-        xp, (t_out, k * c_in), (stride * xp.strides[0], xp.strides[1])).copy()
+        xp, (*lead, t_out, k * c_in),
+        (*xp.strides[:-2], stride * xp.strides[-2], xp.strides[-1])).copy().reshape(-1, k * c_in)
     wmat = w.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
 
     def bwd(g):
+        g = g.reshape(-1, c_out)
         if w.requires_grad:
             gw = cols.T @ g  # (k*c_in, c_out)
             w._accumulate(gw.reshape(k, c_in, c_out).transpose(2, 1, 0))
@@ -592,10 +601,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 1) -
             b._accumulate(g.sum(axis=0))
         if not x.requires_grad:
             return
-        gcols = (g @ wmat.T).reshape(t_out, k, c_in)
+        gcols = (g @ wmat.T).reshape(*lead, t_out, k, c_in)
         gxp = np.zeros_like(xp)
-        np.add.at(gxp, np.arange(t_out)[:, None] * stride + np.arange(k), gcols)
-        x._accumulate(gxp[padding:padding + t_in] if padding else gxp)
+        # scatter-add along the time axis: index it first, as in embedding
+        np.add.at(np.moveaxis(gxp, -2, 0), np.arange(t_out)[:, None] * stride + np.arange(k),
+                  np.moveaxis(gcols, (-3, -2), (0, 1)))
+        x._accumulate(gxp[..., padding:padding + t_in, :])
     out = cols @ wmat
     out += b.data
-    return Tensor(out, _parents=(x, w, b), _backward=bwd)
+    return Tensor(out.reshape(*lead, t_out, c_out), _parents=(x, w, b), _backward=bwd)

@@ -6,7 +6,9 @@ The R-Drop objective runs each sample through the model twice with
 different dropout masks and adds alpha times the symmetric KL divergence
 between the two softmax outputs to the mean of the two focal losses. Each
 loss is one autodiff op with an analytic backward, on the (2, letters, 15)
-stack of the pair's letter rows.
+stack of the pair's letter rows. Each sample of a batch draws its own noise
+and SpecAugment; the frozen speech encoder then runs over the batch's
+log-mels in stacks under nm.STACK_BUDGET_BYTES (a desk batch is one stack).
 """
 
 from __future__ import annotations
@@ -492,22 +494,26 @@ class CorpusSample:
     waveform: Waveform | None
 
 
-def prepare_sample(model: DiacritizerModel, sample: CorpusSample,
-                   cfg: TrainConfig, rng: RngStream) -> PreparedSample:
-    """Augment audio, extract features, run the speech encoder, and bundle
-    token/target arrays for one example. A sample with no waveform gets no
+def prepare_sample(model: DiacritizerModel, samples: list[CorpusSample],
+                   cfg: TrainConfig, rngs: list[RngStream]) -> list[PreparedSample]:
+    """Augment audio, extract features and bundle token/target arrays for
+    each example of a batch, sample i drawing from rngs[i]; the speech
+    encoder runs over the batch's log-mels together (see
+    `DiacritizerModel.speech_prefixes`). A sample with no waveform gets no
     prefix: the text-only path."""
     mcfg = model.config
-    prefix = None
-    if sample.waveform is not None:
-        w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
-        mel = log_mel(w, mels=mcfg.mels, frame_budget=mcfg.mel_frames)
-        mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
-        prefix = model.speech_prefix(mel)
-    return PreparedSample(tokens=model.encode_text(sample.raw),
-                          letter_rows=model.letter_rows(sample.raw),
-                          targets=np.asarray(sample.targets, dtype=np.int64),
-                          prefix=prefix)
+    mels = []
+    for sample, rng in zip(samples, rngs, strict=True):
+        if sample.waveform is not None:
+            w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
+            mel = log_mel(w, mels=mcfg.mels, frame_budget=mcfg.mel_frames)
+            mels.append(spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1)))
+    prefixes = iter(model.speech_prefixes(mels))
+    return [PreparedSample(tokens=model.encode_text(s.raw),
+                           letter_rows=model.letter_rows(s.raw),
+                           targets=np.asarray(s.targets, dtype=np.int64),
+                           prefix=None if s.waveform is None else next(prefixes))
+            for s in samples]
 
 
 def check_text_lengths(texts, config: ModelConfig):
@@ -567,8 +573,8 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
         for b in range(n_batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             brng = erng.child(1 + b)
-            samples = [prepare_sample(model, corpus[i], cfg, brng.child(int(i)))
-                       for i in idx]
+            samples = prepare_sample(model, [corpus[i] for i in idx], cfg,
+                                     [brng.child(int(i)) for i in idx])
             loss = rdrop_objective(samples, model, cfg, brng.child(-1))
             model.zero_grad()
             loss.backward()

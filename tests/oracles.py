@@ -8,6 +8,8 @@ word spans with a `str.isspace()` scan, `brute_force_reference`
 re-scores a (prediction, gold) pair without the scorer's helpers, and
 `log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
 allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
+`prepare_sample_reference` prepares one training sample with its own
+speech encode, as `prepare_sample` did before batches shared a stack.
 `softmax_reference` and `attention_reference` normalise the whole score
 array at once into a new array; `gelu_reference` and `layer_norm_reference`
 are `gelu` and `layer_norm` over the whole array at once, each step a
@@ -20,7 +22,8 @@ import math
 import numpy as np
 
 from multidiac.audiofe import (
-    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, _band_edges, mel_filterbank,
+    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, _band_edges, inject_noise, log_mel,
+    mel_filterbank, spec_augment,
 )
 from multidiac.errors import ConfigError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
@@ -28,6 +31,7 @@ from multidiac.numerics import _GELU_C, RngStream, Tensor
 from multidiac.textproc import (
     ARABIC_LETTERS, DIACRITICS, class_of_marks, insert_diacritics, label_from_diacritized,
 )
+from multidiac.training import PreparedSample
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
@@ -212,6 +216,21 @@ def conv1d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     cols = xp[idx].reshape(t_out, k * c_in)
     return cols @ w.transpose(2, 1, 0).reshape(k * c_in, c_out) + b
+
+
+def prepare_sample_reference(model, sample, cfg, rng: RngStream) -> PreparedSample:
+    """One sample's noise, log-mel, SpecAugment and speech prefix, drawn
+    from rng, with the encoder run on that utterance alone."""
+    prefix = None
+    if sample.waveform is not None:
+        w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
+        mel = log_mel(w, mels=model.config.mels, frame_budget=model.config.mel_frames)
+        mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
+        prefix = model.speech_prefix(mel)
+    return PreparedSample(tokens=model.encode_text(sample.raw),
+                          letter_rows=model.letter_rows(sample.raw),
+                          targets=np.asarray(sample.targets, dtype=np.int64),
+                          prefix=prefix)
 
 
 def adamw_reference(params, state, lr: float, weight_decay: float):

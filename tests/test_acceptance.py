@@ -106,10 +106,10 @@ def test_criterion_01_gradient_fidelity(corpora):
     corpus = corpus_from_manifest(big / "train.jsonl")[:1]
     model = _fresh_model(corpus, dtype=np.float64)
     cfg = desk_recipe()
-    sample = prepare_sample(model, corpus[0], cfg, RngStream(0))
+    (sample,) = prepare_sample(model, corpus, cfg, [RngStream(0)])
 
     def objective():
-        s = prepare_sample(model, corpus[0], cfg, RngStream(0))
+        (s,) = prepare_sample(model, corpus, cfg, [RngStream(0)])
         return rdrop_objective([s], model, cfg, RngStream(1)).item()
 
     model.zero_grad()
@@ -150,7 +150,7 @@ def test_criterion_02_rdrop_identities(corpora):
         Vocabulary.from_texts([corpus[0].raw]), RngStream(1),
         dtype=np.float64)
     cfg = replace(desk_recipe(), speech_emb_dropout=0.0)
-    s = prepare_sample(model0, corpus[0], cfg, RngStream(0))
+    (s,) = prepare_sample(model0, corpus, cfg, [RngStream(0)])
     obj = rdrop_objective([s], model0, cfg, RngStream(2)).item()
     logits = model0.forward(s.tokens, s.prefix)
     rows = nm.embedding(logits, s.letter_rows)
@@ -164,7 +164,7 @@ def test_criterion_02_rdrop_identities(corpora):
     # float64 so the 1e-7 tolerance probes the identity, not f32 rounding
     model = _fresh_model(corpus, seed=3, dtype=np.float64)
     cfg0 = replace(desk_recipe(), rdrop_alpha=0.0)
-    s = prepare_sample(model, corpus[0], cfg0, RngStream(0))
+    (s,) = prepare_sample(model, corpus, cfg0, [RngStream(0)])
     run = RngStream(9)
     obj = rdrop_objective([s], model, cfg0, run).item()
     srng = run.child(0)

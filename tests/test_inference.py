@@ -97,7 +97,7 @@ def test_mc_forward_chunking_leaves_every_pass_unchanged(monkeypatch):
     monkeypatch.setattr(model, "forward", counting_forward)
     runs = {}
     for per_chunk in (1, 3, 7):
-        monkeypatch.setattr(inference, "SCORE_BUDGET_BYTES", per_chunk * per_pass)
+        monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", per_chunk * per_pass)
         stacks.clear()
         runs[per_chunk] = mc_forward(model, tokens, prefix, passes=7, p=0.1,
                                      rng=RngStream(4))

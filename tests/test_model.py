@@ -1,6 +1,8 @@
 """Architecture: config validation, parameter counts, freeze policy,
 fusion identity, forward determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,38 @@ def test_speech_encode_validates_mel_shape():
     with pytest.raises(ShapeError):
         model.speech_encode(MelSpectrogram(
             np.zeros((cfg.mels + 1, cfg.mel_frames), dtype=np.float32)))
+    for shape in ((cfg.mel_frames,), (1, 1, cfg.mels, cfg.mel_frames)):
+        with pytest.raises(ShapeError):
+            model.speech_encode(MelSpectrogram(np.zeros(shape, dtype=np.float32)))
+
+
+STACKED_ENCODERS = {  # config, utterances, speech_prefixes' stack sizes
+    "desk": (desk_config(vocab_size=10), 3, [3]),
+    "full_width": (replace(full_scale_config(vocab_size=10), speech_blocks=1,
+                           text_layers=1), 2, [1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(STACKED_ENCODERS))
+def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
+    """Each row of a stacked encode, and each of speech_prefixes' prefixes,
+    is bitwise its utterance's own call, on any BLAS thread count. A desk
+    batch stacks whole; a full-width utterance is encoded alone."""
+    cfg, n, sizes = STACKED_ENCODERS[case]
+    model = DiacritizerModel(cfg, VOCAB, RngStream(1))
+    mels = [mel_for(cfg, seed) for seed in range(n)]
+    stack = model.speech_encode(MelSpectrogram(np.stack([m.values for m in mels])))
+    assert stack.shape == (n, cfg.speech_frames, cfg.speech_dim)
+    stacks = []
+    encode = DiacritizerModel.speech_encode
+    monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: stacks.append(
+        len(m.values)) or encode(self, m))
+    prefixes = model.speech_prefixes(mels)
+    monkeypatch.undo()
+    assert stacks == sizes
+    for m, row, prefix in zip(mels, stack.data, prefixes, strict=True):
+        assert row.tobytes() == model.speech_encode(m).data.tobytes()
+        assert prefix.data.tobytes() == model.speech_prefix(m).data.tobytes()
 
 
 def test_speech_prefix_shape():

@@ -341,6 +341,21 @@ def test_grad_conv1d():
             w, h=1e-4) < 1e-6
 
 
+def test_grad_conv1d_stack():
+    """A stack of (2, 3) inputs through one conv1d: x, w and b each pass a
+    gradient check, so the folded im2col rows scatter and sum back right."""
+    gen = np.random.default_rng(31)
+    w = t64(gen.normal(0, 0.5, size=(5, 4, 3)))
+    b = t64(gen.normal(0, 0.5, size=(5,)))
+    x = t64(gen.normal(0, 1, size=(2, 3, 8, 4)), requires_grad=False)
+    for stride in (1, 2):
+        _check(lambda xx: square_sum(nm.conv1d(xx, w, b, stride=stride, padding=1)),
+               (2, 3, 8, 4), seed=32 + stride)
+        for param in (w, b):
+            assert grad_check(lambda _: square_sum(nm.conv1d(x, w, b, stride=stride)),
+                              param, h=1e-4) < 1e-6
+
+
 # -- forward oracles for the structured ops ------------------------------
 
 
@@ -380,6 +395,21 @@ def test_conv1d_is_bitwise_the_gather_form(dtype, stride, t_in, c_in, c_out, pad
                     nm.tensor(b, dtype=dtype), stride=stride, padding=padding).data
     want = conv1d_reference(x, w, b, stride, padding)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead, t_in, c_in, c_out, stride", [
+    ((3,), 200, 80, 64, 1), ((3,), 200, 64, 64, 2), ((2, 2), 7, 3, 4, 2)],
+    ids=["desk_conv1", "desk_conv2", "two_axes"])
+def test_conv1d_with_leading_axes_is_each_slice(dtype, lead, t_in, c_in, c_out, stride):
+    gen = np.random.default_rng(t_in + stride)
+    x = gen.normal(0, 1, size=(*lead, t_in, c_in)).astype(dtype)
+    w, b = (nm.tensor(gen.normal(0, 0.1, size=shape), dtype=dtype)
+            for shape in ((c_out, c_in, 3), (c_out,)))
+    got = nm.conv1d(nm.tensor(x, dtype=dtype), w, b, stride=stride).data
+    for idx in np.ndindex(*lead):
+        one = nm.conv1d(nm.tensor(x[idx], dtype=dtype), w, b, stride=stride).data
+        assert got[idx].tobytes() == one.tobytes()
 
 
 def _attention_oracle(q, k, v, heads):

@@ -18,7 +18,8 @@ from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import (ConfigError, FingerprintError, FormatError,
                               NumericError)
 from multidiac.model import (DiacritizerModel, ModelConfig, desk_config,
-                             full_scale_config, speech_embedding_dropout)
+                             full_scale_config, speech_embedding_dropout,
+                             utterance_bytes)
 from multidiac.numerics import RngStream
 from multidiac.textproc import NUM_CLASSES, Vocabulary, label_from_diacritized
 from multidiac.training import (
@@ -27,7 +28,7 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import adamw_reference, grad_check
+from oracles import adamw_reference, grad_check, prepare_sample_reference
 
 VOCAB = Vocabulary("بتث")
 
@@ -242,7 +243,7 @@ def test_sym_kl_passes_no_gradient_below_the_clamp():
 def test_rdrop_without_dropout_is_plain_focal():
     model = tiny_model(dropout=0.0)
     cfg = tr.TrainConfig(rdrop_alpha=2.08, speech_emb_dropout=0.0)
-    sample = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
+    (sample,) = prepare_sample(model, text_corpus(1), cfg, [RngStream(0)])
     loss = rdrop_objective([sample], model, cfg, RngStream(1)).item()
     logits = model.forward(sample.tokens, None)
     rows = nm.embedding(logits, sample.letter_rows)
@@ -255,7 +256,7 @@ def test_rdrop_without_dropout_is_plain_focal():
 def test_rdrop_alpha_zero_drops_consistency_term():
     model = tiny_model(dropout=0.1)
     base = tr.TrainConfig(rdrop_alpha=0.0)
-    s = prepare_sample(model, text_corpus(1)[0], base, RngStream(0))
+    (s,) = prepare_sample(model, text_corpus(1), base, [RngStream(0)])
     l0 = rdrop_objective([s], model, base, RngStream(7)).item()
     l1 = rdrop_objective([s], model,
                          tr.TrainConfig(rdrop_alpha=2.0), RngStream(7)).item()
@@ -265,7 +266,7 @@ def test_rdrop_alpha_zero_drops_consistency_term():
 def test_rdrop_deterministic_in_rng():
     model = tiny_model()
     cfg = tr.TrainConfig()
-    s = prepare_sample(model, text_corpus(1)[0], cfg, RngStream(0))
+    (s,) = prepare_sample(model, text_corpus(1), cfg, [RngStream(0)])
     a = rdrop_objective([s], model, cfg, RngStream(3)).item()
     b = rdrop_objective([s], model, cfg, RngStream(3)).item()
     assert a == b
@@ -278,7 +279,7 @@ def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
     # bucket's two samples share
     model = tiny_model()
     cfg = tr.TrainConfig()
-    samples = [prepare_sample(model, c, cfg, RngStream(0)) for c in text_corpus(2)]
+    samples = prepare_sample(model, text_corpus(2), cfg, [RngStream(0)] * 2)
     outputs = []
     forward = model.forward
 
@@ -352,8 +353,7 @@ def desk_audio_batch(n, dtype=np.float32):
     model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab,
                              RngStream(42), dtype=dtype)
     cfg = replace(desk_recipe(), speech_emb_dropout=0.5)
-    samples = [prepare_sample(model, s, cfg, RngStream(0).child(i))
-               for i, s in enumerate(corpus)]
+    samples = prepare_sample(model, corpus, cfg, [RngStream(0).child(i) for i in range(n)])
     return model, cfg, samples
 
 
@@ -934,7 +934,7 @@ def test_load_checkpoint_fingerprint_mismatch(tmp_path):
 def test_prepare_sample_offsets_letter_rows():
     model = tiny_model()
     s = text_corpus(1)[0]
-    prep = prepare_sample(model, s, TrainConfig(), RngStream(0))
+    (prep,) = prepare_sample(model, [s], TrainConfig(), [RngStream(0)])
     assert prep.prefix is None
     assert np.array_equal(prep.letter_rows, model.letter_rows(s.raw))
     assert np.array_equal(prep.tokens, model.encode_text(s.raw))
@@ -985,10 +985,10 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
     vocab = Vocabulary.from_texts([s.raw for _, s in corpus])
     train, dev = [s for _, s in corpus[:18]], corpus[18:]
     cfg = replace(desk_recipe(seed=5), epochs=3, warmup_epochs=1)
-    encodes = []
+    encodes = []  # utterances per speech_encode call: rows of a stack
     encode = DiacritizerModel.speech_encode
-    monkeypatch.setattr(DiacritizerModel, "speech_encode",
-                        lambda self, m: encodes.append(1) or encode(self, m))
+    monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: encodes.append(
+        math.prod(m.values.shape[:-2])) or encode(self, m))
 
     def run(out):
         encodes.clear()
@@ -1003,7 +1003,7 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
 
         h = fit(train, model, cfg, out_dir=out, dev_scorer=scorer)
         with open(h["selected"], "rb") as f:
-            return h, preds, f.read(), len(encodes)
+            return h, preds, f.read(), sum(encodes)
 
     cached = run(tmp_path / "cached")
     monkeypatch.setattr(DiacritizerModel, "cached_speech_prefix",
@@ -1015,6 +1015,74 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
     assert cached[1:3] == plain[1:3]
     # each epoch trains on 18 prefixes; dev is encoded in epoch 1 only
     assert (cached[3], plain[3]) == (3 * 18 + 6, 3 * 18 + 3 * 6)
+
+
+def synth_corpus(n, seed):
+    """n desk synth samples with audio, and the vocabulary of their texts."""
+    spec = desk_synth_spec(sample_count=n)
+    corpus = []
+    for i in range(n):
+        gold, wav = synthesize_sample(spec, RngStream(seed).child(i))
+        lab = label_from_diacritized(gold)
+        corpus.append(CorpusSample(f"s{i}", lab.raw, np.asarray(lab.labels), wav))
+    return corpus, Vocabulary.from_texts([s.raw for s in corpus])
+
+
+def test_prepare_sample_batch_is_bitwise_per_sample_preparation(monkeypatch):
+    """A batch of audio and text-only samples, with noise and SpecAugment on
+    and more utterances than one stack holds, prepares as each sample does
+    alone: the same arrays and prefixes, and the same R-Drop objective and
+    gradients bit for bit."""
+    corpus, vocab = synth_corpus(7, seed=8)
+    for i in (1, 4):
+        corpus[i] = replace(corpus[i], waveform=None)
+    cfg = replace(table1_primary(), speech_emb_dropout=0.0)
+    mcfg = desk_config(vocab_size=len(vocab) + 3)
+    rngs = [RngStream(2).child(i) for i in range(len(corpus))]
+    monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", 2 * utterance_bytes(mcfg, np.float32) + 1)
+    stacks = []
+    encode = DiacritizerModel.speech_encode
+    monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: stacks.append(
+        m.values.shape[:-2]) or encode(self, m))
+    runs = []
+    for prepare in (lambda model: prepare_sample(model, corpus, cfg, rngs),
+                    lambda model: [prepare_sample_reference(model, s, cfg, r)
+                                   for s, r in zip(corpus, rngs)]):
+        model = DiacritizerModel(mcfg, vocab, RngStream(4))
+        samples = prepare(model)
+        rdrop_objective(samples, model, cfg, RngStream(6)).backward()
+        runs.append(([(s.tokens.tobytes(), s.letter_rows.tobytes(), s.targets.tobytes(),
+                       None if s.prefix is None else s.prefix.data.tobytes())
+                      for s in samples],
+                     {n: p.grad.tobytes() for n, p in model.params.items()
+                      if p.grad is not None}))
+    assert stacks == [(2,), (2,), (1,)] + [()] * 5
+    assert [s[3] is None for s in runs[0][0]] == [s.waveform is None for s in corpus]
+    assert runs[0] == runs[1] and "proj.w" in runs[0][1]
+
+
+@pytest.mark.parametrize("unfreeze_at", [0, 1])
+def test_fit_with_an_unfrozen_speech_block_matches_per_sample_preparation(
+        unfreeze_at, monkeypatch):
+    """With the top speech block trainable from epoch 1 (or from epoch 2,
+    after a frozen epoch that stacks), a desk fit has the loss history and
+    parameters of one that prepares every sample alone."""
+    corpus, vocab = synth_corpus(6, seed=9)
+    cfg = replace(desk_recipe(seed=3), epochs=2, warmup_epochs=1, batch_size=4,
+                  whisper_unfrozen=1, unfreeze_at_epoch=unfreeze_at)
+    runs = []
+    for per_sample in (False, True):
+        if per_sample:
+            monkeypatch.setattr(tr, "prepare_sample", lambda model, samples, cfg, rngs: [
+                prepare_sample_reference(model, s, cfg, r) for s, r in zip(samples, rngs)])
+        model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(7))
+        history = fit(corpus, model, cfg)
+        runs.append((history["loss"],
+                     {n: p.data.tobytes() for n, p in model.params.items()}))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["speech.block1.attn.wq"] != DiacritizerModel(
+        desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(7)).params[
+        "speech.block1.attn.wq"].data.tobytes()
 
 
 def test_fit_rejects_empty_corpus():
