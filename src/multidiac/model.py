@@ -12,6 +12,7 @@ training batch's utterances as stacks, each row bitwise its own call.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -122,12 +123,16 @@ def utterance_bytes(config: ModelConfig, dtype) -> int:
 POOLED_CACHE_BYTES = 64 << 20
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:
+    """(length, dim) float32 sines and cosines of the positions. Cached and
+    shared by every model of that shape, so it is returned read-only."""
     pos = np.arange(length)[:, None]
     inv = np.exp(-np.arange(0, dim, 2) * (math.log(10000.0) / dim))[None, :]
     table = np.zeros((length, dim), dtype=np.float32)
     table[:, 0::2] = np.sin(pos * inv)
     table[:, 1::2] = np.cos(pos * inv)
+    table.flags.writeable = False
     return table
 
 

@@ -576,12 +576,15 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
             samples = prepare_sample(model, [corpus[i] for i in idx], cfg,
                                      [brng.child(int(i)) for i in idx])
             loss = rdrop_objective(samples, model, cfg, brng.child(-1))
-            model.zero_grad()
             loss.backward()
-            lr = lr_at(step, total_steps, cfg)
-            adamw_step(model.params, state, lr, cfg.weight_decay)
-            step += 1
             epoch_loss += loss.item()
+            # the spent graph (every activation, every prefix) dies before
+            # AdamW allocates, and the gradients once AdamW has read them;
+            # apply_freeze_policy leaves none at an epoch's start
+            del samples, loss
+            adamw_step(model.params, state, lr_at(step, total_steps, cfg), cfg.weight_decay)
+            model.zero_grad()
+            step += 1
         history["loss"].append(epoch_loss / n_batches)
         history["lr"].append(lr_at(step, total_steps, cfg))
         dev_wer = dev_scorer(model) if dev_scorer is not None else None

@@ -80,6 +80,13 @@ def test_sinusoidal_table_values():
     assert np.allclose(t[2, 0::2], np.sin(2 * inv), atol=1e-6)
 
 
+def test_models_share_one_read_only_sinusoidal_table():
+    a, b = small_model(), small_model()
+    assert a._sin_table.data is b._sin_table.data
+    assert a._sin_table.data is sinusoidal_table(a.config.speech_frames, a.config.speech_dim)
+    assert not a._sin_table.data.flags.writeable
+
+
 # -- freeze policy -------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Losses, optimizer, schedule, freeze policy, checkpoint format, fit loop."""
 
 import errno
+import gc
 import hashlib
 import math
 import os
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1083,6 +1085,66 @@ def test_fit_with_an_unfrozen_speech_block_matches_per_sample_preparation(
     assert runs[0][1]["speech.block1.attn.wq"] != DiacritizerModel(
         desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(7)).params[
         "speech.block1.attn.wq"].data.tobytes()
+
+
+@pytest.mark.parametrize("unfrozen", [0, 1])
+def test_a_fit_step_frees_its_graph_before_adamw_and_its_gradients_after(
+        tmp_path, monkeypatch, unfrozen):
+    """With the cyclic collector off, a step's loss and speech prefixes are
+    dead when AdamW runs (with a trainable speech block too, whose graph
+    runs through the encoder), and no parameter holds a gradient while dev
+    scoring runs or a checkpoint is written."""
+    corpus, vocab = synth_corpus(5, seed=9)
+    corpus[2] = replace(corpus[2], waveform=None)
+    cfg = replace(desk_recipe(seed=3), epochs=2, warmup_epochs=1, batch_size=2,
+                  whisper_unfrozen=unfrozen, unfreeze_at_epoch=0)
+    model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(7))
+    refs, seen = [], []
+    prepare, objective = tr.prepare_sample, tr.rdrop_objective
+    adamw, save = tr.adamw_step, tr.save_checkpoint
+
+    def prepare_watched(*args):
+        samples = prepare(*args)
+        for s in samples:
+            if s.prefix is not None:
+                refs.append(weakref.ref(s.prefix.data))
+        return samples
+
+    def objective_watched(*args):
+        loss = objective(*args)
+        refs.append(weakref.ref(loss.data))
+        return loss
+
+    def grads_held():
+        return sum(p.grad is not None for p in model.params.values())
+
+    def adamw_watched(*args):
+        seen.append(("adamw", sum(r() is not None for r in refs), grads_held()))
+        adamw(*args)
+
+    def save_watched(*args):
+        seen.append(("save", grads_held()))
+        save(*args)
+
+    def scorer(m):
+        seen.append(("dev", grads_held()))
+        return 0.5
+
+    monkeypatch.setattr(tr, "prepare_sample", prepare_watched)
+    monkeypatch.setattr(tr, "rdrop_objective", objective_watched)
+    monkeypatch.setattr(tr, "adamw_step", adamw_watched)
+    monkeypatch.setattr(tr, "save_checkpoint", save_watched)
+    gc.disable()
+    try:
+        fit(corpus, model, cfg, out_dir=tmp_path, dev_scorer=scorer)
+    finally:
+        gc.enable()
+    assert len(refs) == 2 * (4 + 3)  # per epoch: 4 prefixes and 3 losses
+    trainable = sum(p.requires_grad for p in model.params.values())
+    step = [("adamw", 0, trainable)] * 3
+    assert seen == (step + [("dev", 0), ("save", 0)]) * 2
+    assert any(n.startswith("speech.block1.") for n, p in model.params.items()
+               if p.requires_grad) == bool(unfrozen)
 
 
 def test_fit_rejects_empty_corpus():
