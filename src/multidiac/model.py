@@ -423,8 +423,6 @@ class DiacritizerModel:
 def speech_embedding_dropout(prefix: Tensor, p: float, rng: RngStream) -> Tensor:
     """Zero the entire prefix with probability p (one draw per sample); no
     rescaling. Training only: eval uses the prefix as it is."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"speech embedding dropout p={p} outside [0, 1]")
     if p == 0.0:
         return prefix
     if rng.generator().random() < p:

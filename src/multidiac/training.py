@@ -282,26 +282,11 @@ def apply_freeze_policy(model: DiacritizerModel, epoch: int, cfg: TrainConfig):
 
 # -- checkpoint format ---------------------------------------------------
 
-# v1 ends in an FNV-1a 64-bit trailer (still read); v2, written since, in
-# the SHA-256 digest of the body. The body layout is the same in both.
+# Header: magic, format version, entry count; the body's SHA-256 digest
+# ends the file.
 _MAGIC = b"CWDK"
 _VERSION = 2
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & ((1 << 64) - 1)
-    return h
-
-
-# version -> (trailer length, trailer of a body)
-_TRAILERS = {
-    1: (8, lambda body: struct.pack("<Q", _fnv1a64(body))),
-    2: (32, lambda body: hashlib.sha256(body).digest()),
-}
+_SEAL = 32
 
 
 def encode_config(cfg) -> dict[str, str]:
@@ -386,24 +371,24 @@ def save_checkpoint(path, model: DiacritizerModel, meta: dict):
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Parse and integrity-check a v1 or v2 checkpoint file."""
+    """Parse and integrity-check a checkpoint file."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in _TRAILERS:
+    if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    size, seal = _TRAILERS[version]
-    if len(blob) < 12 + size:
+    if len(blob) < 12 + _SEAL:
         raise FormatError(f"{path}: not a checkpoint file")
-    body = memoryview(blob)[:-size]
-    if seal(body) != blob[-size:]:
+    body = memoryview(blob)[:-_SEAL]
+    if hashlib.sha256(body).digest() != blob[-_SEAL:]:
         raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
     (count,) = struct.unpack_from("<I", body, 8)
     pos = 12
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
+    seen: set[str] = set()
 
     def take(n: int, what: str) -> memoryview:
         nonlocal pos
@@ -419,6 +404,9 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             name = str(take(name_len, "entry name"), "utf-8")
             (rank,) = struct.unpack("<I", take(4, "entry rank"))
             extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
+            if name in seen:
+                raise FormatError(f"{path}: entry {name!r} appears twice")
+            seen.add(name)
             if name == "__meta":
                 if rank != 1:
                     raise FormatError(f"{path}: __meta entry has rank {rank}")
@@ -473,7 +461,10 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
         raise FingerprintError(
             f"checkpoint fingerprint {stored} does not match supplied "
             f"config fingerprint {expected}")
-    vocab = vocab or Vocabulary.deserialize(meta.get("vocab", ""))
+    if vocab is None:
+        if "vocab" not in meta:
+            raise FormatError(f"{path}: metadata has no vocab entry")
+        vocab = Vocabulary.deserialize(meta["vocab"])
     try:
         return DiacritizerModel(model_cfg, vocab, weights=tensors)
     except (ConfigError, nm.ShapeError) as e:

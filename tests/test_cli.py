@@ -25,8 +25,8 @@ from multidiac.audiofe import Waveform, save_wav
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
 from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
-from multidiac.training import (_fnv1a64, config_fingerprint, desk_recipe,
-                                save_checkpoint, serialize_config)
+from multidiac.training import (config_fingerprint, desk_recipe, save_checkpoint,
+                                serialize_config)
 
 BA, TA = "ب", "ت"
 
@@ -189,14 +189,11 @@ def _entry(name: bytes, extents, payload: bytes) -> bytes:
             + b"".join(struct.pack("<Q", e) for e in extents) + payload)
 
 
-def _checkpoint_blob(*entries: bytes, count=None, version=1) -> bytes:
-    """A CWDK file of the given version with a correct trailer (v1 FNV-1a,
-    v2 SHA-256) around an arbitrary body."""
-    body = (b"CWDK" + struct.pack("<I", version)
-            + struct.pack("<I", len(entries) if count is None else count)
+def _checkpoint_blob(*entries: bytes, count=None) -> bytes:
+    """A version-2 CWDK file with a SHA-256 trailer around an arbitrary
+    body."""
+    body = (b"CWDK" + struct.pack("<II", 2, len(entries) if count is None else count)
             + b"".join(entries))
-    if version == 1:
-        return body + struct.pack("<Q", _fnv1a64(body))
     return body + hashlib.sha256(body).digest()
 
 
@@ -242,13 +239,6 @@ def _infer_rejects(corpus, tmp_path, capsys, blob):
     for entries, count in MALFORMED_BODIES.values()], ids=list(MALFORMED_BODIES))
 def test_data_error_malformed_checkpoint_body(trained, tmp_path, capsys, blob):
     _infer_rejects(trained[0], tmp_path, capsys, blob)
-
-
-@pytest.mark.parametrize("name", list(MALFORMED_BODIES))
-def test_data_error_malformed_v2_checkpoint_body(trained, tmp_path, capsys, name):
-    entries, count = MALFORMED_BODIES[name]
-    _infer_rejects(trained[0], tmp_path, capsys,
-                   _checkpoint_blob(*entries, count=count, version=2))
 
 
 @pytest.mark.parametrize("record", [
@@ -364,32 +354,58 @@ def test_infer_rejects_checkpoints_with_different_vocabularies(tmp_path, capsys)
     assert "vocabulary" in err and str(b) in err and "Traceback" not in err
 
 
-def _as_v1(blob: bytes) -> bytes:
-    """The same body as a v1 file: version 1 and an FNV-1a trailer."""
-    body = blob[:4] + struct.pack("<I", 1) + blob[8:-32]
-    return body + struct.pack("<Q", _fnv1a64(body))
-
-
-def test_infer_reads_v1_checkpoint_and_rejects_a_flipped_byte(tmp_path, capsys):
-    v2 = _desk_checkpoint(tmp_path / "m.ckpt")
-    v1 = tmp_path / "v1.ckpt"
-    v1.write_bytes(_as_v1(v2.read_bytes()))
-    manifest = _text_manifest(tmp_path / "in.jsonl")
-    outs = []
-    for ckpt in (v2, v1):
-        out = tmp_path / ckpt.stem
-        assert main(["infer", "--checkpoints", str(ckpt), "--manifest",
-                     str(manifest), "--out", str(out), "--passes", "2"]) == 0
-        outs.append((out / "predictions.jsonl").read_bytes())
-    assert outs[0] == outs[1]
-    blob = bytearray(v1.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
-    v1.write_bytes(bytes(blob))
-    rc = main(["infer", "--checkpoints", str(v1), "--manifest", str(manifest),
-               "--out", str(tmp_path / "bad"), "--passes", "2"])
+def test_infer_refuses_a_v1_checkpoint_before_writing(tmp_path, capsys):
+    ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
+    blob = bytearray(ckpt.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    ckpt.write_bytes(bytes(blob))
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(out), "--passes", "2"])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
-    assert "checksum" in err and "Traceback" not in err
+    assert "unsupported format version 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _desk_entries(meta: dict) -> list[bytes]:
+    """The parameter entries of the desk model `_desk_checkpoint` saves,
+    then a __meta entry holding exactly `meta`."""
+    model = DiacritizerModel(desk_config(), Vocabulary(BA + TA), RngStream(0))
+    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode()
+    return [_entry(n.encode(), p.data.shape, p.data.astype("<f4").tobytes())
+            for n, p in sorted(model.params.items())] + \
+        [_entry(b"__meta", (len(meta_blob),), meta_blob)]
+
+
+@pytest.mark.parametrize("case, expected, mention", [
+    ("complete", 0, None),
+    ("no-vocab", EXIT_DATA, "no vocab entry"),
+    ("repeated-entry", EXIT_DATA, "'text.head.b' appears twice"),
+], ids=["complete", "no-vocab", "repeated-entry"])
+def test_infer_refuses_checkpoint_without_vocab_or_with_a_repeated_entry(
+        tmp_path, capsys, case, expected, mention):
+    meta = {"fingerprint": config_fingerprint(desk_config(), desk_recipe()),
+            "model_cfg": serialize_config(desk_config()),
+            "train_cfg": serialize_config(desk_recipe())}
+    if case != "no-vocab":
+        meta["vocab"] = BA + TA
+    entries = _desk_entries(meta)
+    if case == "repeated-entry":
+        head_b = _entry(b"text.head.b", (15,), np.full(15, 7.0, "<f4").tobytes())
+        entries.insert(-1, head_b)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(_checkpoint_blob(*entries))
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(out), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == expected, err
+    assert "Traceback" not in err
+    if mention:
+        assert mention in err and not out.exists()
 
 
 def test_infer_zero_passes_is_a_data_error(tmp_path, capsys):

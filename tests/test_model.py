@@ -397,5 +397,3 @@ def test_speech_embedding_dropout_all_or_nothing():
 def test_speech_embedding_dropout_eval_identity():
     pref = nm.tensor(np.ones((4, 8)))
     assert speech_embedding_dropout(pref, 0.0, RngStream(0)) is pref
-    with pytest.raises(ConfigError):
-        speech_embedding_dropout(pref, 1.5, RngStream(0))

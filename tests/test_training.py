@@ -598,6 +598,7 @@ MISTYPED_TRAIN_FIELDS = [
     ("snr_range", 5), ("snr_range", (10.0,)), ("snr_range", (30.0, 10.0)),
     ("snr_range", (10.0, math.inf)), ("snr_range", (math.nan, 10.0)),
     ("snr_range", ("10", 30.0)), ("snr_range", (False, 30.0)),
+    ("speech_emb_dropout", 1.5), ("speech_emb_dropout", -0.1),
 ]
 
 
@@ -782,20 +783,6 @@ def test_load_checkpoint_reconstructs_model(tmp_path):
                               model.params[n].data.astype("<f4"))
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
-    return h
-
-
-def _seal(body: bytes, version: int) -> bytes:
-    """body + the trailer of its format version (v1 FNV-1a, v2 SHA-256)."""
-    if version == 1:
-        return body + struct.pack("<Q", _fnv1a64(body))
-    return body + hashlib.sha256(body).digest()
-
-
 def _loadable_meta(model, tcfg=None):
     tcfg = tcfg or desk_recipe()
     return {"fingerprint": config_fingerprint(model.config, tcfg),
@@ -803,31 +790,68 @@ def _loadable_meta(model, tcfg=None):
             "train_cfg": serialize_config(tcfg)}
 
 
-def test_v1_checkpoint_still_loads_bitwise(tmp_path):
-    # a v1 file written entry by entry here, not by save_checkpoint
-    model = tiny_model(seed=13)
-    meta = {**_loadable_meta(model), "vocab": VOCAB.serialize()}
-    body = b"CWDK" + struct.pack("<II", 1, len(model.params) + 1)
-    entries = [(n, p.data.shape, p.data.astype("<f4").tobytes())
-               for n, p in sorted(model.params.items())]
-    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode()
-    entries.append(("__meta", (len(meta_blob),), meta_blob))
+def _sealed(entries) -> bytes:
+    """A checkpoint file of (name, extents, payload) entries, written entry
+    by entry here, not by save_checkpoint, with its SHA-256 trailer."""
+    body = b"CWDK" + struct.pack("<II", 2, len(entries))
     for name, extents, payload in entries:
         body += struct.pack("<I", len(name.encode())) + name.encode()
         body += struct.pack("<I", len(extents))
         body += b"".join(struct.pack("<Q", e) for e in extents) + payload
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(_seal(body, 1))
-    back = load_checkpoint(path)
-    assert back.config == model.config and back.vocab == VOCAB
-    for n, p in model.params.items():
-        assert back.params[n].data.dtype == np.float32
-        assert back.params[n].data.tobytes() == p.data.astype("<f4").tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
+def _entries(model, meta) -> list:
+    """The parameter entries of model, then a __meta entry holding meta."""
+    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode()
+    return [(n, p.data.shape, p.data.astype("<f4").tobytes())
+            for n, p in sorted(model.params.items())] + \
+        [("__meta", (len(meta_blob),), meta_blob)]
+
+
+def test_checkpoint_refuses_format_version_1_before_hashing(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), {})
     blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0x01
+    blob[4:8] = struct.pack("<I", 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="checksum"):
+
+    class NoHashing:
+        def sha256(self, *args):
+            raise AssertionError("a digest was computed")
+
+    monkeypatch.setattr(tr, "hashlib", NoHashing())
+    with pytest.raises(FormatError, match="unsupported format version 1"):
         read_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_metadata_without_vocab(tmp_path):
+    model = tiny_model(seed=13)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_sealed(_entries(model, {**_loadable_meta(model), "vocab": ""})))
+    assert load_checkpoint(path).vocab == Vocabulary("")  # present, if empty
+    path.write_bytes(_sealed(_entries(model, _loadable_meta(model))))
+    with pytest.raises(FormatError, match="metadata has no vocab entry"):
+        load_checkpoint(path)
+    assert load_checkpoint(path, vocab=VOCAB).vocab == VOCAB
+
+
+@pytest.mark.parametrize("repeat", ["text.head.b", "__meta"])
+def test_checkpoint_refuses_a_repeated_entry(tmp_path, repeat):
+    model = tiny_model(seed=13)
+    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.serialize()})
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_sealed(entries))
+    assert load_checkpoint(path).vocab == VOCAB  # loads as written
+    name, extents, payload = next(e for e in entries if e[0] == repeat)
+    if name == "text.head.b":
+        payload = np.full(extents, 7.0, dtype="<f4").tobytes()
+    else:
+        payload = f"vocab={VOCAB.serialize()}\n".encode()
+        extents = (len(payload),)
+    path.write_bytes(_sealed(entries + [(name, extents, payload)]))
+    with pytest.raises(FormatError, match=f"entry {name!r} appears twice"):
+        load_checkpoint(path)
 
 
 class _FailingFile:
@@ -893,11 +917,10 @@ def _micro_body(tmp_path_factory) -> tuple[bytes, list[int]]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(version=st.sampled_from([1, 2]), data=st.data())
-def test_mutated_checkpoint_loads_or_raises_typed_error(tmp_path_factory, version, data):
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_raises_typed_error(tmp_path_factory, data):
     body, offsets = _micro_body(tmp_path_factory)
     body = bytearray(body)
-    body[4:8] = struct.pack("<I", version)
     # field starts, field bytes, or anywhere
     where = st.one_of(st.sampled_from(offsets),
                       st.sampled_from(offsets).map(lambda o: o + 1),
@@ -910,7 +933,7 @@ def test_mutated_checkpoint_loads_or_raises_typed_error(tmp_path_factory, versio
     if cut is not None:
         del body[cut:]
     path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
-    path.write_bytes(_seal(bytes(body), version))
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
     try:
         model = load_checkpoint(path)
     except (FormatError, FingerprintError):
