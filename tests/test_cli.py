@@ -189,10 +189,11 @@ def _entry(name: bytes, extents, payload: bytes) -> bytes:
             + b"".join(struct.pack("<Q", e) for e in extents) + payload)
 
 
-def _checkpoint_blob(*entries: bytes, count=None) -> bytes:
-    """A version-2 CWDK file with a SHA-256 trailer around an arbitrary
-    body."""
-    body = (b"CWDK" + struct.pack("<II", 2, len(entries) if count is None else count)
+def _checkpoint_blob(*entries: bytes, count=None, version=2) -> bytes:
+    """A CWDK file of the given header version with a SHA-256 trailer
+    around an arbitrary body."""
+    body = (b"CWDK" + struct.pack("<I", version)
+            + struct.pack("<I", len(entries) if count is None else count)
             + b"".join(entries))
     return body + hashlib.sha256(body).digest()
 
@@ -223,7 +224,7 @@ MALFORMED_BODIES = {
 }
 
 
-def _infer_rejects(corpus, tmp_path, capsys, blob):
+def _infer_rejects(corpus, tmp_path, capsys, blob) -> str:
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob)
     rc = main(["infer", "--checkpoints", str(bad),
@@ -232,13 +233,25 @@ def _infer_rejects(corpus, tmp_path, capsys, blob):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    return err
 
 
 @pytest.mark.parametrize("blob", [
-    _checkpoint_blob(*entries, count=count)
+    _checkpoint_blob(*entries, count=count, version=1)
     for entries, count in MALFORMED_BODIES.values()], ids=list(MALFORMED_BODIES))
 def test_data_error_malformed_checkpoint_body(trained, tmp_path, capsys, blob):
-    _infer_rejects(trained[0], tmp_path, capsys, blob)
+    # a version-1 header is refused before the body is parsed, whatever it holds
+    err = _infer_rejects(trained[0], tmp_path, capsys, blob)
+    assert "unsupported format version 1" in err
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_BODIES))
+def test_data_error_malformed_v2_checkpoint_body(trained, tmp_path, capsys, name):
+    entries, count = MALFORMED_BODIES[name]
+    err = _infer_rejects(trained[0], tmp_path, capsys,
+                         _checkpoint_blob(*entries, count=count))
+    assert "unsupported format version" not in err
 
 
 @pytest.mark.parametrize("record", [
