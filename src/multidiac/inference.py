@@ -5,7 +5,10 @@ with text-encoder dropout kept active (layer norm has no stochastic state
 and is unaffected); softmax probabilities are averaged over every
 (model, pass) pair before the per-position argmax. Sub-streams are keyed
 by (model index, pass index), so how the passes of a checkpoint are
-stacked into forwards cannot change the result.
+stacked into forwards cannot change the result. A fixed seed gives every
+sentence the same keys, so each sentence reuses its models' dropout masks
+from the numerics memo; at full width a sentence whose length changes
+mc_forward's stack size misses it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,12 @@ its inputs plus the stream. A stack of passes carries its streams as a
 (P, 2) uint64 array of Philox keys, whose children `child_keys` derives at
 once, bit for bit. `dropout` builds one Philox bit generator per call and
 re-keys it for each key, which gives the same words as
-`RngStream.generator()`; it compares them with p as integers.
+`RngStream.generator()`; it compares them with p as integers. Without a
+graph (MC inference) the keep-masks are memoized, packed to bits and keyed
+by the whole key array, p and the row width, within MASK_MEMO_BYTES:
+Philox fills a mask row-major from counter 0, so a shorter sequence's mask
+is the first rows of a longer one's, and a fixed seed redraws nothing.
+Training, whose keys change every batch, never reads or writes the memo.
 """
 
 from __future__ import annotations
@@ -436,7 +441,8 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
         # a read-only view: the ones need no storage
         mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        mask = _dropout_masks(keys, p, (len(keys),) + shape[-2:], x.dtype).reshape(shape)
+        mask = _dropout_masks(keys, p, (len(keys),) + shape[-2:], x.dtype,
+                              memoize=not x.requires_grad).reshape(shape)
         if not x.requires_grad:
             # no backward reads the mask, so the product goes into its
             # storage (m * x and x * m are the same bits)
@@ -444,7 +450,14 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
     return x * Tensor(mask)
 
 
-def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarray:
+# bytes of packed keep-masks that dropout without a graph keeps between
+# calls; a full memo takes no new entries and evicts nothing
+MASK_MEMO_BYTES = 64 << 20
+_mask_memo: dict[tuple, np.ndarray] = {}
+
+
+def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
+                   memoize: bool = False) -> np.ndarray:
     """(P, seq, dim) masks of the storage dtype, row i from keys[i]:
     (draws >= p) * dtype(1/(1-p)), the same bits as the float64 divide
     ((draws >= p) / (1 - p)).astype(dtype).
@@ -454,7 +467,26 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarra
     generator, and its seed sequence, per pass. A float64 draw is
     (u >> 11) * 2**-53 of a raw 64-bit word u, so draw >= p exactly when
     u >= ceil(p * 2**53) << 11: the raw words are compared with that.
+
+    memoize (dropout without a graph) first looks the keep bits up in
+    _mask_memo under (keys.tobytes(), p, dim). The words fill each (seq,
+    dim) mask row-major from counter 0, so the mask of a shorter seq is the
+    first rows of a longer one's: an entry of at least seq rows answers
+    with no draw. A miss, or a longer seq, draws as above and stores the
+    bits packed along dim, replacing a shorter entry, if the memo then
+    holds at most MASK_MEMO_BYTES. The key is the whole array: one lookup
+    per call, where one per key row would cost P lookups and survive a
+    change of stack, so passes stacked differently (mc_forward's stack size
+    changes with seq at full width) miss.
     """
+    scale = np.dtype(dtype).type(1.0 / (1.0 - p))
+    seq, dim = shape[1:]
+    if memoize:
+        memo_key = (keys.tobytes(), p, dim)
+        packed = _mask_memo.get(memo_key)
+        if packed is not None and packed.shape[1] >= seq:
+            keep = np.unpackbits(packed[:, :seq], axis=-1, count=dim)
+            return np.multiply(keep, scale, dtype=dtype)
     philox = {"counter": np.zeros(4, dtype=np.uint64)}
     state = {"bit_generator": "Philox", "state": philox,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
@@ -466,7 +498,12 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype) -> np.ndarra
         philox["key"] = key
         bits.state = state
         np.greater_equal(bits.random_raw(shape[1:]), threshold, out=kept)
-    return np.multiply(keep, np.dtype(dtype).type(1.0 / (1.0 - p)), dtype=dtype)
+    if memoize:
+        entry = np.packbits(keep, axis=-1)
+        held = sum(a.nbytes for a in _mask_memo.values())
+        if held - (0 if packed is None else packed.nbytes) + entry.nbytes <= MASK_MEMO_BYTES:
+            _mask_memo[memo_key] = entry
+    return np.multiply(keep, scale, dtype=dtype)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

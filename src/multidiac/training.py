@@ -414,6 +414,8 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 # lines end in "\n" only: a value may hold "\r" or U+2028
                 for line in filter(None, text.split("\n")):
                     k, _, v = line.partition("=")
+                    if k in meta:
+                        raise FormatError(f"{path}: metadata key {k!r} appears twice")
                     meta[k] = v
             else:
                 payload = take(4 * math.prod(extents), f"tensor {name!r}")

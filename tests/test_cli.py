@@ -421,6 +421,25 @@ def test_infer_refuses_checkpoint_without_vocab_or_with_a_repeated_entry(
         assert mention in err and not out.exists()
 
 
+def test_infer_refuses_a_repeated_metadata_key_before_writing(tmp_path, capsys):
+    meta = {"fingerprint": config_fingerprint(desk_config(), desk_recipe()),
+            "model_cfg": serialize_config(desk_config()),
+            "train_cfg": serialize_config(desk_recipe()),
+            "vocab": BA + TA}
+    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode() + b"vocab=\n"
+    entries = _desk_entries(meta)[:-1] + [_entry(b"__meta", (len(meta_blob),), meta_blob)]
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(_checkpoint_blob(*entries))
+    out = tmp_path / "o"
+    rc = main(["infer", "--checkpoints", str(ckpt),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(out), "--passes", "2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert "metadata key 'vocab' appears twice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_infer_zero_passes_is_a_data_error(tmp_path, capsys):
     ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
     rc = main(["infer", "--checkpoints", str(ckpt),

@@ -370,3 +370,49 @@ def test_diacritize_never_touches_the_cache(encode_calls, monkeypatch):
     for _ in range(2):
         diacritize("بت", w, [model], cfg)
     assert encode_calls["encode"] == 2 and model._pooled == {}
+
+
+# 2, 10 and 5 letters: the second outgrows the first's memoized masks, and
+# the third is answered by the second's first rows
+ORDERED = ["بت", "بتثبت ثبتثب", "ثبتثب"]
+
+
+# stacks: None leaves all 50 passes in one; 1 pass_bytes of the longest
+# sentence gives one pass per stack at every length; 16 gives stacks of 16
+# passes at 10 letters and longer ones for shorter sentences
+@pytest.mark.parametrize("stacks", [None, 1, 16], ids=["one-stack", "single", "by-length"])
+def test_memoized_masks_do_not_depend_on_sentence_order(monkeypatch, stacks):
+    models = [model_with(seed=s) for s in (0, 1)]
+    cfg = EnsembleConfig(passes_per_model=50, inference_dropout_p=0.1, seed=3)
+    if stacks:
+        longest = len(models[0].encode_text(ORDERED[1]))
+        monkeypatch.setattr(nm, "STACK_BUDGET_BYTES",
+                            stacks * inference.pass_bytes(models[0].config, longest, np.float32))
+    philox = np.random.Philox
+    draws = []
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: draws.append(1) or philox(*a, **k))
+
+    def run(texts, empty_each):
+        monkeypatch.setattr(nm, "_mask_memo", {})
+        draws.clear()
+        out = {}
+        for raw in texts:
+            if empty_each:
+                monkeypatch.setattr(nm, "_mask_memo", {})
+            text, confidence = diacritize(raw, None, models, cfg)
+            out[raw] = (text, np.array(confidence).tobytes())
+        return out, len(draws), nm._mask_memo
+
+    fresh, fresh_draws, _ = run(ORDERED, empty_each=True)
+    forward, forward_draws, memo = run(ORDERED, empty_each=False)
+    backward, backward_draws, _ = run(ORDERED[::-1], empty_each=False)
+    assert forward == fresh and backward == fresh
+    assert {a.shape[0] for a in memo.values()} == \
+        {None: {50}, 1: {1}, 16: {16, 2, 22, 6, 28}}[stacks]
+    if stacks == 16:
+        # a stack size that changes with the length changes the key arrays:
+        # every sentence misses
+        assert forward_draws == backward_draws == fresh_draws
+    else:
+        # the 5-letter sentence draws nothing after the 10-letter one
+        assert forward_draws < fresh_draws and backward_draws < fresh_draws

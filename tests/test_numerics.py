@@ -3,15 +3,20 @@ gradients against central finite differences."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multidiac import inference, training
 from multidiac import numerics as nm
+from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import ConfigError, NumericError, ShapeError
+from multidiac.model import DiacritizerModel, desk_config
 from multidiac.numerics import RngStream, Tensor, _splitmix64
+from multidiac.textproc import Vocabulary, label_from_diacritized
 from oracles import (
     attention_reference, conv1d_reference, dropout_masks_reference, gelu_reference,
     grad_check, keys_of, layer_norm_reference, softmax_reference,
@@ -852,6 +857,127 @@ def test_dropout_rejects_bad_p():
         nm.dropout(x, 1.0, keys_of([RngStream(0)]))
     with pytest.raises(ConfigError):
         nm.dropout(x, -0.1, keys_of([RngStream(0)]))
+
+
+# -- the keep-mask memo of dropout without a graph -----------------------
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty keep-mask memo for the test."""
+    fresh = {}
+    monkeypatch.setattr(nm, "_mask_memo", fresh)
+    return fresh
+
+
+def _masked(keys_from, p, seq, dim, dtype=np.float32, monkeypatch=None):
+    """dropout of a random (seq, dim) input without a graph, checked bit for
+    bit against the reference masks; with monkeypatch, Philox may not run."""
+    streams = [RngStream(9).child(i) for i in keys_from]
+    x = np.random.default_rng(seq * 100 + dim).normal(0, 1, size=(seq, dim)).astype(dtype)
+    if monkeypatch is None:
+        y = nm.dropout(Tensor(x), p, keys_of(streams)).data
+    else:
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "Philox", None)  # a draw would raise
+            y = nm.dropout(Tensor(x), p, keys_of(streams)).data
+    expect = x * dropout_masks_reference(streams, p, (seq, dim), dtype)
+    assert y.tobytes() == expect.tobytes()
+    return y
+
+
+def _rows(memo):
+    return sorted((k[2], a.shape[:2]) for k, a in memo.items())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mask_memo_miss_hit_and_grow_each_give_the_reference_masks(memo, monkeypatch, dtype):
+    _masked(range(5), 0.1, 12, 24, dtype)  # miss: 12 rows stored, packed
+    assert _rows(memo) == [(24, (5, 12))]
+    assert next(iter(memo.values())).shape == (5, 12, 3)
+    _masked(range(5), 0.1, 5, 24, dtype, monkeypatch)  # hit: the first 5 rows
+    _masked(range(5), 0.1, 20, 24, dtype)  # longer: drawn, replaces the entry
+    assert _rows(memo) == [(24, (5, 20))]
+    _masked(range(5), 0.1, 12, 24, dtype, monkeypatch)
+    _masked(range(5), 0.1, 20, 24, dtype, monkeypatch)
+    # the same keys at another width, or another p, are entries of their own
+    _masked(range(5), 0.1, 7, 13, dtype)
+    _masked(range(5), 0.3, 7, 13, dtype)
+    assert _rows(memo) == [(13, (5, 7)), (13, (5, 7)), (24, (5, 20))]
+    _masked(range(5), 0.1, 3, 13, dtype, monkeypatch)
+    _masked(range(5), 0.3, 3, 13, dtype, monkeypatch)
+    # another key array misses, even one that shares rows with an entry
+    _masked(range(1, 5), 0.1, 3, 13, dtype)
+    assert len(memo) == 4
+
+
+def test_mask_memo_stays_within_its_byte_bound(memo, monkeypatch):
+    monkeypatch.setattr(nm, "MASK_MEMO_BYTES", 4096)
+
+    def held():
+        return sum(a.nbytes for a in memo.values())
+
+    # 4 passes of 64 columns pack to 32 bytes per row
+    _masked(range(4), 0.1, 100, 64)
+    assert held() == 3200
+    _masked(range(4, 8), 0.1, 20, 64)
+    assert held() == 3840
+    # growing the second entry to 40 rows would hold 4480 bytes: it keeps
+    # its 20 rows, which still answer shorter calls
+    _masked(range(4, 8), 0.1, 40, 64)
+    assert _rows(memo) == [(64, (4, 20)), (64, (4, 100))]
+    _masked(range(4, 8), 0.1, 20, 64, monkeypatch=monkeypatch)
+    # a full memo takes no new entries and evicts nothing; an entry larger
+    # than the bound is never stored
+    _masked(range(8, 12), 0.1, 10, 64)
+    _masked(range(12, 16), 0.5, 200, 64)
+    assert _rows(memo) == [(64, (4, 20)), (64, (4, 100))]
+    for keys_from, seq in ((range(4), 100), (range(4, 8), 40), (range(12, 16), 200)):
+        _masked(keys_from, 0.1, seq, 64)
+        assert held() <= 4096
+
+
+def test_dropout_output_never_shares_memory_with_the_memo(memo, monkeypatch):
+    first = _masked(range(3), 0.2, 9, 16)
+    _masked(range(3), 0.2, 6, 16, monkeypatch=monkeypatch)
+    stack = Tensor(np.ones((3, 9, 16), np.float32))
+    outputs = [first, nm.dropout(stack, 0.2, RngStream(9).child_keys(range(3))).data]
+    for y in outputs:
+        assert not any(np.shares_memory(y, a) for a in memo.values())
+        y[...] = 7.0  # what a caller may do with its output
+    _masked(range(3), 0.2, 9, 16, monkeypatch=monkeypatch)
+
+
+def test_dropout_with_a_graph_neither_reads_nor_writes_the_memo(memo, monkeypatch):
+    keys = RngStream(9).child_keys(range(3))
+    x = Tensor(np.ones((4, 8), np.float32), requires_grad=True)
+    memo[(keys.tobytes(), 0.2, 8)] = np.zeros((3, 4, 1), np.uint8)  # all dropped
+    y = nm.dropout(x, 0.2, keys)
+    expect = dropout_masks_reference([RngStream(9).child(i) for i in range(3)], 0.2,
+                                     (4, 8), np.float32)
+    assert y.data.tobytes() == expect.tobytes()
+    assert list(memo.values())[0].shape == (3, 4, 1)
+
+
+def test_a_desk_fit_leaves_the_mask_memo_empty(memo):
+    spec = desk_synth_spec(sample_count=4)
+    corpus = []
+    for i in range(4):
+        gold, wav = synthesize_sample(spec, RngStream(2).child(i))
+        lab = label_from_diacritized(gold)
+        corpus.append(training.CorpusSample(f"s{i}", lab.raw, np.asarray(lab.labels), wav))
+    vocab = Vocabulary.from_texts([c.raw for c in corpus])
+    model = DiacritizerModel(desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(1))
+    cfg = replace(training.desk_recipe(seed=1), epochs=2, warmup_epochs=1, batch_size=2)
+    scores = []
+
+    def scorer(m):
+        scores.append(inference.predict_greedy(m, corpus[0].raw, corpus[0].waveform))
+        return 0.0
+
+    history = training.fit(corpus, model, cfg, dev_scorer=scorer)
+    assert len(history["loss"]) == 2 and len(scores) == 2
+    assert memo == {}
 
 
 # -- grad_check interface ------------------------------------------------

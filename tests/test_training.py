@@ -854,6 +854,18 @@ def test_checkpoint_refuses_a_repeated_entry(tmp_path, repeat):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_a_repeated_metadata_key(tmp_path):
+    model = tiny_model(seed=13)
+    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.serialize()})
+    name, _, blob = entries[-1]
+    # a second vocab= line used to win: a 3-id vocabulary, every letter UNK
+    blob += b"vocab=\n"
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_sealed(entries[:-1] + [(name, (len(blob),), blob)]))
+    with pytest.raises(FormatError, match="metadata key 'vocab' appears twice"):
+        read_checkpoint(path)
+
+
 class _FailingFile:
     """A file whose writes fail, as on a full disk, after the first few."""
 
