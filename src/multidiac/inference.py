@@ -6,9 +6,10 @@ and is unaffected); softmax probabilities are averaged over every
 (model, pass) pair before the per-position argmax. Sub-streams are keyed
 by (model index, pass index), so how the passes of a checkpoint are
 stacked into forwards cannot change the result. A fixed seed gives every
-sentence the same keys, so each sentence reuses its models' dropout masks
-from the numerics memo; at full width a sentence whose length changes
-mc_forward's stack size misses it.
+sentence the same keys, so at desk width each sentence reuses its models'
+dropout masks from the numerics memo. At full width one sentence's masks
+outgrow the memo's bound, and a sentence whose length changes
+mc_forward's stack size misses it, so sentences mostly redraw.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ once, bit for bit. `dropout` builds one Philox bit generator per call and
 re-keys it for each key, which gives the same words as
 `RngStream.generator()`; it compares them with p as integers. Without a
 graph (MC inference) the keep-masks are memoized, packed to bits and keyed
-by the whole key array, p and the row width, within MASK_MEMO_BYTES:
+by the whole key array, p and the row width, within MASK_MEMO_BYTES (sized
+for the desk model):
 Philox fills a mask row-major from counter 0, so a shorter sequence's mask
 is the first rows of a longer one's, and a fixed seed redraws nothing.
 Training, whose keys change every batch, never reads or writes the memo.
@@ -451,13 +452,25 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
 
 
 # bytes of packed keep-masks that dropout without a graph keeps between
-# calls; a full memo takes no new entries and evicts nothing
-MASK_MEMO_BYTES = 64 << 20
-_mask_memo: dict[tuple, np.ndarray] = {}
+# calls; a full memo takes no new entries and evicts nothing. Sized for the
+# desk model: the 4 x 50-pass recipe's masks of a sentence whose passes
+# form one stack (at most 380 letters) take at most 2.5 MB. One full-width
+# sentence's take about 40 MB and its stack size changes with its length,
+# so there the memo is not meant to hold them.
+MASK_MEMO_BYTES = 4 << 20
+
+
+class _MaskMemo(dict):
+    """(keys.tobytes(), p, dim) -> (P, seq, ceil(dim / 8)) packed keep
+    bits, with nbytes the sum of the entries' sizes."""
+    nbytes = 0
+
+
+_mask_memo = _MaskMemo()
 
 
 def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
-                   memoize: bool = False) -> np.ndarray:
+                   memoize: bool) -> np.ndarray:
     """(P, seq, dim) masks of the storage dtype, row i from keys[i]:
     (draws >= p) * dtype(1/(1-p)), the same bits as the float64 divide
     ((draws >= p) / (1 - p)).astype(dtype).
@@ -472,12 +485,13 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
     _mask_memo under (keys.tobytes(), p, dim). The words fill each (seq,
     dim) mask row-major from counter 0, so the mask of a shorter seq is the
     first rows of a longer one's: an entry of at least seq rows answers
-    with no draw. A miss, or a longer seq, draws as above and stores the
-    bits packed along dim, replacing a shorter entry, if the memo then
-    holds at most MASK_MEMO_BYTES. The key is the whole array: one lookup
-    per call, where one per key row would cost P lookups and survive a
-    change of stack, so passes stacked differently (mc_forward's stack size
-    changes with seq at full width) miss.
+    with no draw. A miss, or a longer seq, draws as above; the bits are
+    packed along dim and stored, replacing a shorter entry, only if the
+    memo's running byte count then stays within MASK_MEMO_BYTES, so a
+    full memo costs a miss one lookup. The key is the whole array: one
+    lookup per call, where one per key row would cost P lookups and
+    survive a change of stack, so passes stacked differently
+    (mc_forward's stack size changes with seq at full width) miss.
     """
     scale = np.dtype(dtype).type(1.0 / (1.0 - p))
     seq, dim = shape[1:]
@@ -499,10 +513,11 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
         bits.state = state
         np.greater_equal(bits.random_raw(shape[1:]), threshold, out=kept)
     if memoize:
-        entry = np.packbits(keep, axis=-1)
-        held = sum(a.nbytes for a in _mask_memo.values())
-        if held - (0 if packed is None else packed.nbytes) + entry.nbytes <= MASK_MEMO_BYTES:
-            _mask_memo[memo_key] = entry
+        # bytes the entry adds, known before anything is packed
+        grow = len(keys) * (seq - (0 if packed is None else packed.shape[1])) * ((dim + 7) // 8)
+        if _mask_memo.nbytes + grow <= MASK_MEMO_BYTES:
+            _mask_memo[memo_key] = np.packbits(keep, axis=-1)
+            _mask_memo.nbytes += grow
     return np.multiply(keep, scale, dtype=dtype)
 
 

@@ -393,12 +393,12 @@ def test_memoized_masks_do_not_depend_on_sentence_order(monkeypatch, stacks):
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: draws.append(1) or philox(*a, **k))
 
     def run(texts, empty_each):
-        monkeypatch.setattr(nm, "_mask_memo", {})
+        monkeypatch.setattr(nm, "_mask_memo", nm._MaskMemo())
         draws.clear()
         out = {}
         for raw in texts:
             if empty_each:
-                monkeypatch.setattr(nm, "_mask_memo", {})
+                monkeypatch.setattr(nm, "_mask_memo", nm._MaskMemo())
             text, confidence = diacritize(raw, None, models, cfg)
             out[raw] = (text, np.array(confidence).tobytes())
         return out, len(draws), nm._mask_memo

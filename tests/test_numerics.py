@@ -865,7 +865,7 @@ def test_dropout_rejects_bad_p():
 @pytest.fixture
 def memo(monkeypatch):
     """An empty keep-mask memo for the test."""
-    fresh = {}
+    fresh = nm._MaskMemo()
     monkeypatch.setattr(nm, "_mask_memo", fresh)
     return fresh
 
@@ -887,6 +887,7 @@ def _masked(keys_from, p, seq, dim, dtype=np.float32, monkeypatch=None):
 
 
 def _rows(memo):
+    assert memo.nbytes == sum(a.nbytes for a in memo.values())
     return sorted((k[2], a.shape[:2]) for k, a in memo.items())
 
 
@@ -915,7 +916,8 @@ def test_mask_memo_stays_within_its_byte_bound(memo, monkeypatch):
     monkeypatch.setattr(nm, "MASK_MEMO_BYTES", 4096)
 
     def held():
-        return sum(a.nbytes for a in memo.values())
+        assert memo.nbytes == sum(a.nbytes for a in memo.values())
+        return memo.nbytes
 
     # 4 passes of 64 columns pack to 32 bytes per row
     _masked(range(4), 0.1, 100, 64)
@@ -928,13 +930,26 @@ def test_mask_memo_stays_within_its_byte_bound(memo, monkeypatch):
     assert _rows(memo) == [(64, (4, 20)), (64, (4, 100))]
     _masked(range(4, 8), 0.1, 20, 64, monkeypatch=monkeypatch)
     # a full memo takes no new entries and evicts nothing; an entry larger
-    # than the bound is never stored
-    _masked(range(8, 12), 0.1, 10, 64)
-    _masked(range(12, 16), 0.5, 200, 64)
+    # than the bound is never stored, and what is not stored is not packed
+    with monkeypatch.context() as m:
+        m.setattr(np, "packbits", None)
+        _masked(range(8, 12), 0.1, 10, 64)
+        _masked(range(12, 16), 0.5, 200, 64)
     assert _rows(memo) == [(64, (4, 20)), (64, (4, 100))]
+    assert held() == 3840
     for keys_from, seq in ((range(4), 100), (range(4, 8), 40), (range(12, 16), 200)):
         _masked(keys_from, 0.1, seq, 64)
         assert held() <= 4096
+
+
+def test_the_mask_memo_holds_the_desk_recipe_whenever_its_passes_form_one_stack():
+    cfg = desk_config()
+    one_stack = [seq for seq in range(1, cfg.prefix_len + cfg.max_text_len + 1)
+                 if nm.STACK_BUDGET_BYTES // inference.pass_bytes(cfg, seq, np.float32) >= 50]
+    # 4 models x 50 passes, one entry per (model, dropout site)
+    entries = 4 * 2 * cfg.text_layers
+    assert max(one_stack) - cfg.prefix_len == 380
+    assert entries * 50 * max(one_stack) * math.ceil(cfg.text_dim / 8) <= nm.MASK_MEMO_BYTES
 
 
 def test_dropout_output_never_shares_memory_with_the_memo(memo, monkeypatch):
@@ -977,7 +992,7 @@ def test_a_desk_fit_leaves_the_mask_memo_empty(memo):
 
     history = training.fit(corpus, model, cfg, dev_scorer=scorer)
     assert len(history["loss"]) == 2 and len(scores) == 2
-    assert memo == {}
+    assert memo == {} and memo.nbytes == 0
 
 
 # -- grad_check interface ------------------------------------------------
