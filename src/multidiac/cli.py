@@ -31,7 +31,7 @@ from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
                      InvariantViolation, MalformedInputError, ManifestError,
                      NumericError, ShapeError)
 from .audiofe import load_wav
-from .inference import EnsembleConfig, diacritize, predict_greedy
+from .inference import EnsembleConfig, diacritize, predict_greedy_corpus
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
 from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
@@ -148,10 +148,9 @@ def cmd_train(args) -> int:
         gold = {r.id: r.text for r in dev_records}
 
         def dev_scorer(m, _corpus=dev_corpus, _gold=gold):
-            preds = {}
-            for s in _corpus:
-                classes = predict_greedy(m, s.raw, s.waveform)
-                preds[s.sample_id] = insert_diacritics(s.raw, classes)
+            classes = predict_greedy_corpus(m, [(s.raw, s.waveform) for s in _corpus])
+            preds = {s.sample_id: insert_diacritics(s.raw, c)
+                     for s, c in zip(_corpus, classes)}
             return metricsmod.evaluate_corpus(preds, _gold).wer
 
     os.makedirs(args.out, exist_ok=True)

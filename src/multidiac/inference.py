@@ -1,4 +1,4 @@
-"""MC-Dropout ensemble inference and end-to-end diacritization.
+"""MC-Dropout ensemble inference, end-to-end diacritization, dev scoring.
 
 Each checkpoint runs a configurable number of stochastic forward passes
 with text-encoder dropout kept active (layer norm has no stochastic state
@@ -10,10 +10,15 @@ sentence the same keys, so at desk width each sentence reuses its models'
 dropout masks from the numerics memo. At full width one sentence's masks
 outgrow the memo's bound, and a sentence whose length changes
 mc_forward's stack size misses it, so sentences mostly redraw.
+Greedy dev scoring is the one-pass p = 0 ensemble of one model; it keeps
+each model's pooled speech frames between calls, while `diacritize` never
+hashes or caches.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,37 +93,13 @@ def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return classes, mean[np.arange(len(classes)), classes]
 
 
-# greedy decoding: the ensemble of one model with one pass at p=0
-GREEDY = EnsembleConfig(passes_per_model=1, inference_dropout_p=0.0)
-
-
-def _ensemble(raw: str, waveform: Waveform | None,
-              models: list[DiacritizerModel], cfg: EnsembleConfig,
-              cached: bool = False):
-    """ensemble_average over every (model, pass) pair at raw's letter rows;
-    cached takes each speech prefix through the model's cache."""
-    ref = models[0]
-    tokens = ref.encode_text(raw)
-    letter_rows = ref.letter_rows(raw)
-    run = RngStream(cfg.seed)
-    mel_of_shape = {}  # one log-mel per (mels, mel_frames), shared by models
-
-    def mel_of(model):
-        shape = (model.config.mels, model.config.mel_frames)
-        if shape not in mel_of_shape:
-            mel_of_shape[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
-        return mel_of_shape[shape]
-    all_probs = []
-    for mi, model in enumerate(models):
-        prefix = None
-        if waveform is not None and cached:
-            prefix = model.cached_speech_prefix(waveform, lambda: mel_of(model))
-        elif waveform is not None:
-            prefix = model.speech_prefix(mel_of(model))
-        probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
-                           cfg.inference_dropout_p, run.child(mi))
-        all_probs.append(probs[:, letter_rows, :])
-    return ensemble_average(all_probs)
+# Byte bound of each model's cache of mean-pooled speech frames. A full cache
+# takes no more entries: dev scoring scans its utterances in a cycle, where
+# evicting the oldest entry would drop each one just before its reuse.
+POOLED_CACHE_BYTES = 64 << 20
+# model -> (SHA-256 of its speech.* parameters, {_audio_key: mean-pooled
+# frames}), dropped with the model
+_pooled_cache = weakref.WeakKeyDictionary()
 
 
 def diacritize(raw: str, waveform: Waveform | None,
@@ -128,14 +109,64 @@ def diacritize(raw: str, waveform: Waveform | None,
     Audio is optional; absent audio means a zero speech prefix (text-only
     path). Returns (diacritized text, per-letter confidence).
     """
-    classes, confidence = _ensemble(raw, waveform, models, cfg)
+    tokens = models[0].encode_text(raw)
+    letter_rows = models[0].letter_rows(raw)
+    run = RngStream(cfg.seed)
+    mels = {}  # one log-mel per (mels, mel_frames), shared by models
+    all_probs = []
+    for mi, model in enumerate(models):
+        prefix = None
+        if waveform is not None:
+            shape = (model.config.mels, model.config.mel_frames)
+            if shape not in mels:
+                mels[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
+            prefix = model.pool_project(*model.pooled_frames([mels[shape]]))
+        probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
+                           cfg.inference_dropout_p, run.child(mi))
+        all_probs.append(probs[:, letter_rows, :])
+    classes, confidence = ensemble_average(all_probs)
     text = insert_diacritics(raw, [int(c) for c in classes])
     return text, [float(c) for c in confidence]
 
 
+def _audio_key(waveform: Waveform, cfg: ModelConfig) -> tuple:
+    samples = np.ascontiguousarray(waveform.samples)
+    return hashlib.sha256(samples).digest(), samples.dtype.str, cfg.mels, cfg.mel_frames
+
+
+def predict_greedy_corpus(model: DiacritizerModel,
+                          samples: list[tuple[str, Waveform | None]]) -> list[list[int]]:
+    """predict_greedy of each (raw, waveform) pair. The mean-pooled speech
+    frames come through the model's cache: the speech weights are digested
+    once, a new digest empties the cache, and the misses are encoded in one
+    `pooled_frames` pass, each detached before the next is read."""
+    cfg = model.config
+    digest = hashlib.sha256()
+    for name, p in model.params.items():
+        if name.startswith("speech."):
+            digest.update(np.ascontiguousarray(p.data))
+    if _pooled_cache.get(model, (None,))[0] != digest.digest():
+        _pooled_cache[model] = (digest.digest(), {})
+    cache = _pooled_cache[model][1]
+    keys = [None if w is None else _audio_key(w, cfg) for _, w in samples]
+    pooled = {key: cache.get(key) for key in keys}
+    misses = {key: w for key, (_, w) in zip(keys, samples) if w is not None and pooled[key] is None}
+    encoded = model.pooled_frames(log_mel(w, mels=cfg.mels, frame_budget=cfg.mel_frames)
+                                  for w in misses.values())
+    for key in misses:
+        pooled[key] = next(encoded).detach()
+        if len(cache) < POOLED_CACHE_BYTES // pooled[key].data.nbytes:
+            cache[key] = pooled[key]
+    out = []
+    for (raw, _), key in zip(samples, keys):
+        prefix = None if key is None else model.pool_project(pooled[key])
+        probs = mc_forward(model, model.encode_text(raw), prefix, 1, 0.0, RngStream(0))
+        classes, _ = ensemble_average([probs[:, model.letter_rows(raw), :]])
+        out.append([int(c) for c in classes])
+    return out
+
+
 def predict_greedy(model: DiacritizerModel, raw: str,
                    waveform: Waveform | None) -> list[int]:
-    """Deterministic single-pass argmax prediction (no MC dropout), with
-    the speech prefix through the model's cache: dev scoring repeats."""
-    classes, _ = _ensemble(raw, waveform, [model], GREEDY, cached=True)
-    return [int(c) for c in classes]
+    """Greedy prediction of one sentence: a corpus of one."""
+    return predict_greedy_corpus(model, [(raw, waveform)])[0]

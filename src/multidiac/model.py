@@ -5,22 +5,23 @@ and a 15-way per-letter classification head.
 Projected speech vectors are added to the embeddings of `prefix_len`
 dedicated prefix positions that precede the text tokens; a zero prefix is
 therefore exactly the text-only model. The speech encoder's parameters
-can be frozen per block; frozen tensors never receive gradient. The
-encoder takes one log-mel or a stack of them: a frozen encoder runs a
-training batch's utterances as stacks, each row bitwise its own call.
+can be frozen per block; frozen tensors never receive gradient. Every
+prefix is `pool_project` of `pooled_frames`, which encodes and mean-pools
+log-mels, a frozen encoder's as stacks, each row bitwise its own call.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .audiofe import MelSpectrogram, Waveform
+from .audiofe import MelSpectrogram
 from .errors import ConfigError, ShapeError
 from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary, letter_indices
@@ -115,12 +116,6 @@ def utterance_bytes(config: ModelConfig, dtype) -> int:
     desk batch stacks whole."""
     return 4 * config.speech_frames * config.mlp_ratio * config.speech_dim \
         * np.dtype(dtype).itemsize
-
-
-# Byte bound of a model's cache of mean-pooled speech frames. A full cache
-# takes no more entries: dev scoring scans its utterances in a cycle, where
-# evicting the oldest entry would drop each one just before its reuse.
-POOLED_CACHE_BYTES = 64 << 20
 
 
 @functools.lru_cache(maxsize=8)
@@ -240,10 +235,6 @@ class DiacritizerModel:
         self._sin_table = nm.tensor(
             sinusoidal_table(config.speech_frames, config.speech_dim), dtype=dtype)
         self.freeze_speech_blocks(trainable_top=0)
-        # (samples digest, mels, mel_frames) -> mean-pooled speech frames,
-        # computed under the speech parameters whose digest is _pooled_for
-        self._pooled: dict[tuple, Tensor] = {}
-        self._pooled_for = b""
 
     # -- freezing -------------------------------------------------------
 
@@ -309,49 +300,27 @@ class DiacritizerModel:
                             nm.NO_KEYS, i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
-    def pool_project(self, frames: Tensor) -> Tensor:
-        """Mean-pool time by pool_factor, then project to text_dim."""
-        pooled = nm.mean_pool_time(frames, self.config.pool_factor)
-        return nm.linear(pooled, self.params["proj.w"], self.params["proj.b"])
-
-    def speech_prefix(self, m: MelSpectrogram) -> Tensor:
-        return self.pool_project(self.speech_encode(m))
-
-    def speech_prefixes(self, mels: list[MelSpectrogram]) -> list[Tensor]:
-        """speech_prefix of each log-mel, bit for bit. A frozen encoder runs
-        over stacks of as many utterances as fit nm.STACK_BUDGET_BYTES (see
-        utterance_bytes), one with a graph once per utterance; each
-        prefix is pooled and projected on its own rows. So every gradient
-        sums in the order of separate calls."""
+    def pooled_frames(self, mels: Iterable[MelSpectrogram]) -> Iterator[Tensor]:
+        """Each log-mel's (prefix_len, speech_dim) mean-pooled encoder
+        frames, read lazily from mels. A frozen encoder runs stacks of as
+        many as fit nm.STACK_BUDGET_BYTES (see utterance_bytes); a trainable
+        one runs each alone with a graph, so gradients sum as in single calls."""
+        pf = self.config.pool_factor
+        mels = iter(mels)
         if any(p.requires_grad for n, p in self.params.items() if n.startswith("speech.")):
-            return [self.speech_prefix(m) for m in mels]
+            for m in mels:
+                yield nm.mean_pool_time(self.speech_encode(m), pf)
+            return
         per = max(1, nm.STACK_BUDGET_BYTES // utterance_bytes(self.config, self.dtype))
-        out = []
-        for i in range(0, len(mels), per):
-            stack = MelSpectrogram(np.stack([m.values for m in mels[i:i + per]]))
-            out += [self.pool_project(Tensor(f)) for f in self.speech_encode(stack).data]
-        return out
+        while chunk := [m.values for m in itertools.islice(mels, per)]:
+            frames = self.speech_encode(MelSpectrogram(np.stack(chunk))).data
+            pooled = [nm.mean_pool_time(Tensor(f), pf) for f in frames]
+            del chunk, frames  # freed before the rows are handed out
+            yield from pooled
 
-    def cached_speech_prefix(self, waveform: Waveform, mel) -> Tensor:
-        """speech_prefix(mel()), where mel() is the waveform's log-mel, with
-        the mean-pooled frames taken from this model's cache: a hit runs
-        neither mel() nor the encoder, only the projection. Every entry is
-        dropped when a SHA-256 of the speech.* parameters changes."""
-        cfg = self.config
-        digest = hashlib.sha256()
-        for name, p in self.params.items():
-            if name.startswith("speech."):
-                digest.update(np.ascontiguousarray(p.data))
-        if digest.digest() != self._pooled_for:
-            self._pooled, self._pooled_for = {}, digest.digest()
-        samples = np.ascontiguousarray(waveform.samples)
-        key = (hashlib.sha256(samples).digest(), samples.dtype.str,
-               cfg.mels, cfg.mel_frames)
-        pooled = self._pooled.get(key)
-        if pooled is None:
-            pooled = nm.mean_pool_time(self.speech_encode(mel()), cfg.pool_factor).detach()
-            if len(self._pooled) < POOLED_CACHE_BYTES // pooled.data.nbytes:
-                self._pooled[key] = pooled
+    def pool_project(self, pooled: Tensor) -> Tensor:
+        """Project mean-pooled speech frames to the (prefix_len, text_dim)
+        prefix."""
         return nm.linear(pooled, self.params["proj.w"], self.params["proj.b"])
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,

@@ -492,7 +492,7 @@ def prepare_sample(model: DiacritizerModel, samples: list[CorpusSample],
     """Augment audio, extract features and bundle token/target arrays for
     each example of a batch, sample i drawing from rngs[i]; the speech
     encoder runs over the batch's log-mels together (see
-    `DiacritizerModel.speech_prefixes`). A sample with no waveform gets no
+    `DiacritizerModel.pooled_frames`). A sample with no waveform gets no
     prefix: the text-only path."""
     mcfg = model.config
     mels = []
@@ -501,7 +501,7 @@ def prepare_sample(model: DiacritizerModel, samples: list[CorpusSample],
             w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
             mel = log_mel(w, mels=mcfg.mels, frame_budget=mcfg.mel_frames)
             mels.append(spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1)))
-    prefixes = iter(model.speech_prefixes(mels))
+    prefixes = map(model.pool_project, model.pooled_frames(mels))
     return [PreparedSample(tokens=model.encode_text(s.raw),
                            letter_rows=model.letter_rows(s.raw),
                            targets=np.asarray(s.targets, dtype=np.int64),

@@ -27,7 +27,7 @@ from multidiac.audiofe import (
 )
 from multidiac.errors import ConfigError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
-from multidiac.numerics import _GELU_C, RngStream, Tensor
+from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
 from multidiac.textproc import (
     ARABIC_LETTERS, DIACRITICS, class_of_marks, insert_diacritics, label_from_diacritized,
 )
@@ -226,7 +226,8 @@ def prepare_sample_reference(model, sample, cfg, rng: RngStream) -> PreparedSamp
         w = inject_noise(sample.waveform, cfg.snr_range, rng.child(0))
         mel = log_mel(w, mels=model.config.mels, frame_budget=model.config.mel_frames)
         mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
-        prefix = model.speech_prefix(mel)
+        prefix = model.pool_project(
+            mean_pool_time(model.speech_encode(mel), model.config.pool_factor))
     return PreparedSample(tokens=model.encode_text(sample.raw),
                           letter_rows=model.letter_rows(sample.raw),
                           targets=np.asarray(sample.targets, dtype=np.int64),

@@ -1,15 +1,18 @@
 """MC-Dropout ensemble: averaging semantics, determinism, tie-breaking."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from multidiac import inference
-from multidiac import model as modelmod
 from multidiac import numerics as nm
 from multidiac.audiofe import SAMPLE_RATE, Waveform
 from multidiac.errors import ConfigError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
-                                 mc_forward, predict_greedy)
+                                 mc_forward, predict_greedy, predict_greedy_corpus)
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
 from multidiac.training import OptimizerState, adamw_step
@@ -206,6 +209,12 @@ def test_predict_greedy_matches_argmax_forward():
     assert preds == [int(logits[r].argmax()) for r in rows]
 
 
+def prefix_of(model, mel):
+    """model's speech prefix of one log-mel, encoded alone."""
+    frames = nm.mean_pool_time(model.speech_encode(mel), model.config.pool_factor)
+    return model.pool_project(frames)
+
+
 def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     calls = []
 
@@ -225,7 +234,7 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     per_model = []
     for mi, m in enumerate(models):
         mel = real_log_mel(wav, mels=m.config.mels, frame_budget=m.config.mel_frames)
-        probs = mc_forward(m, tokens, m.speech_prefix(mel), cfg.passes_per_model,
+        probs = mc_forward(m, tokens, prefix_of(m, mel), cfg.passes_per_model,
                            cfg.inference_dropout_p, run.child(mi))
         per_model.append(probs[:, rows, :])
     classes, conf = ensemble_average(per_model)
@@ -260,12 +269,14 @@ def fresh_copy(model):
 
 @pytest.fixture
 def encode_calls(monkeypatch):
-    """Counts DiacritizerModel.speech_encode and inference.log_mel calls."""
-    calls = {"encode": 0, "log_mel": 0}
+    """Counts DiacritizerModel.speech_encode and inference.log_mel calls,
+    and keeps the log-mel shape of each encode."""
+    calls = {"encode": 0, "log_mel": 0, "shapes": []}
     encode, log_mel = DiacritizerModel.speech_encode, inference.log_mel
 
     def counting_encode(self, m):
         calls["encode"] += 1
+        calls["shapes"].append(m.values.shape)
         return encode(self, m)
 
     def counting_log_mel(*args, **kwargs):
@@ -277,6 +288,17 @@ def encode_calls(monkeypatch):
     return calls
 
 
+def cached(model):
+    """model's greedy cache: {audio key: mean-pooled frames}."""
+    return inference._pooled_cache[model][1]
+
+
+def pooled_of(model, w):
+    """The mean-pooled frames of w's log-mel, encoded alone."""
+    mel = inference.log_mel(w, mels=model.config.mels, frame_budget=model.config.mel_frames)
+    return nm.mean_pool_time(model.speech_encode(mel), model.config.pool_factor).data
+
+
 RAWS = ["بت", "ثب تب", "تتب"]
 
 
@@ -284,20 +306,18 @@ def test_predict_greedy_on_a_warm_cache_is_a_fresh_model(encode_calls):
     model = model_with(seed=2)
     wavs = [noise_wav(i) for i in range(3)]
     first = [predict_greedy(model, raw, w) for raw, w in zip(RAWS, wavs)]
-    assert encode_calls == {"encode": 3, "log_mel": 3}
+    assert (encode_calls["encode"], encode_calls["log_mel"]) == (3, 3)
     for _ in range(2):
         warm = [predict_greedy(model, raw, w) for raw, w in zip(RAWS, wavs)]
         assert warm == first
     # hits skip the log-mel and the encoder
-    assert encode_calls == {"encode": 3, "log_mel": 3}
-    # the prefix of a hit is bitwise the uncached one
+    assert (encode_calls["encode"], encode_calls["log_mel"]) == (3, 3)
+    # the frames of a hit are bitwise the uncached ones
     fresh = fresh_copy(model)
-    for w in wavs:
-        mel = inference.log_mel(w, mels=80, frame_budget=model.config.mel_frames)
-        want = fresh.speech_prefix(mel).data
-        got = model.cached_speech_prefix(w, lambda: pytest.fail("a miss")).data
-        assert got.tobytes() == want.tobytes()
+    want = [pooled_of(fresh, w).tobytes() for w in wavs]
+    assert [f.data.tobytes() for f in cached(model).values()] == want
     assert [predict_greedy(fresh, raw, w) for raw, w in zip(RAWS, wavs)] == first
+    assert predict_greedy_corpus(fresh_copy(model), list(zip(RAWS, wavs))) == first
     # a waveform of other samples is a miss, the same samples in a new
     # object are a hit
     encode_calls["encode"] = 0
@@ -315,11 +335,9 @@ def test_a_speech_weight_edited_in_place_forces_a_re_encode(encode_calls):
     model.params["speech.block1.mlp.w2"].data[3, 5] += 0.5
     predict_greedy(model, RAWS[0], w)
     assert encode_calls["encode"] == 2
-    # the new entry is the edited model's prefix; the old one is gone
-    mel = inference.log_mel(w, mels=80, frame_budget=model.config.mel_frames)
-    want = fresh_copy(model).speech_prefix(mel).data
-    assert model.cached_speech_prefix(w, None).data.tobytes() == want.tobytes()
-    assert len(model._pooled) == 1
+    # the new entry is the edited model's frames; the old one is gone
+    [entry] = cached(model).values()
+    assert entry.data.tobytes() == pooled_of(fresh_copy(model), w).tobytes()
 
 
 def test_an_adamw_step_on_unfrozen_speech_blocks_forces_a_re_encode(encode_calls):
@@ -344,32 +362,144 @@ def test_an_adamw_step_on_unfrozen_speech_blocks_forces_a_re_encode(encode_calls
     adamw_step(model.params, state, 1e-3, 0.0)
     predict_greedy(model, RAWS[0], w)
     assert encode_calls["encode"] == 3
+    # a cached entry holds no graph into the trainable block
+    [entry] = cached(model).values()
+    assert not entry.requires_grad
 
 
 def test_a_full_cache_takes_no_more_entries(encode_calls, monkeypatch):
     model = model_with(seed=2)
     entry = model.config.prefix_len * model.config.speech_dim * 4
-    monkeypatch.setattr(modelmod, "POOLED_CACHE_BYTES", 2 * entry + entry // 2)
+    monkeypatch.setattr(inference, "POOLED_CACHE_BYTES", 2 * entry + entry // 2)
     wavs = [noise_wav(i) for i in range(3)]
     for _ in range(3):
         for raw, w in zip(RAWS, wavs):
             predict_greedy(model, raw, w)
     # the first two are kept; the third is encoded on every pass
-    assert len(model._pooled) == 2
+    assert len(cached(model)) == 2
     assert encode_calls["encode"] == 3 + 1 + 1
+    # a corpus call that misses the third encodes it once more, alone
+    encode_calls["shapes"].clear()
+    predict_greedy_corpus(model, list(zip(RAWS, wavs)))
+    assert encode_calls["shapes"] == [(1, 80, 200)] and len(cached(model)) == 2
 
 
 def test_diacritize_never_touches_the_cache(encode_calls, monkeypatch):
     model = model_with(seed=2)
     w = noise_wav(1)
-    monkeypatch.setattr(DiacritizerModel, "cached_speech_prefix",
-                        lambda *a: pytest.fail("diacritize consulted the cache"))
-    monkeypatch.setattr(modelmod.hashlib, "sha256",
+    monkeypatch.setattr(inference.hashlib, "sha256",
                         lambda *a: pytest.fail("diacritize hashed"))
     cfg = EnsembleConfig(passes_per_model=2, seed=4)
     for _ in range(2):
         diacritize("بت", w, [model], cfg)
-    assert encode_calls["encode"] == 2 and model._pooled == {}
+    assert encode_calls["encode"] == 2 and model not in inference._pooled_cache
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """The bytes fed to each SHA-256 that inference makes."""
+    calls = []
+    real = inference.hashlib.sha256
+
+    class Counting:
+        def __init__(self, data=b""):
+            self.fed = len(memoryview(data).cast("B"))
+            self.h = real(data)
+            calls.append(self)
+
+        def update(self, data):
+            self.fed += len(memoryview(data).cast("B"))
+            self.h.update(data)
+
+        def digest(self):
+            return self.h.digest()
+
+    monkeypatch.setattr(inference.hashlib, "sha256", Counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_a_corpus_call_digests_the_speech_weights_once(sha256_calls, n):
+    """One digest of every speech.* byte per predict_greedy_corpus call,
+    however many utterances it scores, cold or warm."""
+    model = model_with(seed=2)
+    speech = sum(p.data.nbytes for name, p in model.params.items()
+                 if name.startswith("speech."))
+    corpus = [(RAWS[i % 3], noise_wav(i)) for i in range(n)]
+    for _ in range(2):
+        sha256_calls.clear()
+        predict_greedy_corpus(model, corpus)
+        weights = [c.fed for c in sha256_calls if c.fed == speech]
+        audio = [c.fed for c in sha256_calls if c.fed != speech]
+        assert weights == [speech] and audio == [SAMPLE_RATE * 4] * n
+
+
+def test_a_cold_desk_dev_set_is_one_stacked_encode(encode_calls):
+    """A cold desk dev set is log-mel'd once per utterance and encoded as
+    one stack of N rows, whose predictions are those of N single calls; a
+    warm one reads neither the log-mel nor the encoder. A repeated
+    waveform is encoded once."""
+    model = model_with(seed=2)
+    wavs = [noise_wav(i) for i in range(8)]
+    corpus = [(RAWS[i % 3], w) for i, w in enumerate(wavs)] + [(RAWS[0], wavs[2])]
+    got = predict_greedy_corpus(model, corpus + [("بت", None)])
+    assert encode_calls["shapes"] == [(8, 80, 200)] and encode_calls["log_mel"] == 8
+    assert got == [predict_greedy(fresh_copy(model), raw, w) for raw, w in corpus] + \
+        [predict_greedy(model, "بت", None)]
+    encode_calls["shapes"].clear()
+    encode_calls["log_mel"] = 0
+    assert predict_greedy_corpus(model, corpus) == got[:-1]
+    assert encode_calls["shapes"] == [] and encode_calls["log_mel"] == 0
+
+
+def test_a_models_cache_dies_with_it():
+    model = model_with(seed=2)
+    predict_greedy(model, RAWS[0], noise_wav(1))
+    models = len(inference._pooled_cache)
+    assert len(cached(model)) == 1
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None and len(inference._pooled_cache) == models - 1
+
+
+def greedy_peak(model, n):
+    """tracemalloc's peak, over what is held before, of a cold corpus call
+    on n desk utterances."""
+    corpus = [(RAWS[i % 3], noise_wav(100 + i)) for i in range(n)]
+    inference._pooled_cache.pop(model, None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        predict_greedy_corpus(model, corpus)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_corpus_call_with_a_trainable_speech_block_holds_one_graph():
+    """With the top speech block trainable, a cold corpus call encodes each
+    utterance alone with a graph and detaches it before the next: its peak
+    does not grow by a graph, or a log-mel, per utterance. The bound is
+    one utterance's graph plus the pooled frames of the rest."""
+    model = model_with(seed=2)
+    model.freeze_speech_blocks(trainable_top=1)
+    mel = inference.log_mel(noise_wav(1), mels=80, frame_budget=model.config.mel_frames)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = list(model.pooled_frames([mel]))  # one utterance's graph, kept
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    del held
+    pooled = model.config.prefix_len * model.config.speech_dim * 4
+    greedy_peak(model, 2)  # warms every lazily built table
+    two, sixteen = greedy_peak(model, 2), greedy_peak(model, 16)
+    assert graph > 10 * mel.values.nbytes
+    assert two < 1.5 * graph  # never two graphs at once
+    assert sixteen - two < graph / 2 + 14 * 4 * pooled
 
 
 # 2, 10 and 5 letters: the second outgrows the first's memoized masks, and

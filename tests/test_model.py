@@ -13,7 +13,7 @@ from multidiac.audiofe import MelSpectrogram
 from multidiac.errors import ConfigError, ShapeError
 from multidiac.model import (
     DiacritizerModel, ModelConfig, count_parameters, desk_config,
-    full_scale_config, sinusoidal_table, speech_embedding_dropout,
+    full_scale_config, sinusoidal_table, speech_embedding_dropout, utterance_bytes,
 )
 from multidiac.numerics import RngStream
 from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES, Vocabulary,
@@ -119,10 +119,16 @@ def test_unfreeze_too_many_rejected():
         model.freeze_speech_blocks(trainable_top=3)
 
 
+def speech_prefix(model, mel):
+    """The prefix of one log-mel, by the model's one encoder entry."""
+    [pooled] = model.pooled_frames([mel])
+    return model.pool_project(pooled)
+
+
 def test_frozen_params_get_no_grad():
     model = small_model()
     mel = mel_for(model.config)
-    out = model.speech_prefix(mel)
+    out = speech_prefix(model, mel)
     out.sum().backward()
     assert model.params["proj.w"].grad is not None
     assert model.params["speech.block0.attn.wq"].grad is None
@@ -257,7 +263,7 @@ def test_speech_encode_validates_mel_shape():
             model.speech_encode(MelSpectrogram(np.zeros(shape, dtype=np.float32)))
 
 
-STACKED_ENCODERS = {  # config, utterances, speech_prefixes' stack sizes
+STACKED_ENCODERS = {  # config, utterances, pooled_frames' stack sizes
     "desk": (desk_config(vocab_size=10), 3, [3]),
     "full_width": (replace(full_scale_config(vocab_size=10), speech_blocks=1,
                            text_layers=1), 2, [1, 1]),
@@ -266,8 +272,8 @@ STACKED_ENCODERS = {  # config, utterances, speech_prefixes' stack sizes
 
 @pytest.mark.parametrize("case", list(STACKED_ENCODERS))
 def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
-    """Each row of a stacked encode, and each of speech_prefixes' prefixes,
-    is bitwise its utterance's own call, on any BLAS thread count. A desk
+    """Each row of a stacked encode, and each of pooled_frames' outputs, is
+    bitwise its utterance's own call, on any BLAS thread count. A desk
     batch stacks whole; a full-width utterance is encoded alone."""
     cfg, n, sizes = STACKED_ENCODERS[case]
     model = DiacritizerModel(cfg, VOCAB, RngStream(1))
@@ -278,17 +284,53 @@ def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
     encode = DiacritizerModel.speech_encode
     monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: stacks.append(
         len(m.values)) or encode(self, m))
-    prefixes = model.speech_prefixes(mels)
+    pooled = list(model.pooled_frames(iter(mels)))
     monkeypatch.undo()
     assert stacks == sizes
-    for m, row, prefix in zip(mels, stack.data, prefixes, strict=True):
-        assert row.tobytes() == model.speech_encode(m).data.tobytes()
-        assert prefix.data.tobytes() == model.speech_prefix(m).data.tobytes()
+    for m, row, frames in zip(mels, stack.data, pooled, strict=True):
+        alone = model.speech_encode(m)
+        assert row.tobytes() == alone.data.tobytes()
+        assert frames.data.tobytes() == \
+            nm.mean_pool_time(alone, cfg.pool_factor).data.tobytes()
+
+
+def test_pooled_frames_reads_one_stack_at_a_time(monkeypatch):
+    """pooled_frames takes its log-mels lazily: a frozen encoder reads one
+    stack's worth before its first output, and nothing past it."""
+    model = small_model()
+    cfg = model.config
+    monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", 2 * utterance_bytes(cfg, np.float32))
+    read = []
+
+    def mels():
+        for seed in range(5):
+            read.append(seed)
+            yield mel_for(cfg, seed)
+    encoded = model.pooled_frames(mels())
+    next(encoded)
+    assert read == [0, 1]
+    assert len(list(encoded)) == 4 and read == [0, 1, 2, 3, 4]
+
+
+def test_pooled_frames_of_a_trainable_encoder_keep_their_graph(monkeypatch):
+    """With a trainable speech block each utterance is encoded alone, and
+    its pooled frames carry the gradient into that block."""
+    model = small_model()
+    model.freeze_speech_blocks(trainable_top=1)
+    shapes = []
+    encode = DiacritizerModel.speech_encode
+    monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: shapes.append(
+        m.values.shape) or encode(self, m))
+    pooled = list(model.pooled_frames(mel_for(model.config, s) for s in range(2)))
+    assert shapes == [(model.config.mels, model.config.mel_frames)] * 2
+    model.pool_project(pooled[1]).sum().backward()
+    assert model.params["speech.block1.mlp.w2"].grad is not None
+    assert model.params["speech.block0.mlp.w2"].grad is None
 
 
 def test_speech_prefix_shape():
     model = small_model()
-    pref = model.speech_prefix(mel_for(model.config))
+    pref = speech_prefix(model, mel_for(model.config))
     assert pref.shape == (model.config.prefix_len, model.config.text_dim)
 
 
@@ -298,7 +340,7 @@ def test_pool_project_matches_manual():
     gen = np.random.default_rng(2)
     frames = gen.normal(0, 1, size=(cfg.speech_frames, cfg.speech_dim)) \
         .astype(np.float32)
-    got = model.pool_project(nm.tensor(frames)).data
+    got = model.pool_project(nm.mean_pool_time(nm.tensor(frames), cfg.pool_factor)).data
     pooled = frames.reshape(cfg.prefix_len, cfg.pool_factor, cfg.speech_dim) \
         .mean(axis=1)
     want = pooled @ model.params["proj.w"].data + model.params["proj.b"].data

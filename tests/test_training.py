@@ -1034,8 +1034,9 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
         preds = []
 
         def scorer(m):
-            preds.append({s.sample_id: insert_diacritics(
-                s.raw, inference.predict_greedy(m, s.raw, s.waveform)) for _, s in dev})
+            classes = inference.predict_greedy_corpus(m, [(s.raw, s.waveform) for _, s in dev])
+            preds.append({s.sample_id: insert_diacritics(s.raw, c)
+                          for (_, s), c in zip(dev, classes)})
             return metrics.evaluate_corpus(preds[-1], {s.sample_id: g for g, s in dev}).wer
 
         h = fit(train, model, cfg, out_dir=out, dev_scorer=scorer)
@@ -1043,8 +1044,7 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
             return h, preds, f.read(), sum(encodes)
 
     cached = run(tmp_path / "cached")
-    monkeypatch.setattr(DiacritizerModel, "cached_speech_prefix",
-                        lambda self, waveform, mel: self.speech_prefix(mel()))
+    monkeypatch.setattr(inference, "POOLED_CACHE_BYTES", 0)
     plain = run(tmp_path / "plain")
     for key in ("loss", "dev_wer"):
         assert cached[0][key] == plain[0][key]
