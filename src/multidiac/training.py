@@ -9,6 +9,11 @@ loss is one autodiff op with an analytic backward, on the (2, letters, 15)
 stack of the pair's letter rows. Each sample of a batch draws its own noise
 and SpecAugment; the frozen speech encoder then runs over the batch's
 log-mels in stacks under nm.STACK_BUDGET_BYTES (a desk batch is one stack).
+
+A checkpoint is written and read in one pass, each tensor straight between
+the file and its own array, hashed on the way; a read holds about the
+file's size, and a file whose SHA-256 trailer does not match its body is
+refused as corrupt before any parse error of that body is reported.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import ast
 import hashlib
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -339,10 +345,21 @@ def save_checkpoint(path, model: DiacritizerModel, meta: dict):
     Each tensor's bytes go to the file and the hash straight from its
     array. The file is written beside `path` under a temporary name, synced
     to disk and renamed over it, so a failed write or a crash leaves any
-    earlier file at `path` as it was."""
+    earlier file at `path` as it was. Metadata is stored as "key=value"
+    lines, so a key holding "=" or a newline, a value holding a newline,
+    and two keys with one text form are refused (ConfigError) before
+    anything is written."""
     meta = dict(meta)
     meta.setdefault("vocab", model.vocab.serialize())
-    meta_blob = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
+    text = {str(k): str(v) for k, v in meta.items()}
+    if len(text) != len(meta):
+        raise ConfigError("two metadata keys have the same text form")
+    for k, v in text.items():
+        if "=" in k or "\n" in k:
+            raise ConfigError(f"metadata key {k!r} holds '=' or a newline")
+        if "\n" in v:
+            raise ConfigError(f"metadata value of {k!r} holds a newline")
+    meta_blob = "".join(f"{k}={v}\n" for k, v in text.items()).encode("utf-8")
 
     def chunks():
         yield _MAGIC + struct.pack("<II", _VERSION, len(model.params) + 1)
@@ -371,65 +388,103 @@ def save_checkpoint(path, model: DiacritizerModel, meta: dict):
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Parse and integrity-check a checkpoint file."""
+    """Parse and integrity-check a checkpoint file in one forward pass.
+
+    Each tensor is read straight into its own array and hashed from it, so
+    a read holds about the file's size. Any file whose trailer does not
+    match its body is refused as corrupt, whatever its body holds: on a
+    parse error the rest of the body is hashed before either is reported."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    if len(blob) < 12 + _SEAL:
-        raise FormatError(f"{path}: not a checkpoint file")
-    body = memoryview(blob)[:-_SEAL]
-    if hashlib.sha256(body).digest() != blob[-_SEAL:]:
-        raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
-    (count,) = struct.unpack_from("<I", body, 8)
-    pos = 12
-    tensors: dict[str, np.ndarray] = {}
-    meta: dict[str, str] = {}
-    seen: set[str] = set()
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError(f"{path}: not a regular file (a checkpoint is "
+                              f"read with its size known)")
+        end = st.st_size - _SEAL
+        if end < 12:
+            raise FormatError(f"{path}: not a checkpoint file")
+        digest = hashlib.sha256(head)
+        pos = 12  # the digest covers the body up to here
+        tensors: dict[str, np.ndarray] = {}
+        meta: dict[str, str] = {}
+        seen: set[str] = set()
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if n > len(body) - pos:
-            raise FormatError(f"{path}: {what} runs past the end of the body")
-        chunk = body[pos:pos + n]
-        pos += n
-        return chunk
+        def take(n: int, what: str) -> bytes:
+            nonlocal pos
+            if n > end - pos:
+                raise FormatError(f"{path}: {what} runs past the end of the body")
+            chunk = f.read(n)
+            if len(chunk) != n:
+                raise FormatError(f"{path}: file ended inside {what} while being read")
+            digest.update(chunk)
+            pos += n
+            return chunk
 
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", take(4, "entry header"))
-            name = str(take(name_len, "entry name"), "utf-8")
-            (rank,) = struct.unpack("<I", take(4, "entry rank"))
-            extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
-            if name in seen:
-                raise FormatError(f"{path}: entry {name!r} appears twice")
-            seen.add(name)
-            if name == "__meta":
-                if rank != 1:
-                    raise FormatError(f"{path}: __meta entry has rank {rank}")
-                text = str(take(extents[0], "__meta payload"), "utf-8")
-                # lines end in "\n" only: a value may hold "\r" or U+2028
-                for line in filter(None, text.split("\n")):
-                    k, _, v = line.partition("=")
-                    if k in meta:
-                        raise FormatError(f"{path}: metadata key {k!r} appears twice")
-                    meta[k] = v
-            else:
-                payload = take(4 * math.prod(extents), f"tensor {name!r}")
-                try:
-                    tensors[name] = np.frombuffer(payload, dtype="<f4") \
-                        .reshape(extents).copy()
-                except ValueError:
-                    # zero-size extents numpy cannot shape, e.g. (0, 2**63)
-                    raise FormatError(f"{path}: tensor {name!r} extents "
-                                      f"{extents} are out of range") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: entry is not valid UTF-8 ({e.reason})") from None
-    if pos != len(body):
-        raise FormatError(f"{path}: trailing bytes after last entry")
+        def read_tensor(name: str, extents) -> np.ndarray:
+            nonlocal pos
+            nbytes = 4 * math.prod(extents)
+            if nbytes > end - pos:  # refused before anything is allocated
+                raise FormatError(f"{path}: tensor {name!r} runs past the end of the body")
+            try:
+                arr = np.empty(extents, dtype="<f4")
+            except ValueError:
+                # zero-size extents numpy cannot shape, e.g. (0, 2**63)
+                raise FormatError(f"{path}: tensor {name!r} extents "
+                                  f"{extents} are out of range") from None
+            if f.readinto(arr) != nbytes:
+                raise FormatError(f"{path}: file ended inside tensor {name!r} "
+                                  f"while being read")
+            digest.update(arr)
+            pos += nbytes
+            return arr
+
+        def utf8(chunk: bytes) -> str:
+            try:
+                return str(chunk, "utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: entry is not valid UTF-8 "
+                                  f"({e.reason})") from None
+
+        error = None
+        try:
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", take(4, "entry header"))
+                name = utf8(take(name_len, "entry name"))
+                (rank,) = struct.unpack("<I", take(4, "entry rank"))
+                extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
+                if name in seen:
+                    raise FormatError(f"{path}: entry {name!r} appears twice")
+                seen.add(name)
+                if name == "__meta":
+                    if rank != 1:
+                        raise FormatError(f"{path}: __meta entry has rank {rank}")
+                    # lines end in "\n" only: a value may hold "\r" or U+2028
+                    text = utf8(take(extents[0], "__meta payload"))
+                    for line in filter(None, text.split("\n")):
+                        k, _, v = line.partition("=")
+                        if k in meta:
+                            raise FormatError(f"{path}: metadata key {k!r} appears twice")
+                        meta[k] = v
+                else:
+                    tensors[name] = read_tensor(name, extents)
+            if pos != end:
+                raise FormatError(f"{path}: trailing bytes after last entry")
+        except FormatError as e:
+            error = e
+        # hash what a parse error left unread, from the last byte hashed on
+        f.seek(pos)
+        while pos < end and (chunk := f.read(min(end - pos, 1 << 20))):
+            digest.update(chunk)
+            pos += len(chunk)
+        if pos != end or digest.digest() != f.read(_SEAL):
+            raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
+        if error is not None:
+            raise error
     return tensors, meta
 
 

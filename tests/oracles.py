@@ -13,11 +13,15 @@ speech encode, as `prepare_sample` did before batches shared a stack.
 `softmax_reference` and `attention_reference` normalise the whole score
 array at once into a new array; `gelu_reference` and `layer_norm_reference`
 are `gelu` and `layer_norm` over the whole array at once, each step a
-whole-array temporary. `canonicalize` and `filterbank_centers`
+whole-array temporary. `read_checkpoint_reference` reads a checkpoint
+the whole-file way: the file into one buffer, its SHA-256 checked, then
+every tensor copied out. `canonicalize` and `filterbank_centers`
 are test helpers over the package's text and mel code.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from multidiac.audiofe import (
     HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, _band_edges, inject_noise, log_mel,
     mel_filterbank, spec_augment,
 )
-from multidiac.errors import ConfigError, NumericError
+from multidiac.errors import ConfigError, FormatError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
 from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
 from multidiac.textproc import (
@@ -360,3 +364,63 @@ def layer_norm_reference(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if beta.requires_grad:
             beta._accumulate(np.sum(g, axis=axes))
     return Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
+
+
+def read_checkpoint_reference(path):
+    """`read_checkpoint` the whole-file way: the file is read into one
+    buffer and its trailer checked before the body is parsed, and each
+    tensor is copied out of it."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if len(blob) < 12 or blob[:4] != b"CWDK":
+        raise FormatError(f"{path}: not a checkpoint file")
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version != 2:
+        raise FormatError(f"{path}: unsupported format version {version}")
+    if len(blob) < 12 + 32:
+        raise FormatError(f"{path}: not a checkpoint file")
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
+        raise FormatError(f"{path}: trailer checksum mismatch (corrupt file)")
+    (count,) = struct.unpack_from("<I", body, 8)
+    pos = 12
+    tensors, meta, seen = {}, {}, set()
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(body) - pos:
+            raise FormatError(f"{path}: {what} runs past the end of the body")
+        pos += n
+        return body[pos - n:pos]
+
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "entry header"))
+            name = str(take(name_len, "entry name"), "utf-8")
+            (rank,) = struct.unpack("<I", take(4, "entry rank"))
+            extents = struct.unpack(f"<{rank}Q", take(8 * rank, "entry extents"))
+            if name in seen:
+                raise FormatError(f"{path}: entry {name!r} appears twice")
+            seen.add(name)
+            if name == "__meta":
+                if rank != 1:
+                    raise FormatError(f"{path}: __meta entry has rank {rank}")
+                text = str(take(extents[0], "__meta payload"), "utf-8")
+                for line in filter(None, text.split("\n")):
+                    k, _, v = line.partition("=")
+                    if k in meta:
+                        raise FormatError(f"{path}: metadata key {k!r} appears twice")
+                    meta[k] = v
+            else:
+                payload = take(4 * math.prod(extents), f"tensor {name!r}")
+                try:
+                    tensors[name] = np.frombuffer(payload, dtype="<f4") \
+                        .reshape(extents).copy()
+                except ValueError:
+                    raise FormatError(f"{path}: tensor {name!r} extents "
+                                      f"{extents} are out of range") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: entry is not valid UTF-8 ({e.reason})") from None
+    if pos != len(body):
+        raise FormatError(f"{path}: trailing bytes after last entry")
+    return tensors, meta

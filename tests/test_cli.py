@@ -19,14 +19,14 @@ import multidiac
 from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
                            read_run_config, write_run_config)
 from multidiac.data import ManifestRecord, write_manifest
-from multidiac.errors import ConfigError
+from multidiac.errors import ConfigError, FormatError
 from multidiac.inference import EnsembleConfig
 from multidiac.audiofe import Waveform, save_wav
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
 from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
-from multidiac.training import (config_fingerprint, desk_recipe, save_checkpoint,
-                                serialize_config)
+from multidiac.training import (config_fingerprint, desk_recipe, read_checkpoint,
+                                save_checkpoint, serialize_config)
 
 BA, TA = "ب", "ت"
 
@@ -252,6 +252,22 @@ def test_data_error_malformed_v2_checkpoint_body(trained, tmp_path, capsys, name
     err = _infer_rejects(trained[0], tmp_path, capsys,
                          _checkpoint_blob(*entries, count=count))
     assert "unsupported format version" not in err
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_BODIES))
+def test_malformed_checkpoint_body_under_a_wrong_trailer_is_refused_as_corrupt(
+        tmp_path, name):
+    # the trailer is checked before a parse error is reported, whatever the body holds
+    entries, count = MALFORMED_BODIES[name]
+    blob = _checkpoint_blob(*entries, count=count)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as parsed:
+        read_checkpoint(path)
+    assert "checksum" not in str(parsed.value)
+    path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+    with pytest.raises(FormatError, match="trailer checksum mismatch"):
+        read_checkpoint(path)
 
 
 @pytest.mark.parametrize("record", [

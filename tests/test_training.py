@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -30,7 +31,8 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import adamw_reference, grad_check, prepare_sample_reference
+from oracles import (adamw_reference, grad_check, prepare_sample_reference,
+                     read_checkpoint_reference)
 
 VOCAB = Vocabulary("بتث")
 
@@ -951,6 +953,198 @@ def test_mutated_checkpoint_loads_or_raises_typed_error(tmp_path_factory, data):
     except (FormatError, FingerprintError):
         return
     assert all(p.data.dtype == np.float32 for p in model.params.values())
+
+
+def _outcome(read, path):
+    """A read's tensors (dtype, shape, bytes) and metadata, or the type and
+    message of the FormatError it raised."""
+    try:
+        tensors, meta = read(path)
+    except FormatError as e:
+        return type(e), str(e)
+    return {n: (a.dtype.str, a.shape, a.tobytes()) for n, a in tensors.items()}, meta
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_checkpoint_accepts_and_refuses_what_a_whole_file_read_does(
+        tmp_path_factory, data):
+    body, offsets = _micro_body(tmp_path_factory)
+    body = bytearray(body)
+    where = st.one_of(st.sampled_from(offsets),
+                      st.sampled_from(offsets).map(lambda o: o + 1),
+                      st.integers(0, len(body) - 1))
+    for pos, value in data.draw(st.lists(st.tuples(where, st.integers(0, 255)),
+                                         max_size=3)):
+        body[pos] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(body))))
+    if cut is not None:
+        del body[cut:]
+    blob = bytes(body) + hashlib.sha256(body).digest()
+    tail = data.draw(st.sampled_from(["sealed", "flipped", "appended", "cut"]))
+    if tail == "flipped":
+        blob = blob[:-1] + bytes([blob[-1] ^ 1])
+    elif tail == "appended":
+        blob += b"\0"
+    elif tail == "cut":
+        blob = blob[:-data.draw(st.integers(1, 32))]
+    path = tmp_path_factory.getbasetemp() / "differential.ckpt"
+    path.write_bytes(blob)
+    assert _outcome(read_checkpoint, path) == _outcome(read_checkpoint_reference, path)
+
+
+@pytest.mark.parametrize("cfg", [desk_config(), replace(desk_config(), text_dim=128,
+                                                        speech_dim=128)],
+                         ids=["desk", "desk-128"])
+def test_read_checkpoint_reads_saved_models_as_a_whole_file_read_does(tmp_path, cfg):
+    model = DiacritizerModel(cfg, VOCAB, RngStream(3))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, _loadable_meta(model))
+    outcome = _outcome(read_checkpoint, path)
+    assert outcome == _outcome(read_checkpoint_reference, path)
+    assert set(outcome[0]) == set(model.params)
+
+
+def _traced_peak(fn, *args) -> int:
+    """tracemalloc's peak during fn(*args), over what is held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_checkpoint_read_peaks_at_about_the_file_size(tmp_path):
+    # a whole-file read held the file and a copy of every tensor: 2x
+    cfg = replace(desk_config(), text_dim=128, speech_dim=128)
+    model = DiacritizerModel(cfg, VOCAB, RngStream(3))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, _loadable_meta(model))
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert _traced_peak(read_checkpoint, path) <= 1.25 * size
+    assert _traced_peak(load_checkpoint, path) <= 1.25 * size
+
+
+def test_a_tensor_declared_past_the_end_of_the_file_is_refused_unallocated(tmp_path):
+    # (2**30,) fits int64 but declares 4 GiB in a file of a few bytes
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_sealed([("w", (2 ** 30,), b"\0" * 8)]))
+
+    def refused():
+        with pytest.raises(FormatError, match="tensor 'w' runs past the end of the body"):
+            read_checkpoint(path)
+
+    assert _traced_peak(refused) < 1 << 20
+
+
+def test_zero_size_tensors_load_or_are_refused_as_before(tmp_path):
+    path = tmp_path / "m.ckpt"
+    entries = [("a", (0,), b""), ("b", (0, 5), b""), ("c", (3, 0, 2), b""),
+               ("d", (2,), np.array([1.5, -2.0], "<f4").tobytes())]
+    path.write_bytes(_sealed(entries))
+    tensors, _ = read_checkpoint(path)
+    assert {n: a.shape for n, a in tensors.items()} == \
+        {"a": (0,), "b": (0, 5), "c": (3, 0, 2), "d": (2,)}
+    assert all(a.dtype == np.dtype("<f4") for a in tensors.values())
+    assert tensors["d"].tolist() == [1.5, -2.0]
+    for extents in [(2 ** 63, 0), (0,) * 70, (3, 0, 2 ** 62)]:
+        path.write_bytes(_sealed([("w", extents, b"")]))
+        with pytest.raises(FormatError, match="out of range"):
+            read_checkpoint(path)
+        assert _outcome(read_checkpoint, path) == \
+            _outcome(read_checkpoint_reference, path)
+
+
+@pytest.mark.parametrize("damage", ["entry-header", "tensor", "trailer", "appended"])
+def test_a_cut_or_extended_checkpoint_is_refused_as_corrupt(tmp_path, damage):
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, {})
+    blob = path.read_bytes()
+    # (entry start, tensor start, tensor end) of each parameter, in file order
+    spans, pos = [], 12
+    for name in sorted(model.params):
+        start = pos
+        pos += 4 + len(name) + 4 + 8 * model.params[name].data.ndim
+        spans.append((start, pos, pos + model.params[name].data.nbytes))
+        pos = spans[-1][2]
+    widest = max(spans, key=lambda s: s[2] - s[1])
+    cut = {"entry-header": spans[len(spans) // 2][0] + 6,
+           "tensor": (widest[1] + widest[2]) // 2,
+           "trailer": len(blob) - 10, "appended": None}[damage]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob + b"\0" if cut is None else blob[:cut])
+    with pytest.raises(FormatError, match="checksum"):
+        read_checkpoint(bad)
+
+
+def test_a_checkpoint_that_ends_early_while_being_read_is_refused(tmp_path, monkeypatch):
+    # the size on disk says more than the reads find, as when a file shrinks
+    # between the fstat and the reads
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, {})
+    blob = path.read_bytes()
+    real_fstat = os.fstat
+    monkeypatch.setattr(tr.os, "fstat", lambda fd: os.stat_result(
+        (*real_fstat(fd)[:6], len(blob), *real_fstat(fd)[7:])))
+    for cut in (14, 200, len(blob) // 2, len(blob) - 40):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match="checksum"):
+            read_checkpoint(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_checkpoint_on_a_pipe_is_refused_as_not_a_regular_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), {})
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes()[:4096])
+        os.close(w)
+        with pytest.raises(FormatError, match="not a regular file"):
+            read_checkpoint(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("meta", [
+    {"note": "x\ny=z"}, {"a=b": "c"}, {"note": "x\nvocab="}, {"k\nj": "v"},
+    {"vocab": "ab\n"}, {"epoch": 3, "=": ""}, {1: "a", "1": "b"},
+], ids=["newline-value", "equals-key", "repeats-vocab", "newline-key",
+        "newline-vocab", "bare-equals-key", "same-text-keys"])
+def test_save_checkpoint_refuses_metadata_it_cannot_read_back(tmp_path, monkeypatch, meta):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(seed=1), {"epoch": 1})
+    before = path.read_bytes()
+
+    def no_open(*args):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(tr, "open", no_open, raising=False)
+    with pytest.raises(ConfigError, match="metadata"):
+        save_checkpoint(path, tiny_model(seed=2), meta)
+    with pytest.raises(ConfigError, match="metadata"):
+        save_checkpoint(tmp_path / "new.ckpt", tiny_model(seed=2), meta)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(meta=st.dictionaries(st.text(max_size=6), st.text(max_size=12), max_size=4))
+def test_accepted_checkpoint_metadata_reads_back_equal(tmp_path_factory, meta):
+    path = tmp_path_factory.getbasetemp() / "meta.ckpt"
+    storable = all("=" not in k and "\n" not in k + v for k, v in meta.items())
+    if not storable:
+        with pytest.raises(ConfigError):
+            save_checkpoint(path, tiny_model(), meta)
+        return
+    save_checkpoint(path, tiny_model(), meta)
+    assert read_checkpoint(path)[1] == {"vocab": VOCAB.serialize(), **meta}
 
 
 def test_load_checkpoint_fingerprint_mismatch(tmp_path):
