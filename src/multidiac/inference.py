@@ -3,9 +3,11 @@
 Each checkpoint runs a configurable number of stochastic forward passes
 with text-encoder dropout kept active (layer norm has no stochastic state
 and is unaffected); softmax probabilities are averaged over every
-(model, pass) pair before the per-position argmax. Sub-streams are keyed
-by (model index, pass index), so how the passes of a checkpoint are
-stacked into forwards cannot change the result. A fixed seed gives every
+(model, pass) pair before the per-letter argmax. Only the letters are
+scored: the last text block after its attention, the final norm and the
+softmax run on the letter rows alone, bitwise those rows of the whole
+forward. Sub-streams are keyed by (model index, pass index), so how the
+passes of a checkpoint are stacked into forwards cannot change the result. A fixed seed gives every
 sentence the same keys, so at desk width each sentence reuses its models'
 dropout masks from the numerics memo. At full width one sentence's masks
 outgrow the memo's bound, and a sentence whose length changes
@@ -56,19 +58,24 @@ def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
 
 
 def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
-               prefix, passes: int, p: float, rng: RngStream) -> np.ndarray:
-    """(passes, full positions, 15) softmax probabilities, read-only; pass
-    i uses the stream rng.child(i), keyed through rng.child_keys. Passes
-    run as stacked forwards of as many passes as fit nm.STACK_BUDGET_BYTES,
-    which leaves every pass's output unchanged. At p = 0 every pass is the
-    eval output, so only pass 0 runs and its row is repeated."""
+               prefix, passes: int, p: float, rng: RngStream,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """(passes, full positions, 15) softmax probabilities, read-only, or
+    with rows (ascending positions) (passes, len(rows), 15), bitwise those
+    rows of the full result: the forward's last block past attention, its
+    final norm and the softmax run on those rows alone. Pass i uses the
+    stream rng.child(i), keyed through rng.child_keys. Passes run as
+    stacked forwards of as many whole-sequence passes as fit
+    nm.STACK_BUDGET_BYTES, which leaves every pass's output unchanged. At
+    p = 0 every pass is the eval output, so only pass 0 runs and its row is
+    repeated."""
     per_pass = pass_bytes(model.config, len(tokens), model.dtype)
     chunk = max(1, nm.STACK_BUDGET_BYTES // per_pass)
     run = passes if p else 1
     out = []
     for start in range(0, run, chunk):
         keys = rng.child_keys(range(start, min(run, start + chunk)))
-        logits = model.forward(tokens, prefix, keys, p, grad=False)
+        logits = model.forward(tokens, prefix, keys, p, grad=False, rows=rows)
         out.append(nm.softmax(logits, axis=-1).data)
     probs = np.concatenate(out)
     return np.broadcast_to(probs, (passes,) + probs.shape[1:])
@@ -121,9 +128,8 @@ def diacritize(raw: str, waveform: Waveform | None,
             if shape not in mels:
                 mels[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
             prefix = model.pool_project(*model.pooled_frames([mels[shape]]))
-        probs = mc_forward(model, tokens, prefix, cfg.passes_per_model,
-                           cfg.inference_dropout_p, run.child(mi))
-        all_probs.append(probs[:, letter_rows, :])
+        all_probs.append(mc_forward(model, tokens, prefix, cfg.passes_per_model,
+                                    cfg.inference_dropout_p, run.child(mi), letter_rows))
     classes, confidence = ensemble_average(all_probs)
     text = insert_diacritics(raw, [int(c) for c in classes])
     return text, [float(c) for c in confidence]
@@ -160,8 +166,9 @@ def predict_greedy_corpus(model: DiacritizerModel,
     out = []
     for (raw, _), key in zip(samples, keys):
         prefix = None if key is None else model.pool_project(pooled[key])
-        probs = mc_forward(model, model.encode_text(raw), prefix, 1, 0.0, RngStream(0))
-        classes, _ = ensemble_average([probs[:, model.letter_rows(raw), :]])
+        probs = mc_forward(model, model.encode_text(raw), prefix, 1, 0.0, RngStream(0),
+                           model.letter_rows(raw))
+        classes, _ = ensemble_average([probs])
         out.append([int(c) for c in classes])
     return out
 

@@ -265,18 +265,24 @@ class DiacritizerModel:
     # -- forward passes -------------------------------------------------
 
     def _block(self, p: dict[str, Tensor], x: Tensor, prefix: str, heads: int,
-               keys: np.ndarray, layer: int, dropout_p: float) -> Tensor:
+               keys: np.ndarray, layer: int, dropout_p: float,
+               rows: np.ndarray | None = None) -> Tensor:
+        """One pre-norm block. With rows, attention and attn.wo run on every
+        row (their products' bits change with the row count) and only those
+        rows go on from the attention dropout: the block's output rows."""
         def lin(h, name, bias):
             return nm.linear(h, p[f"{prefix}.{name}"], p[f"{prefix}.{bias}"])
 
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
         q, k, v = (lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv")
         a = lin(nm.scaled_dot_attention(q, k, v, heads), "attn.wo", "attn.bo")
-        a = nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer))
+        if rows is not None:
+            x, a = nm.embedding(x, rows), nm.embedding(a, rows)
+        a = nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer), rows)
         x = x + a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = lin(nm.gelu(lin(h, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2")
-        h = nm.dropout(h, dropout_p, nm.child_keys(keys, 2 * layer + 1))
+        h = nm.dropout(h, dropout_p, nm.child_keys(keys, 2 * layer + 1), rows)
         return x + h
 
     def speech_encode(self, m: MelSpectrogram) -> Tensor:
@@ -325,7 +331,7 @@ class DiacritizerModel:
 
     def forward(self, tokens: np.ndarray, prefix: Tensor | None,
                 keys: np.ndarray = nm.NO_KEYS, dropout_p: float | None = None,
-                *, grad: bool = True) -> Tensor:
+                *, grad: bool = True, rows: np.ndarray | None = None) -> Tensor:
         """Token ids (prefix slots first) + optional speech prefix -> logits.
 
         tokens are one sample's (seq,) ids with a (prefix_len, text_dim)
@@ -344,15 +350,23 @@ class DiacritizerModel:
         backward follows: each intermediate is freed once used rather than
         held by the graph until the logits are, which for a stack of passes
         would keep every pass's activations alive at once.
+
+        rows (ascending positions; one sample, grad=False only) gives just
+        those rows, (P, len(rows), 15) or (len(rows), 15), bitwise the
+        whole call's. The last block runs on them from its attention
+        dropout on, and so does ln_f; the head's GEMM keeps the whole
+        sequence's shape, the rest zeros. P * len(rows) < 2 would put the
+        MLP on a one-row gemv, whose bits differ, so that case runs every
+        row and selects after.
         """
         cfg = self.config
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2) or 0 in tokens.shape[:-1]:
             raise ShapeError(f"tokens of shape {tokens.shape} are not (seq,) or (B, seq)")
-        rows = tokens.reshape(-1, tokens.shape[-1])
-        n, seq = rows.shape
+        ids = tokens.reshape(-1, tokens.shape[-1])
+        n, seq = ids.shape
         if seq < cfg.prefix_len or \
-                not np.all(rows[:, :cfg.prefix_len] == Vocabulary.PREFIX):
+                not np.all(ids[:, :cfg.prefix_len] == Vocabulary.PREFIX):
             raise ShapeError(f"token rows must begin with {cfg.prefix_len} prefix ids")
         if seq > cfg.prefix_len + cfg.max_text_len:
             raise ShapeError(f"text length {seq - cfg.prefix_len} exceeds "
@@ -360,23 +374,40 @@ class DiacritizerModel:
         want = tokens.shape[:-1] + (cfg.prefix_len, cfg.text_dim)
         if prefix is not None and prefix.shape != want:
             raise ShapeError(f"speech prefix shape {prefix.shape} != {want}")
+        if rows is not None:
+            if grad or tokens.ndim != 1:
+                raise ConfigError("rows need one sample's tokens and grad=False")
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or \
+                    len(rows) and not 0 <= rows[0] <= rows[-1] < seq:
+                raise ShapeError(f"rows must ascend within [0, {seq})")
         p = self.params
         if not grad:
             p = {n: t.detach() for n, t in p.items() if n.startswith("text.")}
             prefix = None if prefix is None else prefix.detach()
         rate = cfg.dropout_p if dropout_p is None else dropout_p
-        x = nm.embedding(p["text.char_emb"], rows) + \
+        x = nm.embedding(p["text.char_emb"], ids) + \
             nm.embedding(p["text.pos_emb"], np.arange(seq))
         if prefix is not None:
             pad = nm.zeros(want[:-2] + (seq - cfg.prefix_len, cfg.text_dim), dtype=self.dtype)
             x = x + nm.concat([prefix, pad], axis=-2)
         x = x.reshape(n, 1, seq, cfg.text_dim)
+        # the rows the last block's tail and ln_f run on; None runs every row
+        sub = None if rows is None or len(rows) * max(1, len(keys)) < 2 else rows
         for i in range(cfg.text_layers):
             x = self._block(p, x, f"text.block{i}", cfg.text_heads,
-                            nm.child_keys(keys, 200 + i), i, rate)
+                            nm.child_keys(keys, 200 + i), i, rate,
+                            sub if i == cfg.text_layers - 1 else None)
         x = nm.layer_norm(x, p["text.ln_f.g"], p["text.ln_f.b"])
+        if sub is not None:
+            full = np.zeros(x.shape[:-2] + (seq, cfg.text_dim), x.dtype)
+            full[..., sub, :] = x.data
+            x = Tensor(full)
         x = nm.linear(x, p["text.head.w"], p["text.head.b"])
-        return x.reshape(*(keys.shape[:1] if len(keys) else tokens.shape[:-1]), seq, -1)
+        if rows is not None:
+            x = nm.embedding(x, rows)
+        return x.reshape(*(keys.shape[:1] if len(keys) else tokens.shape[:-1]),
+                         x.shape[-2], cfg.num_classes)
 
     def encode_text(self, raw: str) -> np.ndarray:
         """prefix_len prefix ids followed by one id per character of raw."""

@@ -30,7 +30,9 @@ graph (MC inference) the keep-masks are memoized, packed to bits and keyed
 by the whole key array, p and the row width, within MASK_MEMO_BYTES (sized
 for the desk model):
 Philox fills a mask row-major from counter 0, so a shorter sequence's mask
-is the first rows of a longer one's, and a fixed seed redraws nothing.
+is the first rows of a longer one's, and a fixed seed redraws nothing. A
+call on some rows of a sequence (MC inference's letter rows) takes those
+rows of the masks drawn to the last of them.
 Training, whose keys change every batch, never reads or writes the memo.
 """
 
@@ -56,7 +58,10 @@ def _splitmix64(z):
 
 def child_keys(keys: np.ndarray, index) -> np.ndarray:
     """Row i is RngStream(*keys[i]).child(index).key, for (P, 2) uint64 keys
-    and an int index or any ints broadcast against the rows."""
+    and an int index or any ints broadcast against the rows. No keys (eval)
+    have no children: NO_KEYS, with no hashing."""
+    if not len(keys):
+        return NO_KEYS
     step = np.array((np.asarray(index, dtype=object) + 1) & _MASK64, dtype=np.uint64)
     streams = _splitmix64(keys[:, 1] * 0x2545F4914F6CDD1D + step)
     out = np.empty((len(streams), 2), dtype=np.uint64)
@@ -420,7 +425,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(y.data, _parents=(y, b), _backward=_sum_backward(y, b))
 
 
-def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
+def dropout(x: Tensor, p: float, keys: np.ndarray, rows=None) -> Tensor:
     """Inverted dropout over a stack of passes, one per Philox key: zero
     with prob p, survivors scaled 1/(1-p).
 
@@ -428,10 +433,15 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
     of P = len(keys) passes, for a (P, seq, dim) result; B samples' (B, 1 or
     P/B, seq, dim) give (B, P/B, seq, dim). Pass i's mask is drawn from
     keys[i], a (seed, stream) row of the (P, 2) uint64 keys, with the (seq,
-    dim) shape; at p = 0 it is all ones. No keys is eval.
+    dim) shape; at p = 0 it is all ones. No keys is eval. With rows
+    (ascending positions), x holds only those rows of each pass, and they
+    meet the same rows of the masks drawn for seq = rows[-1] + 1: the rows
+    of the whole call's result.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout p must be in [0, 1), got {p}")
+    if rows is not None and len(rows) != x.data.shape[-2]:
+        raise ShapeError(f"{len(rows)} rows for an input of {x.data.shape[-2]}")
     if not len(keys):
         return x
     grid = x.data.shape[:-3] + (len(keys) // math.prod(x.data.shape[:-3]),)
@@ -442,8 +452,9 @@ def dropout(x: Tensor, p: float, keys: np.ndarray) -> Tensor:
         # a read-only view: the ones need no storage
         mask = np.broadcast_to(np.ones((), dtype=x.dtype), shape)
     else:
-        mask = _dropout_masks(keys, p, (len(keys),) + shape[-2:], x.dtype,
-                              memoize=not x.requires_grad).reshape(shape)
+        seq = shape[-2] if rows is None else int(rows[-1]) + 1 if len(rows) else 0
+        mask = _dropout_masks(keys, p, (len(keys), seq, shape[-1]), x.dtype,
+                              memoize=not x.requires_grad, rows=rows).reshape(shape)
         if not x.requires_grad:
             # no backward reads the mask, so the product goes into its
             # storage (m * x and x * m are the same bits)
@@ -470,10 +481,11 @@ _mask_memo = _MaskMemo()
 
 
 def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
-                   memoize: bool) -> np.ndarray:
+                   memoize: bool, rows=None) -> np.ndarray:
     """(P, seq, dim) masks of the storage dtype, row i from keys[i]:
     (draws >= p) * dtype(1/(1-p)), the same bits as the float64 divide
-    ((draws >= p) / (1 - p)).astype(dtype).
+    ((draws >= p) / (1 - p)).astype(dtype). With rows, only those rows of
+    each mask, (P, len(rows), dim), are unpacked and scaled.
 
     One Philox bit generator is re-keyed per key (counter 0, buffer empty),
     which gives the words of RngStream(*key).generator() without building a
@@ -495,11 +507,12 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
     """
     scale = np.dtype(dtype).type(1.0 / (1.0 - p))
     seq, dim = shape[1:]
+    take = np.s_[:, :seq] if rows is None else np.s_[:, rows]
     if memoize:
         memo_key = (keys.tobytes(), p, dim)
         packed = _mask_memo.get(memo_key)
         if packed is not None and packed.shape[1] >= seq:
-            keep = np.unpackbits(packed[:, :seq], axis=-1, count=dim)
+            keep = np.unpackbits(packed[take], axis=-1, count=dim)
             return np.multiply(keep, scale, dtype=dtype)
     philox = {"counter": np.zeros(4, dtype=np.uint64)}
     state = {"bit_generator": "Philox", "state": philox,
@@ -518,7 +531,7 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
         if _mask_memo.nbytes + grow <= MASK_MEMO_BYTES:
             _mask_memo[memo_key] = np.packbits(keep, axis=-1)
             _mask_memo.nbytes += grow
-    return np.multiply(keep, scale, dtype=dtype)
+    return np.multiply(keep[take], scale, dtype=dtype)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

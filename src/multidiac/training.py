@@ -346,20 +346,26 @@ def save_checkpoint(path, model: DiacritizerModel, meta: dict):
     array. The file is written beside `path` under a temporary name, synced
     to disk and renamed over it, so a failed write or a crash leaves any
     earlier file at `path` as it was. Metadata is stored as "key=value"
-    lines, so a key holding "=" or a newline, a value holding a newline,
-    and two keys with one text form are refused (ConfigError) before
-    anything is written."""
+    lines of UTF-8, so a key holding "=" or a newline, a value holding a
+    newline, text holding a lone surrogate (which UTF-8 cannot encode) and
+    two keys with one text form are refused (ConfigError) before anything
+    is written."""
     meta = dict(meta)
     meta.setdefault("vocab", model.vocab.serialize())
     text = {str(k): str(v) for k, v in meta.items()}
     if len(text) != len(meta):
         raise ConfigError("two metadata keys have the same text form")
+    lines = []
     for k, v in text.items():
         if "=" in k or "\n" in k:
             raise ConfigError(f"metadata key {k!r} holds '=' or a newline")
         if "\n" in v:
             raise ConfigError(f"metadata value of {k!r} holds a newline")
-    meta_blob = "".join(f"{k}={v}\n" for k, v in text.items()).encode("utf-8")
+        try:
+            lines.append(f"{k}={v}\n".encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ConfigError(f"metadata entry {k!r} holds a lone surrogate") from None
+    meta_blob = b"".join(lines)
 
     def chunks():
         yield _MAGIC + struct.pack("<II", _VERSION, len(model.params) + 1)

@@ -253,6 +253,30 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     assert calls == [(80, 200), (40, 200)]
 
 
+def test_scoring_the_letter_rows_alone_predicts_what_the_whole_forward_does():
+    """diacritize and predict_greedy_corpus run the letter rows alone past
+    the last attention; they give what the whole forward's letter rows give,
+    with and without audio, for one letter, no letters and a letter last."""
+    models = [model_with(seed=s) for s in (0, 1)]
+    cfg = EnsembleConfig(passes_per_model=5, seed=2)
+    corpus = [("ب", None), (" .", None), ("بت ثب.", None), ("ت", noise_wav(1)),
+              ("ثبت بت", noise_wav(2))]
+    greedy = []
+    for raw, w in corpus:
+        tokens, rows = models[0].encode_text(raw), models[0].letter_rows(raw)
+        prefixes = [None if w is None else prefix_of(m, inference.log_mel(
+            w, mels=m.config.mels, frame_budget=m.config.mel_frames)) for m in models]
+        probs = [mc_forward(m, tokens, prefix, cfg.passes_per_model, cfg.inference_dropout_p,
+                            RngStream(cfg.seed).child(mi))[:, rows]
+                 for mi, (m, prefix) in enumerate(zip(models, prefixes))]
+        classes, conf = ensemble_average(probs)
+        assert diacritize(raw, w, models, cfg) == (
+            insert_diacritics(raw, [int(c) for c in classes]), [float(c) for c in conf])
+        one = mc_forward(models[0], tokens, prefixes[0], 1, 0.0, RngStream(0))[:, rows]
+        greedy.append([int(c) for c in ensemble_average([one])[0]])
+    assert predict_greedy_corpus(models[0], corpus) == greedy
+
+
 # -- the greedy dev-scoring cache ----------------------------------------
 
 

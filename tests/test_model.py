@@ -294,6 +294,49 @@ def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
             nm.mean_pool_time(alone, cfg.pool_factor).data.tobytes()
 
 
+LETTER_ROW_FORWARDS = {  # config, pass counts; every P * letters stays
+    # under 160 at full width, where a head GEMM of fewer rows gives other bits
+    "desk": (desk_config(vocab_size=10), (1, 2, 50)),
+    "full_width": (replace(full_scale_config(vocab_size=10), speech_blocks=1), (1, 2)),
+}
+# one letter, no letters, a letter at the last position, and letters
+# between spaces and punctuation
+LETTER_ROW_TEXTS = ["ب", " .", "بت ثجح", "ثب جح تب ."]
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("case", list(LETTER_ROW_FORWARDS))
+def test_forward_on_letter_rows_is_bitwise_those_rows_of_the_whole(case, layers):
+    """forward(..., rows=r, grad=False) is bit for bit forward(...)[..., r, :],
+    with and without a speech prefix, in eval and for each pass count. One
+    letter in one pass runs every row and selects after."""
+    cfg, passes = LETTER_ROW_FORWARDS[case]
+    model = DiacritizerModel(replace(cfg, text_layers=layers), VOCAB, RngStream(2))
+    speech = nm.tensor(np.random.default_rng(3).normal(
+        0, 1, size=(cfg.prefix_len, cfg.text_dim)))
+    for raw in LETTER_ROW_TEXTS:
+        tokens, rows = model.encode_text(raw), model.letter_rows(raw)
+        for prefix in (None, speech):
+            for keys in [nm.NO_KEYS] + [RngStream(4).child_keys(range(n)) for n in passes]:
+                whole = model.forward(tokens, prefix, keys, 0.1, grad=False).data
+                got = model.forward(tokens, prefix, keys, 0.1, grad=False, rows=rows)
+                assert got.shape == whole.shape[:-2] + (len(rows), 15)
+                assert got.data.tobytes() == whole[..., rows, :].tobytes()
+
+
+def test_forward_refuses_rows_with_a_graph_a_stack_or_out_of_order():
+    model = small_model()
+    tokens = model.encode_text("بتث")
+    first = model.config.prefix_len
+    with pytest.raises(ConfigError):
+        model.forward(tokens, None, rows=[first])
+    with pytest.raises(ConfigError):
+        model.forward(np.stack([tokens, tokens]), None, grad=False, rows=[first])
+    for rows in ([first, first], [first + 1, first], [-1], [len(tokens)], [[first]]):
+        with pytest.raises(ShapeError):
+            model.forward(tokens, None, grad=False, rows=rows)
+
+
 def test_pooled_frames_reads_one_stack_at_a_time(monkeypatch):
     """pooled_frames takes its log-mels lazily: a frozen encoder reads one
     stack's worth before its first output, and nothing past it."""

@@ -912,6 +912,29 @@ def test_mask_memo_miss_hit_and_grow_each_give_the_reference_masks(memo, monkeyp
     assert len(memo) == 4
 
 
+@pytest.mark.parametrize("grad", [False, True])
+def test_dropout_on_rows_is_those_rows_of_the_whole_call(memo, monkeypatch, grad):
+    """A stack holding only some rows meets those rows of the reference
+    masks, drawn to the last of them: without a graph a miss memoizes that
+    many rows and a hit draws nothing; with one the memo is not touched."""
+    streams = [RngStream(9).child(i) for i in range(3)]
+    x = np.random.default_rng(1).normal(0, 1, size=(3, 12, 24)).astype(np.float32)
+    rows = np.array([2, 5, 6, 9])
+    want = (x * dropout_masks_reference(streams, 0.2, (12, 24), np.float32))[:, rows]
+    for draws in (True, False):
+        with monkeypatch.context() as m:
+            if not draws:
+                m.setattr(np.random, "Philox", None)  # a draw would raise
+            y = nm.dropout(Tensor(x[:, rows], requires_grad=grad), 0.2, keys_of(streams), rows)
+        assert y.data.tobytes() == want.tobytes()
+        if grad:
+            assert not memo
+            break
+        assert _rows(memo) == [(24, (3, 10))]
+    with pytest.raises(ShapeError):
+        nm.dropout(Tensor(x[:, rows]), 0.2, keys_of(streams), rows[:3])
+
+
 def test_mask_memo_stays_within_its_byte_bound(memo, monkeypatch):
     monkeypatch.setattr(nm, "MASK_MEMO_BYTES", 4096)
 

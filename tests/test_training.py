@@ -1115,8 +1115,10 @@ def test_a_checkpoint_on_a_pipe_is_refused_as_not_a_regular_file(tmp_path):
 @pytest.mark.parametrize("meta", [
     {"note": "x\ny=z"}, {"a=b": "c"}, {"note": "x\nvocab="}, {"k\nj": "v"},
     {"vocab": "ab\n"}, {"epoch": 3, "=": ""}, {1: "a", "1": "b"},
+    {"note": "\ud800"}, {"\udcff": "x"},
 ], ids=["newline-value", "equals-key", "repeats-vocab", "newline-key",
-        "newline-vocab", "bare-equals-key", "same-text-keys"])
+        "newline-vocab", "bare-equals-key", "same-text-keys",
+        "surrogate-value", "surrogate-key"])
 def test_save_checkpoint_refuses_metadata_it_cannot_read_back(tmp_path, monkeypatch, meta):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, tiny_model(seed=1), {"epoch": 1})
