@@ -10,7 +10,8 @@ Every command with a --seed is end-to-end reproducible, and every train or
 infer run echoes its fully resolved configuration (presets expanded) to
 the output directory as an INI-style key=value document.
 
-Exit codes: 0 success, 1 usage, 2 data/validation, 3 numeric/invariant.
+Exit codes: 0 success, 1 usage, 2 data/validation (an input too large to
+hold in memory included), 3 numeric/invariant.
 """
 
 from __future__ import annotations
@@ -296,6 +297,10 @@ def main(argv=None) -> int:
     except (NumericError, InvariantViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:
+        # an input too large to hold, such as audio near the WAV size limit
+        print(f"error: out of memory{f' ({e})' if str(e) else ''}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -108,12 +108,15 @@ def desk_config(vocab_size: int = 40) -> ModelConfig:
 
 
 def utterance_bytes(config: ModelConfig, dtype) -> int:
-    """Bytes one utterance adds to a frozen encode's peak: four
+    """Bytes one utterance is charged in a frozen encode's stack: four
     (speech_frames, mlp_ratio * speech_dim) MLP hidden layers. Measured
-    under tracemalloc at full width in float32 (6 blocks), one encode peaks
-    at 44 MB and each further utterance of a stack adds 42-45 MB, about
-    3.6 hidden layers. So a full-width stack holds one utterance and a
-    desk batch stacks whole."""
+    under tracemalloc at full width in float32 (1 or 6 blocks), one encode
+    peaks at 29.3 MiB and each further utterance of a stack adds
+    20.6-23.5 MiB, about two hidden layers of 11.7 MiB: GELU writes over
+    its hidden layer and nothing of attention is held through the MLP. The
+    charge stays at four layers, so a full-width stack still holds one
+    utterance (stacks of 2 and 5 measured no faster) and a desk batch
+    stacks whole."""
     return 4 * config.speech_frames * config.mlp_ratio * config.speech_dim \
         * np.dtype(dtype).itemsize
 
@@ -269,19 +272,25 @@ class DiacritizerModel:
                rows: np.ndarray | None = None) -> Tensor:
         """One pre-norm block. With rows, attention and attn.wo run on every
         row (their products' bits change with the row count) and only those
-        rows go on from the attention dropout: the block's output rows."""
+        rows go on from the attention dropout: the block's output rows.
+
+        Without a graph nothing of the attention half (ln1, q, k, v, the
+        attention output) nor ln2 is held through the MLP, whose hidden
+        layer is the block's widest array, and GELU writes over that layer."""
         def lin(h, name, bias):
             return nm.linear(h, p[f"{prefix}.{name}"], p[f"{prefix}.{bias}"])
 
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-        q, k, v = (lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv")
-        a = lin(nm.scaled_dot_attention(q, k, v, heads), "attn.wo", "attn.bo")
+        a = nm.scaled_dot_attention(*(lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv"),
+                                    heads)
+        a = lin(a, "attn.wo", "attn.bo")
         if rows is not None:
             x, a = nm.embedding(x, rows), nm.embedding(a, rows)
-        a = nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer), rows)
-        x = x + a
+        x = x + nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer), rows)
+        del a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-        h = lin(nm.gelu(lin(h, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2")
+        h = lin(h, "mlp.w1", "mlp.b1")
+        h = lin(nm.gelu(h, overwrite=True), "mlp.w2", "mlp.b2")
         h = nm.dropout(h, dropout_p, nm.child_keys(keys, 2 * layer + 1), rows)
         return x + h
 
@@ -297,9 +306,9 @@ class DiacritizerModel:
         p = self.params
         x = nm.tensor(np.swapaxes(m.values, -1, -2), dtype=self.dtype)  # (..., time, mels)
         x = nm.gelu(nm.conv1d(x, p["speech.conv1.w"], p["speech.conv1.b"],
-                              stride=1, padding=1))
+                              stride=1, padding=1), overwrite=True)
         x = nm.gelu(nm.conv1d(x, p["speech.conv2.w"], p["speech.conv2.b"],
-                              stride=2, padding=1))
+                              stride=2, padding=1), overwrite=True)
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
             x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,

@@ -6,16 +6,19 @@ lookup, softmax, layer norm, dropout, attention and time pooling, each
 with an analytic backward; the training losses are single ops too, on
 `softmax_array`. Softmax, GELU and layer norm run a cache-sized block of
 rows at a time; the softmax goes into a new array, or in place over
-attention's scores, which nothing else reads. Attention without a graph
-takes its (pass, head) score slices a bounded group at a time through one
-reused buffer and writes AV straight into its output. Storage is
-row-major float32 by default (float64 available for verification work).
-Elementwise work runs in the storage dtype. Three reductions keep float64
-accumulators and cast back: `sum`/`mean`, the softmax row sums and the
-layer-norm moments. A stack times a weight matrix runs as one GEMM over its
-folded rows (the same bits as per slice at the model's shapes; gradients
-keep numpy's per-slice products), and `linear` adds its bias into the
-product.
+attention's scores, which nothing else reads. Without a graph GELU keeps
+its cube and tanh in one block of scratch, and with `overwrite` (the
+model's MLP hidden layer and conv-stem outputs) it writes over its input.
+Attention without a graph takes its (pass, head) score slices a group of
+at most ATTENTION_GROUP_BYTES (9 MiB: one full-width encoder head) at a
+time through one reused buffer and writes AV straight into its output.
+Storage is row-major float32 by default (float64 available for
+verification work). Elementwise work runs in the storage dtype. Three
+reductions keep float64 accumulators and cast back: `sum`/`mean`, the
+softmax row sums and the layer-norm moments. A stack times a weight matrix
+runs as one GEMM over its folded rows (the same bits as per slice at the
+model's shapes; gradients keep numpy's per-slice products), and `linear`
+adds its bias into the product.
 
 Randomness comes exclusively from `RngStream`, a thin wrapper over numpy's
 counter-based Philox generator. The (seed, stream) pair fully determines
@@ -270,24 +273,44 @@ def zeros(shape, requires_grad=False, dtype=np.float32) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
+def _gelu_tanh(d: np.ndarray, d2: np.ndarray, t: np.ndarray):
+    """t = tanh(c * (d + 0.044715 * d*d*d)), with d*d into d2 (t allowed)."""
+    np.multiply(d, d, out=d2)
+    np.multiply(d2, d, out=t)
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+
+
+def gelu(x: Tensor, *, overwrite: bool = False) -> Tensor:
     """tanh-approximation GELU; deterministic, used by both encoders.
 
     The cube is d*d*d: float32 `d ** 3` goes through numpy's slow generic
     pow loop. Each step runs in place over one cache-sized block of rows at
-    a time. Without a backward every step writes into the output; with one,
-    d*d and the tanh keep arrays of their own for it.
+    a time. Without a backward the cube and the tanh of each block go into
+    one reused block of scratch, and with overwrite the result is written
+    into x.data, which must be C-contiguous. With a backward, d*d and the
+    tanh keep arrays of their own for it, and x.data is left as it is.
     """
     d = x.data
+    if not x.requires_grad:
+        if overwrite and not d.flags.c_contiguous:
+            raise ShapeError("gelu overwrite needs a C-contiguous array")
+        y = d if overwrite else np.empty(d.shape, d.dtype)
+        scratch = None
+        for db, yb in _row_blocks(d, y):
+            scratch = np.empty_like(db) if scratch is None else scratch
+            tb = scratch[:len(db)]
+            _gelu_tanh(db, tb, tb)
+            tb += 1.0
+            np.multiply(tb, db, out=yb)
+            yb *= 0.5
+        return Tensor(y)
     y = np.empty(d.shape, d.dtype)
-    d2, t = (np.empty_like(y), np.empty_like(y)) if x.requires_grad else (y, y)
+    d2, t = np.empty_like(y), np.empty_like(y)
     for db, qb, tb, yb in _row_blocks(d, d2, t, y):
-        np.multiply(db, db, out=qb)
-        np.multiply(qb, db, out=tb)
-        tb *= 0.044715
-        tb += db
-        tb *= _GELU_C
-        np.tanh(tb, out=tb)
+        _gelu_tanh(db, qb, tb)
         np.add(tb, 1.0, out=yb)
         yb *= db
         yb *= 0.5
@@ -549,8 +572,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 # score bytes of one group of (leading index, head) slices that attention
-# without a graph normalises in one reused buffer
-ATTENTION_GROUP_BYTES = 18 << 20
+# without a graph normalises in one reused buffer: one head of the
+# full-width encoder's 1500 frames (8.6 MiB in float32)
+ATTENTION_GROUP_BYTES = 9 << 20
 
 # bytes of the widest per-row arrays of one stacked forward, MC passes or
 # frozen-encoder utterances. Every desk stack fits; a full-width text model

@@ -229,7 +229,14 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
                weight_decay: float):
     """Bias-corrected Adam update plus decoupled decay; frozen or grad-less
     parameters are untouched. Aborts before mutating anything on a
-    non-finite gradient."""
+    non-finite gradient.
+
+    Each parameter's flat gradient, moments and values are walked in blocks
+    of nm.ROW_BLOCK_BYTES // 32 elements (four float64 streams) through two
+    float64 scratch blocks kept for the whole step. Each element takes the
+    whole-array form's float64 operations in its order, so the bits are
+    that form's; m and v are updated in place, and the new values go into
+    a new array that replaces p.data."""
     for name, p in params.items():
         if p.requires_grad and p.grad is not None and \
                 not np.all(np.isfinite(p.grad)):
@@ -237,29 +244,42 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
     state.step += 1
     t = state.step
     b1, b2, eps = OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS
+    block = nm.ROW_BLOCK_BYTES // 32
+    g_scratch, tmp_scratch = np.empty(block), np.empty(block)
+
+    def update(*arrays):
+        """The new values of (grad, m, v, data), m and v updated in place;
+        nothing of data is held once they are returned."""
+        new = np.empty(arrays[3].shape, arrays[3].dtype)
+        flat = [a.reshape(-1) for a in (*arrays, new)]
+        for i in range(0, new.size, block):
+            grad, m, v, data, out = (a[i:i + block] for a in flat)
+            g, tmp = g_scratch[:len(out)], tmp_scratch[:len(out)]
+            # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, new = p - lr*mhat
+            # / (sqrt(vhat) + eps), new -= (lr*wd)*new: m, v in place, new in g
+            g[...] = grad
+            np.multiply(1 - b1, g, out=tmp)
+            m *= b1
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
+            v *= b2
+            v += tmp
+            np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
+            tmp += eps
+            np.multiply(np.divide(m, 1 - b1 ** t, out=g), lr, out=g)
+            g /= tmp
+            np.subtract(data, g, out=g)
+            g -= np.multiply(g, lr * weight_decay, out=tmp)
+            out[...] = g
+        return new
+
     for name, p in params.items():
         if not p.requires_grad or p.grad is None:
             continue
-        # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, new = p - lr*mhat /
-        # (sqrt(vhat) + eps), new -= (lr*wd)*new: m, v in place, new in g
-        g = p.grad.astype(np.float64)
         if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
-        m, v = state.m[name], state.v[name]
-        tmp = (1 - b1) * g
-        m *= b1
-        m += tmp
-        np.multiply(g, 1 - b2, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
-        tmp += eps
-        np.multiply(np.divide(m, 1 - b1 ** t, out=g), lr, out=g)
-        g /= tmp
-        np.subtract(p.data, g, out=g)
-        g -= np.multiply(g, lr * weight_decay, out=tmp)
-        p.data = g.astype(p.data.dtype, copy=False)
+            state.m[name], state.v[name] = np.zeros(p.grad.shape), np.zeros(p.grad.shape)
+        p.data = update(p.grad, state.m[name], state.v[name], p.data)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

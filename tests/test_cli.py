@@ -163,6 +163,31 @@ def test_data_error_missing_or_malformed_manifest(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_out_of_memory_is_a_data_error(trained, tmp_path, capsys, monkeypatch, command):
+    """An input too large to hold (a MemoryError while audio is read) ends
+    in one error line and exit 2, not a traceback and the usage code; no
+    --out is made."""
+    corpus, run = trained
+
+    def load_wav(path):
+        raise MemoryError
+
+    monkeypatch.setattr(multidiac.data, "load_wav", load_wav)
+    monkeypatch.setattr(multidiac.cli, "load_wav", load_wav)
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", "--manifest", str(corpus / "train.jsonl"), "--out", str(out)]
+    else:
+        ckpt = sorted(run.glob("epoch*.ckpt"))[0]
+        argv = ["infer", "--checkpoints", str(ckpt),
+                "--manifest", str(corpus / "dev.jsonl"), "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_data_error_alignment_mismatch(tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     gold = tmp_path / "gold.jsonl"

@@ -1,6 +1,7 @@
 """Architecture: config validation, parameter counts, freeze policy,
 fusion identity, forward determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,39 @@ def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
         assert row.tobytes() == alone.data.tobytes()
         assert frames.data.tobytes() == \
             nm.mean_pool_time(alone, cfg.pool_factor).data.tobytes()
+
+
+@pytest.mark.parametrize("case", list(STACKED_ENCODERS))
+def test_frozen_speech_encode_is_bitwise_the_graph_encode(case):
+    """A frozen encode (GELU over its own input, attention in groups of
+    one full-width head, nothing of attention held through the MLP) is
+    bit for bit the encode of the same weights with a graph, on any BLAS
+    thread count."""
+    cfg = STACKED_ENCODERS[case][0]
+    model = DiacritizerModel(cfg, VOCAB, RngStream(5))
+    mel = mel_for(cfg, 6)
+    frozen = model.speech_encode(mel)
+    model.freeze_speech_blocks(trainable_top=cfg.speech_blocks)
+    traced = model.speech_encode(mel)
+    assert traced.requires_grad and not frozen.requires_grad
+    assert frozen.data.tobytes() == traced.data.tobytes()
+
+
+def test_frozen_full_width_encode_temporaries_stay_under_32_mib():
+    """A frozen full-width one-block encode holds one MLP hidden layer
+    (12 MB) at its peak, not that layer, a GELU copy of it, q, k, v and
+    the attention output (44.0 MiB before)."""
+    cfg = STACKED_ENCODERS["full_width"][0]
+    model = DiacritizerModel(cfg, VOCAB, RngStream(5))
+    mel = mel_for(cfg, 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.speech_encode(mel)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 LETTER_ROW_FORWARDS = {  # config, pass counts; every P * letters stays

@@ -251,6 +251,44 @@ def test_gelu_is_bitwise_the_whole_array_form(rows, dtype, grad):
     assert y.dtype == dtype and results[0] == results[1]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["blocks", "one_row"])
+def test_gelu_overwrite_without_a_graph_writes_over_its_input(rows, dtype):
+    """Without a graph, overwrite puts the plain call's bits into x.data."""
+    n = 2048
+    x = np.random.default_rng(29).normal(
+        0, 3, size=(_rows_over_blocks(rows, n, np.dtype(dtype).itemsize), n)).astype(dtype)
+    t = nm.tensor(x.copy(), dtype=dtype)
+    y = nm.gelu(t, overwrite=True)
+    assert y.data is t.data and not y.requires_grad
+    want = nm.gelu(nm.tensor(x, dtype=dtype)).data.tobytes()
+    assert y.data.tobytes() == want == gelu_reference(nm.tensor(x, dtype=dtype)).data.tobytes()
+
+
+def test_gelu_overwrite_with_a_graph_leaves_its_input():
+    """With a graph the backward reads x.data, so overwrite keeps it: the
+    same output and gradient as the plain call."""
+    gen = np.random.default_rng(30)
+    x, w = (gen.normal(0, 3, size=(700, 2048)).astype(np.float32) for _ in range(2))
+    results = []
+    for overwrite in (False, True):
+        t = nm.tensor(x.copy(), requires_grad=True)
+        y = nm.gelu(t, overwrite=overwrite)
+        assert not np.shares_memory(y.data, t.data)
+        (y * nm.tensor(w)).sum().backward()
+        assert t.data.tobytes() == x.tobytes()
+        results.append((y.data.tobytes(), t.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_gelu_overwrite_refuses_a_view():
+    z = np.ones((6, 8), dtype=np.float32)
+    for view in (z[:, ::2], z.T):
+        with pytest.raises(ShapeError):
+            nm.gelu(nm.tensor(view), overwrite=True)
+    assert np.all(z == 1.0)
+
+
 def test_grad_softmax():
     _check(lambda x: (nm.softmax(x, axis=-1) * nm.softmax(x, axis=-1)).sum(),
            (3, 7))

@@ -31,8 +31,8 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import (adamw_reference, grad_check, prepare_sample_reference,
-                     read_checkpoint_reference)
+from oracles import (adamw_reference, adamw_step_reference, grad_check,
+                     prepare_sample_reference, read_checkpoint_reference)
 
 VOCAB = Vocabulary("بتث")
 
@@ -540,6 +540,99 @@ def test_adamw_in_place_is_bitwise_the_allocating_form(dtype):
     assert np.array_equal(ours["frozen"].data, frozen)
     assert np.array_equal(ours["none"].data, none)
     assert set(state.m) == {"a", "b"} and state.step == 5
+
+
+ADAMW_BLOCK = nm.ROW_BLOCK_BYTES // 32
+# element counts about adamw_step's block; the last is a 2-D parameter
+ADAMW_SIZES = {"one": (1,), "under": (ADAMW_BLOCK - 1,), "block": (ADAMW_BLOCK,),
+               "over": (ADAMW_BLOCK + 1,), "three": (3 * ADAMW_BLOCK + 7,),
+               "matrix": (257, 129)}
+
+
+def _adamw_pair(dtype):
+    """Two equal parameter sets of ADAMW_SIZES and a frozen one each."""
+    gen = np.random.default_rng(31)
+    values = {n: gen.normal(0, 1, size=s) for n, s in ADAMW_SIZES.items()}
+    values["frozen"] = gen.normal(0, 1, size=(5,))
+    pair = []
+    for _ in range(2):
+        params = {n: nm.tensor(v, dtype=dtype, requires_grad=True) for n, v in values.items()}
+        params["frozen"].requires_grad = False
+        pair.append(params)
+    return pair
+
+
+def _adamw_bytes(params, state):
+    return ({n: p.data.tobytes() for n, p in params.items()},
+            {n: a.tobytes() for n, a in state.m.items()},
+            {n: a.tobytes() for n, a in state.v.items()}, state.step)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_adamw_is_bitwise_the_whole_array_step(dtype):
+    """Parameters of one element, a block and either side of it, several
+    blocks and a part, and a matrix: values, m, v and step are the
+    whole-array step's bits over steps of a changing lr. A parameter
+    without a gradient for one step is left as it is."""
+    ours, ref = _adamw_pair(dtype)
+    state, ref_state = OptimizerState(), OptimizerState()
+    gen = np.random.default_rng(32)
+    for step in range(4):
+        for name in ADAMW_SIZES:
+            grad = None if (step, name) == (2, "three") else \
+                gen.normal(0, 1, size=ADAMW_SIZES[name]).astype(dtype)
+            ours[name].grad = grad
+            ref[name].grad = None if grad is None else grad.copy()
+        ours["frozen"].grad = ref["frozen"].grad = np.ones(5, dtype=dtype)
+        before = ours["three"].data
+        lr = 0.01 * (step + 1) ** 0.5
+        adamw_step(ours, state, lr, 0.1)
+        adamw_step_reference(ref, ref_state, lr, 0.1)
+        if step == 2:
+            assert ours["three"].data is before
+        assert all(p.data.dtype == dtype for p in ours.values())
+        assert _adamw_bytes(ours, state) == _adamw_bytes(ref, ref_state), step
+    assert state.step == 4 and set(state.m) == set(ADAMW_SIZES)
+
+
+def test_blocked_adamw_refuses_a_non_finite_gradient_with_nothing_changed():
+    ours, _ = _adamw_pair(np.float32)
+    state = OptimizerState()
+    gen = np.random.default_rng(33)
+    for name, shape in ADAMW_SIZES.items():
+        ours[name].grad = gen.normal(0, 1, size=shape).astype(np.float32)
+    adamw_step(ours, state, 0.01, 0.1)
+    before = _adamw_bytes(ours, state)
+    for name, shape in ADAMW_SIZES.items():
+        ours[name].grad = gen.normal(0, 1, size=shape).astype(np.float32)
+    ours["three"].grad[-1] = np.inf  # in the last, partial block
+    with pytest.raises(NumericError, match="three"):
+        adamw_step(ours, state, 0.01, 0.1)
+    assert _adamw_bytes(ours, state) == before
+
+
+def test_adamw_step_temporaries_stay_under_2_mib_and_the_largest_parameter():
+    """Once the moments exist, a step holds two scratch blocks and one new
+    parameter array at a time: no float64 copy of a whole gradient (the
+    whole-array step held two of them, 16 MiB for mlp.w1's shape)."""
+    gen = np.random.default_rng(34)
+    shapes = {"mlp.w1": (512, 2048), "attn.wq": (512, 512), "ln.g": (512,)}
+    params = {n: nm.tensor(gen.normal(0, 1, size=s), requires_grad=True)
+              for n, s in shapes.items()}
+    state = OptimizerState()
+    # traced from the first step on, so the second frees what it replaces
+    tracemalloc.start()
+    try:
+        for step in range(2):
+            for name, shape in shapes.items():
+                params[name].grad = gen.normal(0, 1, size=shape).astype(np.float32)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            adamw_step(params, state, 0.01, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 << 20) + max(p.data.nbytes for p in params.values())
 
 
 def test_adamw_skips_frozen_and_gradless():
