@@ -290,7 +290,7 @@ class DiacritizerModel:
         del a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = lin(h, "mlp.w1", "mlp.b1")
-        h = lin(nm.gelu(h, overwrite=True), "mlp.w2", "mlp.b2")
+        h = lin(nm.gelu(h), "mlp.w2", "mlp.b2")
         h = nm.dropout(h, dropout_p, nm.child_keys(keys, 2 * layer + 1), rows)
         return x + h
 
@@ -306,9 +306,9 @@ class DiacritizerModel:
         p = self.params
         x = nm.tensor(np.swapaxes(m.values, -1, -2), dtype=self.dtype)  # (..., time, mels)
         x = nm.gelu(nm.conv1d(x, p["speech.conv1.w"], p["speech.conv1.b"],
-                              stride=1, padding=1), overwrite=True)
+                              stride=1, padding=1))
         x = nm.gelu(nm.conv1d(x, p["speech.conv2.w"], p["speech.conv2.b"],
-                              stride=2, padding=1), overwrite=True)
+                              stride=2, padding=1))
         x = x + self._sin_table
         for i in range(cfg.speech_blocks):
             x = self._block(p, x, f"speech.block{i}", cfg.speech_heads,

@@ -7,8 +7,8 @@ with an analytic backward; the training losses are single ops too, on
 `softmax_array`. Softmax, GELU and layer norm run a cache-sized block of
 rows at a time; the softmax goes into a new array, or in place over
 attention's scores, which nothing else reads. Without a graph GELU keeps
-its cube and tanh in one block of scratch, and with `overwrite` (the
-model's MLP hidden layer and conv-stem outputs) it writes over its input.
+its cube and tanh in one block of scratch and writes over its input (the
+model's MLP hidden layer and conv-stem outputs, which nothing else reads).
 Attention without a graph takes its (pass, head) score slices a group of
 at most ATTENTION_GROUP_BYTES (9 MiB: one full-width encoder head) at a
 time through one reused buffer and writes AV straight into its output.
@@ -283,21 +283,20 @@ def _gelu_tanh(d: np.ndarray, d2: np.ndarray, t: np.ndarray):
     np.tanh(t, out=t)
 
 
-def gelu(x: Tensor, *, overwrite: bool = False) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU; deterministic, used by both encoders.
 
     The cube is d*d*d: float32 `d ** 3` goes through numpy's slow generic
     pow loop. Each step runs in place over one cache-sized block of rows at
     a time. Without a backward the cube and the tanh of each block go into
-    one reused block of scratch, and with overwrite the result is written
-    into x.data, which must be C-contiguous. With a backward, d*d and the
-    tanh keep arrays of their own for it, and x.data is left as it is.
+    one reused block of scratch, and the result is written over x.data when
+    that is C-contiguous and writeable (each caller passes a fresh GEMM or
+    conv output), else into a new array. With a backward, d*d and the tanh
+    keep arrays of their own for it, and x.data is left as it is.
     """
     d = x.data
     if not x.requires_grad:
-        if overwrite and not d.flags.c_contiguous:
-            raise ShapeError("gelu overwrite needs a C-contiguous array")
-        y = d if overwrite else np.empty(d.shape, d.dtype)
+        y = d if d.flags.c_contiguous and d.flags.writeable else np.empty(d.shape, d.dtype)
         scratch = None
         for db, yb in _row_blocks(d, y):
             scratch = np.empty_like(db) if scratch is None else scratch

@@ -246,12 +246,13 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
     b1, b2, eps = OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS
     block = nm.ROW_BLOCK_BYTES // 32
     g_scratch, tmp_scratch = np.empty(block), np.empty(block)
-
-    def update(*arrays):
-        """The new values of (grad, m, v, data), m and v updated in place;
-        nothing of data is held once they are returned."""
-        new = np.empty(arrays[3].shape, arrays[3].dtype)
-        flat = [a.reshape(-1) for a in (*arrays, new)]
+    for name, p in params.items():
+        if not p.requires_grad or p.grad is None:
+            continue
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(p.grad.shape), np.zeros(p.grad.shape)
+        new = np.empty(p.data.shape, p.data.dtype)
+        flat = [a.reshape(-1) for a in (p.grad, state.m[name], state.v[name], p.data, new)]
         for i in range(0, new.size, block):
             grad, m, v, data, out = (a[i:i + block] for a in flat)
             g, tmp = g_scratch[:len(out)], tmp_scratch[:len(out)]
@@ -272,14 +273,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
             np.subtract(data, g, out=g)
             g -= np.multiply(g, lr * weight_decay, out=tmp)
             out[...] = g
-        return new
-
-    for name, p in params.items():
-        if not p.requires_grad or p.grad is None:
-            continue
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros(p.grad.shape), np.zeros(p.grad.shape)
-        p.data = update(p.grad, state.m[name], state.v[name], p.data)
+        p.data = new
+        flat = data = None  # the old values go before the next parameter's arrive
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

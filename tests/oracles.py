@@ -7,9 +7,7 @@ the plain way, one fresh generator per stream, `word_spans_reference` finds
 word spans with a `str.isspace()` scan, `brute_force_reference`
 re-scores a (prediction, gold) pair without the scorer's helpers, and
 `log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
-allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`,
-and `adamw_step_reference` is `adamw_step` over whole arrays rather than
-blocks.
+allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
 `prepare_sample_reference` prepares one training sample with its own
 speech encode, as `prepare_sample` did before batches shared a stack.
 `softmax_reference` and `attention_reference` normalise the whole score
@@ -260,40 +258,6 @@ def adamw_reference(params, state, lr: float, weight_decay: float):
         new = p.data.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
         new -= lr * weight_decay * new
         p.data = new.astype(p.data.dtype)
-
-
-def adamw_step_reference(params, state, lr: float, weight_decay: float):
-    """adamw_step over whole arrays: a float64 copy of each gradient and one
-    whole-array temporary, m and v updated in place, the new values built
-    in the gradient's copy; state is an OptimizerState."""
-    for name, p in params.items():
-        if p.requires_grad and p.grad is not None and \
-                not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-    state.step += 1
-    t = state.step
-    b1, b2, eps = state.BETA1, state.BETA2, state.EPS
-    for name, p in params.items():
-        if not p.requires_grad or p.grad is None:
-            continue
-        g = p.grad.astype(np.float64)
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
-        m, v = state.m[name], state.v[name]
-        tmp = (1 - b1) * g
-        m *= b1
-        m += tmp
-        np.multiply(g, 1 - b2, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
-        tmp += eps
-        np.multiply(np.divide(m, 1 - b1 ** t, out=g), lr, out=g)
-        g /= tmp
-        np.subtract(p.data, g, out=g)
-        g -= np.multiply(g, lr * weight_decay, out=tmp)
-        p.data = g.astype(p.data.dtype, copy=False)
 
 
 def canonicalize(text: str) -> str:

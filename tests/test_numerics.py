@@ -220,7 +220,7 @@ def test_gelu_float32_matches_float64_formula():
     x = np.concatenate([np.linspace(-4, 4, 41),
                         np.random.default_rng(18).normal(0, 2, size=4000)])
     x = x.astype(np.float32)
-    got = nm.gelu(nm.tensor(x)).data
+    got = nm.gelu(nm.tensor(x.copy())).data
     assert got.dtype == np.float32
     assert np.max(np.abs(got - _gelu_formula(x.astype(np.float64)))) <= 1e-6
 
@@ -243,7 +243,7 @@ def test_gelu_is_bitwise_the_whole_array_form(rows, dtype, grad):
     x, w = (gen.normal(0, 3, size=shape).astype(dtype) for _ in range(2))
     results = []
     for act in (nm.gelu, gelu_reference):
-        t = nm.tensor(x, dtype=dtype, requires_grad=grad)
+        t = nm.tensor(x.copy(), dtype=dtype, requires_grad=grad)
         y = act(t)
         if grad:
             (y * nm.tensor(w, dtype=dtype)).sum().backward()
@@ -253,40 +253,39 @@ def test_gelu_is_bitwise_the_whole_array_form(rows, dtype, grad):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", ["blocks", "one_row"])
-def test_gelu_overwrite_without_a_graph_writes_over_its_input(rows, dtype):
-    """Without a graph, overwrite puts the plain call's bits into x.data."""
+def test_gelu_without_a_graph_writes_over_its_input(rows, dtype):
+    """Without a graph, gelu puts the whole-array form's bits into x.data."""
     n = 2048
     x = np.random.default_rng(29).normal(
         0, 3, size=(_rows_over_blocks(rows, n, np.dtype(dtype).itemsize), n)).astype(dtype)
     t = nm.tensor(x.copy(), dtype=dtype)
-    y = nm.gelu(t, overwrite=True)
+    y = nm.gelu(t)
     assert y.data is t.data and not y.requires_grad
-    want = nm.gelu(nm.tensor(x, dtype=dtype)).data.tobytes()
-    assert y.data.tobytes() == want == gelu_reference(nm.tensor(x, dtype=dtype)).data.tobytes()
+    assert y.data.tobytes() == gelu_reference(nm.tensor(x, dtype=dtype)).data.tobytes()
 
 
-def test_gelu_overwrite_with_a_graph_leaves_its_input():
-    """With a graph the backward reads x.data, so overwrite keeps it: the
-    same output and gradient as the plain call."""
+def test_gelu_without_a_graph_leaves_a_view_or_a_read_only_array():
+    """An input gelu cannot write over whole goes into a new array."""
+    z = np.linspace(-3, 3, 48, dtype=np.float32).reshape(6, 8)
+    ro = z.copy()
+    ro.flags.writeable = False
+    for x in (z[:, ::2], z.T, ro):
+        want = gelu_reference(nm.tensor(x.copy())).data
+        before = x.copy()
+        y = nm.gelu(nm.tensor(x)).data
+        assert not np.shares_memory(y, x) and np.array_equal(x, before)
+        assert y.tobytes() == want.tobytes()
+
+
+def test_gelu_with_a_graph_leaves_its_input():
+    """With a graph the backward reads x.data, so gelu leaves it as it was."""
     gen = np.random.default_rng(30)
     x, w = (gen.normal(0, 3, size=(700, 2048)).astype(np.float32) for _ in range(2))
-    results = []
-    for overwrite in (False, True):
-        t = nm.tensor(x.copy(), requires_grad=True)
-        y = nm.gelu(t, overwrite=overwrite)
-        assert not np.shares_memory(y.data, t.data)
-        (y * nm.tensor(w)).sum().backward()
-        assert t.data.tobytes() == x.tobytes()
-        results.append((y.data.tobytes(), t.grad.tobytes()))
-    assert results[0] == results[1]
-
-
-def test_gelu_overwrite_refuses_a_view():
-    z = np.ones((6, 8), dtype=np.float32)
-    for view in (z[:, ::2], z.T):
-        with pytest.raises(ShapeError):
-            nm.gelu(nm.tensor(view), overwrite=True)
-    assert np.all(z == 1.0)
+    t = nm.tensor(x.copy(), requires_grad=True)
+    y = nm.gelu(t)
+    assert not np.shares_memory(y.data, t.data)
+    (y * nm.tensor(w)).sum().backward()
+    assert t.data.tobytes() == x.tobytes()
 
 
 def test_grad_softmax():
