@@ -7,11 +7,11 @@ and is unaffected); softmax probabilities are averaged over every
 scored: the last text block after its attention, the final norm and the
 softmax run on the letter rows alone, bitwise those rows of the whole
 forward. Sub-streams are keyed by (model index, pass index), so how the
-passes of a checkpoint are stacked into forwards cannot change the result. A fixed seed gives every
-sentence the same keys, so at desk width each sentence reuses its models'
-dropout masks from the numerics memo. At full width one sentence's masks
-outgrow the memo's bound, and a sentence whose length changes
-mc_forward's stack size misses it, so sentences mostly redraw.
+passes of a checkpoint are stacked into forwards cannot change the
+result. A fixed seed gives every sentence the same keys, so at desk width
+each sentence reuses its models' dropout masks from the numerics memo. At
+full width sentences mostly redraw: one sentence's masks outgrow the memo,
+and a length that changes mc_forward's stack size misses it.
 Greedy dev scoring is the one-pass p = 0 ensemble of one model; it keeps
 each model's pooled speech frames between calls, while `diacritize` never
 hashes or caches.

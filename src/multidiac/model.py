@@ -109,14 +109,10 @@ def desk_config(vocab_size: int = 40) -> ModelConfig:
 
 def utterance_bytes(config: ModelConfig, dtype) -> int:
     """Bytes one utterance is charged in a frozen encode's stack: four
-    (speech_frames, mlp_ratio * speech_dim) MLP hidden layers. Measured
-    under tracemalloc at full width in float32 (1 or 6 blocks), one encode
-    peaks at 29.3 MiB and each further utterance of a stack adds
-    20.6-23.5 MiB, about two hidden layers of 11.7 MiB: GELU writes over
-    its hidden layer and nothing of attention is held through the MLP. The
-    charge stays at four layers, so a full-width stack still holds one
-    utterance (stacks of 2 and 5 measured no faster) and a desk batch
-    stacks whole."""
+    (speech_frames, mlp_ratio * speech_dim) MLP hidden layers, about twice
+    what it holds (GELU writes over its hidden layer and nothing of
+    attention is held through the MLP). A full-width stack holds one
+    utterance and a desk batch stacks whole; README gives the sizes."""
     return 4 * config.speech_frames * config.mlp_ratio * config.speech_dim \
         * np.dtype(dtype).itemsize
 

@@ -9,9 +9,10 @@ rows at a time; the softmax goes into a new array, or in place over
 attention's scores, which nothing else reads. Without a graph GELU keeps
 its cube and tanh in one block of scratch and writes over its input (the
 model's MLP hidden layer and conv-stem outputs, which nothing else reads).
-Attention without a graph takes its (pass, head) score slices a group of
-at most ATTENTION_GROUP_BYTES (9 MiB: one full-width encoder head) at a
-time through one reused buffer and writes AV straight into its output.
+Attention is one kernel with or without a graph: groups of at most
+ATTENTION_GROUP_BYTES of (pass, head) score slices take turns in one reused
+buffer, or with a graph are slices of the kept probabilities, which the
+analytic backward reads; AV is written straight into the output.
 Storage is row-major float32 by default (float64 available for
 verification work). Elementwise work runs in the storage dtype. Three
 reductions keep float64 accumulators and cast back: `sum`/`mean`, the
@@ -485,11 +486,11 @@ def dropout(x: Tensor, p: float, keys: np.ndarray, rows=None) -> Tensor:
 
 
 # bytes of packed keep-masks that dropout without a graph keeps between
-# calls; a full memo takes no new entries and evicts nothing. Sized for the
-# desk model: the 4 x 50-pass recipe's masks of a sentence whose passes
-# form one stack (at most 380 letters) take at most 2.5 MB. One full-width
-# sentence's take about 40 MB and its stack size changes with its length,
-# so there the memo is not meant to hold them.
+# calls; a full memo takes no new entries and evicts nothing. Sized to hold
+# the desk model's 4 x 50-pass masks of any sentence whose passes form one
+# stack. A full-width sentence's masks outgrow it and their stack size
+# changes with the sentence length, so there the memo is not meant to hold
+# them (README gives the sizes).
 MASK_MEMO_BYTES = 4 << 20
 
 
@@ -570,9 +571,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(table.data[..., ids, :], _parents=(table,), _backward=bwd)
 
 
-# score bytes of one group of (leading index, head) slices that attention
-# without a graph normalises in one reused buffer: one head of the
-# full-width encoder's 1500 frames (8.6 MiB in float32)
+# score bytes of one group of (leading index, head) slices of attention
+# (at least one slice): one head of the full-width encoder's 1500 frames
 ATTENTION_GROUP_BYTES = 9 << 20
 
 # bytes of the widest per-row arrays of one stacked forward, MC passes or
@@ -585,11 +585,12 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Bidirectional multi-head attention over (..., seq, dim) inputs; each
     leading index (a dropout pass) attends within its own sequence.
 
-    Without a graph, groups of (leading index, head) slices of at most
-    ATTENTION_GROUP_BYTES of scores (at least one slice) take turns in one
-    buffer: QK^T into it, the softmax in place, AV straight into the
-    (..., seq, heads, dh) output. numpy makes one GEMM call per slice
-    either way, so the bits are those of the batched products."""
+    One kernel with or without a graph: groups of (leading index, head)
+    slices of at most ATTENTION_GROUP_BYTES of scores take turns, QK^T into
+    the group's scores, the softmax in place, AV straight into the output.
+    Without a graph the groups share one buffer; with one, each is a slice
+    of the kept (..., heads, seq, seq) probabilities, which the analytic
+    backward reads. One GEMM call per slice gives the whole-array bits."""
     *lead, s, d = q.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
@@ -599,44 +600,46 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # scaling q costs one (seq, dim) pass; scaling the scores would cost a
     # (heads, seq, seq) one
     q = q * (1.0 / math.sqrt(dh))
-    if not any(t.requires_grad for t in (q, k, v)):
-        return Tensor(_attention_groups(q.data, k.data, v.data, heads))
-    n = len(lead)
-    # (..., seq, heads, dh) <-> (..., heads, seq, dh)
-    swap = (*range(n), n + 1, n, n + 2)
+    graph = any(t.requires_grad for t in (q, k, v))
 
-    def split(t):
-        return t.reshape(*lead, s, heads, dh).transpose(*swap)
+    def split(a):  # (..., seq, dim) -> (passes, heads, seq, dh) view
+        return a.reshape(-1, s, heads, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
-    # the scores are a fresh product that only the softmax reads (the
-    # matmul's backward reads its operands), so it writes over them
-    attn = softmax(scores, axis=-1, overwrite=True)
-    out = attn @ vh
-    return out.transpose(*swap).reshape(*lead, s, d)
-
-
-def _attention_groups(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int):
-    """scaled_dot_attention's no-graph product of a scaled q, group by group."""
-    s, d = q.shape[-2:]
-    out = np.empty(q.shape, q.dtype)
-    # (passes, heads, seq, dh) views; k as its (dh, seq) transposes
-    qh, kt, vh, oh = (a.reshape(-1, s, heads, d // heads).transpose(0, 2, 1, 3)
-                      for a in (q, k, v, out))
-    kt = kt.swapaxes(-1, -2)
-    per = max(1, ATTENTION_GROUP_BYTES // max(1, s * s * q.itemsize))
+    out = np.empty(q.data.shape, q.dtype)
+    qh, kh, vh, oh = (split(a) for a in (q.data, k.data, v.data, out))
+    per = max(1, ATTENTION_GROUP_BYTES // max(1, s * s * q.data.itemsize))
     hstep, lstep = min(heads, per), max(1, per // heads)
-    buf = np.empty(min(lstep, len(qh)) * hstep * s * s, q.dtype)
-    for i in range(0, len(qh), lstep):
-        for h in range(0, heads, hstep):
-            grp = np.s_[i:i + lstep, h:h + hstep]
-            shape = qh[grp].shape[:2] + (s, s)
-            scores = buf[:math.prod(shape)].reshape(shape)
-            np.matmul(qh[grp], kt[grp], out=scores)
-            softmax(Tensor(scores), overwrite=True)
-            np.matmul(scores, vh[grp], out=oh[grp])
-    return out
+    groups = [np.s_[i:i + lstep, h:h + hstep]
+              for i in range(0, len(qh), lstep) for h in range(0, heads, hstep)]
+    # all heads of some passes or some heads of one: a C-contiguous slice
+    probs = np.empty((len(qh), heads, s, s) if graph else
+                     min(lstep, len(qh)) * hstep * s * s, q.dtype)
+    for grp in groups:
+        shape = qh[grp].shape[:2] + (s, s)
+        scores = probs[grp] if graph else probs[:math.prod(shape)].reshape(shape)
+        np.matmul(qh[grp], kh[grp].swapaxes(-1, -2), out=scores)
+        softmax(Tensor(scores), overwrite=True)
+        np.matmul(scores, vh[grp], out=oh[grp])
+
+    def bwd(g):
+        # dV = P^T dO, dS = (dO V^T - rowsum(dO V^T * P)) * P, dQ = dS K and
+        # dK^T = Q^T dS, dK a view of it: k's bias sums dK in that layout
+        dq, dv = np.empty_like(out), np.empty_like(out)
+        dkt = np.empty(kh.shape[:2] + (dh, s), out.dtype)
+        gh, dqh, dvh = (split(a) for a in (g, dq, dv))
+        for grp in groups:
+            p = probs[grp]
+            np.matmul(p.swapaxes(-1, -2), gh[grp], out=dvh[grp])
+            ds = gh[grp] @ vh[grp].swapaxes(-1, -2)
+            ds -= np.sum(ds * p, axis=-1, keepdims=True)
+            ds *= p
+            np.matmul(ds, kh[grp], out=dqh[grp])
+            np.matmul(qh[grp].swapaxes(-1, -2), ds, out=dkt[grp])
+        dk = dkt.transpose(0, 3, 1, 2).reshape(out.shape)
+        for t, grad in zip((q, k, v), (dq, dk, dv)):
+            if t.requires_grad:
+                t._accumulate(grad)
+    return Tensor(out, _parents=(q, k, v), _backward=bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -710,28 +710,61 @@ def test_attention_is_bitwise_the_whole_array_softmax_form(case, dtype, grad):
     assert results[0] == results[1]
 
 
-NO_GRAPH_SHAPES = {**ATTENTION_SHAPES, "full_scale_mc_stack": ((4, 400, 512), 16)}
+GROUP_SHAPES = {**ATTENTION_SHAPES, "full_scale_mc_stack": ((4, 400, 512), 16)}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("case", list(NO_GRAPH_SHAPES))
-def test_attention_without_a_graph_is_bitwise_the_reference(case, dtype, monkeypatch):
-    """Groups of (leading index, head) slices in one reused buffer, AV
-    written into the output: the reference's bits at the default budget and
-    at budgets of one and seven score slices; seven leaves a partial last
-    group of heads, or of passes (50 passes of 2 heads in groups of 3)."""
-    shape, heads = NO_GRAPH_SHAPES[case]
+def _check_groups_against_the_reference(case, dtype, grad, monkeypatch):
+    """Groups of (leading index, head) slices, in one reused buffer without
+    a graph and as slices of the kept probabilities with one, AV written
+    into the output: output and gradients are the reference's bits, and the
+    gradients its memory layouts (a bias sums its gradient in that order),
+    at the default budget and at budgets of one and seven score slices;
+    seven leaves a partial last group of heads, or of passes (50 passes of
+    2 heads in groups of 3)."""
+    shape, heads = GROUP_SHAPES[case]
     gen = np.random.default_rng(27)
-    q, k, v = (nm.tensor(gen.normal(0, 1, size=shape).astype(dtype), dtype=dtype)
-               for _ in range(3))
-    want = attention_reference(q, k, v, heads).data.tobytes()
+    arrays = [gen.normal(0, 1, size=shape).astype(dtype) for _ in range(4)]
+
+    def run(attend):
+        q, k, v = (nm.tensor(a, dtype=dtype, requires_grad=grad) for a in arrays[:3])
+        y = attend(q, k, v, heads)
+        if grad:
+            (y * nm.tensor(arrays[3], dtype=dtype)).sum().backward()
+        return [y.data.tobytes()] + [(t.grad.tobytes(), t.grad.strides)
+                                     for t in (q, k, v) if grad]
+
+    want = run(attention_reference)
     slice_bytes = shape[-2] ** 2 * np.dtype(dtype).itemsize
     slices = math.prod(shape[:-2]) * heads
     for budget in (nm.ATTENTION_GROUP_BYTES, slice_bytes, 7 * slice_bytes):
         monkeypatch.setattr(nm, "ATTENTION_GROUP_BYTES", budget)
         if case == "full_width":  # several groups run at every budget
             assert slices * slice_bytes > budget
-        assert nm.scaled_dot_attention(q, k, v, heads).data.tobytes() == want
+        assert run(nm.scaled_dot_attention) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(GROUP_SHAPES))
+def test_attention_without_a_graph_is_bitwise_the_reference(case, dtype, monkeypatch):
+    _check_groups_against_the_reference(case, dtype, False, monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(GROUP_SHAPES))
+def test_attention_with_a_graph_is_bitwise_the_reference(case, dtype, monkeypatch):
+    _check_groups_against_the_reference(case, dtype, True, monkeypatch)
+
+
+def test_attention_with_a_graph_is_one_node_over_the_scaled_q():
+    """A graph-mode call adds one node after q's scaling, whose parents are
+    the scaled q, k and v."""
+    gen = np.random.default_rng(29)
+    q, k, v = (t64(gen.normal(0, 1, size=(3, 5, 8)), requires_grad=True) for _ in range(3))
+    y = nm.scaled_dot_attention(q, k, v, heads=2)
+    scaled, *rest = y._parents
+    assert len(rest) == 2 and rest[0] is k and rest[1] is v
+    assert len(scaled._parents) == 1 and scaled._parents[0] is q
+    assert scaled.data.tobytes() == (q.data * (1.0 / math.sqrt(4))).tobytes()
 
 
 def _multi_block_attention_inputs():
