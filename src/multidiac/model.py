@@ -272,7 +272,9 @@ class DiacritizerModel:
 
         Without a graph nothing of the attention half (ln1, q, k, v, the
         attention output) nor ln2 is held through the MLP, whose hidden
-        layer is the block's widest array, and GELU writes over that layer."""
+        layer is the block's widest array, and GELU writes over that layer.
+        With one, attention and GELU hold only their inputs and outputs:
+        their backwards redo the probabilities, d*d and the tanh."""
         def lin(h, name, bias):
             return nm.linear(h, p[f"{prefix}.{name}"], p[f"{prefix}.{bias}"])
 

@@ -6,13 +6,13 @@ lookup, softmax, layer norm, dropout, attention and time pooling, each
 with an analytic backward; the training losses are single ops too, on
 `softmax_array`. Softmax, GELU and layer norm run a cache-sized block of
 rows at a time; the softmax goes into a new array, or in place over
-attention's scores, which nothing else reads. Without a graph GELU keeps
-its cube and tanh in one block of scratch and writes over its input (the
-model's MLP hidden layer and conv-stem outputs, which nothing else reads).
-Attention is one kernel with or without a graph: groups of at most
-ATTENTION_GROUP_BYTES of (pass, head) score slices take turns in one reused
-buffer, or with a graph are slices of the kept probabilities, which the
-analytic backward reads; AV is written straight into the output.
+attention's scores, which nothing else reads. GELU and attention run one
+forward path with or without a graph, and keep no intermediate for a
+backward: GELU's d*d and tanh take turns in two blocks of scratch (without
+a graph it writes over its input, the model's MLP hidden layer or a
+conv-stem output, which nothing else reads), and groups of at most
+ATTENTION_GROUP_BYTES of (pass, head) score slices take turns in one
+buffer, AV written straight into the output. Each backward redoes them.
 Storage is row-major float32 by default (float64 available for
 verification work). Elementwise work runs in the storage dtype. Three
 reductions keep float64 accumulators and cast back: `sum`/`mean`, the
@@ -274,14 +274,21 @@ def zeros(shape, requires_grad=False, dtype=np.float32) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_tanh(d: np.ndarray, d2: np.ndarray, t: np.ndarray):
-    """t = tanh(c * (d + 0.044715 * d*d*d)), with d*d into d2 (t allowed)."""
-    np.multiply(d, d, out=d2)
-    np.multiply(d2, d, out=t)
-    t *= 0.044715
-    t += d
-    t *= _GELU_C
-    np.tanh(t, out=t)
+def _gelu_blocks(d: np.ndarray, *arrays):
+    """For each `_row_blocks` block: d's rows, the same rows of each array,
+    and the block's d*d and t = tanh(c * (d + 0.044715 * d*d*d)), in two
+    scratch blocks reused from block to block."""
+    scratch = None
+    for db, *rest in _row_blocks(d, *arrays):
+        scratch = np.empty((2,) + db.shape, db.dtype) if scratch is None else scratch
+        d2, t = scratch[0, :len(db)], scratch[1, :len(db)]
+        np.multiply(db, db, out=d2)
+        np.multiply(d2, db, out=t)
+        t *= 0.044715
+        t += db
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        yield db, *rest, d2, t
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -289,45 +296,35 @@ def gelu(x: Tensor) -> Tensor:
 
     The cube is d*d*d: float32 `d ** 3` goes through numpy's slow generic
     pow loop. Each step runs in place over one cache-sized block of rows at
-    a time. Without a backward the cube and the tanh of each block go into
-    one reused block of scratch, and the result is written over x.data when
+    a time, with d*d and the tanh in two reused blocks of scratch, with or
+    without a graph. Without one the result is written over x.data when
     that is C-contiguous and writeable (each caller passes a fresh GEMM or
-    conv output), else into a new array. With a backward, d*d and the tanh
-    keep arrays of their own for it, and x.data is left as it is.
+    conv output), else into a new array; with one, the backward reads x.data,
+    which is left as it is, and redoes d*d and the tanh over the same blocks.
     """
     d = x.data
-    if not x.requires_grad:
-        y = d if d.flags.c_contiguous and d.flags.writeable else np.empty(d.shape, d.dtype)
-        scratch = None
-        for db, yb in _row_blocks(d, y):
-            scratch = np.empty_like(db) if scratch is None else scratch
-            tb = scratch[:len(db)]
-            _gelu_tanh(db, tb, tb)
-            tb += 1.0
-            np.multiply(tb, db, out=yb)
-            yb *= 0.5
-        return Tensor(y)
-    y = np.empty(d.shape, d.dtype)
-    d2, t = np.empty_like(y), np.empty_like(y)
-    for db, qb, tb, yb in _row_blocks(d, d2, t, y):
-        _gelu_tanh(db, qb, tb)
-        np.add(tb, 1.0, out=yb)
-        yb *= db
+    in_place = not x.requires_grad and d.flags.c_contiguous and d.flags.writeable
+    y = d if in_place else np.empty(d.shape, d.dtype)
+    for db, yb, _, t in _gelu_blocks(d, y):
+        t += 1.0
+        np.multiply(t, db, out=yb)
         yb *= 0.5
 
     def bwd(g):
         # dy/dx = 0.5 * (1 + t + d * (1 - t^2) * c * (1 + 3 * 0.044715 * d^2))
-        s = t * t
-        np.subtract(1.0, s, out=s)
-        s *= d
-        k = d2 * (3 * 0.044715)
-        k += 1.0
-        k *= _GELU_C
-        s *= k
-        s += t
-        s += 1.0
-        s *= 0.5
-        s *= g
+        s = np.empty(d.shape, d.dtype)
+        for db, gb, sb, k, t in _gelu_blocks(d, g, s):
+            np.multiply(t, t, out=sb)
+            np.subtract(1.0, sb, out=sb)
+            sb *= db
+            k *= 3 * 0.044715
+            k += 1.0
+            k *= _GELU_C
+            sb *= k
+            sb += t
+            sb += 1.0
+            sb *= 0.5
+            sb *= gb
         x._accumulate(s)
     return Tensor(y, _parents=(x,), _backward=bwd)
 
@@ -586,11 +583,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     leading index (a dropout pass) attends within its own sequence.
 
     One kernel with or without a graph: groups of (leading index, head)
-    slices of at most ATTENTION_GROUP_BYTES of scores take turns, QK^T into
-    the group's scores, the softmax in place, AV straight into the output.
-    Without a graph the groups share one buffer; with one, each is a slice
-    of the kept (..., heads, seq, seq) probabilities, which the analytic
-    backward reads. One GEMM call per slice gives the whole-array bits."""
+    slices of at most ATTENTION_GROUP_BYTES of scores take turns in one
+    buffer, QK^T into it, the softmax in place, AV straight into the output.
+    The analytic backward redoes each group's probabilities the same way,
+    so the graph holds no score-sized array. One GEMM call per slice gives
+    the whole-array bits."""
     *lead, s, d = q.data.shape
     if d % heads != 0:
         raise ConfigError(f"model dim {d} not divisible by {heads} heads")
@@ -600,7 +597,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # scaling q costs one (seq, dim) pass; scaling the scores would cost a
     # (heads, seq, seq) one
     q = q * (1.0 / math.sqrt(dh))
-    graph = any(t.requires_grad for t in (q, k, v))
 
     def split(a):  # (..., seq, dim) -> (passes, heads, seq, dh) view
         return a.reshape(-1, s, heads, dh).transpose(0, 2, 1, 3)
@@ -609,17 +605,20 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     qh, kh, vh, oh = (split(a) for a in (q.data, k.data, v.data, out))
     per = max(1, ATTENTION_GROUP_BYTES // max(1, s * s * q.data.itemsize))
     hstep, lstep = min(heads, per), max(1, per // heads)
-    groups = [np.s_[i:i + lstep, h:h + hstep]
-              for i in range(0, len(qh), lstep) for h in range(0, heads, hstep)]
-    # all heads of some passes or some heads of one: a C-contiguous slice
-    probs = np.empty((len(qh), heads, s, s) if graph else
-                     min(lstep, len(qh)) * hstep * s * s, q.dtype)
-    for grp in groups:
-        shape = qh[grp].shape[:2] + (s, s)
-        scores = probs[grp] if graph else probs[:math.prod(shape)].reshape(shape)
-        np.matmul(qh[grp], kh[grp].swapaxes(-1, -2), out=scores)
-        softmax(Tensor(scores), overwrite=True)
-        np.matmul(scores, vh[grp], out=oh[grp])
+
+    def groups():
+        # all heads of some passes or some heads of one, their probabilities
+        # in one buffer that each group of the sweep reuses
+        buf = np.empty(min(lstep, len(qh)) * hstep * s * s, q.dtype)
+        for grp in (np.s_[i:i + lstep, h:h + hstep]
+                    for i in range(0, len(qh), lstep) for h in range(0, heads, hstep)):
+            p = buf[:math.prod(qh[grp].shape[:2]) * s * s].reshape(qh[grp].shape[:2] + (s, s))
+            np.matmul(qh[grp], kh[grp].swapaxes(-1, -2), out=p)
+            softmax(Tensor(p), overwrite=True)
+            yield grp, p
+
+    for grp, p in groups():
+        np.matmul(p, vh[grp], out=oh[grp])
 
     def bwd(g):
         # dV = P^T dO, dS = (dO V^T - rowsum(dO V^T * P)) * P, dQ = dS K and
@@ -627,8 +626,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         dq, dv = np.empty_like(out), np.empty_like(out)
         dkt = np.empty(kh.shape[:2] + (dh, s), out.dtype)
         gh, dqh, dvh = (split(a) for a in (g, dq, dv))
-        for grp in groups:
-            p = probs[grp]
+        for grp, p in groups():
             np.matmul(p.swapaxes(-1, -2), gh[grp], out=dvh[grp])
             ds = gh[grp] @ vh[grp].swapaxes(-1, -2)
             ds -= np.sum(ds * p, axis=-1, keepdims=True)

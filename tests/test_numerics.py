@@ -288,6 +288,32 @@ def test_gelu_with_a_graph_leaves_its_input():
     assert t.data.tobytes() == x.tobytes()
 
 
+# Python objects a traced graph-mode call leaves beside its arrays
+# (tensors, closures), far below any array these tests bound
+OBJECT_SLACK = 64 << 10
+
+
+def test_gelu_with_a_graph_holds_its_output_and_redoes_the_rest():
+    """After a graph-mode forward on an MLP hidden layer, gelu holds only its
+    output beside the input: no d*d or tanh array is kept for the backward.
+    Its backward redoes both over the same row blocks and peaks at the
+    gradient plus two blocks of scratch."""
+    gen = np.random.default_rng(31)
+    x = nm.tensor(gen.normal(0, 3, size=(1500, 2048)).astype(np.float32), requires_grad=True)
+    g = gen.normal(0, 1, size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y = nm.gelu(x)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held <= y.data.nbytes + OBJECT_SLACK
+    assert peak <= g.nbytes + 2 * nm.ROW_BLOCK_BYTES + OBJECT_SLACK
+
+
 def test_grad_softmax():
     _check(lambda x: (nm.softmax(x, axis=-1) * nm.softmax(x, axis=-1)).sum(),
            (3, 7))
@@ -820,6 +846,21 @@ def test_attention_without_a_graph_peaks_at_one_group(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= group + 4 * q.nbytes < 8 * group
+
+
+def test_attention_with_a_graph_holds_its_output_and_the_scaled_q():
+    """After a graph-mode forward, attention holds only the scaled q and its
+    output beside q, k and v: no probabilities are kept for the backward,
+    which redoes them group by group."""
+    q, k, v = (nm.tensor(a, requires_grad=True) for a in _multi_block_attention_inputs())
+    tracemalloc.start()
+    try:
+        y = nm.scaled_dot_attention(q, k, v, heads=8)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held <= 2 * y.data.nbytes + OBJECT_SLACK
 
 
 def test_attention_peak_allocation_is_one_score_array():

@@ -31,7 +31,7 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import (adamw_reference, grad_check,
+from oracles import (adamw_reference, attention_reference, gelu_reference, grad_check,
                      prepare_sample_reference, read_checkpoint_reference)
 
 VOCAB = Vocabulary("بتث")
@@ -1383,6 +1383,34 @@ def test_fit_with_an_unfrozen_speech_block_matches_per_sample_preparation(
     assert runs[0][1]["speech.block1.attn.wq"] != DiacritizerModel(
         desk_config(vocab_size=len(vocab) + 3), vocab, RngStream(7)).params[
         "speech.block1.attn.wq"].data.tobytes()
+
+
+def test_full_width_trainable_speech_step_is_bitwise_the_whole_array_ops(monkeypatch):
+    """One full-width 1 + 1 R-Drop step with the speech block trainable runs
+    graph-mode attention and GELU in both encoders, whose backwards redo the
+    probabilities, d*d and the tanh. Its loss, every gradient's bytes and
+    every gradient's strides are those of the same step through the
+    whole-array forms, which keep them, on any BLAS thread count."""
+    corpus, vocab = synth_corpus(1, seed=10)
+    mcfg = replace(full_scale_config(vocab_size=len(vocab) + 3), speech_blocks=1,
+                   text_layers=1)
+    cfg = table1_primary(seed=4)
+
+    def step():
+        model = DiacritizerModel(mcfg, vocab, RngStream(11))
+        model.freeze_speech_blocks(trainable_top=1)
+        samples = prepare_sample(model, corpus, cfg, [RngStream(12)])
+        loss = rdrop_objective(samples, model, cfg, RngStream(13))
+        loss.backward()
+        return loss.data.tobytes(), {n: (p.grad.tobytes(), p.grad.strides)
+                                     for n, p in model.params.items() if p.grad is not None}
+
+    got = step()
+    monkeypatch.setattr(nm, "scaled_dot_attention", attention_reference)
+    monkeypatch.setattr(nm, "gelu", gelu_reference)
+    want = step()
+    assert {"speech.block0.mlp.w1", "text.block0.attn.bk"} <= got[1].keys()
+    assert got == want
 
 
 @pytest.mark.parametrize("unfrozen", [0, 1])
