@@ -3,8 +3,8 @@
 Everything the model needs runs through the `Tensor` class (add, multiply,
 matmul, reshape, transpose, sum, mean) and the primitives GELU, embedding
 lookup, softmax, layer norm, dropout, attention and time pooling, each
-with an analytic backward; the training losses are single ops too, on
-`softmax_array`. Softmax, GELU and layer norm run a cache-sized block of
+with an analytic backward (the losses too, on `softmax_array`); a sweep
+consumes its graph. Softmax, GELU and layer norm run a cache-sized block of
 rows at a time; the softmax goes into a new array, or in place over
 attention's scores, which nothing else reads. GELU and attention run one
 forward path with or without a graph, and keep no intermediate for a
@@ -134,9 +134,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
@@ -147,7 +144,7 @@ class Tensor:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def backward(self):
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output; it consumes the graph."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -166,12 +163,11 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # spent: only leaves keep a gradient, so a later backward
-                # through a shared interior node cannot add this one again
-                node.grad = None
+                node.grad, node._backward, node._parents = None, _swept, ()
 
     # -- arithmetic -----------------------------------------------------
 
@@ -235,6 +231,10 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def _swept(g):
+    raise RuntimeError("backward() reached a node an earlier sweep consumed")
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -647,9 +647,9 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
             loss = rdrop_objective(samples, model, cfg, brng.child(-1))
             loss.backward()
             epoch_loss += loss.item()
-            # the spent graph (every activation, every prefix) dies before
-            # AdamW allocates, and the gradients once AdamW has read them;
-            # apply_freeze_policy leaves none at an epoch's start
+            # the sweep has freed the graph; the loss and the prefixes' arrays
+            # go before AdamW allocates, and the gradients once AdamW has read
+            # them; apply_freeze_policy leaves none at an epoch's start
             del samples, loss
             adamw_step(model.params, state, lr_at(step, total_steps, cfg), cfg.weight_decay)
             model.zero_grad()

@@ -13,7 +13,9 @@ speech encode, as `prepare_sample` did before batches shared a stack.
 `softmax_reference` and `attention_reference` normalise the whole score
 array at once into a new array; `gelu_reference` and `layer_norm_reference`
 are `gelu` and `layer_norm` over the whole array at once, each step a
-whole-array temporary. `read_checkpoint_reference` reads a checkpoint
+whole-array temporary. `backward_reference` is the sweep that keeps its
+graph: every node lives until the sweep ends, and only interior gradients
+are cleared. `read_checkpoint_reference` reads a checkpoint
 the whole-file way: the file into one buffer, its SHA-256 checked, then
 every tensor copied out. `canonicalize` and `filterbank_centers`
 are test helpers over the package's text and mel code.
@@ -48,7 +50,7 @@ def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
     """
     if not (1e-4 <= h <= 1e-2):
         raise ConfigError(f"grad_check step h={h} outside [1e-4, 1e-2]")
-    x.zero_grad()
+    x.grad = None
     y = f(x)
     if not np.isfinite(y.data).all():
         raise NumericError("grad_check: f(x) is non-finite")
@@ -336,6 +338,25 @@ def gelu_reference(x: Tensor) -> Tensor:
         s *= g
         x._accumulate(s)
     return Tensor(y, _parents=(x,), _backward=bwd)
+
+
+def backward_reference(root: Tensor):
+    """Tensor.backward's post-order sweep with the graph kept: each interior
+    node's gradient is cleared once its backward has run, and nothing else."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+            node.grad = None
 
 
 def layer_norm_reference(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

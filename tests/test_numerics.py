@@ -101,13 +101,17 @@ def test_detach_blocks_grad():
     assert not y.requires_grad
 
 
-def test_second_backward_through_shared_node_adds_only_its_own_gradient():
+def test_a_second_sweep_through_a_consumed_node_raises():
     w = t64([1.0])
     shared = w * 3.0
-    (shared * 1.0).sum().backward()
-    assert w.grad[0] == 3.0 and shared.grad is None
-    (shared * 1.0).sum().backward()
-    assert w.grad[0] == 6.0
+    loss = (shared * 1.0).sum()
+    loss.backward()
+    assert w.grad[0] == 3.0 and shared.grad is None and shared._parents == ()
+    with pytest.raises(RuntimeError, match="consumed"):
+        (shared * 1.0).sum().backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert w.grad[0] == 3.0
 
 
 # -- gradient checks vs central differences ------------------------------
@@ -338,7 +342,7 @@ def test_grad_embedding():
     assert grad_check(lambda t: square_sum(nm.embedding(t, ids)),
                       table, h=1e-4) < 1e-6
     # duplicate ids accumulate
-    table.zero_grad()
+    table.grad = None
     nm.embedding(table, ids).sum().backward()
     assert np.allclose(table.grad[2], 2.0)
     assert np.allclose(table.grad[3], 0.0)

@@ -31,8 +31,9 @@ from multidiac.training import (
     load_checkpoint, lr_at, prepare_sample, rdrop_objective, read_checkpoint,
     save_checkpoint, serialize_config, sym_kl, table1_primary,
 )
-from oracles import (adamw_reference, attention_reference, gelu_reference, grad_check,
-                     prepare_sample_reference, read_checkpoint_reference)
+from oracles import (adamw_reference, attention_reference, backward_reference,
+                     gelu_reference, grad_check, prepare_sample_reference,
+                     read_checkpoint_reference)
 
 VOCAB = Vocabulary("بتث")
 
@@ -317,7 +318,8 @@ def test_rdrop_takes_one_softmax_per_sample(monkeypatch, dtype):
     """The focal loss reads the probabilities of the softmax that feeds the
     KL term; recomputing them, as focal_loss_ls does without probs, gives
     the same objective and gradients bit for bit."""
-    model, cfg, samples = mixed_batch(dtype)
+    # a sweep consumes the graph of the prefixes it reaches: one batch a run
+    (model, cfg, samples), second = mixed_batch(dtype), mixed_batch(dtype)
     calls = []
     real_softmax = nm.softmax_array
 
@@ -326,20 +328,19 @@ def test_rdrop_takes_one_softmax_per_sample(monkeypatch, dtype):
             calls.append(z.shape)
         return real_softmax(z, axis)
 
-    def run(focal):
+    def run(focal, model, cfg, samples):
         monkeypatch.setattr(tr, "focal_loss_ls", focal)
-        model.zero_grad()
         loss = rdrop_objective(samples, model, cfg, RngStream(8))
         loss.backward()
         return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()
                                      if p.grad is not None}
 
     monkeypatch.setattr(nm, "softmax_array", counting)
-    got = run(focal_loss_ls)
+    got = run(focal_loss_ls, model, cfg, samples)
     assert len(calls) == len(samples)
     calls.clear()
     recomputed = run(lambda logits, targets, gamma, eps, probs: focal_loss_ls(
-        logits, targets, gamma, eps, real_softmax(logits.data)))
+        logits, targets, gamma, eps, real_softmax(logits.data)), *second)
     assert len(calls) == len(samples)  # the reference's own calls go uncounted
     assert got == recomputed
 
@@ -1390,7 +1391,8 @@ def test_full_width_trainable_speech_step_is_bitwise_the_whole_array_ops(monkeyp
     graph-mode attention and GELU in both encoders, whose backwards redo the
     probabilities, d*d and the tanh. Its loss, every gradient's bytes and
     every gradient's strides are those of the same step through the
-    whole-array forms, which keep them, on any BLAS thread count."""
+    whole-array forms, which keep them, and a sweep that keeps its graph,
+    on any BLAS thread count."""
     corpus, vocab = synth_corpus(1, seed=10)
     mcfg = replace(full_scale_config(vocab_size=len(vocab) + 3), speech_blocks=1,
                    text_layers=1)
@@ -1408,9 +1410,35 @@ def test_full_width_trainable_speech_step_is_bitwise_the_whole_array_ops(monkeyp
     got = step()
     monkeypatch.setattr(nm, "scaled_dot_attention", attention_reference)
     monkeypatch.setattr(nm, "gelu", gelu_reference)
+    monkeypatch.setattr(nm.Tensor, "backward", backward_reference)
     want = step()
     assert {"speech.block0.mlp.w1", "text.block0.attn.bk"} <= got[1].keys()
     assert got == want
+
+
+def test_a_sweep_lets_go_of_the_graph_it_has_walked():
+    """After backward, a full-width 1 + 1 R-Drop step (frozen encoder, 2
+    samples) holds little more than the parameters' gradients while its
+    loss and samples are still referenced: the sweep has dropped each
+    node's closure and parents, and the activations with them."""
+    corpus, vocab = synth_corpus(2, seed=10)
+    mcfg = replace(full_scale_config(vocab_size=len(vocab) + 3), speech_blocks=1,
+                   text_layers=1)
+    cfg = table1_primary(seed=4)
+    model = DiacritizerModel(mcfg, vocab, RngStream(11))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        samples = prepare_sample(model, corpus, cfg, [RngStream(12).child(i) for i in range(2)])
+        loss = rdrop_objective(samples, model, cfg, RngStream(13))
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.params.values() if p.grad is not None)
+    assert loss._parents == () and all(s.prefix is not None for s in samples)
+    assert held < grads + 2 * 2**20
 
 
 @pytest.mark.parametrize("unfrozen", [0, 1])
