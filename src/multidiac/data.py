@@ -142,6 +142,8 @@ class SynthSpec:
             raise ManifestError("tone map must be injective over 15 classes")
         if max(self.tone_map) >= SAMPLE_RATE / 2:
             raise ManifestError("tone frequencies must be below Nyquist (8 kHz)")
+        if not 0.0 <= self.noise_floor < np.inf:
+            raise ManifestError(f"noise floor {self.noise_floor} must be finite and non-negative")
 
 
 def desk_synth_spec(sample_count: int = 64, noise_floor: float = 0.01) -> SynthSpec:

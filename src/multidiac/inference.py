@@ -76,7 +76,7 @@ def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
     for start in range(0, run, chunk):
         keys = rng.child_keys(range(start, min(run, start + chunk)))
         logits = model.forward(tokens, prefix, keys, p, grad=False, rows=rows)
-        out.append(nm.softmax(logits, axis=-1).data)
+        out.append(nm.softmax(logits.data))
     probs = np.concatenate(out)
     return np.broadcast_to(probs, (passes,) + probs.shape[1:])
 

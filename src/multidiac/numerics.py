@@ -1,18 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Everything the model needs runs through the `Tensor` class (add, multiply,
-matmul, reshape, transpose, sum, mean) and the primitives GELU, embedding
-lookup, softmax, layer norm, dropout, attention and time pooling, each
-with an analytic backward (the losses too, on `softmax_array`); a sweep
-consumes its graph. Softmax, GELU and layer norm run a cache-sized block of
-rows at a time; the softmax goes into a new array, or in place over
-attention's scores, which nothing else reads. GELU and attention run one
-forward path with or without a graph, and keep no intermediate for a
-backward: GELU's d*d and tanh take turns in two blocks of scratch (without
-a graph it writes over its input, the model's MLP hidden layer or a
-conv-stem output, which nothing else reads), and groups of at most
-ATTENTION_GROUP_BYTES of (pass, head) score slices take turns in one
-buffer, AV written straight into the output. Each backward redoes them.
+matmul, reshape, sum, mean) and the primitives GELU, embedding lookup, layer
+norm, dropout, attention and time pooling, each with an analytic backward;
+a sweep consumes its graph. `softmax` is an array kernel, not an op: each
+loss applies its jacobian in its own backward through `softmax_grad`, and
+attention in place over its score gradients. Softmax, GELU and layer norm
+run a cache-sized block of rows at a time; the softmax goes into a new
+array, or in place over attention's scores, which nothing else reads.
+GELU and attention run one forward path with or without a graph, and keep
+no intermediate for a backward: GELU's d*d and tanh take turns in two
+blocks of scratch (without a graph it writes over its input, the model's
+MLP hidden layer or a conv-stem output, which nothing else reads), and
+groups of at most ATTENTION_GROUP_BYTES of (pass, head) score slices take
+turns in one buffer, AV written straight into the output. Each backward
+redoes them.
 Storage is row-major float32 by default (float64 available for
 verification work). Elementwise work runs in the storage dtype. Three
 reductions keep float64 accumulators and cast back: `sum`/`mean`, the
@@ -212,11 +214,6 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), _parents=(self,),
                       _backward=lambda g: self._accumulate(g.reshape(self.data.shape)))
 
-    def transpose(self, *axes):
-        inv = sorted(range(len(axes)), key=axes.__getitem__)
-        return Tensor(self.data.transpose(*axes), _parents=(self,),
-                      _backward=lambda g: self._accumulate(g.transpose(*inv)))
-
     # -- reductions (float64 accumulation) ------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -345,16 +342,20 @@ def _row_blocks(*arrays, itemsize: int | None = None):
         yield [r[i:i + step] for r in rows]
 
 
-def _softmax_rows(z: np.ndarray, p: np.ndarray):
-    """Softmax over the last axis of z into p, a C-contiguous array of z's
-    shape (z itself allowed); rejects non-finite input. Each block of rows
-    is checked, shifted by its row max, exped and scaled by the reciprocal
-    of its float64 row sums while it is in cache; a non-finite block raises
-    after the blocks before it are written. Short rows, at least 8 per
-    column, take the max as a running np.maximum over columns: cheaper
-    there than np.max's per-row set-up, and exact like it."""
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of z into out, a C-contiguous array of z's
+    shape (z itself allowed), or into a new array; rejects non-finite input.
+    Each block of rows is checked, shifted by its row max, exped and scaled
+    by the reciprocal of its float64 row sums while it is in cache; a
+    non-finite block raises after the blocks before it are written. Short
+    rows, at least 8 per column, take the max as a running np.maximum over
+    columns: cheaper there than np.max's per-row set-up, and exact like it."""
+    if out is None:
+        out = np.empty(z.shape, z.dtype)
+    elif out.shape != z.shape or not out.flags.c_contiguous:
+        raise ShapeError("softmax out= needs a C-contiguous array of the input's shape")
     n = z.shape[-1]
-    for block, o in _row_blocks(z, p):
+    for block, o in _row_blocks(z, out):
         if not np.all(np.isfinite(block)):
             raise NumericError("softmax input contains non-finite values")
         if 0 < n <= SHORT_ROW and len(block) >= 8 * n:
@@ -368,36 +369,15 @@ def _softmax_rows(z: np.ndarray, p: np.ndarray):
         np.exp(o, out=o)
         total = np.sum(o, axis=-1, keepdims=True, dtype=np.float64)
         o *= (1.0 / total).astype(o.dtype)
+    return out
 
 
-def softmax_array(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along `axis` into a new array; rejects
-    non-finite input. Shift and exp run in the storage dtype; only the row
-    sums accumulate in float64."""
-    z = np.swapaxes(z, axis, -1)
-    p = np.empty(z.shape, dtype=z.dtype)
-    _softmax_rows(z, p)
-    return np.swapaxes(p, axis, -1)
-
-
-def softmax(x: Tensor, axis: int = -1, *, overwrite: bool = False) -> Tensor:
-    """`softmax_array` of x as an autodiff op. With overwrite, the result is
-    written into x.data, which must be C-contiguous with `axis` last; the
-    backward reads only the result and the incoming gradient."""
-    if not overwrite:
-        p = softmax_array(x.data, axis)
-    elif not x.data.flags.c_contiguous or axis not in (-1, x.data.ndim - 1):
-        raise ShapeError("softmax overwrite needs a C-contiguous array and the last axis")
-    else:
-        p = x.data
-        _softmax_rows(p, p)
-
-    def bwd(g):
-        dot = np.sum(g * p, axis=axis, keepdims=True)
-        r = g - dot
-        r *= p
-        x._accumulate(r)
-    return Tensor(p, _parents=(x,), _backward=bwd)
+def softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient at the input of a last-axis softmax whose output is p,
+    given g at its output: (g - sum(g * p)) * p, into a new array."""
+    r = g - np.sum(g * p, axis=-1, keepdims=True)
+    r *= p
+    return r
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -614,7 +594,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                     for i in range(0, len(qh), lstep) for h in range(0, heads, hstep)):
             p = buf[:math.prod(qh[grp].shape[:2]) * s * s].reshape(qh[grp].shape[:2] + (s, s))
             np.matmul(qh[grp], kh[grp].swapaxes(-1, -2), out=p)
-            softmax(Tensor(p), overwrite=True)
+            softmax(p, out=p)
             yield grp, p
 
     for grp, p in groups():

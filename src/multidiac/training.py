@@ -6,9 +6,10 @@ The R-Drop objective runs each sample through the model twice with
 different dropout masks and adds alpha times the symmetric KL divergence
 between the two softmax outputs to the mean of the two focal losses. Each
 loss is one autodiff op with an analytic backward, on the (2, letters, 15)
-stack of the pair's letter rows. Each sample of a batch draws its own noise
-and SpecAugment; the frozen speech encoder then runs over the batch's
-log-mels in stacks under nm.STACK_BUDGET_BYTES (a desk batch is one stack).
+stack of the pair's letter-row logits, which it normalises itself. Each
+sample of a batch draws its own noise and SpecAugment; the frozen speech
+encoder then runs over the batch's log-mels in stacks under
+nm.STACK_BUDGET_BYTES (a desk batch is one stack).
 
 A checkpoint is written and read in one pass, each tensor straight between
 the file and its own array, hashed on the way; a read holds about the
@@ -34,7 +35,7 @@ from .errors import ConfigError, FingerprintError, FormatError, NumericError
 from .model import (DiacritizerModel, ModelConfig, require_counts,
                     require_range, speech_embedding_dropout)
 from .numerics import RngStream, Tensor
-from .textproc import NUM_CLASSES, Vocabulary
+from .textproc import ARABIC_LETTERS, NUM_CLASSES, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,13 @@ TRAIN_PRESETS = {
 
 
 def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
-                  epsilon: float, probs: np.ndarray | None = None) -> Tensor:
+                  epsilon: float) -> Tensor:
     """Label-smoothed focal loss of (..., letters, 15) logits against shared
     (letters,) targets: the mean over leading rows of each row's letter mean.
 
     Per position, with smoothed target q_k = (1-eps)*1[k=t] + eps/K and
     p = softmax(logits): sum_k q_k * (1-p_k)^gamma * (-log p_k), p and 1-p
-    clamped at 1e-12; no gradient flows where a clamp binds. probs, when
-    given, is softmax(logits.data), computed elsewhere and only read."""
+    clamped at 1e-12; no gradient flows where a clamp binds."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[-2:-1]:
         raise nm.ShapeError(f"{targets.shape} targets for logit rows "
@@ -130,7 +130,7 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
     n, rows = len(targets), math.prod(logits.shape[:-2])
     q = np.full((n, NUM_CLASSES), epsilon / NUM_CLASSES, dtype=np.float64)
     q[np.arange(n), targets] += 1.0 - epsilon
-    p = nm.softmax_array(logits.data) if probs is None else probs
+    p = nm.softmax(logits.data)
     u = 1.0 - p
     pc, uc = np.maximum(p, 1e-12), np.maximum(u, 1e-12)
     logp = np.log(pc)
@@ -142,17 +142,18 @@ def focal_loss_ls(logits: Tensor, targets: np.ndarray, gamma: float,
         # d/dp of w * -log p, w = q (1-p)^gamma: gamma w log(p) / (1-p) - w / p
         dp = gamma * w / uc * logp * (u >= 1e-12) - w / pc * (p >= 1e-12)
         dp *= g / (rows * n)
-        logits._accumulate((dp - np.sum(dp * p, axis=-1, keepdims=True)) * p)
+        logits._accumulate(nm.softmax_grad(dp, p))
     return Tensor(np.sum(means) * (1.0 / rows), _parents=(logits,), _backward=bwd)
 
 
 def sym_kl(pair: Tensor) -> Tensor:
-    """Mean over positions of (KL(p||q) + KL(q||p)) / 2 for the (2, ..., 15)
-    stack of p and q, probabilities clamped at 1e-12; no gradient flows
-    where a clamp binds."""
+    """Mean over positions of (KL(p||q) + KL(q||p)) / 2, p and q the
+    softmax of the (2, ..., 15) stack of a pair's logits, probabilities
+    clamped at 1e-12; no gradient flows where a clamp binds."""
     if pair.shape[:1] != (2,):
         raise nm.ShapeError(f"expected a (2, ..., classes) pair, got {pair.shape}")
-    pc = np.maximum(pair.data, 1e-12)
+    p = nm.softmax(pair.data)
+    pc = np.maximum(p, 1e-12)
     # row 1 is row 0 negated, bit for bit
     log_ratio = np.log(pc) - np.log(pc[::-1])
     kl = np.sum(pc * log_ratio, axis=-1, dtype=np.float64).astype(pair.dtype)
@@ -160,8 +161,8 @@ def sym_kl(pair: Tensor) -> Tensor:
 
     def bwd(g):
         # d/da of (a - b)(log a - log b) / 2 is (log(a/b) + 1 - b/a) / 2
-        pair._accumulate((log_ratio + 1.0 - pc[::-1] / pc) * (pair.data >= 1e-12)
-                         * (g * 0.5 / n))
+        dp = (log_ratio + 1.0 - pc[::-1] / pc) * (p >= 1e-12) * (g * 0.5 / n)
+        pair._accumulate(nm.softmax_grad(dp, p))
     total = np.sum((kl[0] + kl[1]) * 0.5, dtype=np.float64).astype(pair.dtype)
     return Tensor(total * (1.0 / n), _parents=(pair,), _backward=bwd)
 
@@ -200,11 +201,9 @@ def rdrop_objective(samples: list[PreparedSample], model: DiacritizerModel,
         for b, si in enumerate(members):
             s = samples[si]
             rows = nm.embedding(flat, s.letter_rows + [[2 * b * seq], [(2 * b + 1) * seq]])
-            pair = nm.softmax(rows, axis=-1)
-            obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma,
-                                cfg.label_smoothing, pair.data)
+            obj = focal_loss_ls(rows, s.targets, cfg.focal_gamma, cfg.label_smoothing)
             if cfg.rdrop_alpha != 0.0:
-                obj = obj + cfg.rdrop_alpha * sym_kl(pair)
+                obj = obj + cfg.rdrop_alpha * sym_kl(rows)
             losses[si] = obj
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
@@ -597,11 +596,15 @@ def check_text_lengths(texts, config: ModelConfig):
 def check_run(corpus: list[CorpusSample], model: DiacritizerModel,
               cfg: TrainConfig):
     """ConfigError for a run that would fail once started: an empty corpus,
-    a text longer than max_text_len, a SpecAugment band wider than the mel
-    grid, or more speech blocks to unfreeze than the model has."""
+    a sample with no Arabic letter to train on, a text longer than
+    max_text_len, a SpecAugment band wider than the mel grid, or more
+    speech blocks to unfreeze than the model has."""
     mcfg = model.config
     if not corpus:
         raise ConfigError("empty training corpus")
+    for s in corpus:
+        if ARABIC_LETTERS.isdisjoint(s.raw):
+            raise ConfigError(f"sample {s.sample_id!r}: no Arabic letter to train on")
     check_text_lengths(((s.sample_id, s.raw) for s in corpus), mcfg)
     for name, value, limit, unit in (
             ("specaug_freq", cfg.specaug_freq, mcfg.mels, "mel bins"),

@@ -10,6 +10,10 @@ re-scores a (prediction, gold) pair without the scorer's helpers, and
 allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
 `prepare_sample_reference` prepares one training sample with its own
 speech encode, as `prepare_sample` did before batches shared a stack.
+`rdrop_objective_reference` is the R-Drop objective as one graph softmax
+node of each pass pair (`softmax_node`) feeding a KL on its probabilities
+and a focal loss given them, where each loss now normalises the pair's
+logits itself. `transpose` is an axis permutation as a graph op.
 `softmax_reference` and `attention_reference` normalise the whole score
 array at once into a new array; `gelu_reference` and `layer_norm_reference`
 are `gelu` and `layer_norm` over the whole array at once, each step a
@@ -33,9 +37,12 @@ from multidiac.audiofe import (
 )
 from multidiac.errors import ConfigError, FormatError, NumericError
 from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
+from multidiac import numerics as nm
+from multidiac.model import speech_embedding_dropout
 from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
 from multidiac.textproc import (
-    ARABIC_LETTERS, DIACRITICS, class_of_marks, insert_diacritics, label_from_diacritized,
+    ARABIC_LETTERS, DIACRITICS, NUM_CLASSES, class_of_marks, insert_diacritics,
+    label_from_diacritized,
 )
 from multidiac.training import PreparedSample
 
@@ -296,10 +303,10 @@ def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     swap = (*range(n), n + 1, n, n + 2)
 
     def split(t):
-        return t.reshape(*lead, s, heads, dh).transpose(*swap)
+        return transpose(t.reshape(*lead, s, heads, dh), *swap)
 
     qh, kh, vh = split(q * (1.0 / math.sqrt(dh))), split(k), split(v)
-    scores = qh @ kh.transpose(*range(n + 1), n + 2, n + 1)
+    scores = qh @ transpose(kh, *range(n + 1), n + 2, n + 1)
     p = softmax_reference(scores.data)
 
     def bwd(g):
@@ -307,7 +314,94 @@ def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         r *= p
         scores._accumulate(r)
     attn = Tensor(p, _parents=(scores,), _backward=bwd)
-    return (attn @ vh).transpose(*swap).reshape(*lead, s, d)
+    return transpose(attn @ vh, *swap).reshape(*lead, s, d)
+
+
+def transpose(x: Tensor, *axes) -> Tensor:
+    """x.data.transpose(*axes) as a graph op; the backward applies the
+    inverse permutation."""
+    inv = sorted(range(len(axes)), key=axes.__getitem__)
+    return Tensor(x.data.transpose(*axes), _parents=(x,),
+                  _backward=lambda g: x._accumulate(g.transpose(*inv)))
+
+
+def softmax_node(x: Tensor) -> Tensor:
+    """nm.softmax of x as a graph op of its own, whose backward applies the
+    jacobian to the gradient that reaches its output."""
+    p = nm.softmax(x.data)
+
+    def bwd(g):
+        dot = np.sum(g * p, axis=-1, keepdims=True)
+        r = g - dot
+        r *= p
+        x._accumulate(r)
+    return Tensor(p, _parents=(x,), _backward=bwd)
+
+
+def sym_kl_of_probs(pair: Tensor) -> Tensor:
+    """training.sym_kl on the (2, ..., 15) stack of the pair's
+    probabilities, its gradient left at them."""
+    pc = np.maximum(pair.data, 1e-12)
+    log_ratio = np.log(pc) - np.log(pc[::-1])
+    kl = np.sum(pc * log_ratio, axis=-1, dtype=np.float64).astype(pair.dtype)
+    n = kl[0].size
+
+    def bwd(g):
+        pair._accumulate((log_ratio + 1.0 - pc[::-1] / pc) * (pair.data >= 1e-12)
+                         * (g * 0.5 / n))
+    total = np.sum((kl[0] + kl[1]) * 0.5, dtype=np.float64).astype(pair.dtype)
+    return Tensor(total * (1.0 / n), _parents=(pair,), _backward=bwd)
+
+
+def focal_of_probs(logits: Tensor, p: np.ndarray, targets, gamma: float,
+                   epsilon: float) -> Tensor:
+    """training.focal_loss_ls given p, the softmax of logits computed
+    elsewhere; the jacobian applied as (dp - sum(dp * p)) * p."""
+    n, rows = len(targets), math.prod(logits.shape[:-2])
+    q = np.full((n, NUM_CLASSES), epsilon / NUM_CLASSES, dtype=np.float64)
+    q[np.arange(n), targets] += 1.0 - epsilon
+    u = 1.0 - p
+    pc, uc = np.maximum(p, 1e-12), np.maximum(u, 1e-12)
+    logp = np.log(pc)
+    w = q.astype(logits.dtype) * uc ** gamma
+    per_pos = np.sum(w * -logp, axis=-1, dtype=np.float64).astype(logits.dtype)
+    means = np.sum(per_pos, axis=-1, dtype=np.float64).astype(per_pos.dtype) * (1.0 / n)
+
+    def bwd(g):
+        dp = gamma * w / uc * logp * (u >= 1e-12) - w / pc * (p >= 1e-12)
+        dp *= g / (rows * n)
+        logits._accumulate((dp - np.sum(dp * p, axis=-1, keepdims=True)) * p)
+    return Tensor(np.sum(means) * (1.0 / rows), _parents=(logits,), _backward=bwd)
+
+
+def rdrop_objective_reference(samples, model, cfg, rng: RngStream) -> Tensor:
+    """training.rdrop_objective with one softmax_node per sample's pass
+    pair, whose probabilities the focal loss reads and the KL term takes:
+    the same buckets, keys and gathers."""
+    buckets = {}
+    for si, s in enumerate(samples):
+        buckets.setdefault((len(s.tokens), s.prefix is None), []).append(si)
+    losses = [None] * len(samples)
+    for members in buckets.values():
+        prefix = None
+        if samples[members[0]].prefix is not None:
+            prefix = nm.concat([speech_embedding_dropout(
+                samples[si].prefix, cfg.speech_emb_dropout, rng.child(si).child(0))
+                .reshape(1, model.config.prefix_len, -1) for si in members])
+        tokens = np.stack([samples[si].tokens for si in members])
+        keys = np.concatenate([rng.child(si).child_keys([1, 2]) for si in members])
+        logits = model.forward(tokens, prefix, keys)
+        flat, seq = logits.reshape(-1, NUM_CLASSES), tokens.shape[1]
+        for b, si in enumerate(members):
+            s = samples[si]
+            rows = nm.embedding(flat, s.letter_rows + [[2 * b * seq], [(2 * b + 1) * seq]])
+            pair = softmax_node(rows)
+            obj = focal_of_probs(rows, pair.data, s.targets, cfg.focal_gamma,
+                                 cfg.label_smoothing)
+            if cfg.rdrop_alpha != 0.0:
+                obj = obj + cfg.rdrop_alpha * sym_kl_of_probs(pair)
+            losses[si] = obj
+    return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
 
 def gelu_reference(x: Tensor) -> Tensor:

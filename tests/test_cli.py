@@ -62,6 +62,15 @@ def test_synth_writes_corpus(tmp_path, capsys):
     assert len(wavs) == 6
 
 
+@pytest.mark.parametrize("noise_floor", ["-1", "nan", "inf"])
+def test_synth_refuses_a_bad_noise_floor_before_writing(tmp_path, capsys, noise_floor):
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--out", str(out), "--n", "2", "--seed", "0",
+               "--noise-floor", noise_floor, "--desk-shape"])
+    assert rc == EXIT_DATA and "noise floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     main(["synth", "--out", str(tmp_path / "a"), "--n", "4", "--seed", "9",
           "--desk-shape"])

@@ -176,6 +176,9 @@ def test_synth_spec_validation():
         SynthSpec(tone_map=tuple([440.0] * NUM_CLASSES))
     with pytest.raises(ManifestError):
         SynthSpec(tone_map=tuple(np.linspace(100, 9000, NUM_CLASSES)))
+    for noise_floor in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ManifestError, match="noise floor"):
+            SynthSpec(noise_floor=noise_floor)
 
 
 def test_desk_shape_fits_frame_budget():

@@ -120,7 +120,7 @@ def test_mc_forward_matches_per_pass_reference(dtype, rtol):
     # one stack of one per pass, as the ensemble ran before stacking
     ref = np.stack([
         nm.softmax(model.forward(tokens, prefix, rng.child_keys([i]), dropout_p=0.1)
-                   .reshape(len(tokens), 15), axis=-1).data
+                   .data.reshape(len(tokens), 15))
         for i in range(5)])
     assert got.dtype == ref.dtype == dtype
     np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
@@ -151,7 +151,7 @@ def test_diacritize_at_p_zero_runs_one_pass_and_keeps_the_result(monkeypatch):
     # what the 50-pass stack it replaces gives: every row the eval output
     keys = RngStream(2).child(0).child_keys(range(50))
     logits = forward(model.encode_text(raw), None, keys, 0.0, grad=False)
-    probs = nm.softmax(logits, axis=-1).data[:, model.letter_rows(raw), :]
+    probs = nm.softmax(logits.data)[:, model.letter_rows(raw), :]
     classes, expect_conf = ensemble_average([probs])
     assert text == insert_diacritics(raw, [int(c) for c in classes])
     assert conf == [float(c) for c in expect_conf]

@@ -19,7 +19,7 @@ from multidiac.numerics import RngStream, Tensor, _splitmix64
 from multidiac.textproc import Vocabulary, label_from_diacritized
 from oracles import (
     attention_reference, conv1d_reference, dropout_masks_reference, gelu_reference,
-    grad_check, keys_of, layer_norm_reference, softmax_reference,
+    grad_check, keys_of, layer_norm_reference, softmax_reference, transpose,
 )
 
 
@@ -203,7 +203,8 @@ def test_grad_reductions_axes():
 
 
 def test_grad_reshape_transpose():
-    _check(lambda x: square_sum(x.reshape(6, 2).transpose(1, 0)), (3, 4))
+    _check(lambda x: square_sum(transpose(x.reshape(6, 2), 1, 0)), (3, 4))
+    _check(lambda x: square_sum(transpose(x, 2, 0, 1)), (2, 3, 4))
 
 
 def test_grad_gelu():
@@ -319,8 +320,11 @@ def test_gelu_with_a_graph_holds_its_output_and_redoes_the_rest():
 
 
 def test_grad_softmax():
-    _check(lambda x: (nm.softmax(x, axis=-1) * nm.softmax(x, axis=-1)).sum(),
-           (3, 7))
+    """softmax_grad is softmax's jacobian applied to an output gradient."""
+    def op(x):
+        p = nm.softmax(x.data)
+        return Tensor(p, _parents=(x,), _backward=lambda g: x._accumulate(nm.softmax_grad(g, p)))
+    _check(lambda x: (op(x) * op(x)).sum(), (3, 7))
 
 
 def test_grad_layer_norm():
@@ -601,10 +605,10 @@ def test_layer_norm_validation():
 
 
 def test_softmax_stable_and_validated():
-    big = nm.softmax(t64([1000.0, 1000.0, 999.0])).data
+    big = nm.softmax(np.array([1000.0, 1000.0, 999.0]))
     assert np.isfinite(big).all() and abs(big.sum() - 1) < 1e-12
     with pytest.raises(NumericError):
-        nm.softmax(t64([np.inf, 0.0]))
+        nm.softmax(np.array([np.inf, 0.0]))
 
 
 def test_softmax_float32_matches_float64_reference():
@@ -612,7 +616,7 @@ def test_softmax_float32_matches_float64_reference():
     x = (gen.normal(0, 4, size=(8, 60, 60)) + gen.normal(0, 50, size=(8, 60, 1)))
     x = x.astype(np.float32)
     for axis in (-1, 0):
-        got = nm.softmax(nm.tensor(x), axis=axis).data
+        got = np.moveaxis(nm.softmax(np.moveaxis(x, axis, -1)), -1, axis)
         assert got.dtype == np.float32
         x64 = x.astype(np.float64)
         e = np.exp(x64 - x64.max(axis=axis, keepdims=True))
@@ -636,26 +640,27 @@ def _peak_alloc_ratio(f, x: np.ndarray) -> float:
 def test_softmax_and_gelu_peak_allocation():
     gen = np.random.default_rng(21)
     scores = gen.normal(0, 3, size=(8, 300, 300)).astype(np.float32)
-    assert _peak_alloc_ratio(nm.softmax, scores) <= 2.0
+    assert _peak_alloc_ratio(lambda t: nm.softmax(t.data), scores) <= 2.0
     hidden = gen.normal(0, 1, size=(1500, 2048)).astype(np.float32)
     assert _peak_alloc_ratio(nm.gelu, hidden) <= 3.0
 
 
 def test_softmax_backward_keeps_its_gradient_without_a_copy():
-    """The input's first gradient is the backward's own array, not a copy
-    of it: the (8, 300, 300) backward holds one score-sized array at a time
-    (a copy made it two)."""
+    """softmax_grad over (8, 300, 300) probabilities holds one score-sized
+    array at a time, and an input's first gradient is that array, not a
+    copy of it (a copy made it two)."""
     gen = np.random.default_rng(28)
     x = nm.tensor(gen.normal(0, 3, size=(8, 300, 300)).astype(np.float32), requires_grad=True)
-    y = nm.softmax(x)
+    p = nm.softmax(x.data)
     g = gen.normal(0, 1, size=x.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        y._backward(g)
+        r = nm.softmax_grad(g, p)
+        x._accumulate(r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x.grad.dtype == np.float32
+    assert x.grad is r and r.dtype == np.float32
     assert peak <= 1.3 * x.data.nbytes
 
 
@@ -677,40 +682,52 @@ def test_softmax_array_is_bitwise_the_whole_array_form(n, dtype):
     block_rows = nm.ROW_BLOCK_BYTES // (n * np.dtype(dtype).itemsize)
     z = _rows_of_note(5 * block_rows // 2 + 3, n, dtype)  # two full blocks and a part
     before = z.copy()
-    got, want = nm.softmax_array(z), softmax_reference(z)
+    got, want = nm.softmax(z), softmax_reference(z)
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
     assert z.tobytes() == before.tobytes()
     # a few rows (np.max even for short ones) and a stack of 40
     for part in (z[:3], z[:40 * (len(z) // 40)].reshape(40, -1, n)):
-        assert nm.softmax_array(part).tobytes() == softmax_reference(part).tobytes()
+        assert nm.softmax(part).tobytes() == softmax_reference(part).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_array_along_a_leading_axis(dtype):
+    """The softmax of a strided view, z's leading axis moved last, is read
+    through a copy into a new C-contiguous array."""
     z = _rows_of_note(600, 33, dtype).reshape(30, 20, 33)
     before = z.copy()
-    got = nm.softmax_array(z, axis=0)
-    want = np.moveaxis(softmax_reference(np.ascontiguousarray(np.moveaxis(z, 0, -1))), -1, 0)
-    assert got.shape == z.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
-    assert np.allclose(got, softmax_reference(z, axis=0), rtol=1e-6, atol=0)
+    got = nm.softmax(np.moveaxis(z, 0, -1))
+    want = softmax_reference(np.ascontiguousarray(np.moveaxis(z, 0, -1)))
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert np.allclose(np.moveaxis(got, -1, 0), softmax_reference(z, axis=0), rtol=1e-6, atol=0)
     assert z.tobytes() == before.tobytes()
 
 
 def test_softmax_overwrite_writes_into_its_input():
+    """With out=z the softmax is written over z; without out, into a new
+    array, z left as it is. Both are the same bits."""
     z = _rows_of_note(300, 40, np.float32)
-    x = nm.tensor(z.copy())
-    y = nm.softmax(x, axis=-1, overwrite=True)
-    assert y.data is x.data and y.data.tobytes() == softmax_reference(z).tobytes()
+    before = z.copy()
+    fresh = nm.softmax(z)
+    assert fresh is not z and z.tobytes() == before.tobytes()
+    assert nm.softmax(z, out=z) is z
+    assert z.tobytes() == fresh.tobytes() == softmax_reference(before).tobytes()
 
 
 def test_softmax_overwrite_refuses_a_view_or_another_axis():
+    """out= must be C-contiguous and of the input's shape. MC inference's
+    letter-row logits, (passes, letters, 15) with strides (60, 3000, 4),
+    are normalised into a new array instead."""
+    rows = np.zeros((5, 50, 15), dtype=np.float32).swapaxes(0, 1)
+    assert rows.shape == (50, 5, 15) and rows.strides == (60, 3000, 4)
     z = np.zeros((6, 8), dtype=np.float32)
-    for view in (z[:, ::2], z.T, z[::2]):
+    for x, out in ((rows, rows), (z, z[:, ::2]), (z.T, z.T), (z[::2], z[::2]),
+                   (z, np.zeros((8, 6), np.float32))):
         with pytest.raises(ShapeError):
-            nm.softmax(nm.tensor(view), axis=-1, overwrite=True)
-    with pytest.raises(ShapeError):
-        nm.softmax(nm.tensor(z), axis=0, overwrite=True)
-    assert not z.any()
+            nm.softmax(x, out=out)
+    assert not rows.any() and not z.any()
+    got = nm.softmax(rows)
+    assert got.flags.c_contiguous and got.tobytes() == softmax_reference(rows).tobytes()
 
 
 ATTENTION_SHAPES = {  # (..., seq, dim), heads
@@ -1170,7 +1187,7 @@ def test_grad_check_sampled_coords_deterministic():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
 @settings(max_examples=50, deadline=None)
 def test_softmax_is_distribution(vals):
-    p = nm.softmax(t64(vals)).data
+    p = nm.softmax(np.asarray(vals, dtype=np.float64))
     assert abs(p.sum() - 1.0) < 1e-9
     assert (p >= 0).all()
 

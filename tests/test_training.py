@@ -33,7 +33,7 @@ from multidiac.training import (
 )
 from oracles import (adamw_reference, attention_reference, backward_reference,
                      gelu_reference, grad_check, prepare_sample_reference,
-                     read_checkpoint_reference)
+                     rdrop_objective_reference, read_checkpoint_reference)
 
 VOCAB = Vocabulary("بتث")
 
@@ -130,7 +130,7 @@ def test_losses_build_one_graph_node(monkeypatch):
 
     gen = np.random.default_rng(7)
     logits = t64(gen.normal(0, 1, size=(5, NUM_CLASSES)))
-    pair = t64(gen.dirichlet(np.ones(NUM_CLASSES), size=(2, 5)))
+    pair = t64(gen.normal(0, 1, size=(2, 5, NUM_CLASSES)))
     monkeypatch.setattr(nm.Tensor, "__init__", recording_init)
     loss = focal_loss_ls(logits, gen.integers(0, NUM_CLASSES, size=5), 0.34, 0.018)
     assert made == [loss] and loss._parents == (logits,)
@@ -145,6 +145,11 @@ def test_focal_loss_rejects_a_target_count_unlike_the_rows():
     for targets in ([3], [3, 4]):
         with pytest.raises(nm.ShapeError, match="targets"):
             focal_loss_ls(logits, targets, 0.34, 0.018)
+
+
+def softmax_jacobian(g, p):
+    """The gradient at a softmax's logits, given g at its output p."""
+    return (g - np.sum(g * p, axis=-1, keepdims=True)) * p
 
 
 def sym_kl_two_operand(p, q):
@@ -180,12 +185,13 @@ def test_losses_on_a_pass_pair_are_the_per_pass_formulas(dtype):
     assert loss.dtype == dtype and loss.data.tobytes() == ref.data.tobytes()
     assert pair.grad.tobytes() == np.stack([r.grad for r in rows]).tobytes()
 
-    probs = nm.tensor(nm.softmax_array(logits), dtype=dtype, requires_grad=True)
-    kl = sym_kl(probs)
+    pair = nm.tensor(logits, dtype=dtype, requires_grad=True)
+    kl = sym_kl(pair)
     kl.backward()
-    value, grad_p, grad_q = sym_kl_two_operand(*probs.data)
+    probs = nm.softmax(logits)
+    value, grad_p, grad_q = sym_kl_two_operand(*probs)
     assert kl.dtype == dtype and kl.data.tobytes() == value.tobytes()
-    assert probs.grad.tobytes() == np.stack([grad_p, grad_q]).tobytes()
+    assert pair.grad.tobytes() == softmax_jacobian(np.stack([grad_p, grad_q]), probs).tobytes()
 
 
 def test_sym_kl_rejects_anything_but_a_pair():
@@ -206,40 +212,47 @@ def test_focal_loss_rejects_bad_targets():
 
 
 def test_sym_kl_oracle_and_identity():
+    # logits log(a) and log(b), whose softmax is a and b
     gen = np.random.default_rng(4)
     a = gen.dirichlet(np.ones(NUM_CLASSES), size=6)
     b = gen.dirichlet(np.ones(NUM_CLASSES), size=6)
-    got = sym_kl(t64([a, b])).item()
+    la, lb = np.log(a), np.log(b)
+    got = sym_kl(t64([la, lb])).item()
     kl = lambda p, q: (p * np.log(p / q)).sum(axis=-1)
     want = ((kl(a, b) + kl(b, a)) / 2).mean()
     assert got == pytest.approx(want, rel=1e-6)
-    assert sym_kl(t64([a, a])).item() == pytest.approx(0.0, abs=1e-9)
-    assert sym_kl(t64([a, b])).item() == pytest.approx(
-        sym_kl(t64([b, a])).item(), abs=1e-9)
+    assert sym_kl(t64([la, la])).item() == pytest.approx(0.0, abs=1e-9)
+    assert sym_kl(t64([la, lb])).item() == pytest.approx(
+        sym_kl(t64([lb, la])).item(), abs=1e-9)
 
 
 def test_sym_kl_gradient():
     gen = np.random.default_rng(5)
     a = gen.dirichlet(np.ones(6) * 20, size=3)  # bounded away from 0
     b = gen.dirichlet(np.ones(6) * 20, size=3)
-    err = grad_check(sym_kl, t64([a, b]), h=1e-4)
+    err = grad_check(sym_kl, t64([np.log(a), np.log(b)]), h=1e-4)
     # components near zero inflate the relative measure; 1e-3 is the
     # fidelity bar used throughout
     assert err < 1e-3
 
 
 def test_sym_kl_passes_no_gradient_below_the_clamp():
+    """Probabilities below the 1e-12 clamp get no gradient; at the logits,
+    the softmax jacobian of that gradient is finite."""
     gen = np.random.default_rng(8)
-    a = gen.dirichlet(np.ones(NUM_CLASSES), size=4)
-    b = gen.dirichlet(np.ones(NUM_CLASSES), size=4)
-    a[0, :3], b[1, 4:6] = 1e-15, 0.0  # below 1e-12
+    logits = np.log(gen.dirichlet(np.ones(NUM_CLASSES), size=(2, 4)))
+    logits[0, 0, :3], logits[1, 1, 4:6] = -40.0, -80.0  # p below 1e-12
     for dtype in (np.float64, np.float32):
-        pair = nm.tensor([a, b], dtype=dtype, requires_grad=True)
+        pair = nm.tensor(logits, dtype=dtype, requires_grad=True)
         sym_kl(pair).backward()
-        for data, grad in zip(pair.data, pair.grad):
-            low = data < 1e-12
-            assert low.sum() >= 2 and np.all(grad[low] == 0.0)
-            assert np.all(np.isfinite(grad)) and np.all(grad[~low] != 0.0)
+        probs = nm.softmax(pair.data)
+        _, grad_p, grad_q = sym_kl_two_operand(*probs)
+        grads = np.stack([grad_p, grad_q])
+        low = probs < 1e-12
+        assert low[0].sum() >= 2 and low[1].sum() >= 2
+        assert np.all(grads[low] == 0.0) and np.all(grads[~low] != 0.0)
+        assert np.all(np.isfinite(pair.grad))
+        assert pair.grad.tobytes() == softmax_jacobian(grads, probs).tobytes()
 
 
 # -- R-Drop objective ----------------------------------------------------
@@ -277,8 +290,8 @@ def test_rdrop_deterministic_in_rng():
     assert a == b
 
 
-def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
-    # letter gather, focal, softmax, KL, alpha scale, add: everything one
+def test_rdrop_loss_part_is_five_graph_nodes(monkeypatch):
+    # letter gather, focal, KL, alpha scale, add: everything one
     # sample's objective builds on its rows of the bucket's forward, past
     # the one view of that forward's logits as (4 * seq, 15) rows that the
     # bucket's two samples share
@@ -310,39 +323,25 @@ def test_rdrop_loss_part_is_six_graph_nodes(monkeypatch):
     first, second = map(nodes_below, total._parents)
     seq = len(samples[0].tokens)
     assert logits.shape == (4, seq, NUM_CLASSES)
-    assert len(first - second) == len(second - first) == 6 and len(first & second) == 1
+    assert len(first - second) == len(second - first) == 5 and len(first & second) == 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rdrop_takes_one_softmax_per_sample(monkeypatch, dtype):
-    """The focal loss reads the probabilities of the softmax that feeds the
-    KL term; recomputing them, as focal_loss_ls does without probs, gives
-    the same objective and gradients bit for bit."""
-    # a sweep consumes the graph of the prefixes it reaches: one batch a run
-    (model, cfg, samples), second = mixed_batch(dtype), mixed_batch(dtype)
-    calls = []
-    real_softmax = nm.softmax_array
-
-    def counting(z, axis=-1):
-        if z.shape[-1] == NUM_CLASSES:  # not the attention softmaxes
-            calls.append(z.shape)
-        return real_softmax(z, axis)
-
-    def run(focal, model, cfg, samples):
-        monkeypatch.setattr(tr, "focal_loss_ls", focal)
-        loss = rdrop_objective(samples, model, cfg, RngStream(8))
+def test_rdrop_is_bitwise_the_softmax_node_composition(dtype):
+    """Each loss normalises the pair's logits itself and applies the
+    softmax jacobian in its own backward: the objective and every gradient's
+    bytes and strides are those of one graph softmax node per pair, read by
+    the focal loss and fed to a KL on probabilities."""
+    runs = []
+    for objective in (rdrop_objective, rdrop_objective_reference):
+        # a sweep consumes the graph of the prefixes it reaches: one batch a run
+        model, cfg, samples = mixed_batch(dtype)
+        loss = objective(samples, model, cfg, RngStream(8))
         loss.backward()
-        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in model.params.items()
-                                     if p.grad is not None}
-
-    monkeypatch.setattr(nm, "softmax_array", counting)
-    got = run(focal_loss_ls, model, cfg, samples)
-    assert len(calls) == len(samples)
-    calls.clear()
-    recomputed = run(lambda logits, targets, gamma, eps, probs: focal_loss_ls(
-        logits, targets, gamma, eps, real_softmax(logits.data)), *second)
-    assert len(calls) == len(samples)  # the reference's own calls go uncounted
-    assert got == recomputed
+        runs.append((loss.data.tobytes(), {n: (p.grad.tobytes(), p.grad.strides)
+                                           for n, p in model.params.items()
+                                           if p.grad is not None}))
+    assert "proj.w" in runs[0][1] and runs[0] == runs[1]
 
 
 def desk_audio_batch(n, dtype=np.float32):
@@ -380,7 +379,7 @@ def rdrop_per_pass(samples, model, cfg, rng):
                                cfg.label_smoothing)) * 0.5
         if cfg.rdrop_alpha != 0.0:
             pair = nm.concat([r.reshape(1, *r.shape) for r in rows])
-            obj = obj + cfg.rdrop_alpha * sym_kl(nm.softmax(pair, axis=-1))
+            obj = obj + cfg.rdrop_alpha * sym_kl(pair)
         losses.append(obj)
     total = losses[0]
     for l in losses[1:]:
@@ -729,6 +728,17 @@ def test_freeze_policy_rejects_too_many_blocks_before_unfreeze_epoch(tmp_path):
         fit(text_corpus(2), model, TrainConfig(whisper_unfrozen=99,
                                                unfreeze_at_epoch=15),
             out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("raw", ["", "123 ?"])
+def test_fit_refuses_a_sample_with_no_arabic_letter(tmp_path, raw):
+    # its losses would divide by a letter count of 0; fit names the sample
+    # before its first epoch, and writes nothing
+    corpus = text_corpus(3)
+    corpus[1] = CorpusSample("no-letters", raw, np.zeros(0, dtype=np.int64), None)
+    with pytest.raises(ConfigError, match="'no-letters'.*no Arabic letter"):
+        fit(corpus, tiny_model(), TrainConfig(epochs=2, warmup_epochs=1), out_dir=tmp_path / "o")
     assert not (tmp_path / "o").exists()
 
 
@@ -1391,27 +1401,27 @@ def test_full_width_trainable_speech_step_is_bitwise_the_whole_array_ops(monkeyp
     graph-mode attention and GELU in both encoders, whose backwards redo the
     probabilities, d*d and the tanh. Its loss, every gradient's bytes and
     every gradient's strides are those of the same step through the
-    whole-array forms, which keep them, and a sweep that keeps its graph,
-    on any BLAS thread count."""
+    whole-array forms, which keep them, losses on one softmax node of the
+    pass pair, and a sweep that keeps its graph, on any BLAS thread count."""
     corpus, vocab = synth_corpus(1, seed=10)
     mcfg = replace(full_scale_config(vocab_size=len(vocab) + 3), speech_blocks=1,
                    text_layers=1)
     cfg = table1_primary(seed=4)
 
-    def step():
+    def step(objective):
         model = DiacritizerModel(mcfg, vocab, RngStream(11))
         model.freeze_speech_blocks(trainable_top=1)
         samples = prepare_sample(model, corpus, cfg, [RngStream(12)])
-        loss = rdrop_objective(samples, model, cfg, RngStream(13))
+        loss = objective(samples, model, cfg, RngStream(13))
         loss.backward()
         return loss.data.tobytes(), {n: (p.grad.tobytes(), p.grad.strides)
                                      for n, p in model.params.items() if p.grad is not None}
 
-    got = step()
+    got = step(rdrop_objective)
     monkeypatch.setattr(nm, "scaled_dot_attention", attention_reference)
     monkeypatch.setattr(nm, "gelu", gelu_reference)
     monkeypatch.setattr(nm.Tensor, "backward", backward_reference)
-    want = step()
+    want = step(rdrop_objective_reference)
     assert {"speech.block0.mlp.w1", "text.block0.attn.bk"} <= got[1].keys()
     assert got == want
 
