@@ -28,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .audiofe import Waveform, log_mel
 from .errors import ShapeError
-from .model import DiacritizerModel, ModelConfig, require_counts, require_range
+from .model import DiacritizerModel, ModelConfig, require_counts, require_range, stack_size
 from .numerics import RngStream
 from .textproc import insert_diacritics
 
@@ -46,17 +46,6 @@ class EnsembleConfig:
         require_range(self, ("inference_dropout_p",), 0.0, 1.0, hi_open=True)
 
 
-def pass_bytes(config: ModelConfig, seq: int, dtype) -> int:
-    """Bytes one pass of a stack adds at its peak: the larger of the
-    (heads, seq, seq) attention scores and the (seq, mlp_ratio * dim) MLP
-    hidden layer, plus the (seq, dim) dropout mask of the storage dtype and
-    the boolean comparison it is built from."""
-    itemsize = np.dtype(dtype).itemsize
-    widest = max(config.text_heads * seq * seq,
-                 config.mlp_ratio * config.text_dim * seq)
-    return widest * itemsize + seq * config.text_dim * (itemsize + 1)
-
-
 def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
                prefix, passes: int, p: float, rng: RngStream,
                rows: np.ndarray | None = None) -> np.ndarray:
@@ -65,18 +54,17 @@ def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
     rows of the full result: the forward's last block past attention, its
     final norm and the softmax run on those rows alone. Pass i uses the
     stream rng.child(i), keyed through rng.child_keys. Passes run as
-    stacked forwards of as many whole-sequence passes as fit
-    nm.STACK_BUDGET_BYTES, which leaves every pass's output unchanged. At
-    p = 0 every pass is the eval output, so only pass 0 runs and its row is
-    repeated."""
-    per_pass = pass_bytes(model.config, len(tokens), model.dtype)
-    chunk = max(1, nm.STACK_BUDGET_BYTES // per_pass)
+    stacked forwards of `stack_size` passes each, which leaves every
+    pass's output unchanged; each stack's logits are normalised in place.
+    At p = 0 every pass is the eval output, so only pass 0 runs and its row
+    is repeated."""
+    chunk = stack_size(model.config, model.dtype, len(tokens))
     run = passes if p else 1
     out = []
     for start in range(0, run, chunk):
         keys = rng.child_keys(range(start, min(run, start + chunk)))
-        logits = model.forward(tokens, prefix, keys, p, grad=False, rows=rows)
-        out.append(nm.softmax(logits.data))
+        logits = model.forward(tokens, prefix, keys, p, grad=False, rows=rows).data
+        out.append(nm.softmax(logits, out=logits))
     probs = np.concatenate(out)
     return np.broadcast_to(probs, (passes,) + probs.shape[1:])
 

@@ -107,14 +107,17 @@ def desk_config(vocab_size: int = 40) -> ModelConfig:
                        vocab_size=vocab_size)
 
 
-def utterance_bytes(config: ModelConfig, dtype) -> int:
-    """Bytes one utterance is charged in a frozen encode's stack: four
-    (speech_frames, mlp_ratio * speech_dim) MLP hidden layers, about twice
-    what it holds (GELU writes over its hidden layer and nothing of
-    attention is held through the MLP). A full-width stack holds one
-    utterance and a desk batch stacks whole; README gives the sizes."""
-    return 4 * config.speech_frames * config.mlp_ratio * config.speech_dim \
-        * np.dtype(dtype).itemsize
+def stack_size(config: ModelConfig, dtype, seq: int | None = None) -> int:
+    """How many items one no-graph stacked forward takes within
+    nm.STACK_BUDGET_BYTES: one attention group (nm.ATTENTION_GROUP_BYTES)
+    per stack, and per item what a block holds of it, the MLP hidden layer
+    and four (rows, dim) arrays beside it. seq sizes MC passes of a text
+    forward, charged once; None sizes frozen-encoder utterances, charged
+    twice, the margin that keeps a full-width stack at one utterance."""
+    rows, dim, charge = (config.speech_frames, config.speech_dim, 2) if seq is None \
+        else (seq, config.text_dim, 1)
+    item = charge * (config.mlp_ratio + 4) * rows * dim * np.dtype(dtype).itemsize
+    return max(1, (nm.STACK_BUDGET_BYTES - nm.ATTENTION_GROUP_BYTES) // item)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,22 +273,23 @@ class DiacritizerModel:
         row (their products' bits change with the row count) and only those
         rows go on from the attention dropout: the block's output rows.
 
-        Without a graph nothing of the attention half (ln1, q, k, v, the
-        attention output) nor ln2 is held through the MLP, whose hidden
-        layer is the block's widest array, and GELU writes over that layer.
+        Without a graph ln1's output goes once q, k and v exist; nothing of
+        the attention half (q, k, v, the attention output) nor ln2 is held
+        through the MLP, whose hidden layer is the block's widest array; and
+        GELU writes over that layer. stack_size charges what is left.
         With one, attention and GELU hold only their inputs and outputs:
         their backwards redo the probabilities, d*d and the tanh."""
         def lin(h, name, bias):
             return nm.linear(h, p[f"{prefix}.{name}"], p[f"{prefix}.{bias}"])
 
         h = nm.layer_norm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-        a = nm.scaled_dot_attention(*(lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv"),
-                                    heads)
-        a = lin(a, "attn.wo", "attn.bo")
+        q, k, v = (lin(h, f"attn.w{c}", f"attn.b{c}") for c in "qkv")
+        del h
+        a = lin(nm.scaled_dot_attention(q, k, v, heads), "attn.wo", "attn.bo")
         if rows is not None:
             x, a = nm.embedding(x, rows), nm.embedding(a, rows)
         x = x + nm.dropout(a, dropout_p, nm.child_keys(keys, 2 * layer), rows)
-        del a
+        del q, k, v, a
         h = nm.layer_norm(x, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
         h = lin(h, "mlp.w1", "mlp.b1")
         h = lin(nm.gelu(h), "mlp.w2", "mlp.b2")
@@ -315,16 +319,16 @@ class DiacritizerModel:
 
     def pooled_frames(self, mels: Iterable[MelSpectrogram]) -> Iterator[Tensor]:
         """Each log-mel's (prefix_len, speech_dim) mean-pooled encoder
-        frames, read lazily from mels. A frozen encoder runs stacks of as
-        many as fit nm.STACK_BUDGET_BYTES (see utterance_bytes); a trainable
-        one runs each alone with a graph, so gradients sum as in single calls."""
+        frames, read lazily from mels. A frozen encoder runs stacks of
+        stack_size utterances; a trainable one runs each alone with a graph,
+        so gradients sum as in single calls."""
         pf = self.config.pool_factor
         mels = iter(mels)
         if any(p.requires_grad for n, p in self.params.items() if n.startswith("speech.")):
             for m in mels:
                 yield nm.mean_pool_time(self.speech_encode(m), pf)
             return
-        per = max(1, nm.STACK_BUDGET_BYTES // utterance_bytes(self.config, self.dtype))
+        per = stack_size(self.config, self.dtype)
         while chunk := [m.values for m in itertools.islice(mels, per)]:
             frames = self.speech_encode(MelSpectrogram(np.stack(chunk))).data
             pooled = [nm.mean_pool_time(Tensor(f), pf) for f in frames]

@@ -7,7 +7,8 @@ a sweep consumes its graph. `softmax` is an array kernel, not an op: each
 loss applies its jacobian in its own backward through `softmax_grad`, and
 attention in place over its score gradients. Softmax, GELU and layer norm
 run a cache-sized block of rows at a time; the softmax goes into a new
-array, or in place over attention's scores, which nothing else reads.
+array, or in place over attention's scores or MC inference's logits,
+which nothing else reads.
 GELU and attention run one forward path with or without a graph, and keep
 no intermediate for a backward: GELU's d*d and tanh take turns in two
 blocks of scratch (without a graph it writes over its input, the model's
@@ -345,19 +346,18 @@ def _row_blocks(*arrays, itemsize: int | None = None):
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of z into out, a C-contiguous array of z's
     shape (z itself allowed), or into a new array; rejects non-finite input.
-    Each block of rows is checked, shifted by its row max, exped and scaled
-    by the reciprocal of its float64 row sums while it is in cache; a
-    non-finite block raises after the blocks before it are written. Short
-    rows, at least 8 per column, take the max as a running np.maximum over
-    columns: cheaper there than np.max's per-row set-up, and exact like it."""
+    Each block of rows takes its row max, is checked, shifted by that max,
+    exped and scaled by the reciprocal of its float64 row sums while it is
+    in cache; a non-finite block raises after the blocks before it are
+    written. Short rows, at least 8 per column, take the max as a running
+    np.maximum over columns: cheaper there than np.max's per-row set-up,
+    and exact like it."""
     if out is None:
         out = np.empty(z.shape, z.dtype)
     elif out.shape != z.shape or not out.flags.c_contiguous:
         raise ShapeError("softmax out= needs a C-contiguous array of the input's shape")
     n = z.shape[-1]
     for block, o in _row_blocks(z, out):
-        if not np.all(np.isfinite(block)):
-            raise NumericError("softmax input contains non-finite values")
         if 0 < n <= SHORT_ROW and len(block) >= 8 * n:
             top = block[:, 0].copy()
             for j in range(1, n):
@@ -365,6 +365,10 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             top = top[:, None]
         else:
             top = np.max(block, axis=-1, keepdims=True)
+        # NaN and +inf show in the row max, -inf (which exp would take to 0)
+        # in the block's min
+        if not (math.isfinite(top.max()) and math.isfinite(block.min())):
+            raise NumericError("softmax input contains non-finite values")
         np.subtract(block, top, out=o)
         np.exp(o, out=o)
         total = np.sum(o, axis=-1, keepdims=True, dtype=np.float64)
@@ -536,8 +540,9 @@ def _dropout_masks(keys: np.ndarray, p: float, shape: tuple, dtype,
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup along the second-to-last axis with scatter-add backward:
-    a (..., rows, dim) table and ids of any shape give (..., *ids.shape,
-    dim). Also serves as index_select, e.g. of letter rows from each pass."""
+    a (..., rows, dim) table and ids of any shape give a C-contiguous
+    (..., *ids.shape, dim). Also serves as index_select, e.g. of letter rows
+    from each pass."""
     ids = np.asarray(ids, dtype=np.int64)
 
     def bwd(g):
@@ -545,16 +550,16 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(np.moveaxis(acc, -2, 0), ids, np.moveaxis(
             g, range(table.data.ndim - 2, g.ndim - 1), range(ids.ndim)))
         table._accumulate(acc)
-    return Tensor(table.data[..., ids, :], _parents=(table,), _backward=bwd)
+    return Tensor(np.take(table.data, ids, axis=-2), _parents=(table,), _backward=bwd)
 
 
 # score bytes of one group of (leading index, head) slices of attention
 # (at least one slice): one head of the full-width encoder's 1500 frames
 ATTENTION_GROUP_BYTES = 9 << 20
 
-# bytes of the widest per-row arrays of one stacked forward, MC passes or
-# frozen-encoder utterances. Every desk stack fits; a full-width text model
-# on 662 tokens fits two passes, the full-width encoder one utterance.
+# bytes one stacked no-graph forward may hold, MC passes or frozen-encoder
+# utterances: model.stack_size charges one attention group per stack and a
+# block's hidden layer and (rows, dim) arrays per item
 STACK_BUDGET_BYTES = 64 << 20
 
 

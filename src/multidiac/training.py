@@ -8,8 +8,8 @@ between the two softmax outputs to the mean of the two focal losses. Each
 loss is one autodiff op with an analytic backward, on the (2, letters, 15)
 stack of the pair's letter-row logits, which it normalises itself. Each
 sample of a batch draws its own noise and SpecAugment; the frozen speech
-encoder then runs over the batch's log-mels in stacks under
-nm.STACK_BUDGET_BYTES (a desk batch is one stack).
+encoder then runs over the batch's log-mels in stacks of model.stack_size
+utterances (a desk batch is one stack).
 
 A checkpoint is written and read in one pass, each tensor straight between
 the file and its own array, hashed on the way; a read holds about the

@@ -22,7 +22,9 @@ graph: every node lives until the sweep ends, and only interior gradients
 are cleared. `read_checkpoint_reference` reads a checkpoint
 the whole-file way: the file into one buffer, its SHA-256 checked, then
 every tensor copied out. `canonicalize` and `filterbank_centers`
-are test helpers over the package's text and mel code.
+are test helpers over the package's text and mel code, and `stack_budget`
+is the `nm.STACK_BUDGET_BYTES` at which `model.stack_size` gives a chosen
+stack size, by the rule written out again.
 """
 
 import hashlib
@@ -278,6 +280,16 @@ def canonicalize(text: str) -> str:
 def filterbank_centers(mels: int, rate: int = SAMPLE_RATE) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
     return _band_edges(mels, rate)[1:-1]
+
+
+def stack_budget(config, items: int, seq: int | None = None) -> int:
+    """The float32 stack budget that fits `items` MC passes of seq tokens,
+    or `items` frozen-encoder utterances when seq is None, and no more: one
+    attention group, then (mlp_ratio + 4) (rows, dim) arrays per item,
+    twice over for an utterance."""
+    rows, dim, charge = (config.speech_frames, config.speech_dim, 2) if seq is None \
+        else (seq, config.text_dim, 1)
+    return nm.ATTENTION_GROUP_BYTES + items * charge * (config.mlp_ratio + 4) * rows * dim * 4
 
 
 def softmax_reference(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from multidiac.audiofe import SAMPLE_RATE, Waveform
 from multidiac.errors import ConfigError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy, predict_greedy_corpus)
-from multidiac.model import DiacritizerModel, ModelConfig, desk_config
+from multidiac.model import (DiacritizerModel, ModelConfig, desk_config, full_scale_config,
+                             stack_size)
 from multidiac.numerics import RngStream
 from multidiac.training import OptimizerState, adamw_step
 from multidiac.textproc import (ARABIC_LETTERS, Vocabulary, insert_diacritics,
                                 label_from_diacritized, strip_diacritics)
+from oracles import stack_budget
 
 VOCAB = Vocabulary("بتث")
 
@@ -86,7 +89,6 @@ def test_mc_forward_chunking_leaves_every_pass_unchanged(monkeypatch):
     tokens = model.encode_text("بتث بت")
     prefix = speech_prefix(model)
     seq = len(tokens)
-    per_pass = inference.pass_bytes(model.config, seq, model.dtype)
     stacks = []
     forward = model.forward
 
@@ -100,7 +102,7 @@ def test_mc_forward_chunking_leaves_every_pass_unchanged(monkeypatch):
     monkeypatch.setattr(model, "forward", counting_forward)
     runs = {}
     for per_chunk in (1, 3, 7):
-        monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", per_chunk * per_pass)
+        monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", stack_budget(model.config, per_chunk, seq))
         stacks.clear()
         runs[per_chunk] = mc_forward(model, tokens, prefix, passes=7, p=0.1,
                                      rng=RngStream(4))
@@ -124,6 +126,74 @@ def test_mc_forward_matches_per_pass_reference(dtype, rtol):
         for i in range(5)])
     assert got.dtype == ref.dtype == dtype
     np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
+
+
+def test_mc_forward_normalises_c_contiguous_letter_row_logits_in_place(monkeypatch):
+    """A desk 50-pass forward on the letter rows hands back C-contiguous
+    logits, which the class softmax overwrites. The probabilities are
+    bitwise those rows of the whole forward's, normalised apart."""
+    model = model_with()
+    raw = "بتث بت، ثب"
+    tokens, rows = model.encode_text(raw), model.letter_rows(raw)
+    forward, logits = model.forward, []
+
+    def keeping_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out.data)
+        return out
+
+    monkeypatch.setattr(model, "forward", keeping_forward)
+    got = mc_forward(model, tokens, None, passes=50, p=0.1, rng=RngStream(4), rows=rows)
+    assert len(logits) == 1 and logits[0].shape == (50, len(rows), 15)
+    assert logits[0].flags.c_contiguous and logits[0].tobytes() == got.tobytes()
+    whole = mc_forward(model, tokens, None, passes=50, p=0.1, rng=RngStream(4))
+    assert got.tobytes() == np.ascontiguousarray(whole[:, rows]).tobytes()
+
+
+# a full-width sentence's tokens (about 167, 269 and 659) -> the passes one
+# stack of a 50-pass mc_forward holds
+FULL_WIDTH_STACKS = {167: 21, 269: 13, 659: 5}
+
+
+def test_full_width_mc_stacks_stay_within_the_budget_and_are_bitwise_single_passes(
+        monkeypatch):
+    """A 50-pass mc_forward on a full-width model (1 speech, 2 text blocks)
+    runs stacks of stack_size passes. Each stacked forward's tracemalloc
+    peak stays within nm.STACK_BUDGET_BYTES, and the letters' probabilities
+    are bitwise those of one pass per forward, on any BLAS thread count."""
+    cfg = replace(full_scale_config(vocab_size=10), speech_blocks=1, text_layers=2)
+    model = DiacritizerModel(cfg, VOCAB, RngStream(3))
+    prefix = nm.tensor(np.random.default_rng(0).normal(0, 1, (cfg.prefix_len, cfg.text_dim)))
+    monkeypatch.setattr(nm, "_mask_memo", nm._MaskMemo())
+    forward, peaks = model.forward, []
+
+    def traced_forward(*args, **kwargs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = forward(*args, **kwargs)
+        peaks.append((len(args[2]), tracemalloc.get_traced_memory()[1] - base))
+        return out
+
+    def run(seq):
+        raw = ("بتث " * seq)[:seq - cfg.prefix_len]
+        return mc_forward(model, model.encode_text(raw), prefix, passes=50, p=0.1,
+                          rng=RngStream(4), rows=model.letter_rows(raw))
+
+    for seq, per in FULL_WIDTH_STACKS.items():
+        assert stack_size(cfg, np.float32, seq) == per
+        peaks.clear()
+        monkeypatch.setattr(model, "forward", traced_forward)
+        tracemalloc.start()
+        try:
+            stacked = run(seq)
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(model, "forward", forward)
+        assert [n for n, _ in peaks] == [per] * (50 // per) + [50 % per] * (50 % per > 0)
+        assert max(peak for _, peak in peaks) <= nm.STACK_BUDGET_BYTES
+        with monkeypatch.context() as m:
+            m.setattr(nm, "STACK_BUDGET_BYTES", 0)  # one pass per forward
+            assert stacked.tobytes() == run(seq).tobytes()
 
 
 def test_mc_forward_p_zero_collapses_to_deterministic():
@@ -532,9 +602,9 @@ def test_a_corpus_call_with_a_trainable_speech_block_holds_one_graph():
 ORDERED = ["بت", "بتثبت ثبتثب", "ثبتثب"]
 
 
-# stacks: None leaves all 50 passes in one; 1 pass_bytes of the longest
-# sentence gives one pass per stack at every length; 16 gives stacks of 16
-# passes at 10 letters and longer ones for shorter sentences
+# stacks: None leaves all 50 passes in one; a budget of 1 pass of the
+# longest sentence gives one pass per stack at every length; 16 gives stacks
+# of 16 passes at 10 letters and longer ones for shorter sentences
 @pytest.mark.parametrize("stacks", [None, 1, 16], ids=["one-stack", "single", "by-length"])
 def test_memoized_masks_do_not_depend_on_sentence_order(monkeypatch, stacks):
     models = [model_with(seed=s) for s in (0, 1)]
@@ -542,7 +612,7 @@ def test_memoized_masks_do_not_depend_on_sentence_order(monkeypatch, stacks):
     if stacks:
         longest = len(models[0].encode_text(ORDERED[1]))
         monkeypatch.setattr(nm, "STACK_BUDGET_BYTES",
-                            stacks * inference.pass_bytes(models[0].config, longest, np.float32))
+                            stack_budget(models[0].config, stacks, longest))
     philox = np.random.Philox
     draws = []
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: draws.append(1) or philox(*a, **k))

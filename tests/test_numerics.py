@@ -14,7 +14,7 @@ from multidiac import inference, training
 from multidiac import numerics as nm
 from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import ConfigError, NumericError, ShapeError
-from multidiac.model import DiacritizerModel, desk_config
+from multidiac.model import DiacritizerModel, desk_config, stack_size
 from multidiac.numerics import RngStream, Tensor, _splitmix64
 from multidiac.textproc import Vocabulary, label_from_diacritized
 from oracles import (
@@ -611,6 +611,21 @@ def test_softmax_stable_and_validated():
         nm.softmax(np.array([np.inf, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n", [15, 300], ids=["short-rows", "long-rows"])
+def test_softmax_rejects_one_non_finite_entry_in_a_later_block(bad, n):
+    """One bad entry in a row of finite values raises, whichever way the
+    row max is taken; that includes a lone -inf, which exp would take to 0
+    and leave the row sum finite. The blocks before it are written."""
+    per_block = nm.ROW_BLOCK_BYTES // (4 * n)
+    z = np.random.default_rng(3).normal(0, 1, size=(3 * per_block, n)).astype(np.float32)
+    z[-1, n // 2] = bad
+    out = np.zeros_like(z)
+    with pytest.raises(NumericError):
+        nm.softmax(z, out=out)
+    assert np.allclose(out[:per_block].sum(axis=-1), 1.0) and not out[-1].any()
+
+
 def test_softmax_float32_matches_float64_reference():
     gen = np.random.default_rng(20)
     x = (gen.normal(0, 4, size=(8, 60, 60)) + gen.normal(0, 50, size=(8, 60, 1)))
@@ -715,9 +730,9 @@ def test_softmax_overwrite_writes_into_its_input():
 
 
 def test_softmax_overwrite_refuses_a_view_or_another_axis():
-    """out= must be C-contiguous and of the input's shape. MC inference's
-    letter-row logits, (passes, letters, 15) with strides (60, 3000, 4),
-    are normalised into a new array instead."""
+    """out= must be C-contiguous and of the input's shape. A strided view,
+    such as (passes, letters, 15) rows with strides (60, 3000, 4), is
+    normalised into a new array instead."""
     rows = np.zeros((5, 50, 15), dtype=np.float32).swapaxes(0, 1)
     assert rows.shape == (50, 5, 15) and rows.strides == (60, 3000, 4)
     z = np.zeros((6, 8), dtype=np.float32)
@@ -1100,10 +1115,10 @@ def test_mask_memo_stays_within_its_byte_bound(memo, monkeypatch):
 def test_the_mask_memo_holds_the_desk_recipe_whenever_its_passes_form_one_stack():
     cfg = desk_config()
     one_stack = [seq for seq in range(1, cfg.prefix_len + cfg.max_text_len + 1)
-                 if nm.STACK_BUDGET_BYTES // inference.pass_bytes(cfg, seq, np.float32) >= 50]
+                 if stack_size(cfg, np.float32, seq) >= 50]
     # 4 models x 50 passes, one entry per (model, dropout site)
     entries = 4 * 2 * cfg.text_layers
-    assert max(one_stack) - cfg.prefix_len == 380
+    assert max(one_stack) == cfg.prefix_len + cfg.max_text_len
     assert entries * 50 * max(one_stack) * math.ceil(cfg.text_dim / 8) <= nm.MASK_MEMO_BYTES
 
 

@@ -21,8 +21,7 @@ from multidiac.data import desk_synth_spec, synthesize_sample
 from multidiac.errors import (ConfigError, FingerprintError, FormatError,
                               NumericError)
 from multidiac.model import (DiacritizerModel, ModelConfig, desk_config,
-                             full_scale_config, speech_embedding_dropout,
-                             utterance_bytes)
+                             full_scale_config, speech_embedding_dropout)
 from multidiac.numerics import RngStream
 from multidiac.textproc import NUM_CLASSES, Vocabulary, label_from_diacritized
 from multidiac.training import (
@@ -33,7 +32,8 @@ from multidiac.training import (
 )
 from oracles import (adamw_reference, attention_reference, backward_reference,
                      gelu_reference, grad_check, prepare_sample_reference,
-                     rdrop_objective_reference, read_checkpoint_reference)
+                     rdrop_objective_reference, read_checkpoint_reference,
+                     stack_budget)
 
 VOCAB = Vocabulary("بتث")
 
@@ -1350,7 +1350,7 @@ def test_prepare_sample_batch_is_bitwise_per_sample_preparation(monkeypatch):
     cfg = replace(table1_primary(), speech_emb_dropout=0.0)
     mcfg = desk_config(vocab_size=len(vocab) + 3)
     rngs = [RngStream(2).child(i) for i in range(len(corpus))]
-    monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", 2 * utterance_bytes(mcfg, np.float32) + 1)
+    monkeypatch.setattr(nm, "STACK_BUDGET_BYTES", stack_budget(mcfg, 2) + 1)
     stacks = []
     encode = DiacritizerModel.speech_encode
     monkeypatch.setattr(DiacritizerModel, "speech_encode", lambda self, m: stacks.append(
