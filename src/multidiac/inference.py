@@ -12,9 +12,10 @@ result. A fixed seed gives every sentence the same keys, so at desk width
 each sentence reuses its models' dropout masks from the numerics memo. At
 full width sentences mostly redraw: one sentence's masks outgrow the memo,
 and a length that changes mc_forward's stack size misses it.
-Greedy dev scoring is the one-pass p = 0 ensemble of one model; it keeps
-each model's pooled speech frames between calls, while `diacritize` never
-hashes or caches.
+`diacritize` and greedy dev scoring are two calls of one per-sample loop:
+`diacritize` one sample of several models, never hashing or caching, and
+greedy dev scoring the one-model, one-pass, p = 0 ensemble at seed 0,
+which keeps each model's mean-pooled speech frames between calls.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import numerics as nm
 from .audiofe import Waveform, log_mel
 from .errors import ShapeError
-from .model import DiacritizerModel, ModelConfig, require_counts, require_range, stack_size
+from .model import DiacritizerModel, require_counts, require_range, stack_size
 from .numerics import RngStream
 from .textproc import insert_diacritics
 
@@ -65,7 +66,7 @@ def mc_forward(model: DiacritizerModel, tokens: np.ndarray,
         keys = rng.child_keys(range(start, min(run, start + chunk)))
         logits = model.forward(tokens, prefix, keys, p, grad=False, rows=rows).data
         out.append(nm.softmax(logits, out=logits))
-    probs = np.concatenate(out)
+    probs = out[0] if len(out) == 1 else np.concatenate(out)
     return np.broadcast_to(probs, (passes,) + probs.shape[1:])
 
 
@@ -92,9 +93,54 @@ def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
 # takes no more entries: dev scoring scans its utterances in a cycle, where
 # evicting the oldest entry would drop each one just before its reuse.
 POOLED_CACHE_BYTES = 64 << 20
-# model -> (SHA-256 of its speech.* parameters, {_audio_key: mean-pooled
-# frames}), dropped with the model
+# model -> (SHA-256 of its speech.* parameters, {(samples' SHA-256, dtype,
+# mels, mel_frames): mean-pooled frames}), dropped with the model
 _pooled_cache = weakref.WeakKeyDictionary()
+
+
+def _cache_of(model: DiacritizerModel) -> dict:
+    """model's pooled-frame cache, emptied if its speech.* SHA-256 changed."""
+    digest = hashlib.sha256()
+    for name, w in model.params.items():
+        if name.startswith("speech."):
+            digest.update(np.ascontiguousarray(w.data))
+    if _pooled_cache.get(model, (None,))[0] != digest.digest():
+        _pooled_cache[model] = (digest.digest(), {})
+    return _pooled_cache[model][1]
+
+
+def _ensemble(models: list[DiacritizerModel], samples: list[tuple[str, Waveform | None]],
+              passes: int, p: float, seed: int, cache: bool):
+    """Yield (class ids, confidence) of each (raw, waveform): the
+    ensemble_average of each model mi's mc_forward, keyed by
+    RngStream(seed).child(mi). A sample is log-mel'd once per (mels,
+    mel_frames) shape that some model misses, and each miss is encoded alone
+    and detached. With cache, each model's speech weights are digested once
+    per call, and misses are added to its cache until that is full."""
+    caches = [_cache_of(m) if cache else {} for m in models]
+    for raw, waveform in samples:
+        tokens, rows = models[0].encode_text(raw), models[0].letter_rows(raw)
+        audio = None
+        if cache and waveform is not None:
+            wave = np.ascontiguousarray(waveform.samples)
+            audio = hashlib.sha256(wave).digest(), wave.dtype.str
+        mels, probs = {}, []
+        for mi, (model, hits) in enumerate(zip(models, caches)):
+            prefix = None
+            if waveform is not None:
+                shape = (model.config.mels, model.config.mel_frames)
+                key = audio + shape if audio else None
+                pooled = hits.get(key)
+                if pooled is None:
+                    if shape not in mels:
+                        mels[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
+                    pooled = next(model.pooled_frames([mels[shape]])).detach()
+                    if key and len(hits) < POOLED_CACHE_BYTES // pooled.data.nbytes:
+                        hits[key] = pooled
+                prefix = model.pool_project(pooled)
+            probs.append(mc_forward(model, tokens, prefix, passes, p,
+                                    RngStream(seed).child(mi), rows))
+        yield ensemble_average(probs)
 
 
 def diacritize(raw: str, waveform: Waveform | None,
@@ -104,64 +150,21 @@ def diacritize(raw: str, waveform: Waveform | None,
     Audio is optional; absent audio means a zero speech prefix (text-only
     path). Returns (diacritized text, per-letter confidence).
     """
-    tokens = models[0].encode_text(raw)
-    letter_rows = models[0].letter_rows(raw)
-    run = RngStream(cfg.seed)
-    mels = {}  # one log-mel per (mels, mel_frames), shared by models
-    all_probs = []
-    for mi, model in enumerate(models):
-        prefix = None
-        if waveform is not None:
-            shape = (model.config.mels, model.config.mel_frames)
-            if shape not in mels:
-                mels[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
-            prefix = model.pool_project(*model.pooled_frames([mels[shape]]))
-        all_probs.append(mc_forward(model, tokens, prefix, cfg.passes_per_model,
-                                    cfg.inference_dropout_p, run.child(mi), letter_rows))
-    classes, confidence = ensemble_average(all_probs)
-    text = insert_diacritics(raw, [int(c) for c in classes])
-    return text, [float(c) for c in confidence]
-
-
-def _audio_key(waveform: Waveform, cfg: ModelConfig) -> tuple:
-    samples = np.ascontiguousarray(waveform.samples)
-    return hashlib.sha256(samples).digest(), samples.dtype.str, cfg.mels, cfg.mel_frames
+    [(classes, confidence)] = _ensemble(models, [(raw, waveform)], cfg.passes_per_model,
+                                        cfg.inference_dropout_p, cfg.seed, cache=False)
+    return insert_diacritics(raw, classes.tolist()), confidence.tolist()
 
 
 def predict_greedy_corpus(model: DiacritizerModel,
                           samples: list[tuple[str, Waveform | None]]) -> list[list[int]]:
-    """predict_greedy of each (raw, waveform) pair. The mean-pooled speech
-    frames come through the model's cache: the speech weights are digested
-    once, a new digest empties the cache, and the misses are encoded in one
-    `pooled_frames` pass, each detached before the next is read."""
-    cfg = model.config
-    digest = hashlib.sha256()
-    for name, p in model.params.items():
-        if name.startswith("speech."):
-            digest.update(np.ascontiguousarray(p.data))
-    if _pooled_cache.get(model, (None,))[0] != digest.digest():
-        _pooled_cache[model] = (digest.digest(), {})
-    cache = _pooled_cache[model][1]
-    keys = [None if w is None else _audio_key(w, cfg) for _, w in samples]
-    pooled = {key: cache.get(key) for key in keys}
-    misses = {key: w for key, (_, w) in zip(keys, samples) if w is not None and pooled[key] is None}
-    encoded = model.pooled_frames(log_mel(w, mels=cfg.mels, frame_budget=cfg.mel_frames)
-                                  for w in misses.values())
-    for key in misses:
-        pooled[key] = next(encoded).detach()
-        if len(cache) < POOLED_CACHE_BYTES // pooled[key].data.nbytes:
-            cache[key] = pooled[key]
-    out = []
-    for (raw, _), key in zip(samples, keys):
-        prefix = None if key is None else model.pool_project(pooled[key])
-        probs = mc_forward(model, model.encode_text(raw), prefix, 1, 0.0, RngStream(0),
-                           model.letter_rows(raw))
-        classes, _ = ensemble_average([probs])
-        out.append([int(c) for c in classes])
-    return out
+    """Greedy class ids of each (raw, waveform): the one-pass p = 0 ensemble
+    of model at seed 0, with its cache of mean-pooled frames."""
+    return [classes.tolist() for classes, _ in _ensemble([model], samples, 1, 0.0, 0, cache=True)]
 
 
 def predict_greedy(model: DiacritizerModel, raw: str,
                    waveform: Waveform | None) -> list[int]:
-    """Greedy prediction of one sentence: a corpus of one."""
+    """Greedy prediction of one sentence: a corpus of one. No `src/` code
+    calls it; it stays because perfbench's train-desk dev scorer calls it per
+    sentence and its layer trace wraps it by name."""
     return predict_greedy_corpus(model, [(raw, waveform)])[0]

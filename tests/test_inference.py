@@ -130,8 +130,9 @@ def test_mc_forward_matches_per_pass_reference(dtype, rtol):
 
 def test_mc_forward_normalises_c_contiguous_letter_row_logits_in_place(monkeypatch):
     """A desk 50-pass forward on the letter rows hands back C-contiguous
-    logits, which the class softmax overwrites. The probabilities are
-    bitwise those rows of the whole forward's, normalised apart."""
+    logits, which the class softmax overwrites, and its one stack is
+    returned as a view, not a copy. The probabilities are bitwise those rows
+    of the whole forward's, normalised apart."""
     model = model_with()
     raw = "بتث بت، ثب"
     tokens, rows = model.encode_text(raw), model.letter_rows(raw)
@@ -145,7 +146,8 @@ def test_mc_forward_normalises_c_contiguous_letter_row_logits_in_place(monkeypat
     monkeypatch.setattr(model, "forward", keeping_forward)
     got = mc_forward(model, tokens, None, passes=50, p=0.1, rng=RngStream(4), rows=rows)
     assert len(logits) == 1 and logits[0].shape == (50, len(rows), 15)
-    assert logits[0].flags.c_contiguous and logits[0].tobytes() == got.tobytes()
+    assert logits[0].flags.c_contiguous and np.shares_memory(got, logits[0])
+    assert logits[0].tobytes() == got.tobytes() and not got.flags.writeable
     whole = mc_forward(model, tokens, None, passes=50, p=0.1, rng=RngStream(4))
     assert got.tobytes() == np.ascontiguousarray(whole[:, rows]).tobytes()
 
@@ -347,6 +349,19 @@ def test_scoring_the_letter_rows_alone_predicts_what_the_whole_forward_does():
     assert predict_greedy_corpus(models[0], corpus) == greedy
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_greedy_scoring_is_the_one_pass_p_zero_ensemble_at_any_seed(seed):
+    """Greedy scoring keys its one pass by RngStream(0).child(0). At p = 0
+    no key draws a mask, so it predicts the classes of a one-model, one-pass,
+    p = 0 diacritize at any seed, with and without audio."""
+    model = model_with(seed=2)
+    corpus = [("بت", None), ("ثب تب", noise_wav(3)), ("تتب", None), ("بتث بت", noise_wav(4))]
+    cfg = EnsembleConfig(passes_per_model=1, inference_dropout_p=0.0, seed=seed)
+    want = [label_from_diacritized(diacritize(raw, w, [model], cfg)[0]).labels
+            for raw, w in corpus]
+    assert predict_greedy_corpus(model, corpus) == want
+
+
 # -- the greedy dev-scoring cache ----------------------------------------
 
 
@@ -528,16 +543,16 @@ def test_a_corpus_call_digests_the_speech_weights_once(sha256_calls, n):
         assert weights == [speech] and audio == [SAMPLE_RATE * 4] * n
 
 
-def test_a_cold_desk_dev_set_is_one_stacked_encode(encode_calls):
-    """A cold desk dev set is log-mel'd once per utterance and encoded as
-    one stack of N rows, whose predictions are those of N single calls; a
-    warm one reads neither the log-mel nor the encoder. A repeated
-    waveform is encoded once."""
+def test_a_cold_desk_dev_set_encodes_each_utterance_once_alone(encode_calls):
+    """A cold desk dev set is log-mel'd once per utterance and encoded one
+    utterance at a time, with the predictions of N single calls; a warm one
+    reads neither the log-mel nor the encoder. A repeated waveform is
+    encoded once."""
     model = model_with(seed=2)
     wavs = [noise_wav(i) for i in range(8)]
     corpus = [(RAWS[i % 3], w) for i, w in enumerate(wavs)] + [(RAWS[0], wavs[2])]
     got = predict_greedy_corpus(model, corpus + [("بت", None)])
-    assert encode_calls["shapes"] == [(8, 80, 200)] and encode_calls["log_mel"] == 8
+    assert encode_calls["shapes"] == [(1, 80, 200)] * 8 and encode_calls["log_mel"] == 8
     assert got == [predict_greedy(fresh_copy(model), raw, w) for raw, w in corpus] + \
         [predict_greedy(model, "بت", None)]
     encode_calls["shapes"].clear()
