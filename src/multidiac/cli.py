@@ -35,8 +35,8 @@ from .audiofe import load_wav
 from .inference import EnsembleConfig, diacritize, predict_greedy_corpus
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
-from .textproc import (Vocabulary, diacritization_ratio, insert_diacritics,
-                       strip_diacritics)
+from .textproc import (ARABIC_LETTERS, Vocabulary, diacritization_ratio,
+                       insert_diacritics, strip_diacritics)
 from .training import (TRAIN_PRESETS, TrainConfig, check_run, check_text_lengths,
                        decode_config, encode_config, fit, load_checkpoint)
 
@@ -76,7 +76,7 @@ def write_run_config(path, model_cfg: ModelConfig, train_cfg: TrainConfig | None
     for section, cfg in zip(RUN_SECTIONS, (model_cfg, train_cfg, ensemble_cfg)):
         if cfg is not None:
             doc[section] = encode_config(cfg)
-    doc["paths"] = {k: str(v) for k, v in paths.items()}
+    doc["paths"] = {k: str(v) for k, v in paths.items() if v is not None}
     with open(path, "w", encoding="utf-8") as f:
         doc.write(f)
 
@@ -144,6 +144,8 @@ def cmd_train(args) -> int:
     dev_scorer = None
     if args.dev_manifest:
         dev_records = datamod.load_manifest(args.dev_manifest)
+        if all(ARABIC_LETTERS.isdisjoint(r.text) for r in dev_records):
+            raise ManifestError(f"{args.dev_manifest}: no Arabic letter to score")
         dev_corpus = datamod.corpus_from_manifest(args.dev_manifest, dev_records)
         check_text_lengths(((s.sample_id, s.raw) for s in dev_corpus), model_cfg)
         gold = {r.id: r.text for r in dev_records}
@@ -157,7 +159,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      model_cfg, train_cfg, None,
-                     {"manifest": args.manifest, "out": args.out})
+                     {"manifest": args.manifest, "dev_manifest": args.dev_manifest,
+                      "out": args.out})
     log_path = os.path.join(args.out, "train.log")
     with open(log_path, "w", encoding="utf-8") as logf:
         def log(line):
@@ -248,9 +251,9 @@ def build_parser() -> _Parser:
                    help="short fixed-shape samples fitting the desk frame budget")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one checkpoint series")
+    p = sub.add_parser("train", help="train one selected checkpoint")
     p.add_argument("--manifest", required=True, type=utf8_path)
-    p.add_argument("--dev-manifest")
+    p.add_argument("--dev-manifest", type=utf8_path)
     p.add_argument("--out", required=True, type=utf8_path)
     p.add_argument("--config", help="echoed run_config.ini to reproduce")
     p.add_argument("--preset", choices=sorted(TRAIN_PRESETS),

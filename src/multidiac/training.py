@@ -618,25 +618,29 @@ def check_run(corpus: list[CorpusSample], model: DiacritizerModel,
 
 def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
         out_dir=None, dev_scorer=None, log=None) -> dict:
-    """Run the full recipe; returns a history dict with per-epoch loss/lr
-    and, when out_dir is set, checkpoint paths plus the selected final one.
+    """Run the full recipe; returns a history dict with per-epoch loss, lr
+    and dev WER and, when out_dir is set, the path of the run's one
+    checkpoint, out_dir/selected.ckpt, under "selected".
 
     dev_scorer, when given, is called with the model after each epoch and
-    must return a WER fraction; the checkpoint with the best dev WER is
-    selected, otherwise the final epoch wins.
+    must return a finite WER fraction (NumericError otherwise). The
+    checkpoint is written when an epoch's dev WER beats every earlier one,
+    so the earliest best epoch wins; without a scorer it is written every
+    epoch and the final epoch wins. Each write replaces the file atomically
+    (see save_checkpoint), and its "epoch" metadata names the epoch.
     """
     check_run(corpus, model, cfg)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     run_rng = RngStream(cfg.seed)
     n_batches = math.ceil(len(corpus) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     state = OptimizerState()
     fingerprint = config_fingerprint(model.config, cfg)
-    history = {"loss": [], "lr": [], "dev_wer": [], "checkpoints": [],
-               "fingerprint": fingerprint}
+    history = {"loss": [], "lr": [], "dev_wer": [], "fingerprint": fingerprint}
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        history["selected"] = os.path.join(out_dir, "selected.ckpt")
     step = 0
-    best = (math.inf, None)
+    best = math.inf
     for epoch in range(1, cfg.epochs + 1):
         apply_freeze_policy(model, epoch, cfg)
         erng = run_rng.child(epoch)
@@ -660,21 +664,18 @@ def fit(corpus: list[CorpusSample], model: DiacritizerModel, cfg: TrainConfig,
         history["loss"].append(epoch_loss / n_batches)
         history["lr"].append(lr_at(step, total_steps, cfg))
         dev_wer = dev_scorer(model) if dev_scorer is not None else None
+        if dev_wer is not None and not math.isfinite(dev_wer):
+            raise NumericError(f"epoch {epoch}: dev WER {dev_wer} is not finite")
         history["dev_wer"].append(dev_wer)
-        if out_dir is not None:
-            path = os.path.join(out_dir, f"epoch{epoch:03d}.ckpt")
-            save_checkpoint(path, model, {
+        # without a scorer dev_wer is None every epoch, and every epoch is saved
+        if out_dir is not None and (dev_wer is None or dev_wer < best):
+            best = dev_wer
+            save_checkpoint(history["selected"], model, {
                 "seed": cfg.seed, "epoch": epoch, "fingerprint": fingerprint,
                 "model_cfg": serialize_config(model.config),
                 "train_cfg": serialize_config(cfg)})
-            history["checkpoints"].append(path)
-            if dev_wer is not None and dev_wer < best[0]:
-                best = (dev_wer, path)
         if log is not None:
             log(f"epoch {epoch}/{cfg.epochs} loss={history['loss'][-1]:.4f} "
                 f"lr={history['lr'][-1]:.3e}"
                 + (f" dev_wer={dev_wer:.4f}" if dev_wer is not None else ""))
-    if out_dir is not None:
-        history["selected"] = best[1] if best[1] is not None else \
-            history["checkpoints"][-1]
     return history

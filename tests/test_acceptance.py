@@ -314,7 +314,7 @@ def test_criterion_09_mc_dropout_determinism(primary_run, corpora,
 
     # 4 checkpoints x 50 passes reports 200 total passes via the CLI
     out = tmp_path_factory.mktemp("mc")
-    ckpts = ",".join([history["checkpoints"][-1]] * 4)
+    ckpts = ",".join([history["selected"]] * 4)
     manifest = os.path.join(small, "dev.jsonl")
     one = out / "one.jsonl"
     with open(manifest, encoding="utf-8") as f, \

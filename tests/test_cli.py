@@ -85,12 +85,13 @@ def test_synth_deterministic(tmp_path):
 
 def test_train_outputs(trained):
     corpus, run = trained
-    assert (run / "run_config.ini").exists()
-    assert (run / "train.log").exists()
-    cps = sorted(run.glob("epoch*.ckpt"))
-    assert len(cps) == 2
+    # one checkpoint, the selected one, beside the config echo and the log
+    assert sorted(os.listdir(run)) == ["run_config.ini", "selected.ckpt", "train.log"]
     resolved = read_run_config(run / "run_config.ini")
     assert resolved["train"].epochs == 2
+    assert resolved["paths"] == {"manifest": str(corpus / "train.jsonl"),
+                                 "dev_manifest": str(corpus / "dev.jsonl"),
+                                 "out": str(run)}
     assert resolved["model"].prefix_len == 10
     log = (run / "train.log").read_text()
     assert "epoch 1/2" in log and "dev_wer=" in log
@@ -98,9 +99,9 @@ def test_train_outputs(trained):
 
 def test_infer_and_eval_round_trip(trained, tmp_path, capsys):
     corpus, run = trained
-    ckpts = sorted(str(p) for p in run.glob("epoch*.ckpt"))
+    ckpt = str(run / "selected.ckpt")
     out = tmp_path / "preds"
-    rc = main(["infer", "--checkpoints", ",".join(ckpts),
+    rc = main(["infer", "--checkpoints", f"{ckpt},{ckpt}",
                "--manifest", str(corpus / "dev.jsonl"),
                "--out", str(out), "--passes", "2", "--seed", "0"])
     assert rc == 0
@@ -124,7 +125,7 @@ def test_infer_and_eval_round_trip(trained, tmp_path, capsys):
 
 def test_infer_deterministic(trained, tmp_path):
     corpus, run = trained
-    ckpt = sorted(str(p) for p in run.glob("epoch*.ckpt"))[0]
+    ckpt = str(run / "selected.ckpt")
     outs = []
     for name in ("x", "y"):
         out = tmp_path / name
@@ -188,7 +189,7 @@ def test_out_of_memory_is_a_data_error(trained, tmp_path, capsys, monkeypatch, c
     if command == "train":
         argv = ["train", "--manifest", str(corpus / "train.jsonl"), "--out", str(out)]
     else:
-        ckpt = sorted(run.glob("epoch*.ckpt"))[0]
+        ckpt = run / "selected.ckpt"
         argv = ["infer", "--checkpoints", str(ckpt),
                 "--manifest", str(corpus / "dev.jsonl"), "--out", str(out)]
     assert main(argv) == EXIT_DATA
@@ -207,7 +208,7 @@ def test_data_error_alignment_mismatch(tmp_path, capsys):
 
 def test_data_error_corrupt_checkpoint(trained, tmp_path, capsys):
     corpus, run = trained
-    ckpt = sorted(run.glob("epoch*.ckpt"))[0]
+    ckpt = run / "selected.ckpt"
     blob = bytearray(ckpt.read_bytes())
     blob[-1] ^= 0xFF
     bad = tmp_path / "bad.ckpt"
@@ -319,7 +320,7 @@ def test_data_error_manifest_field_types(tmp_path, capsys, record):
 
 def test_data_error_overlength_text(trained, tmp_path, capsys):
     corpus, run = trained
-    ckpt = sorted(run.glob("epoch*.ckpt"))[0]
+    ckpt = run / "selected.ckpt"
     limit = desk_config().max_text_len
     manifest = tmp_path / "long.jsonl"
     write_manifest(manifest, [ManifestRecord("long", "", BA * (limit + 1))])
@@ -357,6 +358,21 @@ def test_train_overlength_dev_text_fails_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert "'long'" in err and "exceeds maximum" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("records", [[], [ManifestRecord("a", "", "123 abc")]],
+                         ids=["no-records", "no-arabic-letter"])
+def test_train_dev_manifest_with_nothing_to_score_fails_before_writing(
+        tmp_path, capsys, records):
+    dev = tmp_path / "dev.jsonl"
+    write_manifest(dev, records)
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--dev-manifest", str(dev), "--out", str(out), "--preset", "desk"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert "no Arabic letter to score" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -573,6 +589,16 @@ def test_non_utf8_path_is_a_usage_error_before_writing(tmp_path, capsys, command
     assert rc == EXIT_USAGE
     assert f"argument {flag}" in err and "Traceback" not in err
     assert not os.path.exists(bad) and not (tmp_path / "o").exists()
+
+
+def test_non_utf8_dev_manifest_path_is_a_usage_error_before_writing(tmp_path, capsys):
+    bad = str(tmp_path / os.fsdecode(b"bad\xffdev.jsonl"))
+    rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--dev-manifest", bad, "--out", str(tmp_path / "o"), "--preset", "desk"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert "argument --dev-manifest" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "infer"])
@@ -808,12 +834,12 @@ def test_train_unfreezing_more_blocks_than_exist_fails_before_training(tmp_path,
 def test_run_config_round_trip(tmp_path):
     p = tmp_path / "c.ini"
     write_run_config(p, desk_config(), desk_recipe(seed=5),
-                     EnsembleConfig(passes_per_model=7), {"out": "x"})
+                     EnsembleConfig(passes_per_model=7), {"out": "x", "dev_manifest": None})
     back = read_run_config(p)
     assert back["model"] == desk_config()
     assert back["train"] == desk_recipe(seed=5)
     assert back["ensemble"].passes_per_model == 7
-    assert back["paths"]["out"] == "x"
+    assert back["paths"] == {"out": "x"}  # a path not given is not echoed
 
 
 def test_run_config_keeps_percent_in_paths(tmp_path):

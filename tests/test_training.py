@@ -1264,10 +1264,26 @@ def test_fit_smoke_and_determinism(tmp_path):
     h2 = run(tmp_path / "b")
     assert h1["loss"] == h2["loss"]
     assert len(h1["loss"]) == 2
-    assert len(h1["checkpoints"]) == 2
-    assert h1["selected"] == h1["checkpoints"][-1]
+    assert "checkpoints" not in h1
+    # without a dev scorer the one file holds the final epoch
+    assert os.listdir(tmp_path / "a") == ["selected.ckpt"]
+    assert h1["selected"] == str(tmp_path / "a" / "selected.ckpt")
     assert all(math.isfinite(l) for l in h1["loss"])
-    read_checkpoint(h1["selected"])  # integrity-checked
+    _, meta = read_checkpoint(h1["selected"])  # integrity-checked
+    assert meta["epoch"] == "2"
+    assert (tmp_path / "a" / "selected.ckpt").read_bytes() == \
+        (tmp_path / "b" / "selected.ckpt").read_bytes()
+
+
+def _snapshot_scorer(scores, snapshots):
+    """A dev scorer returning the next of scores, after keeping a float32
+    copy of the model's parameters as the epoch left them."""
+    scores = iter(scores)
+
+    def scorer(m):
+        snapshots.append({k: np.array(p.data, dtype="<f4") for k, p in m.params.items()})
+        return next(scores)
+    return scorer
 
 
 def test_fit_selects_best_dev_checkpoint(tmp_path):
@@ -1275,10 +1291,51 @@ def test_fit_selects_best_dev_checkpoint(tmp_path):
     cfg = TrainConfig(learning_rate=1e-3, epochs=3, warmup_epochs=1,
                       batch_size=4)
     model = tiny_model()
-    scores = iter([0.5, 0.1, 0.4])
+    snapshots = []
     h = fit(corpus, model, cfg, out_dir=tmp_path,
-            dev_scorer=lambda m: next(scores))
-    assert h["selected"] == h["checkpoints"][1]
+            dev_scorer=_snapshot_scorer([0.5, 0.1, 0.4], snapshots))
+    assert h["dev_wer"] == [0.5, 0.1, 0.4]
+    assert os.listdir(tmp_path) == ["selected.ckpt"]
+    tensors, meta = read_checkpoint(h["selected"])
+    assert meta["epoch"] == "2"
+    assert tensors.keys() == snapshots[1].keys()
+    assert all(np.array_equal(tensors[k], snapshots[1][k]) for k in tensors)
+    assert any(not np.array_equal(snapshots[1][k], snapshots[2][k]) for k in tensors)
+
+
+def test_fit_keeps_the_earliest_of_equal_dev_scores(tmp_path):
+    cfg = TrainConfig(learning_rate=1e-3, epochs=3, warmup_epochs=1, batch_size=4)
+    h = fit(text_corpus(4), tiny_model(), cfg, out_dir=tmp_path,
+            dev_scorer=_snapshot_scorer([0.3, 0.2, 0.2], []))
+    assert read_checkpoint(h["selected"])[1]["epoch"] == "2"
+
+
+def test_fit_that_fails_mid_run_leaves_the_last_selection(tmp_path):
+    corpus = text_corpus(4)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=4, warmup_epochs=1, batch_size=4)
+    snapshots = []
+    record = _snapshot_scorer([0.5, 0.1], snapshots)
+
+    def scorer(m):
+        if len(snapshots) == 2:
+            raise OSError("dev audio gone")
+        return record(m)
+
+    with pytest.raises(OSError, match="dev audio gone"):
+        fit(corpus, tiny_model(), cfg, out_dir=tmp_path, dev_scorer=scorer)
+    assert os.listdir(tmp_path) == ["selected.ckpt"]  # and no *.tmp file
+    model = load_checkpoint(tmp_path / "selected.ckpt")
+    assert read_checkpoint(tmp_path / "selected.ckpt")[1]["epoch"] == "2"
+    assert all(np.array_equal(model.params[k].data, snapshots[1][k]) for k in snapshots[1])
+
+
+@pytest.mark.parametrize("wer", [math.nan, math.inf])
+def test_fit_refuses_a_non_finite_dev_wer(tmp_path, wer):
+    cfg = TrainConfig(learning_rate=1e-3, epochs=3, warmup_epochs=1, batch_size=4)
+    scorer = _snapshot_scorer([0.5, wer, 0.1], [])
+    with pytest.raises(NumericError, match="epoch 2: dev WER"):
+        fit(text_corpus(4), tiny_model(), cfg, out_dir=tmp_path, dev_scorer=scorer)
+    assert read_checkpoint(tmp_path / "selected.ckpt")[1]["epoch"] == "1"
 
 
 def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch):
@@ -1322,7 +1379,6 @@ def test_fit_dev_scores_the_same_with_the_greedy_cache_off(tmp_path, monkeypatch
     plain = run(tmp_path / "plain")
     for key in ("loss", "dev_wer"):
         assert cached[0][key] == plain[0][key]
-    assert os.path.basename(cached[0]["selected"]) == os.path.basename(plain[0]["selected"])
     assert cached[1:3] == plain[1:3]
     # each epoch trains on 18 prefixes; dev is encoded in epoch 1 only
     assert (cached[3], plain[3]) == (3 * 18 + 6, 3 * 18 + 3 * 6)
@@ -1492,7 +1548,7 @@ def test_a_fit_step_frees_its_graph_before_adamw_and_its_gradients_after(
 
     def scorer(m):
         seen.append(("dev", grads_held()))
-        return 0.5
+        return 0.5 / len(seen)  # a new best each epoch, so each epoch saves
 
     monkeypatch.setattr(tr, "prepare_sample", prepare_watched)
     monkeypatch.setattr(tr, "rdrop_objective", objective_watched)
