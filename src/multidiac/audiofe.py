@@ -1,5 +1,9 @@
 """Audio ingestion and training-time augmentation.
 
+Audio is a mono float32 sample array in [-1, 1] at the one rate
+SAMPLE_RATE (16 kHz), as in Whisper's front end: `load_wav` refuses a file
+at any other rate, and nothing else carries or checks a rate.
+
 WAV ingest is strict: RIFF container, 16 kHz mono, PCM16 or IEEE float32.
 Features follow the familiar speech-encoder frontend: 25 ms Hann window,
 10 ms hop, 80 mel filters, log10 power clamped 8 below the per-utterance
@@ -26,16 +30,6 @@ _WINDOW = np.hanning(N_FFT + 1)[:-1]  # periodic Hann
 
 
 @dataclass
-class Waveform:
-    samples: np.ndarray  # float32 in [-1, 1], mono
-    sample_rate: int = SAMPLE_RATE
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
-@dataclass
 class MelSpectrogram:
     values: np.ndarray  # (mels, frames) float32, or a (B, mels, frames) stack
 
@@ -48,17 +42,18 @@ class MelSpectrogram:
         return self.values.shape[-1]
 
 
-def load_wav(path) -> Waveform:
-    """Read a 16 kHz mono PCM16/float32 WAV file, scaled to [-1, 1]."""
+def load_wav(path) -> np.ndarray:
+    """Read a 16 kHz mono PCM16/float32 WAV file as float32 samples in
+    [-1, 1]. Chunk bodies are views of the file's bytes, not copies."""
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE container")
     pos = 12
     fmt = None
     data = None
     while pos + 8 <= len(blob):
-        chunk_id = blob[pos:pos + 4]
+        chunk_id = bytes(blob[pos:pos + 4])
         (size,) = struct.unpack("<I", blob[pos + 4:pos + 8])
         body = blob[pos + 8:pos + 8 + size]
         if len(body) < size:
@@ -84,39 +79,40 @@ def load_wav(path) -> Waveform:
         raise FormatError(f"{path}: data chunk of {len(data)} bytes is not a "
                           f"whole number of {bits}-bit samples")
     if audio_format == 1:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32768.0
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float32)
+        samples /= 32768.0
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float32)
         if not np.all(np.isfinite(samples)):
             raise IngestError(f"{path}: float32 samples include NaN or infinity")
-    return Waveform(samples=samples)
+    return samples
 
 
-def save_wav(path, w: Waveform):
-    """Write PCM16 little-endian mono WAV."""
-    pcm = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")
+def save_wav(path, samples: np.ndarray):
+    """Write samples as a PCM16 little-endian mono WAV at SAMPLE_RATE."""
+    pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
     data = pcm.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, w.sample_rate, w.sample_rate * 2, 2, 16)
+    fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16)
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE")
         f.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
         f.write(b"data" + struct.pack("<I", len(data)) + data)
 
 
-def _band_edges(mels: int, rate: int) -> np.ndarray:
+def _band_edges(mels: int) -> np.ndarray:
     """mels + 2 band edges in Hz, evenly spaced on the HTK mel scale
     m = 2595 log10(1 + f/700) from 0 Hz to Nyquist."""
-    top = 2595.0 * np.log10(1.0 + rate / 2 / 700.0)
+    top = 2595.0 * np.log10(1.0 + SAMPLE_RATE / 2 / 700.0)
     return 700.0 * (10.0 ** (np.linspace(0.0, top, mels + 2) / 2595.0) - 1.0)
 
 
 @functools.lru_cache(maxsize=8)
-def mel_filterbank(mels: int, n_fft: int = N_FFT, rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Triangular HTK-mel filterbank, (mels, n_fft//2 + 1). Cached; treat
+def mel_filterbank(mels: int) -> np.ndarray:
+    """Triangular HTK-mel filterbank, (mels, N_FFT//2 + 1). Cached; treat
     the returned array as read-only."""
-    n_bins = n_fft // 2 + 1
-    freqs = np.linspace(0, rate / 2, n_bins)
-    hz_pts = _band_edges(mels, rate)
+    n_bins = N_FFT // 2 + 1
+    freqs = np.linspace(0, SAMPLE_RATE / 2, n_bins)
+    hz_pts = _band_edges(mels)
     fb = np.zeros((mels, n_bins))
     for m in range(mels):
         lo, mid, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
@@ -126,12 +122,13 @@ def mel_filterbank(mels: int, n_fft: int = N_FFT, rate: int = SAMPLE_RATE) -> np
     return fb
 
 
-def log_mel(w: Waveform, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:
+def log_mel(samples: np.ndarray, mels: int = 80,
+            frame_budget: int | None = None) -> MelSpectrogram:
     """Log-mel spectrogram, padded/trimmed along time to frame_budget frames."""
-    n = len(w.samples)
+    n = len(samples)
     frames = max(1, math.ceil(n / HOP))
     padded = np.zeros((frames - 1) * HOP + N_FFT, dtype=np.float64)
-    padded[:n] = w.samples
+    padded[:n] = samples
     windows = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP]
     power = np.abs(np.fft.rfft(windows * _WINDOW, axis=1))  # (frames, bins)
     np.square(power, out=power)
@@ -177,15 +174,15 @@ def spec_augment(m: MelSpectrogram, freq_param: int, time_param: int,
     return MelSpectrogram(values=values)
 
 
-def inject_noise(w: Waveform, snr_db_range: tuple[float, float],
-                 rng: RngStream) -> Waveform:
-    """Add Gaussian noise at an SNR drawn uniformly from snr_db_range (dB)."""
-    power = float(np.mean(w.samples.astype(np.float64) ** 2))
+def inject_noise(samples: np.ndarray, snr_db_range: tuple[float, float],
+                 rng: RngStream) -> np.ndarray:
+    """Add Gaussian noise at an SNR drawn uniformly from snr_db_range (dB).
+    Silence comes back as the same array, with no draw."""
+    power = float(np.mean(samples.astype(np.float64) ** 2))
     if power == 0.0:
-        return w
+        return samples
     gen = rng.generator()
     snr_db = float(gen.uniform(snr_db_range[0], snr_db_range[1]))
     noise_std = math.sqrt(power / 10.0 ** (snr_db / 10.0))
-    noise = gen.normal(0.0, noise_std, size=len(w.samples))
-    return Waveform(samples=(w.samples + noise).astype(np.float32),
-                    sample_rate=w.sample_rate)
+    noise = gen.normal(0.0, noise_std, size=len(samples))
+    return (samples + noise).astype(np.float32)

@@ -31,7 +31,7 @@ from . import metrics as metricsmod
 from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
                      InvariantViolation, MalformedInputError, ManifestError,
                      NumericError, ShapeError)
-from .audiofe import load_wav
+from .audiofe import SAMPLE_RATE, load_wav
 from .inference import EnsembleConfig, diacritize, predict_greedy_corpus
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
@@ -114,7 +114,7 @@ def cmd_synth(args) -> int:
     train, dev = datamod.synthesize_corpus(spec, RngStream(args.seed), args.out)
     records = train + dev
     base = os.path.abspath(args.out)
-    durations = [load_wav(os.path.join(base, r.audio)).duration for r in records]
+    durations = [len(load_wav(os.path.join(base, r.audio))) / SAMPLE_RATE for r in records]
     ratios = [diacritization_ratio(r.text) for r in records]
     print(f"samples={len(records)} (train={len(train)} dev={len(dev)})")
     print(f"mean_duration_s={np.mean(durations):.2f}")

@@ -1,23 +1,24 @@
 """Corpus ingestion, the diacritization-ratio training filter, and the
 synthetic desk-scale corpus generator.
 
-Synthetic samples draw words from a small Arabic alphabet with uniform
-diacritic classes per letter; the audio is a sequence of pure tones, one
-per letter, whose frequency encodes the letter's class. The text alone
-therefore carries no label information (1/15 prior) while the audio fully
-determines the labels, which makes the audio-contribution claim testable
-at desk scale.
+Synthetic samples draw words from the module's ALPHABET with uniform
+diacritic classes per letter; the audio, float32 samples at SAMPLE_RATE, is
+a sequence of TONE_MS pure tones, one per letter, at TONE_HZ[class]. The
+text alone therefore carries no label information (1/15 prior) while the
+audio fully determines the labels, which makes the audio-contribution claim
+testable at desk scale. A SynthSpec sets only the corpus's shape, noise and
+split; the alphabet, tones and tone length are these constants.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audiofe import SAMPLE_RATE, Waveform, load_wav, save_wav
+from .audiofe import SAMPLE_RATE, load_wav, save_wav
 from .errors import ManifestError
 from .numerics import RngStream
 from .textproc import (NUM_CLASSES, diacritization_ratio, insert_diacritics,
@@ -117,31 +118,20 @@ def corpus_from_manifest(path, records=None) -> list[CorpusSample]:
 
 # -- synthetic corpus ----------------------------------------------------
 
-_DEFAULT_ALPHABET = "بتجدرسكم"
-
-
-def default_tone_map() -> np.ndarray:
-    """Class id -> tone frequency in Hz; injective, all below Nyquist."""
-    return np.geomspace(300.0, 4200.0, NUM_CLASSES)
+ALPHABET = "بتجدرسكم"
+TONE_HZ = np.geomspace(300.0, 4200.0, NUM_CLASSES)  # class id -> tone, below Nyquist
+TONE_MS = 200.0
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     sample_count: int = 64
-    alphabet: str = _DEFAULT_ALPHABET
     words: tuple[int, int] = (7, 7)          # words per sample (min, max)
     word_length: tuple[int, int] = (5, 5)    # letters per word (min, max)
-    tone_map: tuple[float, ...] = field(
-        default_factory=lambda: tuple(default_tone_map()))
-    tone_duration_ms: float = 200.0
     noise_floor: float = 0.0
     dev_fraction: float = 0.125
 
     def __post_init__(self):
-        if len(set(self.tone_map)) != NUM_CLASSES:
-            raise ManifestError("tone map must be injective over 15 classes")
-        if max(self.tone_map) >= SAMPLE_RATE / 2:
-            raise ManifestError("tone frequencies must be below Nyquist (8 kHz)")
         if not 0.0 <= self.noise_floor < np.inf:
             raise ManifestError(f"noise floor {self.noise_floor} must be finite and non-negative")
 
@@ -153,27 +143,27 @@ def desk_synth_spec(sample_count: int = 64, noise_floor: float = 0.01) -> SynthS
                      word_length=(2, 2), noise_floor=noise_floor)
 
 
-def synthesize_sample(spec: SynthSpec, rng: RngStream) -> tuple[str, Waveform]:
-    """One gold (diacritized text, waveform) pair."""
+def synthesize_sample(spec: SynthSpec, rng: RngStream) -> tuple[str, np.ndarray]:
+    """One gold (diacritized text, float32 samples) pair."""
     gen = rng.generator()
     n_words = int(gen.integers(spec.words[0], spec.words[1] + 1))
     raw_words = []
     classes = []
     for _ in range(n_words):
         n_letters = int(gen.integers(spec.word_length[0], spec.word_length[1] + 1))
-        letters = gen.choice(list(spec.alphabet), size=n_letters)
+        letters = gen.choice(list(ALPHABET), size=n_letters)
         raw_words.append("".join(letters))
         classes.extend(int(c) for c in gen.integers(0, NUM_CLASSES, size=n_letters))
     raw = " ".join(raw_words)
     gold = insert_diacritics(raw, classes)
 
-    n_tone = int(round(spec.tone_duration_ms * SAMPLE_RATE / 1000.0))
+    n_tone = int(round(TONE_MS * SAMPLE_RATE / 1000.0))
     t = np.arange(n_tone) / SAMPLE_RATE
-    pieces = [0.3 * np.sin(2 * np.pi * spec.tone_map[c] * t) for c in classes]
+    pieces = [0.3 * np.sin(2 * np.pi * TONE_HZ[c] * t) for c in classes]
     samples = np.concatenate(pieces)
     if spec.noise_floor > 0:
         samples = samples + gen.normal(0.0, spec.noise_floor, size=len(samples))
-    return gold, Waveform(samples=samples.astype(np.float32))
+    return gold, samples.astype(np.float32)
 
 
 def synthesize_corpus(spec: SynthSpec, rng: RngStream, out_dir):

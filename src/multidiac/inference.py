@@ -15,7 +15,10 @@ and a length that changes mc_forward's stack size misses it.
 `diacritize` and greedy dev scoring are two calls of one per-sample loop:
 `diacritize` one sample of several models, never hashing or caching, and
 greedy dev scoring the one-model, one-pass, p = 0 ensemble at seed 0,
-which keeps each model's mean-pooled speech frames between calls.
+which keeps each model's mean-pooled speech frames between calls. The
+members of an ensemble share the first one's config and vocabulary (the
+CLI refuses any other mix): each sample's text is encoded once, and its
+audio, a float32 sample array, is log-mel'd at most once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .audiofe import Waveform, log_mel
+from .audiofe import log_mel
 from .errors import ShapeError
 from .model import DiacritizerModel, require_counts, require_range, stack_size
 from .numerics import RngStream
@@ -93,8 +96,8 @@ def ensemble_average(pass_probs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
 # takes no more entries: dev scoring scans its utterances in a cycle, where
 # evicting the oldest entry would drop each one just before its reuse.
 POOLED_CACHE_BYTES = 64 << 20
-# model -> (SHA-256 of its speech.* parameters, {(samples' SHA-256, dtype,
-# mels, mel_frames): mean-pooled frames}), dropped with the model
+# model -> (SHA-256 of its speech.* parameters, {(samples' SHA-256, dtype):
+# mean-pooled frames}), dropped with the model
 _pooled_cache = weakref.WeakKeyDictionary()
 
 
@@ -109,32 +112,31 @@ def _cache_of(model: DiacritizerModel) -> dict:
     return _pooled_cache[model][1]
 
 
-def _ensemble(models: list[DiacritizerModel], samples: list[tuple[str, Waveform | None]],
+def _ensemble(models: list[DiacritizerModel], samples: list[tuple[str, np.ndarray | None]],
               passes: int, p: float, seed: int, cache: bool):
     """Yield (class ids, confidence) of each (raw, waveform): the
     ensemble_average of each model mi's mc_forward, keyed by
-    RngStream(seed).child(mi). A sample is log-mel'd once per (mels,
-    mel_frames) shape that some model misses, and each miss is encoded alone
-    and detached. With cache, each model's speech weights are digested once
-    per call, and misses are added to its cache until that is full."""
+    RngStream(seed).child(mi). A sample is log-mel'd once, at the shape of
+    the first model that misses it (a later miss of another mel shape raises
+    ShapeError), and each miss is encoded alone and detached. With cache,
+    each model's speech weights are digested once per call, and misses are
+    added to its cache until that is full."""
     caches = [_cache_of(m) if cache else {} for m in models]
     for raw, waveform in samples:
         tokens, rows = models[0].encode_text(raw), models[0].letter_rows(raw)
-        audio = None
+        key = mel = None
         if cache and waveform is not None:
-            wave = np.ascontiguousarray(waveform.samples)
-            audio = hashlib.sha256(wave).digest(), wave.dtype.str
-        mels, probs = {}, []
+            wave = np.ascontiguousarray(waveform)
+            key = hashlib.sha256(wave).digest(), wave.dtype.str
+        probs = []
         for mi, (model, hits) in enumerate(zip(models, caches)):
             prefix = None
             if waveform is not None:
-                shape = (model.config.mels, model.config.mel_frames)
-                key = audio + shape if audio else None
                 pooled = hits.get(key)
                 if pooled is None:
-                    if shape not in mels:
-                        mels[shape] = log_mel(waveform, mels=shape[0], frame_budget=shape[1])
-                    pooled = next(model.pooled_frames([mels[shape]])).detach()
+                    if mel is None:
+                        mel = log_mel(waveform, model.config.mels, model.config.mel_frames)
+                    pooled = next(model.pooled_frames([mel])).detach()
                     if key and len(hits) < POOLED_CACHE_BYTES // pooled.data.nbytes:
                         hits[key] = pooled
                 prefix = model.pool_project(pooled)
@@ -143,7 +145,7 @@ def _ensemble(models: list[DiacritizerModel], samples: list[tuple[str, Waveform 
         yield ensemble_average(probs)
 
 
-def diacritize(raw: str, waveform: Waveform | None,
+def diacritize(raw: str, waveform: np.ndarray | None,
                models: list[DiacritizerModel], cfg: EnsembleConfig) -> tuple[str, list[float]]:
     """Ensemble-predict diacritics for one sample and re-insert them.
 
@@ -156,14 +158,14 @@ def diacritize(raw: str, waveform: Waveform | None,
 
 
 def predict_greedy_corpus(model: DiacritizerModel,
-                          samples: list[tuple[str, Waveform | None]]) -> list[list[int]]:
+                          samples: list[tuple[str, np.ndarray | None]]) -> list[list[int]]:
     """Greedy class ids of each (raw, waveform): the one-pass p = 0 ensemble
     of model at seed 0, with its cache of mean-pooled frames."""
     return [classes.tolist() for classes, _ in _ensemble([model], samples, 1, 0.0, 0, cache=True)]
 
 
 def predict_greedy(model: DiacritizerModel, raw: str,
-                   waveform: Waveform | None) -> list[int]:
+                   waveform: np.ndarray | None) -> list[int]:
     """Greedy prediction of one sentence: a corpus of one. No `src/` code
     calls it; it stays because perfbench's train-desk dev scorer calls it per
     sentence and its layer trace wraps it by name."""

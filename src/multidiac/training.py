@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numerics as nm
-from .audiofe import Waveform, inject_noise, log_mel, spec_augment
+from .audiofe import inject_noise, log_mel, spec_augment
 from .errors import ConfigError, FingerprintError, FormatError, NumericError
 from .model import (DiacritizerModel, ModelConfig, require_counts,
                     require_range, speech_embedding_dropout)
@@ -554,12 +554,12 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
 
 @dataclass
 class CorpusSample:
-    """Gold training sample: undiacritized text, labels, waveform."""
+    """Gold training sample: undiacritized text, labels, float32 samples."""
 
     sample_id: str
     raw: str
     targets: np.ndarray         # diacritic class per Arabic letter of raw
-    waveform: Waveform | None
+    waveform: np.ndarray | None
 
 
 def prepare_sample(model: DiacritizerModel, samples: list[CorpusSample],

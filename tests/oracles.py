@@ -34,7 +34,7 @@ import struct
 import numpy as np
 
 from multidiac.audiofe import (
-    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, _band_edges, inject_noise, log_mel,
+    HOP, N_FFT, MelSpectrogram, _band_edges, inject_noise, log_mel,
     mel_filterbank, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, NumericError
@@ -198,10 +198,10 @@ def brute_force_reference(pred: str, gold: str,
 def log_mel_reference(w, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:
     """log_mel with its frames gathered by a (frames, N_FFT) index array and
     each step allocating its result."""
-    n = len(w.samples)
+    n = len(w)
     frames = max(1, math.ceil(n / HOP))
     padded = np.zeros((frames - 1) * HOP + N_FFT, dtype=np.float64)
-    padded[:n] = w.samples
+    padded[:n] = w
     idx = np.arange(frames)[:, None] * HOP + np.arange(N_FFT)[None, :]
     window = np.hanning(N_FFT + 1)[:-1]
     spec = np.fft.rfft(padded[idx] * window, axis=1)
@@ -277,9 +277,9 @@ def canonicalize(text: str) -> str:
     return insert_diacritics(labeled.raw, labeled.labels)
 
 
-def filterbank_centers(mels: int, rate: int = SAMPLE_RATE) -> np.ndarray:
+def filterbank_centers(mels: int) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
-    return _band_edges(mels, rate)[1:-1]
+    return _band_edges(mels)[1:-1]
 
 
 def stack_budget(config, items: int, seq: int | None = None) -> int:

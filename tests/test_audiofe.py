@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from multidiac import audiofe as af
 from multidiac.audiofe import (
-    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, Waveform, inject_noise, load_wav,
+    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, inject_noise, load_wav,
     log_mel, mel_filterbank, save_wav, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, IngestError
@@ -20,7 +21,7 @@ from oracles import filterbank_centers, log_mel_reference
 
 def sine(freq, seconds=0.5, amp=0.3):
     t = np.arange(int(seconds * SAMPLE_RATE)) / SAMPLE_RATE
-    return Waveform((amp * np.sin(2 * np.pi * freq * t)).astype(np.float32))
+    return (amp * np.sin(2 * np.pi * freq * t)).astype(np.float32)
 
 
 # -- wav io --------------------------------------------------------------
@@ -31,14 +32,14 @@ def test_wav_round_trip(tmp_path):
     p = tmp_path / "a.wav"
     save_wav(p, w)
     back = load_wav(p)
-    assert back.sample_rate == SAMPLE_RATE
-    assert len(back.samples) == len(w.samples)
-    assert np.abs(back.samples - w.samples).max() < 1.0 / 32767
+    assert back.dtype == np.float32
+    assert len(back) == len(w)
+    assert np.abs(back - w).max() < 1.0 / 32767
 
 
 def test_wav_float32_codec(tmp_path):
     w = sine(200, seconds=0.1)
-    data = w.samples.astype("<f4").tobytes()
+    data = w.astype("<f4").tobytes()
     fmt = struct.pack("<HHIIHH", 3, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
     p = tmp_path / "f.wav"
     with open(p, "wb") as f:
@@ -46,14 +47,38 @@ def test_wav_float32_codec(tmp_path):
         f.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
         f.write(b"data" + struct.pack("<I", len(data)) + data)
     back = load_wav(p)
-    assert np.array_equal(back.samples, w.samples)
+    assert np.array_equal(back, w)
 
 
 def test_wav_rejects_wrong_rate(tmp_path):
     p = tmp_path / "r.wav"
-    save_wav(p, Waveform(np.zeros(100, dtype=np.float32), sample_rate=8000))
-    with pytest.raises(IngestError):
+    save_wav(p, np.zeros(100, dtype=np.float32))
+    blob = bytearray(p.read_bytes())
+    assert struct.unpack("<I", blob[24:28]) == (SAMPLE_RATE,)  # the fmt chunk's rate
+    blob[24:28] = struct.pack("<I", 8000)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(IngestError, match="expected 16000 Hz, got 8000 Hz"):
         load_wav(p)
+
+
+def test_load_wav_holds_the_file_once(tmp_path):
+    """Chunk bodies are views of the file's bytes and PCM16 is scaled in
+    place: a read peaks at the bytes plus the float32 samples, 3x the file
+    (6x when each chunk body was a copy and the scaling a new array)."""
+    p = tmp_path / "long.wav"
+    w = np.random.default_rng(0).uniform(-0.5, 0.5, 40 * SAMPLE_RATE).astype(np.float32)
+    save_wav(p, w)
+    size = p.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        back = load_wav(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * size, peak / size
+    pcm = np.frombuffer(p.read_bytes()[44:], dtype="<i2")
+    assert back.tobytes() == (pcm.astype(np.float32) / np.float32(32768.0)).tobytes()
 
 
 def test_wav_rejects_stereo(tmp_path):
@@ -153,7 +178,7 @@ def test_mutated_wav_loads_or_raises_typed_error(tmp_path_factory, fmt, data):
         w = load_wav(path)
     except (FormatError, IngestError):
         return
-    assert w.samples.dtype == np.float32 and np.all(np.isfinite(w.samples))
+    assert w.dtype == np.float32 and np.all(np.isfinite(w))
 
 
 # -- filterbank ----------------------------------------------------------
@@ -210,7 +235,7 @@ def test_log_mel_peaks_at_tone_frequency():
 
 
 def test_log_mel_silence_is_flat():
-    m = log_mel(Waveform(np.zeros(SAMPLE_RATE // 4, dtype=np.float32)))
+    m = log_mel(np.zeros(SAMPLE_RATE // 4, dtype=np.float32))
     assert np.allclose(m.values, m.values.flat[0])
 
 
@@ -276,20 +301,20 @@ def test_spec_augment_rejects_oversized_params():
 
 def test_inject_noise_hits_requested_snr():
     w = sine(440, seconds=2.0)
-    sig_p = float(np.mean(w.samples.astype(np.float64) ** 2))
+    sig_p = float(np.mean(w.astype(np.float64) ** 2))
     out = inject_noise(w, (20.0, 20.0), RngStream(4))
-    noise = out.samples.astype(np.float64) - w.samples.astype(np.float64)
+    noise = out.astype(np.float64) - w.astype(np.float64)
     snr_db = 10 * np.log10(sig_p / np.mean(noise ** 2))
     assert abs(snr_db - 20.0) < 0.5
 
 
 def test_inject_noise_uniform_draw_within_range():
     w = sine(440, seconds=0.5)
-    sig_p = float(np.mean(w.samples.astype(np.float64) ** 2))
+    sig_p = float(np.mean(w.astype(np.float64) ** 2))
     snrs = []
     for seed in range(30):
         out = inject_noise(w, (10.0, 30.0), RngStream(seed))
-        noise = out.samples.astype(np.float64) - w.samples.astype(np.float64)
+        noise = out.astype(np.float64) - w.astype(np.float64)
         snrs.append(10 * np.log10(sig_p / np.mean(noise ** 2)))
     snrs = np.array(snrs)
     assert (snrs > 9.0).all() and (snrs < 31.0).all()
@@ -297,7 +322,7 @@ def test_inject_noise_uniform_draw_within_range():
 
 
 def test_inject_noise_silence_passthrough():
-    w = Waveform(np.zeros(1000, dtype=np.float32))
+    w = np.zeros(1000, dtype=np.float32)
     assert inject_noise(w, (10.0, 30.0), RngStream(0)) is w
 
 
@@ -305,7 +330,7 @@ def test_inject_noise_deterministic():
     w = sine(440, seconds=0.1)
     a = inject_noise(w, (10.0, 30.0), RngStream(11))
     b = inject_noise(w, (10.0, 30.0), RngStream(11))
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 # -- properties ----------------------------------------------------------
@@ -315,7 +340,7 @@ def test_inject_noise_deterministic():
 @settings(max_examples=40, deadline=None)
 def test_log_mel_frame_count(n, seed):
     gen = np.random.default_rng(seed)
-    w = Waveform(gen.normal(0, 0.1, size=n).astype(np.float32))
+    w = gen.normal(0, 0.1, size=n).astype(np.float32)
     m = log_mel(w, mels=20)
     assert m.frames == max(1, math.ceil(n / HOP))
     assert np.isfinite(m.values).all()
@@ -333,7 +358,7 @@ def assert_log_mel_is_the_gather_form(w, mels, frame_budget):
 @settings(max_examples=60, deadline=None)
 def test_log_mel_is_bitwise_the_gather_form(n, scale, seed, frame_budget, mels):
     gen = np.random.default_rng(seed)
-    w = Waveform((scale * gen.normal(0, 1, size=n)).astype(np.float32))
+    w = (scale * gen.normal(0, 1, size=n)).astype(np.float32)
     assert_log_mel_is_the_gather_form(w, mels, frame_budget)
 
 
@@ -342,6 +367,6 @@ def test_log_mel_is_bitwise_the_gather_form(n, scale, seed, frame_budget, mels):
 def test_log_mel_is_bitwise_the_gather_form_on_silence_and_30_s(frame_budget, mels):
     # silence: every frame at the clamp; 30 s: 3000 frames, trimmed, exact
     # and padded by the budgets above
-    assert_log_mel_is_the_gather_form(Waveform(np.zeros(SAMPLE_RATE // 4, np.float32)),
+    assert_log_mel_is_the_gather_form(np.zeros(SAMPLE_RATE // 4, np.float32),
                                       mels, frame_budget)
     assert_log_mel_is_the_gather_form(sine(330, seconds=30.0), mels, frame_budget)

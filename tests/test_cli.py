@@ -21,7 +21,7 @@ from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
 from multidiac.data import ManifestRecord, write_manifest
 from multidiac.errors import ConfigError, FormatError
 from multidiac.inference import EnsembleConfig
-from multidiac.audiofe import Waveform, save_wav
+from multidiac.audiofe import save_wav
 from multidiac.model import DiacritizerModel, ModelConfig, desk_config
 from multidiac.numerics import RngStream
 from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
@@ -56,10 +56,43 @@ def test_synth_writes_corpus(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "samples=6" in out
+    assert "mean_duration_s=1.60" in out  # 8 letters x 200 ms
     assert (tmp_path / "train.jsonl").exists()
     assert (tmp_path / "dev.jsonl").exists()
     wavs = list((tmp_path / "audio").glob("*.wav"))
     assert len(wavs) == 6
+
+
+# SHA-256 of every file `synth` writes, for one desk-shape and one
+# default-shape corpus: the tones, their length, the alphabet, the noise
+# draws, the PCM16 encoding and the manifests are pinned byte for byte
+SYNTH_DIGESTS = {
+    ("--n", "6", "--seed", "3", "--desk-shape", "--noise-floor", "0.13"): {
+        "audio/sample00000.wav": "83c6995205e10aba975babfda5d4a297fa03f2c15bf327a11b567ca45e74f9b7",
+        "audio/sample00001.wav": "e19f95a93fd14a259422c9269d04400aabbcba2b383184af25ed16c33a57403f",
+        "audio/sample00002.wav": "a579875f9f61a78e43c2aaafdd1d84c3fe30826e2d1c3f5d880858dc23c063cc",
+        "audio/sample00003.wav": "cb456deefe26a45e7df9a105906ce0faf4f2b5ff86d2ab59e515a89077447e45",
+        "audio/sample00004.wav": "ebec7be2ee9f592f8c202458fd3bff0b7c880e44849cdbc6d83910efabc43904",
+        "audio/sample00005.wav": "98ccbe00f9539562786b2b1007e9f8f7d25c8738bf190d12ee397908ede6258d",
+        "dev.jsonl": "6fd190e7b38095702af9e415ada81de0b3dc262c2f014cec66b687cedb90edd2",
+        "train.jsonl": "fdb071e4e9b0b5edad2c10d2fc0fa106a15067f4e2986c04c86074208dd47759",
+    },
+    ("--n", "3", "--seed", "2"): {
+        "audio/sample00000.wav": "b2db944131c3b1d495cac0511f694e2fee1c89cda0a1dcf20b383e885f8118f6",
+        "audio/sample00001.wav": "d9ed6667de8d092e7819b51b81ccc1c674706ec0f7187c1169f8bd4a75bfe788",
+        "audio/sample00002.wav": "93d27421064177faeb32c9b45c21cb5a4be3d815c5547b55f177b15fd0dfcd3e",
+        "dev.jsonl": "f2e2b259b1ff9073cb349062dfa07ff089d90893fbc1d886b9a69a4dce676847",
+        "train.jsonl": "8f0fb3dd79220217c17dd8200b6c7d4916515851747f25eee72c0371b3f9f179",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(SYNTH_DIGESTS), ids=["desk", "default"])
+def test_synth_corpus_bytes_are_pinned(tmp_path, argv):
+    assert main(["synth", "--out", str(tmp_path), *argv]) == 0
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert got == SYNTH_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("noise_floor", ["-1", "nan", "inf"])
@@ -636,7 +669,7 @@ def micro_inputs(tmp_path_factory):
         "fingerprint": config_fingerprint(cfg, desk_recipe()),
         "model_cfg": serialize_config(cfg),
         "train_cfg": serialize_config(desk_recipe())})
-    save_wav(root / "a.wav", Waveform(np.sin(np.arange(3200) / 7.0).astype(np.float32) * 0.3))
+    save_wav(root / "a.wav", np.sin(np.arange(3200) / 7.0).astype(np.float32) * 0.3)
     manifest = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (
         {"id": "a", "audio": "a.wav", "text": insert_diacritics(BA + TA, [1, 2])},
         {"id": "b", "audio": "", "text": insert_diacritics(TA + BA, [0, 8])}))

@@ -1,5 +1,6 @@
 """Manifests, the ratio filter, and the synthetic tone corpus."""
 
+import dataclasses
 import json
 import os
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from multidiac.audiofe import SAMPLE_RATE, load_wav
 from multidiac.data import (
-    RATIO_THRESHOLD, ManifestRecord, SynthSpec, corpus_from_manifest,
-    default_tone_map, desk_synth_spec, filter_corpus, load_manifest,
+    RATIO_THRESHOLD, TONE_HZ, TONE_MS, ManifestRecord, SynthSpec, corpus_from_manifest,
+    desk_synth_spec, filter_corpus, load_manifest,
     synthesize_corpus, synthesize_sample, write_manifest,
 )
 from multidiac.errors import ManifestError
@@ -162,7 +163,7 @@ def test_filter_custom_threshold():
 
 
 def test_tone_map_shape():
-    tones = default_tone_map()
+    tones = TONE_HZ
     assert len(tones) == NUM_CLASSES
     assert len(set(tones)) == NUM_CLASSES
     assert tones[0] == pytest.approx(300.0)
@@ -172,10 +173,9 @@ def test_tone_map_shape():
 
 
 def test_synth_spec_validation():
-    with pytest.raises(ManifestError):
-        SynthSpec(tone_map=tuple([440.0] * NUM_CLASSES))
-    with pytest.raises(ManifestError):
-        SynthSpec(tone_map=tuple(np.linspace(100, 9000, NUM_CLASSES)))
+    # the alphabet, tones and tone length are module constants, not settings
+    assert [f.name for f in dataclasses.fields(SynthSpec)] == [
+        "sample_count", "words", "word_length", "noise_floor", "dev_fraction"]
     for noise_floor in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ManifestError, match="noise floor"):
             SynthSpec(noise_floor=noise_floor)
@@ -185,7 +185,7 @@ def test_desk_shape_fits_frame_budget():
     spec = desk_synth_spec()
     # 4 words x 2 letters x 200 ms = 1.6 s of tones, within the 2 s budget
     max_letters = spec.words[1] * spec.word_length[1]
-    assert max_letters * spec.tone_duration_ms <= 2000.0
+    assert max_letters * TONE_MS <= 2000.0
     assert max_letters <= 10  # one pooled prefix slot per letter
 
 
@@ -196,21 +196,21 @@ def test_synthesize_sample_structure():
     n_letters = len(lab.letter_positions)
     assert len(lab.word_boundaries) == 4
     assert n_letters == 8
-    want = int(round(n_letters * spec.tone_duration_ms * SAMPLE_RATE / 1000))
-    assert len(wav.samples) == want
-    assert np.abs(wav.samples).max() <= 0.4
+    want = int(round(n_letters * TONE_MS * SAMPLE_RATE / 1000))
+    assert wav.dtype == np.float32 and len(wav) == want
+    assert np.abs(wav).max() <= 0.4
 
 
 def test_synthesize_sample_tone_encodes_class():
     spec = desk_synth_spec(noise_floor=0.0)
     gold, wav = synthesize_sample(spec, RngStream(5))
     lab = label_from_diacritized(gold)
-    n_tone = int(round(spec.tone_duration_ms * SAMPLE_RATE / 1000))
+    n_tone = int(round(TONE_MS * SAMPLE_RATE / 1000))
     for k, cls in enumerate(lab.labels):
-        seg = wav.samples[k * n_tone:(k + 1) * n_tone].astype(np.float64)
+        seg = wav[k * n_tone:(k + 1) * n_tone].astype(np.float64)
         spectrum = np.abs(np.fft.rfft(seg))
         freq = np.fft.rfftfreq(len(seg), 1 / SAMPLE_RATE)[spectrum.argmax()]
-        assert abs(freq - spec.tone_map[cls]) < 10.0
+        assert abs(freq - TONE_HZ[cls]) < 10.0
 
 
 def test_synthesize_deterministic():
@@ -218,9 +218,9 @@ def test_synthesize_deterministic():
     a = synthesize_sample(spec, RngStream(9))
     b = synthesize_sample(spec, RngStream(9))
     assert a[0] == b[0]
-    assert np.array_equal(a[1].samples, b[1].samples)
+    assert np.array_equal(a[1], b[1])
     c = synthesize_sample(spec, RngStream(10))
-    assert a[0] != c[0] or not np.array_equal(a[1].samples, c[1].samples)
+    assert a[0] != c[0] or not np.array_equal(a[1], c[1])
 
 
 def test_synthesize_corpus_layout(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from multidiac import inference
 from multidiac import numerics as nm
-from multidiac.audiofe import SAMPLE_RATE, Waveform
+from multidiac.audiofe import SAMPLE_RATE
 from multidiac.errors import ConfigError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy, predict_greedy_corpus)
@@ -265,7 +265,7 @@ def test_diacritize_uses_audio():
     model = model_with()
     cfg = EnsembleConfig(passes_per_model=1, inference_dropout_p=0.0, seed=0)
     gen = np.random.default_rng(0)
-    wav = Waveform(gen.normal(0, 0.1, SAMPLE_RATE).astype(np.float32))
+    wav = gen.normal(0, 0.1, SAMPLE_RATE).astype(np.float32)
     a = diacritize("بت", None, [model], cfg)
     b = diacritize("بت", wav, [model], cfg)
     assert a[1] != b[1]
@@ -297,8 +297,7 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     real_log_mel = inference.log_mel
     models = [model_with(seed=s) for s in range(4)]
     cfg = EnsembleConfig(passes_per_model=2, seed=4)
-    wav = Waveform(np.random.default_rng(1).normal(0, 0.1, SAMPLE_RATE)
-                   .astype(np.float32))
+    wav = np.random.default_rng(1).normal(0, 0.1, SAMPLE_RATE).astype(np.float32)
     # reference: each model's probabilities from its own log-mel
     run = RngStream(cfg.seed)
     tokens = models[0].encode_text("بت")
@@ -317,12 +316,14 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     assert text == insert_diacritics("بت", [int(c) for c in classes])
     assert confidence == [float(c) for c in conf]
 
-    # models with another mel shape get their own
+    # a member of another mel shape is refused: the sample's one log-mel
+    # is made at the first member's shape
     other = ModelConfig(**{**desk_config(vocab_size=10).__dict__, "mels": 40})
     calls.clear()
-    diacritize("بت", wav, models[:2] + [DiacritizerModel(other, VOCAB, RngStream(5))],
-               cfg)
-    assert calls == [(80, 200), (40, 200)]
+    with pytest.raises(ShapeError, match="mel bins"):
+        diacritize("بت", wav, models[:2] + [DiacritizerModel(other, VOCAB, RngStream(5))],
+                   cfg)
+    assert calls == [(80, 200)]
 
 
 def test_scoring_the_letter_rows_alone_predicts_what_the_whole_forward_does():
@@ -367,7 +368,7 @@ def test_greedy_scoring_is_the_one_pass_p_zero_ensemble_at_any_seed(seed):
 
 def noise_wav(seed, seconds=1.0):
     gen = np.random.default_rng(seed)
-    return Waveform(gen.normal(0, 0.1, int(seconds * SAMPLE_RATE)).astype(np.float32))
+    return gen.normal(0, 0.1, int(seconds * SAMPLE_RATE)).astype(np.float32)
 
 
 def fresh_copy(model):
@@ -431,7 +432,7 @@ def test_predict_greedy_on_a_warm_cache_is_a_fresh_model(encode_calls):
     # object are a hit
     encode_calls["encode"] = 0
     predict_greedy(model, RAWS[0], noise_wav(7))
-    predict_greedy(model, RAWS[0], Waveform(wavs[0].samples.copy()))
+    predict_greedy(model, RAWS[0], wavs[0].copy())
     assert encode_calls["encode"] == 1
 
 
