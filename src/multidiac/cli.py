@@ -230,6 +230,8 @@ def cmd_eval(args) -> int:
     pred, gold = ({r.id: r.text for r in datamod.load_manifest(p, check_audio=False)}
                   for p in (args.pred, args.gold))
     report = metricsmod.evaluate_corpus(pred, gold, flags)
+    if not report.words:
+        raise ManifestError(f"{args.gold}: no word to score")
     sys.stdout.write(report.as_lines())
     return 0
 

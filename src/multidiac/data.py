@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audiofe import SAMPLE_RATE, load_wav, save_wav
-from .errors import ManifestError
+from .errors import MalformedInputError, ManifestError
 from .numerics import RngStream
 from .textproc import (NUM_CLASSES, diacritization_ratio, insert_diacritics,
                        label_from_diacritized, normalize)
@@ -107,7 +107,10 @@ def corpus_from_manifest(path, records=None) -> list[CorpusSample]:
     base = os.path.dirname(os.path.abspath(path))
     samples = []
     for r in records:
-        labeled = label_from_diacritized(r.text)
+        try:
+            labeled = label_from_diacritized(r.text)
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{path}: record {r.id!r}: {e}", e.offset) from None
         wav = load_wav(os.path.join(base, r.audio)) if r.audio else None
         samples.append(CorpusSample(
             sample_id=r.id, raw=labeled.raw,

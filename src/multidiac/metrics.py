@@ -1,17 +1,21 @@
 """DER/WER/SER scoring with case-ending and no-diacritic flags.
 
-A letter position errs when its predicted class differs from gold; a word
-errs when any counted position in it errs; a sentence errs when any word
-errs. The primary setting counts case endings and no-diacritic positions
-(both flags true) and all corpus scores are micro-averaged.
+A word is a whitespace-delimited token of the gold text holding an Arabic
+letter, and its last letter is its case ending. A letter position errs when
+its predicted class differs from gold; a word errs when any counted position
+in it errs; a sentence errs when any word errs. The primary setting,
+`MetricFlags()`, counts case endings and no-diacritic positions, and corpus
+scores are micro-averaged: a corpus's `Tallies` is the sum of its
+sentences'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import islice
 
-from .errors import ManifestError
-from .textproc import label_from_diacritized
+from .errors import MalformedInputError, ManifestError
+from .textproc import ARABIC_LETTERS, label_from_diacritized
 
 class AlignmentError(ValueError):
     """Prediction and gold disagree on the underlying (stripped) text."""
@@ -23,9 +27,6 @@ class MetricFlags:
     include_no_diacritic: bool = True
 
 
-PRIMARY_FLAGS = MetricFlags(True, True)
-
-
 @dataclass
 class Tallies:
     positions: int = 0
@@ -35,20 +36,20 @@ class Tallies:
     sentences: int = 0
     sentence_errors: int = 0
 
-    def merge(self, other: "Tallies") -> "Tallies":
-        return Tallies(*(getattr(self, f) + getattr(other, f)
-                         for f in ("positions", "position_errors", "words",
-                                   "word_errors", "sentences", "sentence_errors")))
+    def __add__(self, other: "Tallies") -> "Tallies":
+        return Tallies(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
+    @property
+    def der(self) -> float:
+        return self.position_errors / self.positions if self.positions else 0.0
 
-@dataclass
-class ScoreReport:
-    der: float
-    wer: float
-    ser: float
-    positions: int
-    words: int
-    sentences: int
+    @property
+    def wer(self) -> float:
+        return self.word_errors / self.words if self.words else 0.0
+
+    @property
+    def ser(self) -> float:
+        return self.sentence_errors / self.sentences if self.sentences else 0.0
 
     def as_lines(self) -> str:
         return (f"der={self.der:.4f}\nwer={self.wer:.4f}\nser={self.ser:.4f}\n"
@@ -56,7 +57,7 @@ class ScoreReport:
                 f"sentences={self.sentences}\n")
 
 
-def score_pair(pred: str, gold: str, flags: MetricFlags = PRIMARY_FLAGS) -> Tallies:
+def score_pair(pred: str, gold: str, flags: MetricFlags = MetricFlags()) -> Tallies:
     """Per-sentence tallies for one (prediction, gold) pair."""
     pl = label_from_diacritized(pred)
     gl = label_from_diacritized(gold)
@@ -65,35 +66,26 @@ def score_pair(pred: str, gold: str, flags: MetricFlags = PRIMARY_FLAGS) -> Tall
                      min(len(pl.raw), len(gl.raw)))
         raise AlignmentError(f"base text mismatch at offset {first}")
 
-    case_endings = gl.case_ending_positions()
-    word_of = gl.letter_words
-    t = Tallies(sentences=1, words=len(gl.word_boundaries))
-    word_err = [False] * len(gl.word_boundaries)
-    for li, (pc, gc) in enumerate(zip(pl.labels, gl.labels)):
-        if not flags.include_case_endings and li in case_endings:
+    t = Tallies(sentences=1)
+    pairs = zip(pl.labels, gl.labels)  # (pred, gold) per letter, in text order
+    for token in gl.raw.split():
+        word = list(islice(pairs, sum(c in ARABIC_LETTERS for c in token)))
+        if not word:  # a token with no Arabic letter is not a word
             continue
-        if not flags.include_no_diacritic and gc == 0:
-            continue
-        t.positions += 1
-        if pc != gc:
-            t.position_errors += 1
-            word_err[word_of[li]] = True
-    t.word_errors = sum(word_err)
-    t.sentence_errors = 1 if t.word_errors > 0 else 0
+        if not flags.include_case_endings:
+            word.pop()
+        counted = [p != g for p, g in word if flags.include_no_diacritic or g]
+        t.words += 1
+        t.positions += len(counted)
+        t.position_errors += sum(counted)
+        t.word_errors += any(counted)
+    t.sentence_errors = int(t.word_errors > 0)
     return t
 
 
-def report_from_tallies(t: Tallies) -> ScoreReport:
-    return ScoreReport(
-        der=t.position_errors / t.positions if t.positions else 0.0,
-        wer=t.word_errors / t.words if t.words else 0.0,
-        ser=t.sentence_errors / t.sentences if t.sentences else 0.0,
-        positions=t.positions, words=t.words, sentences=t.sentences)
-
-
 def evaluate_corpus(pred_by_id: dict[str, str], gold_by_id: dict[str, str],
-                    flags: MetricFlags = PRIMARY_FLAGS) -> ScoreReport:
-    """Micro-averaged corpus scores; ids must align exactly."""
+                    flags: MetricFlags = MetricFlags()) -> Tallies:
+    """Micro-averaged corpus tallies; ids must align exactly."""
     missing = sorted(set(gold_by_id) - set(pred_by_id))
     extra = sorted(set(pred_by_id) - set(gold_by_id))
     if missing or extra:
@@ -101,5 +93,9 @@ def evaluate_corpus(pred_by_id: dict[str, str], gold_by_id: dict[str, str],
                             f"extra={extra}")
     total = Tallies()
     for sid in sorted(gold_by_id):
-        total = total.merge(score_pair(pred_by_id[sid], gold_by_id[sid], flags))
-    return report_from_tallies(total)
+        try:
+            total += score_pair(pred_by_id[sid], gold_by_id[sid], flags)
+        except (AlignmentError, MalformedInputError) as e:
+            e.args = (f"sample {sid!r}: {e}",)  # type and offset kept
+            raise
+    return total

@@ -1,6 +1,9 @@
 """Arabic text handling: diacritic stripping, 15-class labeling, positional
 re-insertion, the training-data ratio filter, and vocabulary encoding.
 
+A labeled text is its undiacritized characters and one class per Arabic
+letter, in order; words and case endings are the scorer's to find.
+
 The label inventory is the 15-class scheme used by character-level Arabic
 diacritizers: class 0 is "no diacritic", classes 1-7 the seven single marks,
 class 8 shadda alone, and 9-14 shadda composed with each vowel/tanween mark.
@@ -10,9 +13,7 @@ input since real corpora mix them.
 
 from __future__ import annotations
 
-import re
 import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, MalformedInputError
@@ -80,24 +81,10 @@ def marks_of_class(class_id: int) -> str:
 
 @dataclass
 class LabeledText:
-    """Undiacritized text plus per-letter class labels and position index."""
+    """Undiacritized text plus the class label of each of its Arabic letters."""
 
     raw: str
-    letter_positions: list[int]
     labels: list[int]
-    word_boundaries: list[tuple[int, int]]
-
-    @property
-    def letter_words(self) -> list[int]:
-        """Index (into word_boundaries) of each letter's word; every letter
-        lies in exactly one word span."""
-        starts = [start for start, _ in self.word_boundaries]
-        return [bisect_right(starts, pos) - 1 for pos in self.letter_positions]
-
-    def case_ending_positions(self) -> set[int]:
-        """Index (into letter_positions) of the last letter of each word."""
-        words = self.letter_words + [-1]
-        return {i for i in range(len(words) - 1) if words[i] != words[i + 1]}
 
 
 def normalize(text: str) -> str:
@@ -114,13 +101,6 @@ def strip_diacritics(text: str) -> str:
 def letter_indices(raw: str) -> list[int]:
     """Offsets of the Arabic letters of raw: the characters that carry a class."""
     return [i for i, c in enumerate(raw) if c in ARABIC_LETTERS]
-
-
-def word_spans(raw: str) -> list[tuple[int, int]]:
-    """Whitespace-delimited maximal runs containing at least one Arabic letter."""
-    # \s is str.isspace() on every code point
-    return [m.span() for m in re.finditer(r"\S+", raw)
-            if any(c in ARABIC_LETTERS for c in m.group())]
 
 
 def label_from_diacritized(text: str) -> LabeledText:
@@ -148,9 +128,7 @@ def label_from_diacritized(text: str) -> LabeledText:
     if current_marks is not None:
         labels.append(class_of_marks(current_marks, offset=current_offset))
 
-    raw = "".join(raw_chars)
-    return LabeledText(raw=raw, letter_positions=letter_indices(raw),
-                       labels=labels, word_boundaries=word_spans(raw))
+    return LabeledText(raw="".join(raw_chars), labels=labels)
 
 
 def insert_diacritics(raw: str, predictions: list[int]) -> str:
@@ -160,11 +138,11 @@ def insert_diacritics(raw: str, predictions: list[int]) -> str:
     on any failure: (1) stripping the output recovers raw; (2) diacritic
     count matches predictions; (3) all letter positions are consumed.
     """
-    letter_positions = letter_indices(raw)
-    if len(predictions) != len(letter_positions):
+    n_letters = len(letter_indices(raw))
+    if len(predictions) != n_letters:
         raise InvariantViolation(
             2, f"diacritic count {len(predictions)} does not match "
-               f"{len(letter_positions)} letter positions")
+               f"{n_letters} letter positions")
 
     out = []
     consumed = 0
@@ -176,9 +154,9 @@ def insert_diacritics(raw: str, predictions: list[int]) -> str:
             consumed += 1
     result = "".join(out)
 
-    if consumed != len(letter_positions):
+    if consumed != n_letters:
         raise InvariantViolation(
-            3, f"only {consumed} of {len(letter_positions)} letter positions consumed")
+            3, f"only {consumed} of {n_letters} letter positions consumed")
     if strip_diacritics(result) != raw:
         raise InvariantViolation(1, "stripping the output does not recover the input")
     return result
@@ -225,10 +203,3 @@ class Vocabulary:
 
     def id_of(self, char: str) -> int:
         return self._index.get(char, self.UNK)
-
-    def serialize(self) -> str:
-        return self.chars
-
-    @classmethod
-    def deserialize(cls, chars: str) -> "Vocabulary":
-        return cls(chars)

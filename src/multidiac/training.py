@@ -365,7 +365,7 @@ def save_checkpoint(path, model: DiacritizerModel, meta: dict):
     two keys with one text form are refused (ConfigError) before anything
     is written."""
     meta = dict(meta)
-    meta.setdefault("vocab", model.vocab.serialize())
+    meta.setdefault("vocab", model.vocab.chars)
     text = {str(k): str(v) for k, v in meta.items()}
     if len(text) != len(meta):
         raise ConfigError("two metadata keys have the same text form")
@@ -541,7 +541,7 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
     if vocab is None:
         if "vocab" not in meta:
             raise FormatError(f"{path}: metadata has no vocab entry")
-        vocab = Vocabulary.deserialize(meta["vocab"])
+        vocab = Vocabulary(meta["vocab"])
     try:
         return DiacritizerModel(model_cfg, vocab, weights=tensors)
     except (ConfigError, nm.ShapeError) as e:

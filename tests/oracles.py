@@ -3,9 +3,9 @@
 None is used by the package itself: `grad_check` measures reverse-mode
 gradients against central finite differences, `keys_of` builds a key array
 from each stream's own `key`, `dropout_masks_reference` draws dropout masks
-the plain way, one fresh generator per stream, `word_spans_reference` finds
-word spans with a `str.isspace()` scan, `brute_force_reference`
-re-scores a (prediction, gold) pair without the scorer's helpers, and
+the plain way, one fresh generator per stream, `brute_force_reference`
+re-scores a (prediction, gold) pair without the scorer's helpers, finding
+its words with a `str.isspace()` scan, and
 `log_mel_reference`, `conv1d_reference` and `adamw_reference` are the
 allocating, index-gather forms of `log_mel`, `conv1d` and `adamw_step`.
 `prepare_sample_reference` prepares one training sample with its own
@@ -22,7 +22,8 @@ graph: every node lives until the sweep ends, and only interior gradients
 are cleared. `read_checkpoint_reference` reads a checkpoint
 the whole-file way: the file into one buffer, its SHA-256 checked, then
 every tensor copied out. `canonicalize` and `filterbank_centers`
-are test helpers over the package's text and mel code, and `stack_budget`
+are test helpers over the package's text and mel code, `ODD_SPACES` are
+whitespace characters beyond ASCII for text strategies, and `stack_budget`
 is the `nm.STACK_BUDGET_BYTES` at which `model.stack_size` gives a chosen
 stack size, by the rule written out again.
 """
@@ -38,7 +39,7 @@ from multidiac.audiofe import (
     mel_filterbank, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, NumericError
-from multidiac.metrics import PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies
+from multidiac.metrics import AlignmentError, MetricFlags, Tallies
 from multidiac import numerics as nm
 from multidiac.model import speech_embedding_dropout
 from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
@@ -47,6 +48,10 @@ from multidiac.textproc import (
     label_from_diacritized,
 )
 from multidiac.training import PreparedSample
+
+# characters str.isspace() counts as whitespace beyond ASCII: a file
+# separator, NEL, NBSP, the line separator and the ideographic space
+ODD_SPACES = ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 
 
 def grad_check(f, x: Tensor, h: float = 1e-4, max_coords: int | None = None,
@@ -107,26 +112,8 @@ def dropout_masks_reference(streams, p: float, shape: tuple, dtype) -> np.ndarra
     return ((draws >= p) / (1.0 - p)).astype(dtype)
 
 
-def word_spans_reference(raw: str) -> list[tuple[int, int]]:
-    """word_spans as a character scan: maximal runs of characters that are
-    not str.isspace(), kept when one holds an Arabic letter."""
-    spans = []
-    start = None
-    for i, c in enumerate(raw):
-        if c.isspace():
-            if start is not None:
-                spans.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        spans.append((start, len(raw)))
-    return [(s, e) for s, e in spans
-            if any(raw[i] in ARABIC_LETTERS for i in range(s, e))]
-
-
 def brute_force_reference(pred: str, gold: str,
-                          flags: MetricFlags = PRIMARY_FLAGS) -> Tallies:
+                          flags: MetricFlags = MetricFlags()) -> Tallies:
     """Deliberately naive re-implementation used as a test oracle: walks
     both strings character by character, no shared helpers beyond the mark
     tables."""

@@ -23,8 +23,7 @@ from multidiac.data import (ManifestRecord, corpus_from_manifest,
                             desk_synth_spec, filter_corpus, synthesize_corpus)
 from multidiac.errors import FormatError
 from multidiac.inference import EnsembleConfig, diacritize, predict_greedy
-from multidiac.metrics import (MetricFlags, Tallies, report_from_tallies,
-                               score_pair)
+from multidiac.metrics import MetricFlags, Tallies, score_pair
 from multidiac.model import (DiacritizerModel, count_parameters, desk_config,
                              full_scale_config)
 from multidiac.numerics import RngStream
@@ -82,11 +81,11 @@ def _dev_der(model, dev):
     t = Tallies()
     for s in dev:
         pred = predict_greedy(model, s.raw, s.waveform)
-        t = t.merge(score_pair(
+        t += score_pair(
             insert_diacritics(s.raw, pred),
             insert_diacritics(s.raw, [int(c) for c in s.targets]),
-            MetricFlags()))
-    return report_from_tallies(t).der
+            MetricFlags())
+    return t.der
 
 
 def _fresh_model(corpus, seed=42, dtype=np.float32):
@@ -245,7 +244,7 @@ def test_criterion_05_metric_oracle_equivalence():
     raw = "".join(letters[:3])
     gold = insert_diacritics(raw, [1, 2, 3])
     pred = insert_diacritics(raw, [1, 2, 4])
-    r = report_from_tallies(score_pair(pred, gold))
+    r = score_pair(pred, gold)
     exact = (abs(r.der - 1 / 3) < 1e-12 and r.wer == 1.0 and r.ser == 1.0)
     verdict(5, "metric oracle equivalence", mismatches == 0 and exact,
             "1000 pairs x 4 flag sets")

@@ -28,7 +28,7 @@ from multidiac.textproc import Vocabulary, insert_diacritics, strip_diacritics
 from multidiac.training import (config_fingerprint, desk_recipe, read_checkpoint,
                                 save_checkpoint, serialize_config)
 
-BA, TA = "ب", "ت"
+BA, TA, FATHA = "ب", "ت", "َ"
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,53 @@ def test_infer_deterministic(trained, tmp_path):
     assert outs[0] == outs[1]
 
 
+# `eval`'s stdout under each flag pair, for tests/data/pair_predictions.jsonl:
+# the recorded output of `infer --passes 2` with two desk checkpoints
+# (`train --preset desk --seed 1` and `--seed 2` on train.jsonl) over the
+# records of `synth --n 12 --seed 5 --desk-shape`, train then dev, scored
+# against that corpus
+EVAL_STDOUT = {
+    ("include", "include"): "der=0.8021\nwer=0.9792\nser=1.0000\n"
+                            "positions=96\nwords=48\nsentences=12\n",
+    ("include", "exclude"): "der=0.7957\nwer=0.9583\nser=1.0000\n"
+                            "positions=93\nwords=48\nsentences=12\n",
+    ("exclude", "include"): "der=0.8542\nwer=0.8542\nser=1.0000\n"
+                            "positions=48\nwords=48\nsentences=12\n",
+    ("exclude", "exclude"): "der=0.8478\nwer=0.8125\nser=1.0000\n"
+                            "positions=46\nwords=48\nsentences=12\n",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_gold(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("pinned")
+    assert main(["synth", "--out", str(corpus), "--n", "12", "--seed", "5",
+                 "--desk-shape"]) == 0
+    gold = corpus / "all.jsonl"
+    gold.write_bytes((corpus / "train.jsonl").read_bytes()
+                     + (corpus / "dev.jsonl").read_bytes())
+    return gold
+
+
+@pytest.mark.parametrize("flags", list(EVAL_STDOUT), ids="-".join)
+def test_eval_stdout_is_pinned(pinned_gold, capsys, flags):
+    pred = Path(__file__).parent / "data" / "pair_predictions.jsonl"
+    assert main(["eval", "--pred", str(pred), "--gold", str(pinned_gold),
+                 "--case-endings", flags[0], "--no-diacritic", flags[1]]) == 0
+    assert capsys.readouterr().out == EVAL_STDOUT[flags]
+
+
+@pytest.mark.parametrize("records", [[], [ManifestRecord("a", "", "123 abc")]],
+                         ids=["no-records", "no-arabic-letter"])
+def test_eval_with_no_word_to_score_is_a_data_error(tmp_path, capsys, records):
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, records)
+    assert main(["eval", "--pred", str(path), "--gold", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: no word to score\n"
+    assert captured.out == ""
+
+
 def test_eval_flag_combinations(trained, tmp_path, capsys):
     corpus, _ = trained
     gold = corpus / "dev.jsonl"
@@ -237,6 +284,34 @@ def test_data_error_alignment_mismatch(tmp_path, capsys):
     write_manifest(pred, [ManifestRecord("a", "", insert_diacritics(BA, [1]))])
     write_manifest(gold, [ManifestRecord("a", "", insert_diacritics(TA, [1]))])
     assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+
+
+def test_eval_names_the_sample_that_fails(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    gold = tmp_path / "gold.jsonl"
+    ok = insert_diacritics(BA, [1])
+    write_manifest(pred, [ManifestRecord("a", "", ok),
+                          ManifestRecord("b", "", insert_diacritics(TA, [1]))])
+    write_manifest(gold, [ManifestRecord("a", "", ok),
+                          ManifestRecord("b", "", insert_diacritics(BA, [1]))])
+    assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: sample 'b': base text mismatch at offset 0\n")
+
+
+def test_train_names_the_record_with_a_stray_mark(tmp_path, capsys):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(manifest, [
+        ManifestRecord("a", "", insert_diacritics(BA + TA, [1, 2])),
+        ManifestRecord("b", "", insert_diacritics(BA, [1]) + " " + FATHA)])
+    out = tmp_path / "o"
+    rc = main(["train", "--manifest", str(manifest), "--out", str(out),
+               "--preset", "desk"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err == (f"error: {manifest}: record 'b': diacritic at offset 3 has "
+                   f"no preceding Arabic letter\n")
+    assert not out.exists()
 
 
 def test_data_error_corrupt_checkpoint(trained, tmp_path, capsys):

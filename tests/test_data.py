@@ -15,7 +15,7 @@ from multidiac.data import (
     desk_synth_spec, filter_corpus, load_manifest,
     synthesize_corpus, synthesize_sample, write_manifest,
 )
-from multidiac.errors import ManifestError
+from multidiac.errors import MalformedInputError, ManifestError
 from multidiac.numerics import RngStream
 from multidiac.textproc import (NUM_CLASSES, diacritization_ratio,
                                 insert_diacritics, label_from_diacritized,
@@ -193,8 +193,8 @@ def test_synthesize_sample_structure():
     spec = desk_synth_spec()
     gold, wav = synthesize_sample(spec, RngStream(3))
     lab = label_from_diacritized(gold)
-    n_letters = len(lab.letter_positions)
-    assert len(lab.word_boundaries) == 4
+    n_letters = len(lab.labels)
+    assert len(lab.raw.split()) == 4
     assert n_letters == 8
     want = int(round(n_letters * TONE_MS * SAMPLE_RATE / 1000))
     assert wav.dtype == np.float32 and len(wav) == want
@@ -244,3 +244,14 @@ def test_corpus_from_manifest_text_only(tmp_path):
     (s,) = corpus_from_manifest(p)
     assert s.waveform is None
     assert list(s.targets) == [4]
+
+
+def test_corpus_from_manifest_names_the_record_with_a_stray_mark(tmp_path):
+    p = tmp_path / "m.jsonl"
+    write_manifest(p, [ManifestRecord("a", "", insert_diacritics(BA, [4])),
+                       ManifestRecord("b", "", BA + " " + FATHA)])
+    with pytest.raises(MalformedInputError) as e:
+        corpus_from_manifest(p)
+    assert str(e.value) == (f"{p}: record 'b': diacritic at offset 2 has no "
+                            f"preceding Arabic letter")
+    assert e.value.offset == 2

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidiac.errors import ManifestError
+from multidiac.errors import MalformedInputError, ManifestError
 from multidiac.metrics import (
-    PRIMARY_FLAGS, AlignmentError, MetricFlags, Tallies, evaluate_corpus,
-    report_from_tallies, score_pair,
+    AlignmentError, MetricFlags, Tallies, evaluate_corpus, score_pair,
 )
-from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES,
+from multidiac.textproc import (ARABIC_LETTERS, FATHA, NUM_CLASSES,
                                 insert_diacritics)
-from oracles import brute_force_reference
+from oracles import ODD_SPACES, brute_force_reference
 
 BA, TA, MEEM = "ب", "ت", "م"
 ALL_FLAGS = [MetricFlags(a, b) for a in (True, False) for b in (True, False)]
@@ -34,7 +33,7 @@ def test_worked_example_der_wer_ser():
     raw = BA + TA + MEEM
     gold = diacritized(raw, [1, 2, 3])
     pred = diacritized(raw, [1, 2, 4])
-    r = report_from_tallies(score_pair(pred, gold))
+    r = score_pair(pred, gold)
     assert r.der == pytest.approx(1 / 3)
     assert r.wer == 1.0
     assert r.ser == 1.0
@@ -72,19 +71,20 @@ def test_alignment_error_reports_offset():
 def test_tallies_merge():
     a = Tallies(3, 1, 2, 1, 1, 1)
     b = Tallies(5, 0, 3, 0, 1, 0)
-    m = a.merge(b)
+    m = a + b
+    assert (a, b) == (Tallies(3, 1, 2, 1, 1, 1), Tallies(5, 0, 3, 0, 1, 0))
     assert (m.positions, m.position_errors) == (8, 1)
     assert (m.words, m.word_errors) == (5, 1)
     assert (m.sentences, m.sentence_errors) == (2, 1)
 
 
 def test_report_handles_empty_tallies():
-    r = report_from_tallies(Tallies())
+    r = Tallies()
     assert (r.der, r.wer, r.ser) == (0.0, 0.0, 0.0)
 
 
 def test_report_as_lines_format():
-    lines = report_from_tallies(Tallies(4, 1, 2, 1, 1, 0)).as_lines()
+    lines = Tallies(4, 1, 2, 1, 1, 0).as_lines()
     assert "der=0.2500" in lines and "wer=0.5000" in lines
     assert "positions=4" in lines
 
@@ -96,6 +96,7 @@ def test_evaluate_corpus_micro_average():
     r = evaluate_corpus(pred, gold)
     assert r.der == pytest.approx(1 / 3)  # 1 error over 3 positions pooled
     assert r.sentences == 2 and r.ser == 0.5
+    assert r == score_pair(pred["a"], gold["a"]) + score_pair(pred["b"], gold["b"])
 
 
 def test_evaluate_corpus_id_mismatch():
@@ -103,16 +104,40 @@ def test_evaluate_corpus_id_mismatch():
         evaluate_corpus({"a": ""}, {"b": ""})
 
 
+def test_evaluate_corpus_names_the_sample_that_fails():
+    ok = diacritized(BA, [1])
+    gold = {"a": ok, "b": diacritized(BA + TA, [1, 2])}
+    with pytest.raises(AlignmentError) as e:
+        evaluate_corpus({"a": ok, "b": diacritized(MEEM + TA, [1, 2])}, gold)
+    assert str(e.value) == "sample 'b': base text mismatch at offset 0"
+    with pytest.raises(MalformedInputError) as e:
+        evaluate_corpus({"a": ok, "b": " " + FATHA + BA + TA}, gold)
+    assert str(e.value) == ("sample 'b': diacritic at offset 1 has no "
+                            "preceding Arabic letter")
+    assert e.value.offset == 1
+
+
 # -- oracle equivalence --------------------------------------------------
+
+
+# str.isspace() characters that can separate tokens
+SPACES = [" ", "\t", "\n"] + ODD_SPACES
 
 
 @st.composite
 def sentence_pairs(draw):
-    letters = st.sampled_from(sorted(ARABIC_LETTERS)[:10])
-    words = draw(st.lists(st.lists(letters, min_size=1, max_size=4),
-                          min_size=1, max_size=4))
-    raw = " ".join("".join(w) for w in words)
-    n = sum(len(w) for w in words)
+    # tokens of letters and of ".", "x" and "1": a token with no letter is
+    # not a word
+    chars = st.sampled_from(sorted(ARABIC_LETTERS)[:10] + [".", "x", "1"])
+    tokens = draw(st.lists(st.text(chars, min_size=1, max_size=4),
+                           min_size=1, max_size=4))
+    space = st.sampled_from(SPACES)
+    gaps = draw(st.lists(st.text(space, min_size=1, max_size=2),
+                         min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    raw = (draw(st.text(space, max_size=1)) + tokens[0]
+           + "".join(g + t for g, t in zip(gaps, tokens[1:]))
+           + draw(st.text(space, max_size=1)))
+    n = sum(c in ARABIC_LETTERS for c in raw)
     classes = st.integers(0, NUM_CLASSES - 1)
     gold = draw(st.lists(classes, min_size=n, max_size=n))
     pred = draw(st.lists(classes, min_size=n, max_size=n))
@@ -131,7 +156,7 @@ def test_score_pair_matches_brute_force(pair, flag_idx):
 @settings(max_examples=100, deadline=None)
 def test_error_hierarchy(pair):
     pred, gold = pair
-    t = score_pair(pred, gold, PRIMARY_FLAGS)
+    t = score_pair(pred, gold)
     assert 0 <= t.position_errors <= t.positions
     assert 0 <= t.word_errors <= t.words
     assert t.sentence_errors == (1 if t.word_errors else 0)

@@ -18,7 +18,8 @@ from multidiac.model import (
 )
 from multidiac.numerics import RngStream
 from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES, Vocabulary,
-                                insert_diacritics, label_from_diacritized)
+                                insert_diacritics, label_from_diacritized,
+                                letter_indices)
 from oracles import keys_of, stack_budget
 
 VOCAB = Vocabulary("بتثجح")
@@ -187,7 +188,7 @@ def test_letter_rows_are_label_positions_past_the_prefix(chars, data):
     rows = model.letter_rows(raw)
     assert rows.dtype == np.int64
     assert rows.tolist() == [pos + model.config.prefix_len for pos in
-                             label_from_diacritized(gold).letter_positions]
+                             letter_indices(label_from_diacritized(gold).raw)]
 
 
 def test_forward_shapes_and_validation():

@@ -1,4 +1,5 @@
-"""Diacritic labeling, positional re-insertion, ratio filter, vocabulary."""
+"""Diacritic labeling, positional re-insertion, ratio filter, vocabulary,
+and the words and case endings the scorer finds in labeled text."""
 
 import unicodedata
 
@@ -6,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonicalize, word_spans_reference
+from oracles import ODD_SPACES, canonicalize
 
 from multidiac import textproc as tp
 from multidiac.errors import InvariantViolation, MalformedInputError
+from multidiac.metrics import MetricFlags, score_pair
 from multidiac.textproc import (
     ARABIC_LETTERS, CLASS_MARKS, DAMMA, FATHA, FATHATAN, KASRA, NUM_CLASSES,
     SHADDA, SUKUN, Vocabulary, class_of_marks, diacritization_ratio,
     insert_diacritics, label_from_diacritized, marks_of_class,
-    strip_diacritics, word_spans,
+    strip_diacritics,
 )
 
 BA, TA, MEEM, LAM = "ب", "ت", "م", "ل"
@@ -67,8 +69,6 @@ def test_label_simple_word():
     lab = label_from_diacritized(text)
     assert lab.raw == BA + TA
     assert lab.labels == [1, 2]
-    assert lab.letter_positions == [0, 1]
-    assert lab.word_boundaries == [(0, 2)]
 
 
 def test_label_unmarked_letters_are_class_zero():
@@ -97,8 +97,6 @@ def test_non_arabic_passthrough():
     lab = label_from_diacritized(text)
     assert lab.raw == BA + " 123, " + MEEM
     assert lab.labels == [3, 0]
-    # the number-only token is not a word
-    assert lab.word_boundaries == [(0, 1), (7, 8)]
 
 
 def test_insert_round_trip_canonical_order():
@@ -127,16 +125,25 @@ def test_normalize_is_nfc():
 
 
 def test_word_spans_whitespace_and_arabic_only():
-    raw = f"  {BA}{TA}  abc {MEEM} "
-    assert word_spans(raw) == [(2, 4), (10, 11)]
-    assert word_spans("abc 123") == []
+    # a word is a whitespace-delimited token holding an Arabic letter: the
+    # number-only and Latin tokens are not words
+    raw = f"  {BA}{TA}  abc {MEEM} 123, "
+    gold = insert_diacritics(raw, [1, 2, 3])
+    assert score_pair(gold, gold).words == 2
+    assert score_pair("abc 123", "abc 123").words == 0
 
 
 def test_case_ending_positions():
-    lab = label_from_diacritized(BA + TA + " " + MEEM + LAM + BA)
-    # letter index 1 ends word one, letter index 4 ends word two
-    assert lab.case_ending_positions() == {1, 4}
-    assert lab.letter_words == [0, 0, 1, 1, 1]
+    raw = BA + TA + " " + MEEM + LAM + BA
+    gold = insert_diacritics(raw, [1, 1, 1, 1, 1])
+    # letter index 1 ends word one, letter index 4 ends word two: errors
+    # there alone are not counted without case endings
+    pred = insert_diacritics(raw, [1, 2, 1, 1, 2])
+    t = score_pair(pred, gold, MetricFlags(include_case_endings=False))
+    assert (t.positions, t.position_errors, t.word_errors) == (3, 0, 0)
+    pred = insert_diacritics(raw, [1, 1, 1, 2, 1])
+    t = score_pair(pred, gold, MetricFlags(include_case_endings=False))
+    assert (t.positions, t.position_errors, t.word_errors) == (3, 1, 1)
 
 
 def test_diacritization_ratio():
@@ -158,7 +165,7 @@ def test_vocabulary_reserved_ids_and_order():
 
 def test_vocabulary_serialize_round_trip():
     v = Vocabulary.from_texts([BA + TA + MEEM])
-    w = Vocabulary.deserialize(v.serialize())
+    w = Vocabulary(v.chars)
     assert w.chars == v.chars
     assert all(w.id_of(c) == v.id_of(c) for c in v.chars)
 
@@ -170,11 +177,6 @@ def test_vocabulary_with_a_newline_is_refused():
 
 
 # -- properties ----------------------------------------------------------
-
-
-# characters str.isspace() counts as whitespace beyond ASCII: a file
-# separator, NEL, NBSP, the line separator and the ideographic space
-ODD_SPACES = ["\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 
 
 @st.composite
@@ -197,23 +199,6 @@ def test_insert_then_label_round_trip(raw, data):
     assert lab.labels == labels
 
 
-@given(raw_texts(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_letter_words_agree_with_word_boundaries(raw, data):
-    n = sum(c in ARABIC_LETTERS for c in raw)
-    labels = data.draw(st.lists(classes, min_size=n, max_size=n))
-    lab = label_from_diacritized(insert_diacritics(raw, labels))
-    spans = lab.word_boundaries
-    assert len(lab.letter_words) == len(lab.letter_positions)
-    for pos, w in zip(lab.letter_positions, lab.letter_words):
-        assert spans[w][0] <= pos < spans[w][1]
-    # every word span holds a letter; a case ending is a span's last letter
-    assert sorted(set(lab.letter_words)) == list(range(len(spans)))
-    assert lab.case_ending_positions() == {
-        max(i for i, pos in enumerate(lab.letter_positions) if start <= pos < end)
-        for start, end in spans}
-
-
 @given(raw_texts(others=[" ", ".", "x", "1"] + ODD_SPACES), st.data())
 @settings(max_examples=100, deadline=None)
 def test_ratio_counts_marked_letters(raw, data):
@@ -228,14 +213,6 @@ def test_ratio_counts_marked_letters(raw, data):
         for c in insert_diacritics(raw, labels))
     want = 0.0 if n == 0 else sum(1 for c in labels if c != 0) / n
     assert diacritization_ratio(text) == pytest.approx(want)
-
-
-@given(st.text(st.sampled_from(
-    sorted(ARABIC_LETTERS)[:4] + [FATHA, " ", "\t", "\n", "x"] + ODD_SPACES),
-    max_size=30) | st.text(max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_word_spans_match_an_isspace_scan(raw):
-    assert word_spans(raw) == word_spans_reference(raw)
 
 
 @given(st.text(max_size=40))

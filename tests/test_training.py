@@ -784,7 +784,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     tensors, meta = read_checkpoint(path)
     assert meta["epoch"] == "3"
     assert meta["note"] == "hello"
-    assert meta["vocab"] == VOCAB.serialize()
+    assert meta["vocab"] == VOCAB.chars
     assert set(tensors) == set(model.params)
     for n, p in model.params.items():
         assert np.array_equal(tensors[n], p.data.astype("<f4"))
@@ -919,7 +919,7 @@ def test_load_checkpoint_refuses_metadata_without_vocab(tmp_path):
 @pytest.mark.parametrize("repeat", ["text.head.b", "__meta"])
 def test_checkpoint_refuses_a_repeated_entry(tmp_path, repeat):
     model = tiny_model(seed=13)
-    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.serialize()})
+    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.chars})
     path = tmp_path / "m.ckpt"
     path.write_bytes(_sealed(entries))
     assert load_checkpoint(path).vocab == VOCAB  # loads as written
@@ -927,7 +927,7 @@ def test_checkpoint_refuses_a_repeated_entry(tmp_path, repeat):
     if name == "text.head.b":
         payload = np.full(extents, 7.0, dtype="<f4").tobytes()
     else:
-        payload = f"vocab={VOCAB.serialize()}\n".encode()
+        payload = f"vocab={VOCAB.chars}\n".encode()
         extents = (len(payload),)
     path.write_bytes(_sealed(entries + [(name, extents, payload)]))
     with pytest.raises(FormatError, match=f"entry {name!r} appears twice"):
@@ -936,7 +936,7 @@ def test_checkpoint_refuses_a_repeated_entry(tmp_path, repeat):
 
 def test_checkpoint_refuses_a_repeated_metadata_key(tmp_path):
     model = tiny_model(seed=13)
-    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.serialize()})
+    entries = _entries(model, {**_loadable_meta(model), "vocab": VOCAB.chars})
     name, _, blob = entries[-1]
     # a second vocab= line used to win: a 3-id vocabulary, every letter UNK
     blob += b"vocab=\n"
@@ -1224,7 +1224,7 @@ def test_accepted_checkpoint_metadata_reads_back_equal(tmp_path_factory, meta):
             save_checkpoint(path, tiny_model(), meta)
         return
     save_checkpoint(path, tiny_model(), meta)
-    assert read_checkpoint(path)[1] == {"vocab": VOCAB.serialize(), **meta}
+    assert read_checkpoint(path)[1] == {"vocab": VOCAB.chars, **meta}
 
 
 def test_load_checkpoint_fingerprint_mismatch(tmp_path):
