@@ -32,7 +32,7 @@ from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
                      InvariantViolation, MalformedInputError, ManifestError,
                      NumericError, ShapeError)
 from .audiofe import SAMPLE_RATE, load_wav
-from .inference import EnsembleConfig, diacritize, predict_greedy_corpus
+from .inference import EnsembleConfig, check_members, diacritize, predict_greedy_corpus
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
 from .numerics import RngStream
 from .textproc import (ARABIC_LETTERS, Vocabulary, diacritization_ratio,
@@ -183,17 +183,10 @@ def cmd_infer(args) -> int:
                          passes_per_model=args.passes,
                          inference_dropout_p=args.dropout, seed=args.seed)
     models = [load_checkpoint(p) for p in paths]
-    # the text is encoded once, with the first model's vocabulary, for all
-    ref = models[0]
-    for p, m in zip(paths[1:], models[1:]):
-        for what, a, b in (("model config", m.config, ref.config),
-                           ("vocabulary", m.vocab, ref.vocab)):
-            if a != b:
-                raise FingerprintError(f"checkpoint {p} has a different {what} "
-                                       f"than {paths[0]}")
+    check_members(models, [f"checkpoint {p}" for p in paths])
     records = datamod.load_manifest(args.manifest)
     raws = [strip_diacritics(r.text) for r in records]
-    check_text_lengths(zip((r.id for r in records), raws), ref.config)
+    check_text_lengths(zip((r.id for r in records), raws), models[0].config)
     base = os.path.dirname(os.path.abspath(args.manifest))
     wav_paths = [os.path.join(base, r.audio) if r.audio else None for r in records]
     for path in filter(None, wav_paths):

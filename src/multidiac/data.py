@@ -23,7 +23,6 @@ from .errors import MalformedInputError, ManifestError
 from .numerics import RngStream
 from .textproc import (NUM_CLASSES, diacritization_ratio, insert_diacritics,
                        label_from_diacritized, normalize)
-from .training import CorpusSample
 
 RATIO_THRESHOLD = 0.6
 
@@ -33,6 +32,16 @@ class ManifestRecord:
     id: str
     audio: str  # relative path; empty for text-only records
     text: str
+
+
+@dataclass
+class CorpusSample:
+    """Gold training sample: undiacritized text, labels, float32 samples."""
+
+    sample_id: str
+    raw: str
+    targets: np.ndarray         # diacritic class per Arabic letter of raw
+    waveform: np.ndarray | None
 
 
 def load_manifest(path, check_audio: bool = True) -> list[ManifestRecord]:

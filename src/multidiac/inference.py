@@ -15,10 +15,12 @@ and a length that changes mc_forward's stack size misses it.
 `diacritize` and greedy dev scoring are two calls of one per-sample loop:
 `diacritize` one sample of several models, never hashing or caching, and
 greedy dev scoring the one-model, one-pass, p = 0 ensemble at seed 0,
-which keeps each model's mean-pooled speech frames between calls. The
-members of an ensemble share the first one's config and vocabulary (the
-CLI refuses any other mix): each sample's text is encoded once, and its
-audio, a float32 sample array, is log-mel'd at most once.
+which keeps each model's mean-pooled speech frames between calls.
+Averaging needs every member to read the same tokens into the same
+classes, so `check_members` refuses, with FingerprintError and before any
+log-mel or encode, a member whose config or vocabulary differs from the
+first one's: each sample's text is encoded once, and its audio, a float32
+sample array, is log-mel'd at most once, at the members' one shape.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import numerics as nm
 from .audiofe import log_mel
-from .errors import ShapeError
+from .errors import FingerprintError, ShapeError
 from .model import DiacritizerModel, require_counts, require_range, stack_size
 from .numerics import RngStream
 from .textproc import insert_diacritics
@@ -112,15 +114,26 @@ def _cache_of(model: DiacritizerModel) -> dict:
     return _pooled_cache[model][1]
 
 
+def check_members(models: list[DiacritizerModel], labels: list[str]):
+    """Raise FingerprintError naming (by labels[i]) the first model whose
+    config or vocabulary differs from models[0]'s."""
+    for label, m in zip(labels[1:], models[1:]):
+        for what, a, b in (("model config", m.config, models[0].config),
+                           ("vocabulary", m.vocab, models[0].vocab)):
+            if a != b:
+                raise FingerprintError(f"{label} has a different {what} than {labels[0]}")
+
+
 def _ensemble(models: list[DiacritizerModel], samples: list[tuple[str, np.ndarray | None]],
               passes: int, p: float, seed: int, cache: bool):
     """Yield (class ids, confidence) of each (raw, waveform): the
     ensemble_average of each model mi's mc_forward, keyed by
-    RngStream(seed).child(mi). A sample is log-mel'd once, at the shape of
-    the first model that misses it (a later miss of another mel shape raises
-    ShapeError), and each miss is encoded alone and detached. With cache,
-    each model's speech weights are digested once per call, and misses are
-    added to its cache until that is full."""
+    RngStream(seed).child(mi), once check_members passes. A sample is
+    log-mel'd once, on its first miss, at the members' one shape, and each
+    miss is encoded alone and detached. With cache, each model's speech
+    weights are digested once per call, and misses are added to its cache
+    until that is full."""
+    check_members(models, [f"member {i}" for i in range(len(models))])
     caches = [_cache_of(m) if cache else {} for m in models]
     for raw, waveform in samples:
         tokens, rows = models[0].encode_text(raw), models[0].letter_rows(raw)

@@ -58,9 +58,15 @@ class Tallies:
 
 
 def score_pair(pred: str, gold: str, flags: MetricFlags = MetricFlags()) -> Tallies:
-    """Per-sentence tallies for one (prediction, gold) pair."""
-    pl = label_from_diacritized(pred)
-    gl = label_from_diacritized(gold)
+    """Per-sentence tallies for one (prediction, gold) pair. A malformed
+    text's MalformedInputError names its side, "prediction" or "gold"."""
+    labeled = []
+    for side, text in (("prediction", pred), ("gold", gold)):
+        try:
+            labeled.append(label_from_diacritized(text))
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{side}: {e}", e.offset) from None
+    pl, gl = labeled
     if pl.raw != gl.raw:
         first = next((i for i, (a, b) in enumerate(zip(pl.raw, gl.raw)) if a != b),
                      min(len(pl.raw), len(gl.raw)))

@@ -172,19 +172,6 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
-def count_parameters(cfg: ModelConfig) -> tuple[int, int]:
-    """Analytic (total, trainable) parameter counts; trainable excludes the
-    frozen speech stem and blocks (primary freeze policy)."""
-    total = 0
-    trainable = 0
-    for name, shape in _param_shapes(cfg).items():
-        n = int(np.prod(shape))
-        total += n
-        if not name.startswith("speech."):
-            trainable += n
-    return total, trainable
-
-
 def _initial_value(name: str, shape: tuple, gen: np.random.Generator) -> np.ndarray:
     """Float64 initial value of one parameter; normals draw from gen."""
     if name.endswith((".g",)):
@@ -256,9 +243,6 @@ class DiacritizerModel:
                 # stem and final norm follow the lowest block
                 p.requires_grad = trainable_top >= self.config.speech_blocks
         self.zero_grad()
-
-    def trainable_names(self) -> list[str]:
-        return [n for n, p in self.params.items() if p.requires_grad]
 
     def zero_grad(self):
         for p in self.params.values():

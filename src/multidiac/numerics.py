@@ -3,12 +3,12 @@
 Everything the model needs runs through the `Tensor` class (add, multiply,
 matmul, reshape, sum, mean) and the primitives GELU, embedding lookup, layer
 norm, dropout, attention and time pooling, each with an analytic backward;
-a sweep consumes its graph. `softmax` is an array kernel, not an op: each
-loss applies its jacobian in its own backward through `softmax_grad`, and
-attention in place over its score gradients. Softmax, GELU and layer norm
-run a cache-sized block of rows at a time; the softmax goes into a new
-array, or in place over attention's scores or MC inference's logits,
-which nothing else reads.
+a sweep consumes its graph. `softmax` is an array kernel, not an op: its
+jacobian has one definition, `softmax_grad`, which both losses apply in
+their backwards and attention in place over its score gradients.
+Softmax, GELU and layer norm run a cache-sized block of rows at a time;
+the softmax goes into a new array, or in place over attention's scores or
+MC inference's logits, which nothing else reads.
 GELU and attention run one forward path with or without a graph, and keep
 no intermediate for a backward: GELU's d*d and tanh take turns in two
 blocks of scratch (without a graph it writes over its input, the model's
@@ -376,12 +376,13 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+def softmax_grad(g: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The gradient at the input of a last-axis softmax whose output is p,
-    given g at its output: (g - sum(g * p)) * p, into a new array."""
-    r = g - np.sum(g * p, axis=-1, keepdims=True)
-    r *= p
-    return r
+    given g at its output: (g - sum(g * p)) * p, into out (g itself
+    allowed) or a new array."""
+    out = np.subtract(g, np.sum(g * p, axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -606,7 +607,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         np.matmul(p, vh[grp], out=oh[grp])
 
     def bwd(g):
-        # dV = P^T dO, dS = (dO V^T - rowsum(dO V^T * P)) * P, dQ = dS K and
+        # dV = P^T dO, dS = softmax_grad(dO V^T, P) in place, dQ = dS K and
         # dK^T = Q^T dS, dK a view of it: k's bias sums dK in that layout
         dq, dv = np.empty_like(out), np.empty_like(out)
         dkt = np.empty(kh.shape[:2] + (dh, s), out.dtype)
@@ -614,8 +615,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         for grp, p in groups():
             np.matmul(p.swapaxes(-1, -2), gh[grp], out=dvh[grp])
             ds = gh[grp] @ vh[grp].swapaxes(-1, -2)
-            ds -= np.sum(ds * p, axis=-1, keepdims=True)
-            ds *= p
+            softmax_grad(ds, p, out=ds)
             np.matmul(ds, kh[grp], out=dqh[grp])
             np.matmul(qh[grp].swapaxes(-1, -2), ds, out=dkt[grp])
         dk = dkt.transpose(0, 3, 1, 2).reshape(out.shape)

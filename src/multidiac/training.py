@@ -31,6 +31,7 @@ import numpy as np
 
 from . import numerics as nm
 from .audiofe import inject_noise, log_mel, spec_augment
+from .data import CorpusSample
 from .errors import ConfigError, FingerprintError, FormatError, NumericError
 from .model import (DiacritizerModel, ModelConfig, require_counts,
                     require_range, speech_embedding_dropout)
@@ -550,16 +551,6 @@ def load_checkpoint(path, model_cfg: ModelConfig | None = None,
 
 
 # -- the training loop ---------------------------------------------------
-
-
-@dataclass
-class CorpusSample:
-    """Gold training sample: undiacritized text, labels, float32 samples."""
-
-    sample_id: str
-    raw: str
-    targets: np.ndarray         # diacritic class per Arabic letter of raw
-    waveform: np.ndarray | None
 
 
 def prepare_sample(model: DiacritizerModel, samples: list[CorpusSample],

@@ -25,7 +25,9 @@ every tensor copied out. `canonicalize` and `filterbank_centers`
 are test helpers over the package's text and mel code, `ODD_SPACES` are
 whitespace characters beyond ASCII for text strategies, and `stack_budget`
 is the `nm.STACK_BUDGET_BYTES` at which `model.stack_size` gives a chosen
-stack size, by the rule written out again.
+stack size, by the rule written out again. `full_scale_parameter_counts`
+builds a full-scale model and counts its parameters, trainable ones by
+the `requires_grad` flags its freeze policy set.
 """
 
 import hashlib
@@ -41,11 +43,11 @@ from multidiac.audiofe import (
 from multidiac.errors import ConfigError, FormatError, NumericError
 from multidiac.metrics import AlignmentError, MetricFlags, Tallies
 from multidiac import numerics as nm
-from multidiac.model import speech_embedding_dropout
+from multidiac.model import DiacritizerModel, full_scale_config, speech_embedding_dropout
 from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
 from multidiac.textproc import (
-    ARABIC_LETTERS, DIACRITICS, NUM_CLASSES, class_of_marks, insert_diacritics,
-    label_from_diacritized,
+    ARABIC_LETTERS, DIACRITICS, NUM_CLASSES, Vocabulary, class_of_marks,
+    insert_diacritics, label_from_diacritized,
 )
 from multidiac.training import PreparedSample
 
@@ -267,6 +269,14 @@ def canonicalize(text: str) -> str:
 def filterbank_centers(mels: int) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
     return _band_edges(mels)[1:-1]
+
+
+def full_scale_parameter_counts() -> tuple[int, int]:
+    """(total, trainable) parameters of a freshly built full-scale model,
+    trainable meaning requires_grad as built (the primary freeze policy)."""
+    params = DiacritizerModel(full_scale_config(), Vocabulary("ب"), RngStream(0)).params.values()
+    return (sum(p.data.size for p in params),
+            sum(p.data.size for p in params if p.requires_grad))
 
 
 def stack_budget(config, items: int, seq: int | None = None) -> int:

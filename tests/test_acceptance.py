@@ -24,8 +24,7 @@ from multidiac.data import (ManifestRecord, corpus_from_manifest,
 from multidiac.errors import FormatError
 from multidiac.inference import EnsembleConfig, diacritize, predict_greedy
 from multidiac.metrics import MetricFlags, Tallies, score_pair
-from multidiac.model import (DiacritizerModel, count_parameters, desk_config,
-                             full_scale_config)
+from multidiac.model import DiacritizerModel, desk_config
 from multidiac.numerics import RngStream
 from multidiac.textproc import (ARABIC_LETTERS, NUM_CLASSES, Vocabulary,
                                 insert_diacritics, label_from_diacritized,
@@ -34,7 +33,7 @@ from multidiac.training import (CorpusSample, TrainConfig, desk_recipe, fit,
                                 focal_loss_ls, lr_at, prepare_sample,
                                 rdrop_objective, read_checkpoint,
                                 save_checkpoint, sym_kl, table1_primary)
-from oracles import brute_force_reference
+from oracles import brute_force_reference, full_scale_parameter_counts
 
 
 _CAPSYS = None
@@ -397,7 +396,7 @@ def test_criterion_12_filter_fidelity():
 
 
 def test_criterion_13_parameter_count():
-    total, trainable = count_parameters(full_scale_config())
+    total, trainable = full_scale_parameter_counts()
     ok = (abs(total - 39e6) / 39e6 < 0.25
           and abs(trainable - 19e6) / 19e6 < 0.25)
     verdict(13, "parameter count", ok,

@@ -533,12 +533,14 @@ def test_infer_checkpoint_config_metadata(tmp_path, capsys, meta, expected, ment
 def test_infer_rejects_checkpoints_with_different_vocabularies(tmp_path, capsys):
     a = _desk_checkpoint(tmp_path / "a.ckpt")
     b = _desk_checkpoint(tmp_path / "b.ckpt", chars="ثجحخ")
+    out = tmp_path / "o"
     rc = main(["infer", "--checkpoints", f"{a},{b}",
                "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
-               "--out", str(tmp_path / "o"), "--passes", "2"])
+               "--out", str(out), "--passes", "2"])
     err = capsys.readouterr().err
     assert rc == EXIT_DATA
     assert "vocabulary" in err and str(b) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_infer_refuses_a_v1_checkpoint_before_writing(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from multidiac import inference
 from multidiac import numerics as nm
 from multidiac.audiofe import SAMPLE_RATE
-from multidiac.errors import ConfigError, ShapeError
+from multidiac.errors import ConfigError, FingerprintError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy, predict_greedy_corpus)
 from multidiac.model import (DiacritizerModel, ModelConfig, desk_config, full_scale_config,
@@ -316,14 +316,31 @@ def test_ensemble_computes_one_log_mel_per_input_shape(monkeypatch):
     assert text == insert_diacritics("بت", [int(c) for c in classes])
     assert confidence == [float(c) for c in conf]
 
-    # a member of another mel shape is refused: the sample's one log-mel
-    # is made at the first member's shape
-    other = ModelConfig(**{**desk_config(vocab_size=10).__dict__, "mels": 40})
-    calls.clear()
-    with pytest.raises(ShapeError, match="mel bins"):
-        diacritize("بت", wav, models[:2] + [DiacritizerModel(other, VOCAB, RngStream(5))],
-                   cfg)
-    assert calls == [(80, 200)]
+
+@pytest.mark.parametrize("odd", ["vocabulary", "model config"])
+def test_ensemble_refuses_a_mixed_member_before_any_log_mel(odd, encode_calls):
+    """Averaging needs every member to read the same tokens into the same
+    classes: a member whose vocabulary (or any config field, here the mel
+    bins) differs from the first one's is refused by diacritize and by the
+    per-sample loop, cached or not, before any log-mel or encode."""
+    cfg = model_with().config
+    if odd == "vocabulary":
+        other = DiacritizerModel(cfg, Vocabulary("ثجحخ"), RngStream(5))
+    else:
+        other = DiacritizerModel(replace(cfg, mels=40), VOCAB, RngStream(5))
+    models = [model_with(seed=0), model_with(seed=1), other]
+    w = noise_wav(1)
+    refused = pytest.raises(FingerprintError,
+                            match=f"^member 2 has a different {odd} than member 0$")
+    with refused:
+        diacritize("بت", w, models, EnsembleConfig(passes_per_model=2))
+    for cache in (False, True):
+        with refused:
+            next(inference._ensemble(models, [("بت", w)], 2, 0.1, 0, cache))
+    assert (encode_calls["encode"], encode_calls["log_mel"]) == (0, 0)
+    # the first two members alone are an ensemble
+    diacritize("بت", w, models[:2], EnsembleConfig(passes_per_model=2))
+    assert (encode_calls["encode"], encode_calls["log_mel"]) == (2, 1)
 
 
 def test_scoring_the_letter_rows_alone_predicts_what_the_whole_forward_does():

@@ -110,11 +110,19 @@ def test_evaluate_corpus_names_the_sample_that_fails():
     with pytest.raises(AlignmentError) as e:
         evaluate_corpus({"a": ok, "b": diacritized(MEEM + TA, [1, 2])}, gold)
     assert str(e.value) == "sample 'b': base text mismatch at offset 0"
+    # the message names the side that holds the stray mark; the offset is
+    # into that side's text
     with pytest.raises(MalformedInputError) as e:
         evaluate_corpus({"a": ok, "b": " " + FATHA + BA + TA}, gold)
-    assert str(e.value) == ("sample 'b': diacritic at offset 1 has no "
-                            "preceding Arabic letter")
+    assert str(e.value) == ("sample 'b': prediction: diacritic at offset 1 "
+                            "has no preceding Arabic letter")
     assert e.value.offset == 1
+    with pytest.raises(MalformedInputError) as e:
+        evaluate_corpus({"a": ok, "b": gold["b"]},
+                        {"a": ok, "b": gold["b"] + "  " + FATHA})
+    assert str(e.value) == ("sample 'b': gold: diacritic at offset 6 "
+                            "has no preceding Arabic letter")
+    assert e.value.offset == 6
 
 
 # -- oracle equivalence --------------------------------------------------

@@ -679,6 +679,19 @@ def test_softmax_backward_keeps_its_gradient_without_a_copy():
     assert peak <= 1.3 * x.data.nbytes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 7), (2, 4, 33, 33)])
+def test_softmax_grad_in_place_is_bitwise_the_allocating_form(shape, dtype):
+    """softmax_grad(g, p, out=g), attention's form, writes the bytes the
+    allocating form returns, into g itself."""
+    gen = np.random.default_rng(29)
+    p = nm.softmax(gen.normal(0, 3, size=shape).astype(dtype))
+    g = gen.normal(0, 1, size=shape).astype(dtype)
+    want = nm.softmax_grad(g, p)
+    assert nm.softmax_grad(g, p, out=g) is g
+    assert g.tobytes() == want.tobytes()
+
+
 def _rows_of_note(rows: int, n: int, dtype) -> np.ndarray:
     """(rows, n) scores with ties at the max, rows of one value, and rows
     mixing +0 and -0, spread over every block."""
