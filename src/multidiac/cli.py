@@ -28,9 +28,8 @@ import numpy as np
 
 from . import data as datamod
 from . import metrics as metricsmod
-from .errors import (ConfigError, FingerprintError, FormatError, IngestError,
-                     InvariantViolation, MalformedInputError, ManifestError,
-                     NumericError, ShapeError)
+from .errors import (ConfigError, DataError, InvariantViolation, ManifestError,
+                     NumericError)
 from .audiofe import SAMPLE_RATE, load_wav
 from .inference import EnsembleConfig, check_members, diacritize, predict_greedy_corpus
 from .model import DiacritizerModel, ModelConfig, desk_config, full_scale_config
@@ -179,8 +178,7 @@ def cmd_infer(args) -> int:
     paths = [p for p in args.checkpoints.split(",") if p]
     if not paths:
         raise UsageError("--checkpoints must list at least one file")
-    ens = EnsembleConfig(checkpoints=tuple(paths),
-                         passes_per_model=args.passes,
+    ens = EnsembleConfig(passes_per_model=args.passes,
                          inference_dropout_p=args.dropout, seed=args.seed)
     models = [load_checkpoint(p) for p in paths]
     check_members(models, [f"checkpoint {p}" for p in paths])
@@ -194,7 +192,8 @@ def cmd_infer(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_run_config(os.path.join(args.out, "run_config.ini"),
                      models[0].config, None, ens,
-                     {"manifest": args.manifest, "out": args.out})
+                     {"checkpoints": args.checkpoints, "manifest": args.manifest,
+                      "out": args.out})
 
     t0 = time.time()
     out_path = os.path.join(args.out, "predictions.jsonl")
@@ -259,7 +258,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="MC-Dropout ensemble inference")
-    p.add_argument("--checkpoints", required=True,
+    p.add_argument("--checkpoints", required=True, type=utf8_path,
                    help="comma-separated checkpoint files")
     p.add_argument("--manifest", required=True, type=utf8_path)
     p.add_argument("--out", required=True, type=utf8_path)
@@ -287,9 +286,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ManifestError, MalformedInputError, ConfigError, FormatError,
-            IngestError, FingerprintError, ShapeError,
-            metricsmod.AlignmentError, OSError) as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, InvariantViolation) as e:

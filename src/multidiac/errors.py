@@ -1,7 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types, one base per CLI exit code: a DataError (a
+malformed or mismatched input, file or configuration) exits 2, a
+NumericError or an InvariantViolation exits 3."""
 
 
-class ShapeError(ValueError):
+class DataError(ValueError):
+    """An input, file or configuration the program refuses."""
+
+
+class ShapeError(DataError):
     """Tensor or sequence shapes are incompatible with an operation."""
 
 
@@ -9,11 +15,11 @@ class NumericError(ArithmeticError):
     """Non-finite values or other numeric-domain violations."""
 
 
-class ConfigError(ValueError):
+class ConfigError(DataError):
     """Invalid configuration value or combination."""
 
 
-class MalformedInputError(ValueError):
+class MalformedInputError(DataError):
     """Input text violates structural preconditions (e.g. stray diacritic)."""
 
     def __init__(self, message, offset=None):
@@ -21,20 +27,24 @@ class MalformedInputError(ValueError):
         self.offset = offset
 
 
-class IngestError(ValueError):
+class IngestError(DataError):
     """Audio file does not satisfy the ingest contract (rate, channels, codec)."""
 
 
-class FormatError(ValueError):
+class FormatError(DataError):
     """On-disk container is truncated or structurally invalid."""
 
 
-class ManifestError(ValueError):
+class ManifestError(DataError):
     """Manifest parsing or cross-manifest alignment failure."""
 
 
-class FingerprintError(ValueError):
+class FingerprintError(DataError):
     """Checkpoint config fingerprint does not match the supplied config."""
+
+
+class AlignmentError(DataError):
+    """Prediction and gold disagree on the underlying (stripped) text."""
 
 
 class InvariantViolation(RuntimeError):

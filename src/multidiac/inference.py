@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numerics as nm
 from .audiofe import log_mel
-from .errors import FingerprintError, ShapeError
+from .errors import ConfigError, FingerprintError, ShapeError
 from .model import DiacritizerModel, require_counts, require_range, stack_size
 from .numerics import RngStream
 from .textproc import insert_diacritics
@@ -41,7 +41,6 @@ from .textproc import insert_diacritics
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    checkpoints: tuple[str, ...] = ()
     passes_per_model: int = 50
     inference_dropout_p: float = 0.1
     seed: int = 0
@@ -115,8 +114,11 @@ def _cache_of(model: DiacritizerModel) -> dict:
 
 
 def check_members(models: list[DiacritizerModel], labels: list[str]):
-    """Raise FingerprintError naming (by labels[i]) the first model whose
-    config or vocabulary differs from models[0]'s."""
+    """Raise ConfigError for no model, and FingerprintError naming (by
+    labels[i]) the first model whose config or vocabulary differs from
+    models[0]'s."""
+    if not models:
+        raise ConfigError("an ensemble needs at least one model")
     for label, m in zip(labels[1:], models[1:]):
         for what, a, b in (("model config", m.config, models[0].config),
                            ("vocabulary", m.vocab, models[0].vocab)):

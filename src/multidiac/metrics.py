@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from itertools import islice
 
-from .errors import MalformedInputError, ManifestError
+from .errors import AlignmentError, MalformedInputError, ManifestError
 from .textproc import ARABIC_LETTERS, label_from_diacritized
-
-class AlignmentError(ValueError):
-    """Prediction and gold disagree on the underlying (stripped) text."""
 
 
 @dataclass(frozen=True)

@@ -44,15 +44,18 @@ def require_counts(cfg, names, minimum: int | None = 1):
             raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def finite_number(value) -> bool:
+    """A finite int or float, numpy scalars included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and math.isfinite(value)
+
+
 def require_range(cfg, names, lo: float, hi: float, hi_open: bool = False):
     """ConfigError unless each named field of cfg is a finite number in
     [lo, hi], or in [lo, hi) when hi_open."""
     for name in names:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or \
-                not isinstance(value, (int, float, np.integer, np.floating)) \
-                or not math.isfinite(value) or not lo <= value <= hi \
-                or (hi_open and value == hi):
+        if not finite_number(value) or not lo <= value <= hi or (hi_open and value == hi):
             raise ConfigError(f"{name} must be a finite number in [{lo}, {hi}"
                               f"{')' if hi_open else ']'}, got {value!r}")
 

@@ -33,7 +33,7 @@ from . import numerics as nm
 from .audiofe import inject_noise, log_mel, spec_augment
 from .data import CorpusSample
 from .errors import ConfigError, FingerprintError, FormatError, NumericError
-from .model import (DiacritizerModel, ModelConfig, require_counts,
+from .model import (DiacritizerModel, ModelConfig, finite_number, require_counts,
                     require_range, speech_embedding_dropout)
 from .numerics import RngStream, Tensor
 from .textproc import ARABIC_LETTERS, NUM_CLASSES, Vocabulary
@@ -66,19 +66,17 @@ class TrainConfig:
             require_counts(self, ("unfreeze_at_epoch",), minimum=0)
         require_counts(self, ("seed",), minimum=None)
         snr = self.snr_range
-        if not (isinstance(snr, (tuple, list)) and len(snr) == 2 and all(
-                isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) and math.isfinite(v) for v in snr)
-                and snr[0] <= snr[1]):
+        if not (isinstance(snr, (tuple, list)) and len(snr) == 2
+                and all(map(finite_number, snr)) and snr[0] <= snr[1]):
             raise ConfigError(f"snr_range must be a pair of finite numbers "
                               f"lo <= hi, got {snr!r}")
-        if not 0 < self.learning_rate:
-            raise ConfigError("learning_rate must be positive")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError("warmup_epochs must be < epochs")
         require_range(self, ("min_lr_factor", "speech_emb_dropout"), 0.0, 1.0)
-        require_range(self, ("focal_gamma", "label_smoothing", "weight_decay",
-                             "rdrop_alpha"), 0.0, math.inf)
+        require_range(self, ("learning_rate", "focal_gamma", "label_smoothing",
+                             "weight_decay", "rdrop_alpha"), 0.0, math.inf)
+        if self.learning_rate == 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 def table1_primary(seed: int = 42) -> TrainConfig:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multidiac
+from multidiac import errors, metrics
 from multidiac.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main,
                            read_run_config, write_run_config)
 from multidiac.data import ManifestRecord, write_manifest
@@ -140,6 +141,11 @@ def test_infer_and_eval_round_trip(trained, tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "total_passes=4" in stdout
+    resolved = read_run_config(out / "run_config.ini")
+    assert resolved["ensemble"] == EnsembleConfig(passes_per_model=2, seed=0)
+    assert resolved["paths"] == {"checkpoints": f"{ckpt},{ckpt}",
+                                 "manifest": str(corpus / "dev.jsonl"),
+                                 "out": str(out)}
     preds = [json.loads(l) for l in
              (out / "predictions.jsonl").read_text().splitlines()]
     gold = [json.loads(l) for l in
@@ -276,6 +282,31 @@ def test_out_of_memory_is_a_data_error(trained, tmp_path, capsys, monkeypatch, c
     err = capsys.readouterr().err
     assert err == "error: out of memory\n"
     assert not out.exists()
+
+
+ERROR_TYPES = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES + [metrics.AlignmentError],
+                         ids=lambda t: t.__name__)
+def test_every_error_type_exits_with_its_code(tmp_path, capsys, monkeypatch, error):
+    """A DataError exits 2, a NumericError or an InvariantViolation 3, each
+    with one error line; every other type in errors is a DataError, so a
+    new data error cannot miss its exit code."""
+    exit3 = (errors.NumericError, errors.InvariantViolation)
+
+    def fail(args):
+        raise error("rule", "raised") if error is errors.InvariantViolation \
+            else error("raised")
+
+    monkeypatch.setattr(multidiac.cli, "cmd_eval", fail)
+    gold = str(tmp_path / "gold.jsonl")
+    rc = main(["eval", "--pred", gold, "--gold", gold])
+    err = capsys.readouterr().err
+    assert rc == (EXIT_NUMERIC if error in exit3 else EXIT_DATA)
+    assert err.startswith("error: ") and "raised" in err and "Traceback" not in err
+    assert error in exit3 or issubclass(error, errors.DataError)
 
 
 def test_data_error_alignment_mismatch(tmp_path, capsys):
@@ -701,6 +732,19 @@ def test_non_utf8_path_is_a_usage_error_before_writing(tmp_path, capsys, command
     assert not os.path.exists(bad) and not (tmp_path / "o").exists()
 
 
+def test_non_utf8_checkpoint_path_is_a_usage_error_before_writing(tmp_path, capsys):
+    # a checkpoint under an undecodable name loads, but [paths] cannot echo it
+    bad = tmp_path / os.fsdecode(b"bad\xff.ckpt")
+    _desk_checkpoint(tmp_path / "m.ckpt").rename(bad)
+    rc = main(["infer", "--checkpoints", str(bad),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--passes", "1"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert "argument --checkpoints" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_utf8_dev_manifest_path_is_a_usage_error_before_writing(tmp_path, capsys):
     bad = str(tmp_path / os.fsdecode(b"bad\xffdev.jsonl"))
     rc = main(["train", "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
@@ -895,6 +939,9 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
     b"[train]\nspecaug_freq = 81\n",
     b"[train]\nspecaug_time = 201\n",
     b"[train]\nwhisper_unfrozen = 4\n",
+    b"[train]\nlearning_rate = 1e999\n",
+    b"[train]\nlearning_rate = True\n",
+    b"[ensemble]\ncheckpoints = ('a.ckpt',)\n",
 ]] + [
     (b"[train]\nepochs = 2\nwarmup_epochs = 1\n", BA + TA),
     (b"[train]\nepochs = 2\nwarmup_epochs = 1\n",
@@ -910,7 +957,8 @@ def test_train_config_with_zero_passes_is_a_data_error(tmp_path, capsys):
         "negative-max-len", "fractional-passes", "inference-dropout-1",
         "text-inference-dropout", "text-ensemble-seed", "text-past-max-len",
         "specaug-freq-past-mels", "specaug-time-past-frames",
-        "unfrozen-past-blocks", "every-record-filtered", "newline-in-text"])
+        "unfrozen-past-blocks", "infinite-learning-rate", "bool-learning-rate",
+        "ensemble-checkpoints-field", "every-record-filtered", "newline-in-text"])
 def test_train_malformed_config_is_a_data_error(tmp_path, capsys, text, gold):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)

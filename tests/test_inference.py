@@ -343,6 +343,17 @@ def test_ensemble_refuses_a_mixed_member_before_any_log_mel(odd, encode_calls):
     assert (encode_calls["encode"], encode_calls["log_mel"]) == (2, 1)
 
 
+def test_an_empty_ensemble_is_refused_with_a_config_error(encode_calls):
+    """With no member there is nothing to average: diacritize and the
+    per-sample loop refuse an empty list before any log-mel or encode."""
+    refused = pytest.raises(ConfigError, match="at least one model")
+    with refused:
+        diacritize("بت", None, [], EnsembleConfig(passes_per_model=2))
+    with refused:
+        next(inference._ensemble([], [("بت", noise_wav(1))], 2, 0.1, 0, False))
+    assert (encode_calls["encode"], encode_calls["log_mel"]) == (0, 0)
+
+
 def test_scoring_the_letter_rows_alone_predicts_what_the_whole_forward_does():
     """diacritize and predict_greedy_corpus run the letter rows alone past
     the last attention; they give what the whole forward's letter rows give,
@@ -582,6 +593,7 @@ def test_a_cold_desk_dev_set_encodes_each_utterance_once_alone(encode_calls):
 def test_a_models_cache_dies_with_it():
     model = model_with(seed=2)
     predict_greedy(model, RAWS[0], noise_wav(1))
+    gc.collect()  # an earlier test's model held only by a cycle goes first
     models = len(inference._pooled_cache)
     assert len(cached(model)) == 1
     ref = weakref.ref(model)
