@@ -7,8 +7,10 @@ at any other rate, and nothing else carries or checks a rate.
 WAV ingest is strict: RIFF container, 16 kHz mono, PCM16 or IEEE float32.
 Features follow the familiar speech-encoder frontend: 25 ms Hann window,
 10 ms hop, 80 mel filters, log10 power clamped 8 below the per-utterance
-max, then affinely rescaled into roughly [-1, 1]. Augmentation order is
-noise injection on the waveform, then log-mel, then SpecAugment.
+max, then affinely rescaled into roughly [-1, 1]. A log-mel is a plain
+(mels, frames) float32 array: `log_mel` returns one and `spec_augment`
+takes and returns one. Augmentation order is noise injection on the
+waveform, then log-mel, then SpecAugment.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +28,6 @@ SAMPLE_RATE = 16000
 N_FFT = 400
 HOP = 160
 _WINDOW = np.hanning(N_FFT + 1)[:-1]  # periodic Hann
-
-
-@dataclass
-class MelSpectrogram:
-    values: np.ndarray  # (mels, frames) float32, or a (B, mels, frames) stack
-
-    @property
-    def mels(self) -> int:
-        return self.values.shape[-2]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[-1]
 
 
 def load_wav(path) -> np.ndarray:
@@ -123,8 +111,9 @@ def mel_filterbank(mels: int) -> np.ndarray:
 
 
 def log_mel(samples: np.ndarray, mels: int = 80,
-            frame_budget: int | None = None) -> MelSpectrogram:
-    """Log-mel spectrogram, padded/trimmed along time to frame_budget frames."""
+            frame_budget: int | None = None) -> np.ndarray:
+    """(mels, frames) float32 log-mel spectrogram, padded/trimmed along time
+    to frame_budget frames."""
     n = len(samples)
     frames = max(1, math.ceil(n / HOP))
     padded = np.zeros((frames - 1) * HOP + N_FFT, dtype=np.float64)
@@ -147,31 +136,33 @@ def log_mel(samples: np.ndarray, mels: int = 80,
             fill = np.full((mels, frame_budget - frames), values.min(),
                            dtype=np.float32)
             values = np.concatenate([values, fill], axis=1)
-    return MelSpectrogram(values=values)
+    return values
 
 
-def spec_augment(m: MelSpectrogram, freq_param: int, time_param: int,
-                 rng: RngStream) -> MelSpectrogram:
-    """One frequency band and one time band masked to the spectrogram minimum.
-    At widths (0, 0) nothing is masked: m itself is returned, with no draw."""
-    if freq_param > m.mels:
-        raise ConfigError(f"freq_param {freq_param} exceeds {m.mels} mel bins")
-    if time_param > m.frames:
-        raise ConfigError(f"time_param {time_param} exceeds {m.frames} frames")
+def spec_augment(m: np.ndarray, freq_param: int, time_param: int,
+                 rng: RngStream) -> np.ndarray:
+    """One frequency band and one time band of a (mels, frames) log-mel
+    masked to its minimum, in a copy. At widths (0, 0) nothing is masked:
+    m itself is returned, with no draw."""
+    mels, frames = m.shape
+    if not 0 <= freq_param <= mels:
+        raise ConfigError(f"freq_param must be in [0, {mels}] (mel bins), got {freq_param}")
+    if not 0 <= time_param <= frames:
+        raise ConfigError(f"time_param must be in [0, {frames}] (frames), got {time_param}")
     if freq_param == time_param == 0:
         return m
     gen = rng.generator()
-    values = m.values.copy()
+    values = m.copy()
     fill = values.min()
     f = int(gen.integers(0, freq_param + 1))
     if f > 0:
-        f0 = int(gen.integers(0, m.mels - f + 1))
+        f0 = int(gen.integers(0, mels - f + 1))
         values[f0:f0 + f, :] = fill
     t = int(gen.integers(0, time_param + 1))
     if t > 0:
-        t0 = int(gen.integers(0, m.frames - t + 1))
+        t0 = int(gen.integers(0, frames - t + 1))
         values[:, t0:t0 + t] = fill
-    return MelSpectrogram(values=values)
+    return values
 
 
 def inject_noise(samples: np.ndarray, snr_db_range: tuple[float, float],

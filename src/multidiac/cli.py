@@ -203,8 +203,8 @@ def cmd_infer(args) -> int:
             try:
                 text, confidence = diacritize(raw, wav, models, ens)
             except InvariantViolation as e:
-                raise InvariantViolation(
-                    e.invariant, f"sample {r.id!r}: {e}") from None
+                e.args = (f"sample {r.id!r}: {e}",)  # type and invariant kept
+                raise
             f.write(json.dumps({"id": r.id, "audio": r.audio, "text": text,
                                 "confidence": confidence},
                                ensure_ascii=False) + "\n")

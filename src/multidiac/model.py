@@ -7,7 +7,9 @@ dedicated prefix positions that precede the text tokens; a zero prefix is
 therefore exactly the text-only model. The speech encoder's parameters
 can be frozen per block; frozen tensors never receive gradient. Every
 prefix is `pool_project` of `pooled_frames`, which encodes and mean-pools
-log-mels, a frozen encoder's as stacks, each row bitwise its own call.
+(mels, frames) log-mel arrays, a frozen encoder's as stacks, each row
+bitwise its own call. `MelSpectrogram` is `speech_encode`'s argument, and
+only `pooled_frames` builds one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .audiofe import MelSpectrogram
 from .errors import ConfigError, ShapeError
 from .numerics import RngStream, Tensor
 from .textproc import NUM_CLASSES, Vocabulary, letter_indices
@@ -195,6 +196,14 @@ def _initial_value(name: str, shape: tuple, gen: np.random.Generator) -> np.ndar
     return gen.normal(0.0, fan_in ** -0.5, size=shape)
 
 
+@dataclass
+class MelSpectrogram:
+    """speech_encode's argument: a (mels, frames) float32 log-mel, or a
+    (B, mels, frames) stack. Only pooled_frames builds one; it stays a class
+    because the layer trace's speech_encode hook reads `.values`."""
+    values: np.ndarray
+
+
 class DiacritizerModel:
     """Parameter store plus forward passes for both encoders."""
 
@@ -288,10 +297,11 @@ class DiacritizerModel:
         mode; a (B, mels, 2*speech_frames) stack gives (B, speech_frames,
         speech_dim), whose rows are bitwise those of B calls."""
         cfg = self.config
-        if m.values.ndim not in (2, 3) or m.frames != cfg.mel_frames:
-            raise ShapeError(f"expected {cfg.mel_frames} mel frames, got {m.values.shape}")
-        if m.mels != cfg.mels:
-            raise ShapeError(f"expected {cfg.mels} mel bins, got {m.mels}")
+        shape = m.values.shape
+        if len(shape) not in (2, 3) or shape[-1] != cfg.mel_frames:
+            raise ShapeError(f"expected {cfg.mel_frames} mel frames, got {shape}")
+        if shape[-2] != cfg.mels:
+            raise ShapeError(f"expected {cfg.mels} mel bins, got {shape[-2]}")
         p = self.params
         x = nm.tensor(np.swapaxes(m.values, -1, -2), dtype=self.dtype)  # (..., time, mels)
         x = nm.gelu(nm.conv1d(x, p["speech.conv1.w"], p["speech.conv1.b"],
@@ -304,19 +314,19 @@ class DiacritizerModel:
                             nm.NO_KEYS, i, cfg.dropout_p)
         return nm.layer_norm(x, p["speech.ln_post.g"], p["speech.ln_post.b"])
 
-    def pooled_frames(self, mels: Iterable[MelSpectrogram]) -> Iterator[Tensor]:
-        """Each log-mel's (prefix_len, speech_dim) mean-pooled encoder
-        frames, read lazily from mels. A frozen encoder runs stacks of
+    def pooled_frames(self, mels: Iterable[np.ndarray]) -> Iterator[Tensor]:
+        """Each (mels, frames) log-mel's (prefix_len, speech_dim) mean-pooled
+        encoder frames, read lazily from mels. A frozen encoder runs stacks of
         stack_size utterances; a trainable one runs each alone with a graph,
         so gradients sum as in single calls."""
         pf = self.config.pool_factor
         mels = iter(mels)
         if any(p.requires_grad for n, p in self.params.items() if n.startswith("speech.")):
             for m in mels:
-                yield nm.mean_pool_time(self.speech_encode(m), pf)
+                yield nm.mean_pool_time(self.speech_encode(MelSpectrogram(m)), pf)
             return
         per = stack_size(self.config, self.dtype)
-        while chunk := [m.values for m in itertools.islice(mels, per)]:
+        while chunk := list(itertools.islice(mels, per)):
             frames = self.speech_encode(MelSpectrogram(np.stack(chunk))).data
             pooled = [nm.mean_pool_time(Tensor(f), pf) for f in frames]
             del chunk, frames  # freed before the rows are handed out

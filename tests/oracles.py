@@ -37,13 +37,14 @@ import struct
 import numpy as np
 
 from multidiac.audiofe import (
-    HOP, N_FFT, MelSpectrogram, _band_edges, inject_noise, log_mel,
+    HOP, N_FFT, _band_edges, inject_noise, log_mel,
     mel_filterbank, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, NumericError
 from multidiac.metrics import AlignmentError, MetricFlags, Tallies
 from multidiac import numerics as nm
-from multidiac.model import DiacritizerModel, full_scale_config, speech_embedding_dropout
+from multidiac.model import (DiacritizerModel, MelSpectrogram, full_scale_config,
+                             speech_embedding_dropout)
 from multidiac.numerics import _GELU_C, RngStream, Tensor, mean_pool_time
 from multidiac.textproc import (
     ARABIC_LETTERS, DIACRITICS, NUM_CLASSES, Vocabulary, class_of_marks,
@@ -184,7 +185,7 @@ def brute_force_reference(pred: str, gold: str,
     return t
 
 
-def log_mel_reference(w, mels: int = 80, frame_budget: int | None = None) -> MelSpectrogram:
+def log_mel_reference(w, mels: int = 80, frame_budget: int | None = None) -> np.ndarray:
     """log_mel with its frames gathered by a (frames, N_FFT) index array and
     each step allocating its result."""
     n = len(w)
@@ -206,7 +207,7 @@ def log_mel_reference(w, mels: int = 80, frame_budget: int | None = None) -> Mel
             fill = np.full((mels, frame_budget - frames), values.min(),
                            dtype=np.float32)
             values = np.concatenate([values, fill], axis=1)
-    return MelSpectrogram(values=values)
+    return values
 
 
 def conv1d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
@@ -231,7 +232,7 @@ def prepare_sample_reference(model, sample, cfg, rng: RngStream) -> PreparedSamp
         mel = log_mel(w, mels=model.config.mels, frame_budget=model.config.mel_frames)
         mel = spec_augment(mel, cfg.specaug_freq, cfg.specaug_time, rng.child(1))
         prefix = model.pool_project(
-            mean_pool_time(model.speech_encode(mel), model.config.pool_factor))
+            mean_pool_time(model.speech_encode(MelSpectrogram(mel)), model.config.pool_factor))
     return PreparedSample(tokens=model.encode_text(sample.raw),
                           letter_rows=model.letter_rows(sample.raw),
                           targets=np.asarray(sample.targets, dtype=np.int64),

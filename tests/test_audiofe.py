@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from multidiac import audiofe as af
 from multidiac.audiofe import (
-    HOP, N_FFT, SAMPLE_RATE, MelSpectrogram, inject_noise, load_wav,
+    HOP, N_FFT, SAMPLE_RATE, inject_noise, load_wav,
     log_mel, mel_filterbank, save_wav, spec_augment,
 )
 from multidiac.errors import ConfigError, FormatError, IngestError
@@ -208,35 +208,35 @@ def test_filterbank_is_htk_mel_spaced():
 
 def test_log_mel_shape_and_range():
     m = log_mel(sine(440, seconds=1.0), mels=80)
-    assert m.mels == 80
-    assert m.frames == math.ceil(SAMPLE_RATE * 1.0 / HOP)
+    assert m.shape == (80, math.ceil(SAMPLE_RATE * 1.0 / HOP))
     # (log10 clamp at max-8, then (x+4)/4) bounds the dynamic range to 2
-    assert m.values.max() - m.values.min() <= 2.0 + 1e-6
+    assert m.max() - m.min() <= 2.0 + 1e-6
 
 
 def test_log_mel_frame_budget_pad_and_trim():
     w = sine(440, seconds=0.5)
     padded = log_mel(w, mels=40, frame_budget=100)
-    assert padded.frames == 100
+    assert padded.shape[1] == 100
     base = log_mel(w, mels=40)
-    assert np.array_equal(padded.values[:, :base.frames], base.values)
-    assert np.all(padded.values[:, base.frames:] == base.values.min())
+    frames = base.shape[1]
+    assert np.array_equal(padded[:, :frames], base)
+    assert np.all(padded[:, frames:] == base.min())
     trimmed = log_mel(w, mels=40, frame_budget=10)
-    assert trimmed.frames == 10
-    assert np.array_equal(trimmed.values, base.values[:, :10])
+    assert trimmed.shape[1] == 10
+    assert np.array_equal(trimmed, base[:, :10])
 
 
 def test_log_mel_peaks_at_tone_frequency():
     centers = filterbank_centers(80)
     for freq in (300, 1000, 3000):
         m = log_mel(sine(freq, seconds=0.3), mels=80)
-        peak_bin = int(m.values.mean(axis=1).argmax())
+        peak_bin = int(m.mean(axis=1).argmax())
         assert abs(centers[peak_bin] - freq) < 150
 
 
 def test_log_mel_silence_is_flat():
     m = log_mel(np.zeros(SAMPLE_RATE // 4, dtype=np.float32))
-    assert np.allclose(m.values, m.values.flat[0])
+    assert np.allclose(m, m.flat[0])
 
 
 # -- spec augment --------------------------------------------------------
@@ -245,10 +245,10 @@ def test_log_mel_silence_is_flat():
 def test_spec_augment_masks_to_minimum():
     m = log_mel(sine(500, seconds=0.5), mels=40)
     out = spec_augment(m, freq_param=10, time_param=20, rng=RngStream(3))
-    assert out.values.shape == m.values.shape
-    changed = out.values != m.values
+    assert out.shape == m.shape
+    changed = out != m
     assert changed.any()
-    assert np.all(out.values[changed] == m.values.min())
+    assert np.all(out[changed] == m.min())
     # one contiguous frequency band, one contiguous time band
     rows = np.nonzero(changed.all(axis=1))[0]
     if rows.size:
@@ -262,7 +262,7 @@ def test_spec_augment_band_width_bounds():
     m = log_mel(sine(500, seconds=0.5), mels=40)
     for seed in range(20):
         out = spec_augment(m, freq_param=5, time_param=8, rng=RngStream(seed))
-        changed = out.values != m.values
+        changed = out != m
         full_rows = changed.all(axis=1).sum()
         full_cols = changed.all(axis=0).sum()
         assert full_rows <= 5
@@ -271,29 +271,30 @@ def test_spec_augment_band_width_bounds():
 
 def test_spec_augment_deterministic_and_pure():
     m = log_mel(sine(500, seconds=0.2), mels=40)
-    before = m.values.copy()
+    before = m.copy()
     a = spec_augment(m, 10, 10, RngStream(9))
     b = spec_augment(m, 10, 10, RngStream(9))
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(m.values, before)
+    assert np.array_equal(a, b)
+    assert np.array_equal(m, before)
 
 
 def test_spec_augment_at_zero_widths_is_the_identity(monkeypatch):
     m = log_mel(sine(500, seconds=0.2), mels=40)
-    before = m.values.copy()
+    before = m.copy()
     monkeypatch.setattr(RngStream, "generator",
                         lambda self: pytest.fail("spec_augment drew at widths (0, 0)"))
     out = spec_augment(m, 0, 0, RngStream(9))
-    assert out is m and out.values is m.values
-    assert np.array_equal(out.values, before)
+    assert out is m
+    assert np.array_equal(out, before)
 
 
 def test_spec_augment_rejects_oversized_params():
-    m = MelSpectrogram(np.zeros((8, 10), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        spec_augment(m, freq_param=9, time_param=1, rng=RngStream(0))
-    with pytest.raises(ConfigError):
-        spec_augment(m, freq_param=1, time_param=11, rng=RngStream(0))
+    """Widths outside [0, mels] and [0, frames] are refused, negative ones
+    included."""
+    m = np.zeros((8, 10), dtype=np.float32)
+    for freq, time in ((9, 1), (1, 11), (-1, 0), (0, -1), (-1, 1), (1, -1)):
+        with pytest.raises(ConfigError):
+            spec_augment(m, freq_param=freq, time_param=time, rng=RngStream(0))
 
 
 # -- noise injection -----------------------------------------------------
@@ -342,13 +343,13 @@ def test_log_mel_frame_count(n, seed):
     gen = np.random.default_rng(seed)
     w = gen.normal(0, 0.1, size=n).astype(np.float32)
     m = log_mel(w, mels=20)
-    assert m.frames == max(1, math.ceil(n / HOP))
-    assert np.isfinite(m.values).all()
+    assert m.shape[1] == max(1, math.ceil(n / HOP))
+    assert np.isfinite(m).all()
 
 
 def assert_log_mel_is_the_gather_form(w, mels, frame_budget):
-    got = log_mel(w, mels=mels, frame_budget=frame_budget).values
-    want = log_mel_reference(w, mels=mels, frame_budget=frame_budget).values
+    got = log_mel(w, mels=mels, frame_budget=frame_budget)
+    want = log_mel_reference(w, mels=mels, frame_budget=frame_budget)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -574,6 +574,23 @@ def test_infer_rejects_checkpoints_with_different_vocabularies(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_infer_names_the_failing_sample_once(tmp_path, capsys, monkeypatch):
+    """An invariant violation in infer exits 3 with one error line that
+    names the sample, and `invariant N:` once."""
+    def diacritize(*args):
+        raise errors.InvariantViolation(
+            2, "diacritic count 1 does not match 2 letter positions")
+
+    monkeypatch.setattr(multidiac.cli, "diacritize", diacritize)
+    rc = main(["infer", "--checkpoints", str(_desk_checkpoint(tmp_path / "m.ckpt")),
+               "--manifest", str(_text_manifest(tmp_path / "in.jsonl")),
+               "--out", str(tmp_path / "o"), "--passes", "2"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "error: sample 'a': invariant 2: diacritic count 1 does not match "
+        "2 letter positions\n")
+
+
 def test_infer_refuses_a_v1_checkpoint_before_writing(tmp_path, capsys):
     ckpt = _desk_checkpoint(tmp_path / "m.ckpt")
     blob = bytearray(ckpt.read_bytes())

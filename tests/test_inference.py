@@ -14,8 +14,8 @@ from multidiac.audiofe import SAMPLE_RATE
 from multidiac.errors import ConfigError, FingerprintError, ShapeError
 from multidiac.inference import (EnsembleConfig, diacritize, ensemble_average,
                                  mc_forward, predict_greedy, predict_greedy_corpus)
-from multidiac.model import (DiacritizerModel, ModelConfig, desk_config, full_scale_config,
-                             stack_size)
+from multidiac.model import (DiacritizerModel, MelSpectrogram, ModelConfig, desk_config,
+                             full_scale_config, stack_size)
 from multidiac.numerics import RngStream
 from multidiac.training import OptimizerState, adamw_step
 from multidiac.textproc import (ARABIC_LETTERS, Vocabulary, insert_diacritics,
@@ -283,7 +283,8 @@ def test_predict_greedy_matches_argmax_forward():
 
 def prefix_of(model, mel):
     """model's speech prefix of one log-mel, encoded alone."""
-    frames = nm.mean_pool_time(model.speech_encode(mel), model.config.pool_factor)
+    frames = nm.mean_pool_time(model.speech_encode(MelSpectrogram(mel)),
+                               model.config.pool_factor)
     return model.pool_project(frames)
 
 
@@ -434,7 +435,8 @@ def cached(model):
 def pooled_of(model, w):
     """The mean-pooled frames of w's log-mel, encoded alone."""
     mel = inference.log_mel(w, mels=model.config.mels, frame_budget=model.config.mel_frames)
-    return nm.mean_pool_time(model.speech_encode(mel), model.config.pool_factor).data
+    return nm.mean_pool_time(model.speech_encode(MelSpectrogram(mel)),
+                             model.config.pool_factor).data
 
 
 RAWS = ["بت", "ثب تب", "تتب"]
@@ -637,7 +639,7 @@ def test_a_corpus_call_with_a_trainable_speech_block_holds_one_graph():
     greedy_peak(model, 2)  # warms every lazily built table
     two, sixteen = greedy_peak(model, 2), greedy_peak(model, 16)
     # premise: a log-mel held per utterance would break the last bound
-    assert 14 * mel.values.nbytes > graph / 2 + 14 * 4 * pooled
+    assert 14 * mel.nbytes > graph / 2 + 14 * 4 * pooled
     assert two < 1.5 * graph  # never two graphs at once
     assert sixteen - two < graph / 2 + 14 * 4 * pooled
 

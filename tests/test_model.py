@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidiac import numerics as nm
-from multidiac.audiofe import MelSpectrogram
 from multidiac.errors import ConfigError, ShapeError
 from multidiac.model import (
-    DiacritizerModel, ModelConfig, desk_config,
+    DiacritizerModel, MelSpectrogram, ModelConfig, desk_config,
     full_scale_config, sinusoidal_table, speech_embedding_dropout, stack_size,
 )
 from multidiac.numerics import RngStream
@@ -31,8 +30,7 @@ def small_model(seed=0):
 
 def mel_for(cfg, seed=0):
     gen = np.random.default_rng(seed)
-    return MelSpectrogram(
-        gen.normal(0, 0.5, size=(cfg.mels, cfg.mel_frames)).astype(np.float32))
+    return gen.normal(0, 0.5, size=(cfg.mels, cfg.mel_frames)).astype(np.float32)
 
 
 # -- config --------------------------------------------------------------
@@ -272,7 +270,7 @@ def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
     cfg, n, sizes = STACKED_ENCODERS[case]
     model = DiacritizerModel(cfg, VOCAB, RngStream(1))
     mels = [mel_for(cfg, seed) for seed in range(n)]
-    stack = model.speech_encode(MelSpectrogram(np.stack([m.values for m in mels])))
+    stack = model.speech_encode(MelSpectrogram(np.stack(mels)))
     assert stack.shape == (n, cfg.speech_frames, cfg.speech_dim)
     stacks = []
     encode = DiacritizerModel.speech_encode
@@ -282,7 +280,7 @@ def test_stacked_speech_encode_is_bitwise_each_utterance(case, monkeypatch):
     monkeypatch.undo()
     assert stacks == sizes
     for m, row, frames in zip(mels, stack.data, pooled, strict=True):
-        alone = model.speech_encode(m)
+        alone = model.speech_encode(MelSpectrogram(m))
         assert row.tobytes() == alone.data.tobytes()
         assert frames.data.tobytes() == \
             nm.mean_pool_time(alone, cfg.pool_factor).data.tobytes()
@@ -296,7 +294,7 @@ def test_frozen_speech_encode_is_bitwise_the_graph_encode(case):
     thread count."""
     cfg = STACKED_ENCODERS[case][0]
     model = DiacritizerModel(cfg, VOCAB, RngStream(5))
-    mel = mel_for(cfg, 6)
+    mel = MelSpectrogram(mel_for(cfg, 6))
     frozen = model.speech_encode(mel)
     model.freeze_speech_blocks(trainable_top=cfg.speech_blocks)
     traced = model.speech_encode(mel)
@@ -312,7 +310,7 @@ def test_frozen_full_width_encode_temporaries_stay_under_28_mib():
     of the attention half held through the MLP (44.0 MiB before that)."""
     cfg = STACKED_ENCODERS["full_width"][0]
     model = DiacritizerModel(cfg, VOCAB, RngStream(5))
-    mel = mel_for(cfg, 6)
+    mel = MelSpectrogram(mel_for(cfg, 6))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
